@@ -6,11 +6,12 @@ import numpy as np
 
 from . import mtca, tca, tmg
 
+_FAMILIES = ((tmg.TmgModel, tmg), (tca.TcaModel, tca), (mtca.MtcaModel, mtca))
+
 
 def marginal_loglik(model, x) -> float:
     """log p(x) under any model family (or any object with a loglik method)."""
-    for mod in (tmg, tca, mtca):
-        cls = {tmg: tmg.TmgModel, tca: tca.TcaModel, mtca: mtca.MtcaModel}[mod]
+    for cls, mod in _FAMILIES:
         if isinstance(model, cls):
             return float(mod.loglik(model, np.asarray(x)[None, :])[0])
     if hasattr(model, "loglik"):

@@ -399,11 +399,6 @@ def main(argv=None) -> int:
                          help="override one manifest key")
     p_train.add_argument("--verbose", action="store_true",
                          help="stream per-iteration step reports")
-    p_train.add_argument("--reduction", choices=("deterministic", "fast"),
-                         default="deterministic",
-                         help="reduction-order mode; this implementation "
-                         "always sums in a fixed order, so both modes are "
-                         "byte-stable")
 
     p_gen = sub.add_parser("gen", help="run a generator from a manifest")
     p_gen.add_argument("--manifest", required=True)

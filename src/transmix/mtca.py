@@ -13,12 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, StepReport, UnderflowError,
-                     variance_floor)
+from .common import (EmOptions, PosteriorSummary, _fit, _mstep_tail, _normalise,
+                     _starved)
 from .transforms import ImageShape, TransformationSet, apply
 from . import tca as _tca
-
-_LOG2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(eq=False)
@@ -135,11 +133,7 @@ def loglik(model: MtcaModel, X) -> np.ndarray:
 def posterior(model: MtcaModel, x) -> PosteriorSummary:
     """Responsibilities P(l, c | x) plus per-(l, c) latent moments."""
     x = np.asarray(x, dtype=np.float64)
-    log_joint = _log_joint(model, x[None, :])[0]
-    total = logsumexp(log_joint)
-    if not np.isfinite(total):
-        raise UnderflowError("all (l, c) configurations underflowed")
-    resp = np.exp(log_joint - total)
+    per_datum, resp = _normalise(_log_joint(model, x[None, :]), "(l, c) configuration")
     L, C, n, K = model.L, model.C, model.n, model.K
     z_mean = np.empty((L, C, n))
     z_var = np.empty((L, C, n))
@@ -152,93 +146,47 @@ def posterior(model: MtcaModel, x) -> PosteriorSummary:
                 model.phi[c], model.psi, x[None, :], l)
             y_mean[l, c], y_cov[l, c] = ym[0], yc
             z_mean[l, c], z_var[l, c] = zm[0], zv
-    return PosteriorSummary(resp=resp, z_mean=z_mean, z_var_diag=z_var,
-                            loglik=float(total), y_mean=y_mean, y_cov=y_cov)
+    return PosteriorSummary(resp=resp[0], z_mean=z_mean, z_var_diag=z_var,
+                            loglik=float(per_datum[0]), y_mean=y_mean, y_cov=y_cov)
 
 
 def _em_step_full(model: MtcaModel, X, options: EmOptions):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     T = X.shape[0]
-    log_joint = _log_joint(model, X)
-    per_datum = logsumexp(log_joint, axis=(1, 2))
-    if not np.all(np.isfinite(per_datum)):
-        raise UnderflowError("a datum underflowed every (l, c) configuration")
-    total = float(per_datum.sum())
-    resp = np.exp(log_joint - per_datum[:, None, None])
-
-    floor = variance_floor(X, options.floor)
+    per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
+    stats = [_tca.accumulate_stats(model.transforms, model.mu[c], model.loadings[c],
+                                   model.phi[c], model.psi, X, resp[:, :, c])
+             for c in range(model.C)]
+    mass = np.array([s[0] for s in stats])
+    rescued = _starved(mass, T)
     n_tangent = len(options.tangent_directions)
-    C, n = model.C, model.n
-    mu = np.empty_like(model.mu)
-    phi = np.empty_like(model.phi)
-    loadings = model.loadings.copy()
-    rho = model.rho.copy()
-    s_psi = np.zeros(n)
-    mass = np.empty(C)
-    rescued = []
-    rng = np.random.default_rng(options.seed)
-    for c in range(C):
-        stats = _tca.accumulate_stats(model.transforms, model.mu[c],
-                                      model.loadings[c], model.phi[c],
-                                      model.psi, X, resp[:, :, c])
-        mass[c] = stats[0]
-        s_psi += stats[-1]
-        if mass[c] < options.rescue_threshold * T:
-            rescued.append(c)
-            pick = rng.integers(X.shape[0])
-            mu[c] = X[pick] + 0.01 * max(float(np.std(X)), 1e-3) * rng.standard_normal(n)
-            phi[c] = max(float(np.var(X)), floor)
-            rho[:, c] = 1.0 / model.L
+    mu, phi = model.mu.copy(), model.phi.copy()
+    loadings, rho = model.loadings.copy(), model.rho.copy()
+    for c, st in enumerate(stats):
+        if c in rescued:
             continue
-        loadings_c, mu[c], phi[c] = _tca.solve_mstep(stats, model.loadings[c],
-                                                     n_tangent)
+        loadings[c], mu[c], phi[c] = _tca.solve_mstep(st, model.loadings[c], n_tangent)
         if n_tangent and options.refresh_tangent:
-            loadings_c = loadings_c.copy()
-            loadings_c[:, :n_tangent] = _tca.tangent_columns(
+            loadings[c, :, :n_tangent] = _tca.tangent_columns(
                 mu[c], model.transforms, options.tangent_directions)
-        loadings[c] = loadings_c
         if not options.freeze_rho:
             rho[:, c] = resp[:, :, c].sum(axis=0) / mass[c]
-
-    pi = model.pi.copy()
-    if not options.freeze_pi:
-        pi = mass / T
-    if rescued:
-        pi[rescued] = 1.0 / C
-        pi = pi / pi.sum()
-
-    psi = s_psi / T
-    if options.tie_psi:
-        psi = np.full(n, psi.mean())
-    phi = np.maximum(phi, floor)
-    psi = np.maximum(psi, floor)
+    pi = model.pi.copy() if options.freeze_pi else mass / T
+    phi, psi, pi = _mstep_tail(X, options, stats, rescued, mu, phi, pi, rho)
     new = replace(model, pi=pi, mu=mu, loadings=loadings, phi=phi, rho=rho, psi=psi)
-    return new, total, tuple(mass), tuple(rescued)
+    return new, float(per_datum.sum()), tuple(mass), rescued
 
 
 def em_step(model: MtcaModel, X, options: EmOptions | None = None):
     """One EM step; the returned log-likelihood is under the input model."""
-    new, total, _, _ = _em_step_full(model, X, options or EmOptions())
-    return new, total
+    return _em_step_full(model, X, options or EmOptions())[:2]
 
 
 def fit(model: MtcaModel, X, iterations: int, options: EmOptions | None = None,
         tol: float = 1e-7, callback=None):
-    options = options or EmOptions()
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    reports = []
-    previous = None
-    for it in range(iterations):
-        model, total, mass, rescued = _em_step_full(model, X, options)
-        report = StepReport(it, total, mass, rescued)
-        reports.append(report)
-        if callback is not None:
-            callback(report)
-        if tol > 0 and previous is not None and not rescued:
-            if total - previous < tol * abs(previous):
-                break
-        previous = total
-    return model, reports
+    """Run EM until the iteration budget or a relative improvement below
+    `tol`.  Returns (model, step reports)."""
+    return _fit(_em_step_full, model, X, iterations, options, tol, callback)
 
 
 def sample(model: MtcaModel, seed, size: int | None = None) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, StepReport, UnderflowError,
-                     variance_floor)
+from .common import (EmOptions, PosteriorSummary, _fit, _latent_posterior,
+                     _mstep_tail, _normalise)
 from .transforms import ImageShape, TransformationSet, apply
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -163,11 +163,15 @@ def cond_loglik(model: TcaModel, x, l: int) -> float:
     return float(loglik_table(model, x[None, :])[0, l])
 
 
+def _log_joint(model: TcaModel, X) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return loglik_table(model, X) + np.log(model.rho)[None, :]
+
+
 def loglik(model: TcaModel, X) -> np.ndarray:
     """(T,) marginal log p(x_t)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    with np.errstate(divide="ignore"):
-        return logsumexp(loglik_table(model, X) + np.log(model.rho)[None, :], axis=1)
+    return logsumexp(_log_joint(model, X), axis=1)
 
 
 def _op_posterior(transforms, mu, loadings, phi, psi, X, l):
@@ -183,28 +187,19 @@ def _op_posterior(transforms, mu, loadings, phi, psi, X, l):
     y_cov = np.linalg.inv(m) if k else np.zeros((0, 0))
     y_mean = (d / diag[None, :]) @ a @ y_cov if k else np.zeros((X.shape[0], 0))
 
-    dst = transforms.dest_matrix[l]
-    observed = dst >= 0
-    dst_safe = np.where(observed, dst, 0)
-    psi_back = psi[dst_safe]
-    prec = 1.0 / phi + np.where(observed, 1.0 / psi_back, 0.0)
-    x_back = np.where(observed, X[:, dst_safe] / psi_back, 0.0)
-    z_mean = ((mu + y_mean @ loadings.T) / phi + x_back) / prec
-    jac = loadings / (phi * prec)[:, None]
+    # given y the latent prior is N(mu + W y, diag(phi))
+    z_mean, var = _latent_posterior(transforms.dest_matrix[l],
+                                    mu + y_mean @ loadings.T, phi, psi, X)
+    jac = loadings * (var / phi)[:, None]
     cov_zy = jac @ y_cov
-    z_var = 1.0 / prec + np.einsum("pk,pk->p", cov_zy, jac)
+    z_var = var + np.einsum("pk,pk->p", cov_zy, jac)
     return y_mean, y_cov, z_mean, z_var, cov_zy
 
 
 def posterior(model: TcaModel, x) -> PosteriorSummary:
     """Responsibilities p(l | x) plus exact latent posteriors per op."""
     x = np.asarray(x, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_joint = loglik_table(model, x[None, :])[0] + np.log(model.rho)
-    total = logsumexp(log_joint)
-    if not np.isfinite(total):
-        raise UnderflowError("all transformations underflowed")
-    resp = np.exp(log_joint - total)
+    per_datum, resp = _normalise(_log_joint(model, x[None, :]), "transformation")
     L, n, K = model.L, model.n, model.K
     z_mean = np.empty((L, n))
     z_var = np.empty((L, n))
@@ -215,8 +210,8 @@ def posterior(model: TcaModel, x) -> PosteriorSummary:
                                           model.loadings, model.phi,
                                           model.psi, x[None, :], l)
         y_mean[l], y_cov[l], z_mean[l], z_var[l] = ym[0], yc, zm[0], zv
-    return PosteriorSummary(resp=resp, z_mean=z_mean, z_var_diag=z_var,
-                            loglik=float(total), y_mean=y_mean, y_cov=y_cov)
+    return PosteriorSummary(resp=resp[0], z_mean=z_mean, z_var_diag=z_var,
+                            loglik=float(per_datum[0]), y_mean=y_mean, y_cov=y_cov)
 
 
 def accumulate_stats(transforms, mu, loadings, phi, psi, X, W):
@@ -324,14 +319,7 @@ def tangent_columns(mu, transforms: TransformationSet, directions) -> np.ndarray
 def _em_step_full(model: TcaModel, X, options: EmOptions):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     T = X.shape[0]
-    with np.errstate(divide="ignore"):
-        log_joint = loglik_table(model, X) + np.log(model.rho)[None, :]
-    per_datum = logsumexp(log_joint, axis=1)
-    if not np.all(np.isfinite(per_datum)):
-        raise UnderflowError("a datum underflowed every transformation")
-    total = float(per_datum.sum())
-    resp = np.exp(log_joint - per_datum[:, None])
-
+    per_datum, resp = _normalise(_log_joint(model, X), "transformation")
     stats = accumulate_stats(model.transforms, model.mu, model.loadings,
                              model.phi, model.psi, X, resp)
     n_tangent = len(options.tangent_directions)
@@ -340,40 +328,22 @@ def _em_step_full(model: TcaModel, X, options: EmOptions):
         loadings = loadings.copy()
         loadings[:, :n_tangent] = tangent_columns(
             mu, model.transforms, options.tangent_directions)
-    psi = stats[-1] / T
     rho = model.rho if options.freeze_rho else resp.sum(axis=0) / T
-
-    floor = variance_floor(X, options.floor)
-    phi = np.maximum(phi, floor)
-    psi = np.maximum(psi, floor)
-    if options.tie_psi:
-        psi = np.full(model.n, psi.mean())
+    phi, psi, _ = _mstep_tail(X, options, [stats], (), mu, phi)
     new = replace(model, mu=mu, loadings=loadings, phi=phi, rho=rho, psi=psi)
-    return new, total
+    return new, float(per_datum.sum()), (float(T),), ()
 
 
 def em_step(model: TcaModel, X, options: EmOptions | None = None):
     """One EM step; the returned log-likelihood is under the input model."""
-    return _em_step_full(model, X, options or EmOptions())
+    return _em_step_full(model, X, options or EmOptions())[:2]
 
 
 def fit(model: TcaModel, X, iterations: int, options: EmOptions | None = None,
         tol: float = 1e-7, callback=None):
-    options = options or EmOptions()
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    reports = []
-    previous = None
-    for it in range(iterations):
-        model, total = _em_step_full(model, X, options)
-        report = StepReport(it, total, (float(X.shape[0]),))
-        reports.append(report)
-        if callback is not None:
-            callback(report)
-        if tol > 0 and previous is not None \
-                and total - previous < tol * abs(previous):
-            break
-        previous = total
-    return model, reports
+    """Run EM until the iteration budget or a relative improvement below
+    `tol`.  Returns (model, step reports)."""
+    return _fit(_em_step_full, model, X, iterations, options, tol, callback)
 
 
 def sample(model: TcaModel, seed, size: int | None = None) -> np.ndarray:

@@ -18,14 +18,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .common import (EmOptions, SequencePosterior, StepReport, UnderflowError,
-                     gaussian_template_stats, variance_floor)
+from . import tmg as _tmg
+from .common import (EmOptions, SequencePosterior, UnderflowError, _fit,
+                     _latent_posterior, _mstep_tail, _starved,
+                     gaussian_template_stats)
 from .transforms import ImageShape, TransformationSet, apply, shift_op
-from .tmg import TmgModel, _class_loglik
-
-_LOG2PI = np.log(2.0 * np.pi)
+from .tmg import TmgModel
 
 
 def motion_offsets(threshold: float) -> tuple[tuple[int, int], ...]:
@@ -205,7 +204,7 @@ def init_thmm(transforms: TransformationSet, n_classes: int, frames,
 
 
 def from_tmg(model: TmgModel, motion: MotionPrior | None = None,
-             diag_boost: float = 1.0, align_gauge: bool = True) -> ThmmModel:
+             align_gauge: bool = True) -> ThmmModel:
     """Promote a trained TMG to a THMM: templates and noise carry over, the
     class chain starts near the TMG mixing proportions with a sticky
     diagonal, and the motion prior defaults to uniform.
@@ -236,7 +235,7 @@ def from_tmg(model: TmgModel, motion: MotionPrior | None = None,
                         best, best_op = score, op
             mu[c] = apply(best_op, mu[c])
             phi[c] = apply(best_op, phi[c])
-    trans = np.tile(model.pi, (C, 1)) + diag_boost * np.eye(C)
+    trans = np.tile(model.pi, (C, 1)) + np.eye(C)
     trans = trans / trans.sum(axis=1, keepdims=True)
     pi_s = np.tile(model.pi[:, None], (1, L)) / L
     return ThmmModel(shape=model.shape, transforms=model.transforms,
@@ -254,13 +253,9 @@ def emission_loglik(model: ThmmModel, x) -> np.ndarray:
 
 
 def emission_table(model: ThmmModel, frames) -> np.ndarray:
-    """(T, C, L) emission log-likelihood tables."""
-    X = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    out = np.empty((X.shape[0], model.C, model.L))
-    for c in range(model.C):
-        out[:, c, :] = _class_loglik(model.transforms, model.mu[c],
-                                     model.phi[c], model.psi, X)
-    return out
+    """(T, C, L) emission log-likelihood tables: the TMG conditional table
+    with its state axes in (class, op) order."""
+    return np.ascontiguousarray(_tmg.loglik_table(model, frames).transpose(0, 2, 1))
 
 
 def _shift2d(a: np.ndarray, di: int, dj: int, wrap: bool, fill: float = 0.0) -> np.ndarray:
@@ -507,7 +502,7 @@ def _seq_list(frames) -> list[np.ndarray]:
 
 def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
     seqs = _seq_list(sequences)
-    C, L, n = model.C, model.L, model.n
+    C, L = model.C, model.L
     total = 0.0
     gamma_first = np.zeros((C, L))
     xi_class = np.zeros((C, C))
@@ -522,35 +517,17 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
         gammas.append(post.gamma)
 
     all_frames = np.concatenate(seqs, axis=0)
-    floor = variance_floor(all_frames, options.floor)
-    mu = np.empty_like(model.mu)
-    phi = np.empty_like(model.phi)
-    s_psi = np.zeros(n)
-    mass = np.empty(C)
-    rescued = []
-    rng = np.random.default_rng(options.seed)
-    n_frames = all_frames.shape[0]
-    for c in range(C):
-        w = np.concatenate([g[:, c, :] for g in gammas], axis=0)
-        m_c, s1, s2, sp = gaussian_template_stats(
-            model.transforms, model.mu[c], model.phi[c], model.psi,
-            all_frames, w)
-        mass[c] = m_c
-        s_psi += sp
-        if m_c < options.rescue_threshold * n_frames:
-            rescued.append(c)
-            pick = rng.integers(n_frames)
-            mu[c] = all_frames[pick] + 0.01 * max(float(np.std(all_frames)), 1e-3) \
-                * rng.standard_normal(n)
-            phi[c] = max(float(np.var(all_frames)), floor)
+    stats = [gaussian_template_stats(
+        model.transforms, model.mu[c], model.phi[c], model.psi, all_frames,
+        np.concatenate([g[:, c, :] for g in gammas], axis=0)) for c in range(C)]
+    mass = np.array([s[0] for s in stats])
+    rescued = _starved(mass, all_frames.shape[0])
+    mu, phi = model.mu.copy(), model.phi.copy()
+    for c, (m_c, s1, s2, _) in enumerate(stats):
+        if c in rescued:
             continue
         mu[c] = s1 / m_c
         phi[c] = s2 / m_c - mu[c] ** 2
-    psi = s_psi / n_frames
-    if options.tie_psi:
-        psi = np.full(n, psi.mean())
-    phi = np.maximum(phi, floor)
-    psi = np.maximum(psi, floor)
 
     # dynamics
     if options.joint_pi:
@@ -559,14 +536,12 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
         class_marg = gamma_first.sum(axis=1)
         class_marg = class_marg / class_marg.sum()
         pi_s = np.tile(class_marg[:, None], (1, L)) / L
-    if rescued:
-        pi_s[rescued, :] = 1.0 / (C * L)
-        pi_s = pi_s / pi_s.sum()
+    phi, psi, pi_s = _mstep_tail(all_frames, options, stats, rescued, mu, phi, pi_s)
     tiny = 1e-12
     trans = xi_class + tiny
     if rescued:
-        trans[rescued, :] = 1.0
-        trans[:, rescued] += tiny
+        trans[list(rescued), :] = 1.0
+        trans[:, list(rescued)] += tiny
     class_trans = trans / trans.sum(axis=1, keepdims=True)
 
     motion = model.motion
@@ -586,44 +561,38 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
     new = ThmmModel(shape=model.shape, transforms=model.transforms, mu=mu,
                     phi=phi, psi=psi, pi_s=pi_s, class_trans=class_trans,
                     motion=motion)
-    return new, total, tuple(mass), tuple(rescued)
+    return new, total, tuple(mass), rescued
 
 
 def em_step(model: ThmmModel, sequences, options: EmOptions | None = None):
     """One EM step over one or more sequences; the returned log-likelihood
     is under the input model."""
-    new, total, _, _ = _em_step_full(model, sequences, options or EmOptions())
-    return new, total
+    return _em_step_full(model, sequences, options or EmOptions())[:2]
 
 
 def fit(model: ThmmModel, sequences, iterations: int,
         options: EmOptions | None = None, tol: float = 1e-7, callback=None):
-    options = options or EmOptions()
-    reports = []
-    previous = None
-    for it in range(iterations):
-        model, total, mass, rescued = _em_step_full(model, sequences, options)
-        report = StepReport(it, total, mass, rescued)
-        reports.append(report)
-        if callback is not None:
-            callback(report)
-        if tol > 0 and previous is not None and not rescued:
-            if total - previous < tol * abs(previous):
-                break
-        previous = total
-    return model, reports
+    """Run EM until the iteration budget or a relative improvement below
+    `tol`.  Returns (model, step reports)."""
+    return _fit(_em_step_full, model, sequences, iterations, options, tol, callback)
 
 
 def _map_states(model: ThmmModel, frames, use_viterbi: bool):
     X = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if use_viterbi:
         return X, viterbi(model, X), None
-    post = forward_backward(model, X)
+    post = forward_backward(model, X, map_path=False)
     T = X.shape[0]
     flat = post.gamma.reshape(T, -1)
     best = flat.argmax(axis=1)
     states = np.stack(np.divmod(best, model.L), axis=1)
     return X, states, post
+
+
+def _z_mean(model: ThmmModel, x, c: int, l: int) -> np.ndarray:
+    """Posterior-mean latent image given one frame and one state."""
+    return _latent_posterior(model.transforms.dest_matrix[l], model.mu[c],
+                             model.phi[c], model.psi, x)[0]
 
 
 def denoise(model: ThmmModel, frames, mode: str = "soft",
@@ -645,22 +614,8 @@ def denoise(model: ThmmModel, frames, mode: str = "soft",
         if mode == "hard":
             out[t] = apply(op, model.mu[c])
         else:
-            z_mean, _ = _single_z_moment(model, X[t], c, l)
-            out[t] = apply(op, z_mean)
+            out[t] = apply(op, _z_mean(model, X[t], c, l))
     return out
-
-
-def _single_z_moment(model: ThmmModel, x, c: int, l: int):
-    """Latent posterior moments given one frame and one state."""
-    dst = model.transforms.dest_matrix[l]
-    observed = dst >= 0
-    dst_safe = np.where(observed, dst, 0)
-    psi_back = model.psi[dst_safe]
-    prec = 1.0 / model.phi[c] + np.where(observed, 1.0 / psi_back, 0.0)
-    var = 1.0 / prec
-    mean = (model.mu[c] / model.phi[c]
-            + np.where(observed, x[dst_safe] / psi_back, 0.0)) * var
-    return mean, var
 
 
 def stabilize(model: ThmmModel, frames, use_viterbi: bool = False) -> np.ndarray:
@@ -669,7 +624,7 @@ def stabilize(model: ThmmModel, frames, use_viterbi: bool = False) -> np.ndarray
     X, states, _ = _map_states(model, frames, use_viterbi)
     out = np.empty_like(X)
     for t, (c, l) in enumerate(states):
-        out[t], _ = _single_z_moment(model, X[t], c, l)
+        out[t] = _z_mean(model, X[t], c, l)
     return out
 
 
@@ -678,7 +633,7 @@ def track(model: ThmmModel, frames, use_viterbi: bool = False):
     (or the Viterbi path), decoded through the shift grid."""
     X, states, post = _map_states(model, frames, use_viterbi)
     if post is None:
-        post = forward_backward(model, X)
+        post = forward_backward(model, X, map_path=False)
     offsets = model.transforms.grid_offsets()
     T = X.shape[0]
     out = np.empty((T, 4))

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, StepReport, UnderflowError,
-                     gaussian_template_stats, variance_floor)
+from .common import (EmOptions, PosteriorSummary, _fit, _latent_posterior,
+                     _mstep_tail, _normalise, _starved, gaussian_template_stats)
 from .transforms import ImageShape, TransformationSet, apply
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -152,114 +152,53 @@ def loglik(model: TmgModel, X) -> np.ndarray:
     return logsumexp(_log_joint(model, X), axis=(1, 2))
 
 
-def _z_moments(transforms, mu_c, phi_c, psi, x):
-    """Per-op posterior mean/variance of the latent image, (L, n) each."""
-    dst = transforms.dest_matrix
-    observed = dst >= 0
-    dst_safe = np.where(observed, dst, 0)
-    psi_back = psi[dst_safe]
-    prec = 1.0 / phi_c + np.where(observed, 1.0 / psi_back, 0.0)
-    var = 1.0 / prec
-    mean = (mu_c / phi_c + np.where(observed, x[dst_safe] / psi_back, 0.0)) * var
-    return mean, var
-
-
 def posterior(model: TmgModel, x) -> PosteriorSummary:
     """Responsibilities P(l, c | x) plus latent-image posterior moments."""
     x = np.asarray(x, dtype=np.float64)
-    log_joint = _log_joint(model, x[None, :])[0]
-    total = logsumexp(log_joint)
-    if not np.isfinite(total):
-        raise UnderflowError("all (l, c) configurations underflowed")
-    resp = np.exp(log_joint - total)
+    per_datum, resp = _normalise(_log_joint(model, x[None, :]), "(l, c) configuration")
     z_mean = np.empty((model.L, model.C, model.n))
     z_var = np.empty((model.L, model.C, model.n))
     for c in range(model.C):
-        m, v = _z_moments(model.transforms, model.mu[c], model.phi[c], model.psi, x)
-        z_mean[:, c, :] = m
-        z_var[:, c, :] = np.broadcast_to(v, m.shape)
-    return PosteriorSummary(resp=resp, z_mean=z_mean, z_var_diag=z_var,
-                            loglik=float(total))
+        z_mean[:, c, :], z_var[:, c, :] = _latent_posterior(
+            model.transforms.dest_matrix, model.mu[c], model.phi[c], model.psi, x)
+    return PosteriorSummary(resp=resp[0], z_mean=z_mean, z_var_diag=z_var,
+                            loglik=float(per_datum[0]))
 
 
 def _em_step_full(model: TmgModel, X, options: EmOptions):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     T = X.shape[0]
-    log_joint = _log_joint(model, X)
-    per_datum = logsumexp(log_joint, axis=(1, 2))
-    if not np.all(np.isfinite(per_datum)):
-        raise UnderflowError("a datum underflowed every (l, c) configuration")
-    total = float(per_datum.sum())
-    resp = np.exp(log_joint - per_datum[:, None, None])
-
-    floor = variance_floor(X, options.floor)
-    C, n = model.C, model.n
-    mu = np.empty_like(model.mu)
-    phi = np.empty_like(model.phi)
-    rho = model.rho.copy()
-    s_psi = np.zeros(n)
-    mass = np.empty(C)
-    rescued = []
-    rng = np.random.default_rng(options.seed)
-    for c in range(C):
-        m_c, s1, s2, sp = gaussian_template_stats(
-            model.transforms, model.mu[c], model.phi[c], model.psi, X, resp[:, :, c])
-        mass[c] = m_c
-        s_psi += sp
-        if m_c < options.rescue_threshold * T:
-            rescued.append(c)
-            pick = rng.integers(X.shape[0])
-            mu[c] = X[pick] + 0.01 * max(float(np.std(X)), 1e-3) * rng.standard_normal(n)
-            phi[c] = max(float(np.var(X)), floor)
-            rho[:, c] = 1.0 / model.L
+    per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
+    stats = [gaussian_template_stats(model.transforms, model.mu[c], model.phi[c],
+                                     model.psi, X, resp[:, :, c])
+             for c in range(model.C)]
+    mass = np.array([s[0] for s in stats])
+    rescued = _starved(mass, T)
+    mu, phi, rho = model.mu.copy(), model.phi.copy(), model.rho.copy()
+    for c, (m_c, s1, s2, _) in enumerate(stats):
+        if c in rescued:
             continue
         mu[c] = s1 / m_c
         phi[c] = s2 / m_c - mu[c] ** 2
         if not options.freeze_rho:
             rho[:, c] = resp[:, :, c].sum(axis=0) / m_c
-
-    pi = model.pi.copy()
-    if not options.freeze_pi:
-        pi = mass / T
-    if rescued:
-        pi[rescued] = 1.0 / C
-        pi = pi / pi.sum()
-
-    psi = s_psi / T
-    if options.tie_psi:
-        psi = np.full(n, psi.mean())
-    phi = np.maximum(phi, floor)
-    psi = np.maximum(psi, floor)
-
+    pi = model.pi.copy() if options.freeze_pi else mass / T
+    phi, psi, pi = _mstep_tail(X, options, stats, rescued, mu, phi, pi, rho)
     new = replace(model, pi=pi, mu=mu, phi=phi, rho=rho, psi=psi)
-    return new, total, tuple(mass), tuple(rescued)
+    return new, float(per_datum.sum()), tuple(mass), rescued
 
 
 def em_step(model: TmgModel, X, options: EmOptions | None = None):
     """One EM step.  Returns (updated model, total log-likelihood of the
     batch under the *input* model)."""
-    new, total, _, _ = _em_step_full(model, X, options or EmOptions())
-    return new, total
+    return _em_step_full(model, X, options or EmOptions())[:2]
 
 
 def fit(model: TmgModel, X, iterations: int, options: EmOptions | None = None,
         tol: float = 1e-7, callback=None):
     """Run EM until the iteration budget or a relative improvement below
     `tol`.  Returns (model, step reports)."""
-    options = options or EmOptions()
-    reports = []
-    previous = None
-    for it in range(iterations):
-        model, total, mass, rescued = _em_step_full(model, X, options)
-        report = StepReport(it, total, mass, rescued)
-        reports.append(report)
-        if callback is not None:
-            callback(report)
-        if tol > 0 and previous is not None and not rescued:
-            if total - previous < tol * abs(previous):
-                break
-        previous = total
-    return model, reports
+    return _fit(_em_step_full, model, X, iterations, options, tol, callback)
 
 
 def sample(model: TmgModel, seed, size: int | None = None) -> np.ndarray:

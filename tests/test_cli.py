@@ -200,7 +200,7 @@ def test_main_entrypoint(tmp_path):
     assert frames.shape[0] == 6
     rc = main(["train", "--manifest", str(man_path), "--out",
                str(tmp_path / "t"), "--set", "iterations=2",
-               "--set", "init.iterations=2", "--reduction", "deterministic"])
+               "--set", "init.iterations=2"])
     assert rc == 0
     rc = main(["infer", "--model", str(tmp_path / "t" / "model.txm"),
                "--frames", str(tmp_path / "g" / "frames"), "--task", "score"])

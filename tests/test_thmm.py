@@ -5,6 +5,7 @@ import pytest
 
 from transmix import EmOptions, ImageShape, TransformationSet, UnderflowError
 from transmix import apply, build_translation_set, identity_set, shift_op
+from transmix import thmm as thmm_mod
 from transmix import tmg as tmg_mod
 from transmix.thmm import (MotionPrior, ThmmModel, dense_transition, denoise,
                            emission_loglik, emission_table, forward_backward,
@@ -420,6 +421,18 @@ def test_track_static_and_t1():
     c, l = np.unravel_index(post.gamma[0].argmax(), (1, 9))
     offsets = ts.grid_offsets()
     assert tuple(single[0, :3].astype(int)) == (c, offsets[l, 0], offsets[l, 1])
+
+
+def test_smoothed_decoding_runs_no_viterbi_pass(monkeypatch):
+    def no_viterbi(*args, **kwargs):
+        raise AssertionError("Viterbi pass run for smoothed decoding")
+
+    model = random_thmm(53, grid=(3, 3), shape=ImageShape(3, 3), threshold=1.0)
+    frames = np.random.default_rng(54).uniform(-1, 1, (5, model.n))
+    monkeypatch.setattr(thmm_mod, "viterbi", no_viterbi)
+    assert track(model, frames, use_viterbi=False).shape == (5, 4)
+    assert denoise(model, frames, mode="soft", use_viterbi=False).shape == frames.shape
+    assert stabilize(model, frames, use_viterbi=False).shape == frames.shape
 
 
 def test_score_paired_models():
