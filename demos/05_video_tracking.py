@@ -54,14 +54,9 @@ print(f"frame MSE vs sprite-only truth: {mse_before:.4f} -> {mse_after:.4f}")
 
 score = thmm.score_sequence(model, frames)
 print(f"\nsequence score under the model: {score:.1f}")
-# typicality check: scrambling time order creates jumps beyond the motion
-# threshold, whose probability is exactly zero under the learned dynamics
-from transmix import UnderflowError
-
+# typicality check: scrambling the time order asks for jumps beyond the
+# motion threshold, so the chain must explain frames from reachable, poorly
+# fitting states and the score falls far below the ordered sequence's
 scrambled = frames[np.random.default_rng(1).permutation(frames.shape[0])]
-try:
-    print(f"temporally scrambled sequence  : "
-          f"{thmm.score_sequence(model, scrambled):.1f}")
-except UnderflowError:
-    print("temporally scrambled sequence  : probability zero "
-          "(a jump exceeds the motion threshold)")
+print(f"temporally scrambled sequence  : "
+      f"{thmm.score_sequence(model, scrambled):.1f}")

@@ -15,6 +15,9 @@ FLOOR_ABS = 1e-12
 # responsibility mass per cluster, as a fraction of the batch, below which
 # the M-step reseeds the cluster from a random datum
 RESCUE_THRESHOLD = 1e-6
+# ops per block in gaussian_template_stats: bounds its temporaries to
+# (block, n) arrays
+_STATS_BLOCK = 32
 
 
 class UnderflowError(ArithmeticError):
@@ -30,6 +33,18 @@ def variance_floor(data: np.ndarray, override: float | None = None) -> float:
     if override is not None:
         return float(override)
     return max(FLOOR_REL * float(np.var(data)), FLOOR_ABS)
+
+
+def _frames(X, n: int) -> np.ndarray:
+    """Frames as a (T, n) float array, checked at a public entry point: one
+    frame or a stack of them, n pixels each, every value finite."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"frames must have {n} pixels each, got shape {X.shape}")
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"frame {int(np.argmax(bad))} has a non-finite pixel value")
+    return X
 
 
 @dataclass
@@ -156,29 +171,66 @@ def gaussian_template_stats(transforms, mu, phi, psi, X, W):
 
     plus the total weight.  These are exactly the statistics the template,
     latent-variance and sensor-variance updates need.
+
+    The posterior variance ``var = 1/(1/phi + b)``, with ``b = 1/psi[dst]``
+    on latent pixels that land in the image and 0 elsewhere, does not depend
+    on the datum, and E[z] = var * (mu/phi + b * x[dst]) is affine in it.
+    So the data enter only through two matrix products, A = W.T @ X and
+    Q = W.T @ (X*X), and the op weights w = W.sum(0); the rest is an
+    O(L n) gather through the ops' dest/source maps.  The residual on an
+    observed pixel is x - E[z] = (var/phi) * (x - mu) (read at the source
+    pixel), so its weighted square is (var/phi)^2 (Q - 2 mu A + mu^2 w);
+    a pixel with no source keeps its whole x^2 and contributes Q.
+
+    Those expanded squares cancel when the data sit far from zero, so X and
+    mu are first centred on the batch's mean pixel value m, which leaves var
+    unchanged and shifts E[z] by m; s1 and s2 are moved back afterwards.  The
+    ops are processed in blocks of `_STATS_BLOCK`, so the temporaries stay
+    (block, n) however large L is.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
-    n = transforms.shape.n
-    src_all = transforms.source_matrix
-    dst_all = transforms.dest_matrix
-    s1 = np.zeros(n)
-    s2 = np.zeros(n)
-    s_psi = np.zeros(n)
-    mass = 0.0
-    for l in range(transforms.L):
-        w = W[:, l]
-        e_z, var_z = _latent_posterior(dst_all[l], mu, phi, psi, X)
-        mass += w.sum()
-        s1 += w @ e_z
-        s2 += w @ np.square(e_z) + w.sum() * var_z
-        src = src_all[l]
-        valid = src >= 0
-        src_safe = np.where(valid, src, 0)
-        resid = np.where(valid, X - e_z[:, src_safe], X) ** 2
-        resid += np.where(valid, var_z[src_safe], 0.0)
-        s_psi += w @ resid
+    m = float(X.mean())
+    Xc, mu_c = X - m, mu - m
+    sums = np.zeros((3, transforms.shape.n))
+    for lo in range(0, transforms.L, _STATS_BLOCK):
+        sums += _block_stats(transforms, slice(lo, lo + _STATS_BLOCK), W,
+                             Xc, Xc * Xc, mu_c, phi, psi, m)
+    s1, s2, s_psi = sums
+    mass = float(W.sum())
+    # back from the centred latent: E[z] = m + E[z - m]
+    s2 += 2.0 * m * s1 + m * m * mass
+    s1 += m * mass
     return mass, s1, s2, s_psi
+
+
+def _block_stats(transforms, block, W, Xc, Xc2, mu_c, phi, psi, m):
+    """(s1, s2, s_psi) of `gaussian_template_stats` over one block of ops,
+    for data Xc (squared: Xc2) and template mu_c centred on m, with s1 and
+    s2 still centred."""
+    Wb = W[:, block]
+    w = Wb.sum(axis=0)[:, None]
+    A, Q = Wb.T @ Xc, Wb.T @ Xc2
+    rows = np.arange(A.shape[0])[:, None]
+    a = mu_c / phi
+    dst = transforms.dest_matrix[block]
+    observed = dst >= 0
+    dst_safe = np.where(observed, dst, 0)
+    b = np.where(observed, 1.0 / psi[dst_safe], 0.0)
+    var = 1.0 / (1.0 / phi + b)
+    A_dst, Q_dst = A[rows, dst_safe], Q[rows, dst_safe]
+    s1 = (var * (w * a + b * A_dst)).sum(axis=0)
+    s2 = (var * var * (w * a * a + 2.0 * a * b * A_dst + b * b * Q_dst)
+          + w * var).sum(axis=0)
+    src = transforms.source_matrix[block]
+    valid = src >= 0
+    src_safe = np.where(valid, src, 0)
+    r = (var / phi)[rows, src_safe]
+    mu_src = mu_c[src_safe]
+    resid = (r * r * (Q - 2.0 * mu_src * A + mu_src * mu_src * w)
+             + w * var[rows, src_safe])
+    s_psi = np.where(valid, resid, Q + m * (2.0 * A + m * w)).sum(axis=0)
+    return np.stack((s1, s2, s_psi))
 
 
 def _normalise(log_joint: np.ndarray, what: str):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, _fit, _mstep_tail, _normalise,
-                     _starved)
+from .common import (EmOptions, PosteriorSummary, _fit, _frames, _mstep_tail,
+                     _normalise, _starved)
 from .transforms import ImageShape, TransformationSet, apply
 from . import tca as _tca
 
@@ -126,13 +126,13 @@ def _log_joint(model: MtcaModel, X) -> np.ndarray:
 
 def loglik(model: MtcaModel, X) -> np.ndarray:
     """(T,) marginal log p(x_t)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _frames(X, model.n)
     return logsumexp(_log_joint(model, X), axis=(1, 2))
 
 
 def posterior(model: MtcaModel, x) -> PosteriorSummary:
     """Responsibilities P(l, c | x) plus per-(l, c) latent moments."""
-    x = np.asarray(x, dtype=np.float64)
+    (x,) = _frames(x, model.n)
     per_datum, resp = _normalise(_log_joint(model, x[None, :]), "(l, c) configuration")
     L, C, n, K = model.L, model.C, model.n, model.K
     z_mean = np.empty((L, C, n))
@@ -151,7 +151,7 @@ def posterior(model: MtcaModel, x) -> PosteriorSummary:
 
 
 def _em_step_full(model: MtcaModel, X, options: EmOptions):
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _frames(X, model.n)
     T = X.shape[0]
     per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
     stats = [_tca.accumulate_stats(model.transforms, model.mu[c], model.loadings[c],

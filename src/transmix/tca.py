@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, _fit, _latent_posterior,
-                     _mstep_tail, _normalise)
+from .common import (EmOptions, PosteriorSummary, _fit, _frames,
+                     _latent_posterior, _mstep_tail, _normalise)
 from .transforms import ImageShape, TransformationSet, apply
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -170,7 +170,7 @@ def _log_joint(model: TcaModel, X) -> np.ndarray:
 
 def loglik(model: TcaModel, X) -> np.ndarray:
     """(T,) marginal log p(x_t)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _frames(X, model.n)
     return logsumexp(_log_joint(model, X), axis=1)
 
 
@@ -198,7 +198,7 @@ def _op_posterior(transforms, mu, loadings, phi, psi, X, l):
 
 def posterior(model: TcaModel, x) -> PosteriorSummary:
     """Responsibilities p(l | x) plus exact latent posteriors per op."""
-    x = np.asarray(x, dtype=np.float64)
+    (x,) = _frames(x, model.n)
     per_datum, resp = _normalise(_log_joint(model, x[None, :]), "transformation")
     L, n, K = model.L, model.n, model.K
     z_mean = np.empty((L, n))
@@ -317,7 +317,7 @@ def tangent_columns(mu, transforms: TransformationSet, directions) -> np.ndarray
 
 
 def _em_step_full(model: TcaModel, X, options: EmOptions):
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _frames(X, model.n)
     T = X.shape[0]
     per_datum, resp = _normalise(_log_joint(model, X), "transformation")
     stats = accumulate_stats(model.transforms, model.mu, model.loadings,

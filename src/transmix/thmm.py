@@ -21,7 +21,7 @@ import numpy as np
 
 from . import tmg as _tmg
 from .common import (EmOptions, SequencePosterior, UnderflowError, _fit,
-                     _latent_posterior, _mstep_tail, _starved,
+                     _frames, _latent_posterior, _mstep_tail, _starved,
                      gaussian_template_stats)
 from .transforms import ImageShape, TransformationSet, apply, shift_op
 from .tmg import TmgModel
@@ -278,7 +278,12 @@ class _Dynamics:
     `offsets`/`weights` keep one entry per raw displacement (the motion
     M-step needs counts split per displacement).  `f_offsets`/`f_weights`
     merge displacements that alias on a small wrapped grid; max-product
-    recursions must use the merged weights.
+    recursions must use the merged weights.  The sum-product passes gather
+    through per-displacement tables: move r carries state src[r, l] onto l
+    and l onto dst[r, l]; log_into[c, r, l] and log_from[c, r, l] are the
+    move's log weight, -inf where that source or target is off a
+    zero-padded grid.  z[c, l] is the weight of the moves that leave l and
+    stay on the grid.
     """
 
     def __init__(self, model: ThmmModel):
@@ -297,26 +302,22 @@ class _Dynamics:
                 folded[key] = self.weights[:, b].copy()
         self.f_offsets = tuple(folded.keys())
         self.f_weights = np.stack(list(folded.values()), axis=1)
-        ones = np.ones((model.C, mv, mh))
-        # z[c, l]: total kernel mass over moves that stay on the grid
-        self.z = sum(self.f_weights[:, b, None, None]
-                     * _shift2d(ones, -di, -dj, self.wrap)
-                     for b, (di, dj) in enumerate(self.f_offsets))
+
+        i, j = np.divmod(np.arange(mv * mh), mh)
+        d = np.array(self.offsets).T[:, :, None]
+        with np.errstate(divide="ignore"):
+            log_w = np.log(self.weights)[:, :, None]
+
+        def table(ti, tj):
+            on_grid = self.wrap | ((ti >= 0) & (ti < mv) & (tj >= 0) & (tj < mh))
+            return (ti % mv) * mh + tj % mh, np.where(on_grid, log_w, -np.inf)
+
+        self.src, self.log_into = table(i - d[0], j - d[1])
+        self.dst, self.log_from = table(i + d[0], j + d[1])
+        self.z = np.exp(self.log_from).sum(axis=1).reshape(model.C, mv, mh)
         if np.any(self.z <= 0):
             raise ValueError("motion prior leaves some state with no move")
-
-    def fwd(self, a: np.ndarray) -> np.ndarray:
-        """(C, Mv, Mh) -> sum over sources: a normalized-kernel step forward."""
-        scaled = a / self.z
-        return sum(self.f_weights[:, b, None, None]
-                   * _shift2d(scaled, di, dj, self.wrap)
-                   for b, (di, dj) in enumerate(self.f_offsets))
-
-    def bwd(self, g: np.ndarray) -> np.ndarray:
-        """Adjoint step: out[c, l] = sum_d k_c(d) g[c, l + d] / z[c, l]."""
-        return sum(self.f_weights[:, b, None, None]
-                   * _shift2d(g, -di, -dj, self.wrap)
-                   for b, (di, dj) in enumerate(self.f_offsets)) / self.z
+        self.log_z = np.log(self.z.reshape(model.C, -1))
 
 
 def dense_transition(model: ThmmModel) -> np.ndarray:
@@ -343,29 +344,42 @@ def dense_transition(model: ThmmModel) -> np.ndarray:
     return out
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along one axis; -inf where every term is -inf."""
+    top = a.max(axis=axis)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - np.expand_dims(top, axis)).sum(axis=axis)) + top
+
+
 def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics):
-    """Scaled forward pass.  Returns (loglik, alpha_hat, log_scale)."""
-    T = emis.shape[0]
-    mv, mh = model.transforms.grid
-    shift_log = emis.max(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
-        e = np.exp(emis - shift_log[:, None, None]).reshape(T, model.C, mv, mh)
-    pi_grid = model.pi_s.reshape(model.C, mv, mh)
-    alpha = np.empty_like(e)
-    scale = np.empty(T)
-    a = pi_grid * e[0]
+    """Forward pass in the log domain.  Returns (loglik, log_alpha, moved,
+    steps): log filtered state probabilities (T, C, L); moved[t], the log
+    mass each class carries into each position at t before the class step
+    (moved[0] unused); steps[t] = log p(x_t | x_<t).
+
+    Every state keeps its exact log weight however far below the frame's
+    best state it falls, so a later frame that can only be explained through
+    it (a jump beyond the motion threshold, say) still scores exactly.
+    """
+    T, C, L = emis.shape
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(model.class_trans)[:, :, None]
+        log_pred = np.log(model.pi_s)
+    log_alpha = np.empty((T, C, L))
+    moved = np.full((T, C, L), -np.inf)
+    steps = np.empty(T)
     for t in range(T):
         if t > 0:
-            moved = dyn.fwd(alpha[t - 1])
-            mixed = np.einsum("cd,cij->dij", model.class_trans, moved)
-            a = mixed * e[t]
-        s = a.sum()
-        if s <= 0.0 or not np.isfinite(s):
+            moved[t] = _logsumexp((log_alpha[t - 1] - dyn.log_z)[:, dyn.src]
+                                  + dyn.log_into, 1)
+            log_pred = _logsumexp(log_trans + moved[t][:, None, :], 0)
+        joint = log_pred + emis[t]
+        steps[t] = _logsumexp(joint.reshape(-1), 0)
+        if not np.isfinite(steps[t]):
             raise UnderflowError(f"zero total path probability at frame {t}")
-        scale[t] = s
-        alpha[t] = a / s
-    loglik = float(np.log(scale).sum() + shift_log.sum())
-    return loglik, alpha, scale, e
+        log_alpha[t] = joint - steps[t]
+    return float(steps.sum()), log_alpha, moved, steps
 
 
 def forward_backward(model: ThmmModel, frames,
@@ -373,34 +387,34 @@ def forward_backward(model: ThmmModel, frames,
     """Exact smoothed marginals, transition statistics, Viterbi path and
     sequence log-likelihood under the factorized transition.
 
-    `map_path=False` skips the Viterbi pass (the EM loop does not need it).
+    Both passes stay in the log domain; every quantity exponentiated is a
+    posterior probability.  `map_path=False` skips the Viterbi pass (the EM
+    loop does not need it).
     """
-    X = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    X = _frames(frames, model.n)
     emis = emission_table(model, X)
     dyn = _Dynamics(model)
-    loglik, alpha, scale, e = _forward(model, emis, dyn)
-    T = X.shape[0]
-    C = model.C
+    loglik, log_alpha, moved, steps = _forward(model, emis, dyn)
+    T, C, L = emis.shape
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(model.class_trans)[:, :, None]
 
-    beta = np.empty_like(alpha)
-    beta[T - 1] = 1.0
+    gamma = np.exp(log_alpha)
     xi_class = np.zeros((C, C))
     xi_motion = np.zeros((C, len(dyn.offsets)))
+    log_beta = np.zeros((C, L))
     for t in range(T - 2, -1, -1):
-        g = e[t + 1] * beta[t + 1]
-        mixed_back = np.einsum("cd,dij->cij", model.class_trans, g)
-        beta[t] = dyn.bwd(mixed_back) / scale[t + 1]
-        # pooled transition statistics for this step
-        moved = dyn.fwd(alpha[t])
-        xi_class += (model.class_trans
-                     * np.einsum("cij,dij->cd", moved, g)) / scale[t + 1]
-        norm_alpha = alpha[t] / dyn.z
-        for b, (di, dj) in enumerate(dyn.offsets):
-            pulled = _shift2d(mixed_back, -di, -dj, dyn.wrap)
-            xi_motion[:, b] += (dyn.weights[:, b]
-                                * np.einsum("cij,cij->c", norm_alpha, pulled)
-                                / scale[t + 1])
-    gamma = (alpha * beta).reshape(T, C, model.L)
+        # log p(x_t+1.., state at t+1 | x_..t), per target class, then per
+        # source class before the class step, then per move out of each state
+        ahead = emis[t + 1] + log_beta - steps[t + 1]
+        back = _logsumexp(log_trans + ahead[None], 1)
+        xi_class += np.exp(log_trans + moved[t + 1][:, None, :]
+                           + ahead[None]).sum(axis=2)
+        out = back[:, dyn.dst] + dyn.log_from
+        leave = log_alpha[t] - dyn.log_z
+        xi_motion += np.exp(out + leave[:, None, :]).sum(axis=2)
+        log_beta = _logsumexp(out, 1) - dyn.log_z
+        gamma[t] = np.exp(log_alpha[t] + log_beta)
 
     path = viterbi(model, X, emis=emis, dyn=dyn) if map_path else None
     xi_bins = _pool_motion(model.motion, dyn.offsets, xi_motion)
@@ -423,7 +437,7 @@ def _pool_motion(motion: MotionPrior, offsets, counts: np.ndarray) -> np.ndarray
 
 def score_sequence(model: ThmmModel, frames) -> float:
     """log p(x_1..T): the forward-pass likelihood, exact and deterministic."""
-    X = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    X = _frames(frames, model.n)
     emis = emission_table(model, X)
     loglik, _, _, _ = _forward(model, emis, _Dynamics(model))
     return loglik
@@ -432,7 +446,7 @@ def score_sequence(model: ThmmModel, frames) -> float:
 def viterbi(model: ThmmModel, frames, emis=None, dyn=None) -> np.ndarray:
     """MAP state path as (T, 2) (class, op) indices; ties break toward the
     smallest lumped index c * L + l."""
-    X = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    X = _frames(frames, model.n)
     if emis is None:
         emis = emission_table(model, X)
     if dyn is None:
@@ -494,14 +508,14 @@ def viterbi(model: ThmmModel, frames, emis=None, dyn=None) -> np.ndarray:
     return path
 
 
-def _seq_list(frames) -> list[np.ndarray]:
+def _seq_list(frames, n: int) -> list[np.ndarray]:
     if isinstance(frames, np.ndarray) and frames.ndim == 2:
-        return [np.asarray(frames, dtype=np.float64)]
-    return [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in frames]
+        frames = [frames]
+    return [_frames(f, n) for f in frames]
 
 
 def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
-    seqs = _seq_list(sequences)
+    seqs = _seq_list(sequences, model.n)
     C, L = model.C, model.L
     total = 0.0
     gamma_first = np.zeros((C, L))
@@ -578,7 +592,7 @@ def fit(model: ThmmModel, sequences, iterations: int,
 
 
 def _map_states(model: ThmmModel, frames, use_viterbi: bool):
-    X = np.atleast_2d(np.asarray(frames, dtype=np.float64))
+    X = _frames(frames, model.n)
     if use_viterbi:
         return X, viterbi(model, X), None
     post = forward_backward(model, X, map_path=False)

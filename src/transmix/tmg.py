@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, _fit, _latent_posterior,
-                     _mstep_tail, _normalise, _starved, gaussian_template_stats)
+from .common import (EmOptions, PosteriorSummary, _fit, _frames,
+                     _latent_posterior, _mstep_tail, _normalise, _starved,
+                     gaussian_template_stats)
 from .transforms import ImageShape, TransformationSet, apply
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -148,13 +149,13 @@ def _log_joint(model: TmgModel, X) -> np.ndarray:
 
 def loglik(model: TmgModel, X) -> np.ndarray:
     """(T,) marginal log p(x_t)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _frames(X, model.n)
     return logsumexp(_log_joint(model, X), axis=(1, 2))
 
 
 def posterior(model: TmgModel, x) -> PosteriorSummary:
     """Responsibilities P(l, c | x) plus latent-image posterior moments."""
-    x = np.asarray(x, dtype=np.float64)
+    (x,) = _frames(x, model.n)
     per_datum, resp = _normalise(_log_joint(model, x[None, :]), "(l, c) configuration")
     z_mean = np.empty((model.L, model.C, model.n))
     z_var = np.empty((model.L, model.C, model.n))
@@ -166,7 +167,7 @@ def posterior(model: TmgModel, x) -> PosteriorSummary:
 
 
 def _em_step_full(model: TmgModel, X, options: EmOptions):
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _frames(X, model.n)
     T = X.shape[0]
     per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
     stats = [gaussian_template_stats(model.transforms, model.mu[c], model.phi[c],

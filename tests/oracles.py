@@ -163,3 +163,38 @@ def principal_angle_deg(a, b) -> float:
     sv = np.linalg.svd(qa.T @ qb, compute_uv=False)
     sv = np.clip(sv, -1.0, 1.0)
     return float(np.degrees(np.arccos(sv.min())))
+
+
+def template_stats_dense(transforms, mu, phi, psi, X, W):
+    """M-step sums of `gaussian_template_stats` by dense Gaussian
+    conditioning of the latent image on each (datum, op) pair.
+
+    Returns (mass, s1, s2, s_psi) with s1 = sum W E[z], s2 = sum W
+    (E[z]^2 + Var[z]) and s_psi = sum W ((x - G E[z])^2 + diag(G Cov G^T)).
+    """
+    X, W = np.atleast_2d(X), np.atleast_2d(W)
+    n = mu.shape[0]
+    mass, s1, s2, s_psi = 0.0, np.zeros(n), np.zeros(n), np.zeros(n)
+    for l, op in enumerate(transforms):
+        g = dense_matrix(op)
+        cov = np.linalg.inv(np.diag(1.0 / phi) + g.T @ np.diag(1.0 / psi) @ g)
+        obs_var = np.diag(g @ cov @ g.T)
+        for t, x in enumerate(X):
+            w = W[t, l]
+            mean = cov @ (mu / phi + g.T @ (x / psi))
+            mass += w
+            s1 += w * mean
+            s2 += w * (mean ** 2 + np.diag(cov))
+            s_psi += w * ((x - g @ mean) ** 2 + obs_var)
+    return mass, s1, s2, s_psi
+
+
+def hmm_forward_logdomain(pi_s, trans, log_emit) -> float:
+    """log p(x_1..T) of a lumped-state HMM by a dense forward pass kept in
+    the log domain throughout.  pi_s (S,), trans (S, S), log_emit (T, S)."""
+    with np.errstate(divide="ignore"):
+        log_a = np.log(trans)
+        log_alpha = np.log(pi_s) + log_emit[0]
+    for t in range(1, log_emit.shape[0]):
+        log_alpha = logsumexp(log_alpha[:, None] + log_a, axis=0) + log_emit[t]
+    return float(logsumexp(log_alpha))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from transmix import EmOptions, ImageShape, build_translation_set
+from transmix import EmOptions, ImageShape, UnderflowError, build_translation_set
 from transmix import mtca, tca, thmm, tmg
 
 SHAPE = ImageShape(3, 3)
@@ -71,3 +71,50 @@ def test_tca_tie_psi_ties_then_floors():
     floor = float(np.median(raw))
     tied = tca.em_step(model, X, EmOptions(tie_psi=True, floor=floor))[0].psi
     np.testing.assert_allclose(tied, max(raw.mean(), floor), rtol=1e-12)
+
+
+def _fresh_model(family, X):
+    ts = build_translation_set(SHAPE, 3, 3, "wrap")
+    if family is thmm:
+        return thmm.init_thmm(ts, 2, X, seed=1)
+    if family is tca:
+        return tca.init_tca(ts, 1, X, seed=1)
+    if family is mtca:
+        return mtca.init_mtca(ts, 2, 1, X, seed=1)
+    return tmg.init_tmg(ts, 2, X, seed=1)
+
+
+def _entry_points(family, model):
+    """Every public call of the family that takes frames, as F -> result."""
+    if family is thmm:
+        return [lambda F: thmm.score_sequence(model, F),
+                lambda F: thmm.forward_backward(model, F),
+                lambda F: thmm.viterbi(model, F),
+                lambda F: thmm.em_step(model, F),
+                lambda F: thmm.fit(model, [F], 1)]
+    return [lambda F: family.loglik(model, F),
+            lambda F: family.posterior(model, F[-1]),
+            lambda F: family.em_step(model, F),
+            lambda F: family.fit(model, F, 1)]
+
+
+@pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
+                         ids=["tmg", "tca", "mtca", "thmm"])
+def test_frames_are_checked_at_the_boundary(family):
+    X, _ = _two_image_data()
+    model = _fresh_model(family, X)
+    with_nan = X.copy()
+    with_nan[-1, 4] = np.nan
+    for call in _entry_points(family, model):
+        call(X)
+        with pytest.raises(ValueError, match=r"frame \d+ has a non-finite"):
+            call(with_nan)
+        with pytest.raises(ValueError, match="9 pixels"):
+            call(X[:, :-1])
+    with pytest.raises(ValueError, match=f"frame {len(X) - 1} has"):
+        _entry_points(family, model)[0](with_nan)
+    # finite frames the model gives no probability still underflow
+    huge = np.full_like(X, 1e200)
+    score = thmm.score_sequence if family is thmm else family.em_step
+    with pytest.raises(UnderflowError), np.errstate(all="ignore"):
+        score(model, huge)

@@ -136,3 +136,48 @@ def test_classify_batch_shape():
     X = np.random.default_rng(22).uniform(-1, 1, (6, a.n))
     out = classify_batch([a, b], X)
     assert out.shape == (6,) and out.dtype == np.int64
+
+
+def test_classify_batch_matches_per_image_rule(monkeypatch):
+    ts = small_set(ImageShape(3, 3), ((0, 0), (0, 1), (1, 0)))
+    data = np.random.default_rng(23).uniform(-1, 1, (30, 9))
+    tca_a = tca_mod.init_tca(ts, 1, data[:15], seed=1)
+    tmg_b = tmg_mod.init_tmg(ts, 2, data[15:], seed=2, mean_noise=0.5)
+    # the twin ties with tmg_b on every image; ties go to the lower index
+    models = [tca_a, tmg_b, tmg_mod.init_tmg(ts, 2, data[15:], seed=2, mean_noise=0.5)]
+    X = np.random.default_rng(24).uniform(-1.5, 1.5, (40, 9))
+    for priors in (None, [2.0, 1.0, 1.0]):
+        want = [bayes_classify(models, x, priors) for x in X]
+        assert 0 in want and 1 in want and 2 not in want
+        calls = []
+
+        def counted(score):
+            def wrapped(model, X):
+                calls.append(len(X))
+                return score(model, X)
+            return wrapped
+
+        for mod in (tca_mod, tmg_mod):
+            monkeypatch.setattr(mod, "loglik", counted(mod.loglik))
+        got = classify_batch(models, X, priors)
+        monkeypatch.undo()
+        assert got.tolist() == want
+        assert calls == [len(X)] * len(models)  # one batched call per model
+
+
+def test_classify_batch_scores_plain_objects_per_image():
+    class Shifted:
+        def __init__(self, inner, delta):
+            self.inner, self.delta = inner, delta
+
+        def loglik(self, x):
+            return marginal_loglik(self.inner, x) + self.delta
+
+    a = random_mtca(25, C=1)
+    b = random_mtca(26, C=1)
+    X = np.random.default_rng(27).uniform(-1, 1, (12, a.n))
+    models = [a, Shifted(b, 0.5), b]
+    assert classify_batch(models, X).tolist() == \
+        [bayes_classify(models, x) for x in X]
+    with pytest.raises(ValueError):
+        classify_batch([a], X)

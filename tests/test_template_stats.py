@@ -1,0 +1,68 @@
+"""gaussian_template_stats against dense Gaussian conditioning per (t, l)."""
+
+import numpy as np
+import pytest
+
+from transmix import ImageShape, build_translation_set, identity_set
+from transmix.common import _STATS_BLOCK, gaussian_template_stats
+from transmix.transforms import build_shear_translation_set
+
+from oracles import template_stats_dense
+
+CASES = {
+    "wrap-5x5": lambda: build_translation_set(ImageShape(5, 5), 5, 5),
+    "zero-pad": lambda: build_translation_set(ImageShape(5, 6), 3, 5, "zero"),
+    "shear": lambda: build_shear_translation_set(ImageShape(8, 8), boundary="zero"),
+    "identity": lambda: identity_set(ImageShape(4, 5)),
+    # more ops than one block, and not a whole number of blocks
+    "block-boundary": lambda: build_translation_set(ImageShape(9, 9), 9, 9),
+}
+
+
+def _inputs(transforms, seed, offset=0.0, tied=False, T=6):
+    rng = np.random.default_rng(seed)
+    n, L = transforms.shape.n, transforms.L
+    mu = offset + rng.uniform(0.2, 1.0, n)
+    phi = rng.uniform(0.1, 1.0, n)
+    psi = np.full(n, 0.3) if tied else rng.uniform(0.05, 0.5, n)
+    X = offset + rng.uniform(0.0, 1.2, (T, n))
+    W = rng.dirichlet(np.ones(L), size=T)
+    return mu, phi, psi, X, W
+
+
+def _check(transforms, args):
+    got = gaussian_template_stats(transforms, *args)
+    want = template_stats_dense(transforms, *args)
+    assert got[0] == pytest.approx(want[0], rel=1e-10)
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_dense_conditioning(name):
+    ts = CASES[name]()
+    _check(ts, _inputs(ts, seed=len(name)))
+
+
+def test_block_case_spans_blocks():
+    L = CASES["block-boundary"]().L
+    assert L > _STATS_BLOCK and L % _STATS_BLOCK
+
+
+@pytest.mark.parametrize("name", ["wrap-5x5", "zero-pad"])
+def test_tied_psi(name):
+    ts = CASES[name]()
+    _check(ts, _inputs(ts, seed=3, tied=True))
+
+
+@pytest.mark.parametrize("name", ["wrap-5x5", "shear"])
+def test_data_far_from_zero(name):
+    ts = CASES[name]()
+    _check(ts, _inputs(ts, seed=4, offset=1e3))
+
+
+def test_single_datum_and_zero_weight_ops():
+    ts = CASES["zero-pad"]()
+    mu, phi, psi, X, W = _inputs(ts, seed=5, T=1)
+    W[:, ::2] = 0.0
+    _check(ts, (mu, phi, psi, X[0], W[0]))

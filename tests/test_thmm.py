@@ -13,7 +13,8 @@ from transmix.thmm import (MotionPrior, ThmmModel, dense_transition, denoise,
                            score_sequence, stabilize, track, uniform_motion,
                            viterbi)
 
-from oracles import dense_matrix, gauss_logpdf, hmm_enumerate
+from oracles import (dense_matrix, gauss_logpdf, hmm_enumerate,
+                     hmm_forward_logdomain)
 
 
 def make_grid_set(shape, mv, mh, boundary="wrap"):
@@ -480,6 +481,61 @@ def test_wrap_shift_equivariance():
     mv, mh = model.transforms.grid
     assert np.array_equal((base[:, 1] + 1) % mv, moved[:, 1] % mv)
     assert np.array_equal((base[:, 2] + 2) % mh, moved[:, 2] % mh)
+
+
+def test_unreachable_best_state_scores_exactly():
+    # frame 1 is the template moved two pixels diagonally, beyond the
+    # radius-1 motion prior; with tight variances every reachable state
+    # explains it thousands of nats worse than the unreachable best one
+    shape = ImageShape(5, 5)
+    ts = build_translation_set(shape, 5, 5)
+    rng = np.random.default_rng(67)
+    C, n, L = 2, shape.n, ts.L
+    mu = rng.uniform(0.0, 1.0, (C, n))
+    pi_s = np.zeros((C, L))
+    pi_s[:, ts.grid_index(0, 0)] = (0.7, 0.3)
+    model = ThmmModel(shape=shape, transforms=ts, mu=mu,
+                      phi=np.full((C, n), 5e-4), psi=np.full(n, 5e-4),
+                      pi_s=pi_s, class_trans=np.array([[0.9, 0.1], [0.2, 0.8]]),
+                      motion=uniform_motion(1.0))
+    X = np.stack([apply(ts[ts.grid_index(0, 0)], mu[0]),
+                  apply(ts[ts.grid_index(2, 2)], mu[0])])
+    emis = emission_table(model, X)
+    assert emis[1].max() - emis[1, :, ts.grid_index(1, 1)].max() > 800.0
+    want = hmm_forward_logdomain(pi_s.reshape(-1), dense_transition(model),
+                                 emis.reshape(2, -1))
+    assert score_sequence(model, X) == pytest.approx(want, rel=1e-9, abs=1e-9)
+    post = forward_backward(model, X)
+    assert post.loglik == pytest.approx(want, rel=1e-9, abs=1e-9)
+    np.testing.assert_allclose(post.gamma.sum(axis=(1, 2)), 1.0, rtol=1e-12)
+
+
+def test_smoothing_exact_when_the_best_path_starts_far_below_the_best_state():
+    # the only paths that reach frame 1's diagonal shift start from
+    # states thousands of nats below frame 0's best state
+    shape = ImageShape(3, 3)
+    ts = make_grid_set(shape, 3, 3)
+    rng = np.random.default_rng(68)
+    C, n, L = 2, shape.n, ts.L
+    mu = rng.uniform(0.0, 1.0, (C, n))
+    model = ThmmModel(shape=shape, transforms=ts, mu=mu,
+                      phi=np.full((C, n), 1e-4), psi=np.full(n, 1e-4),
+                      pi_s=np.full((C, L), 1.0 / (C * L)),
+                      class_trans=np.array([[0.9, 0.1], [0.2, 0.8]]),
+                      motion=uniform_motion(1.0))
+    frames = np.stack([apply(ts[ts.grid_index(0, 0)], mu[0])]
+                      + 2 * [apply(ts[ts.grid_index(1, 1)], mu[0])])
+    emis = emission_table(model, frames)
+    assert emis[0, 0, ts.grid_index(0, 0)] - emis[0, 0, ts.grid_index(0, 1)] > 800.0
+    trans = dense_transition(model)
+    loglik, gamma, xi, _, _ = hmm_enumerate(model.pi_s.reshape(-1), trans,
+                                            emis.reshape(3, -1))
+    post = forward_backward(model, frames)
+    assert post.loglik == pytest.approx(loglik, rel=1e-9)
+    assert score_sequence(model, frames) == pytest.approx(loglik, rel=1e-9)
+    np.testing.assert_allclose(post.gamma.reshape(3, -1), gamma, atol=1e-9)
+    xi_class = xi.reshape(C, L, C, L).sum(axis=(1, 3))
+    np.testing.assert_allclose(post.xi_class, xi_class, atol=1e-9)
 
 
 def test_underflow_error():
