@@ -286,6 +286,10 @@ def cmd_infer(model_paths, frames_dir, task: str, out_dir=None,
     """Run one inference task with a trained model over a frame directory."""
     frames, shape = model_io.read_frames(frames_dir)
     models = [model_io.load_model(p) for p in model_paths]
+    for path, m in zip(model_paths, models):
+        if m.shape != shape:
+            raise ValueError(f"{frames_dir}: frames are {shape.height}x{shape.width} "
+                             f"but model {path} is {m.shape.height}x{m.shape.width}")
     model = models[0]
     out = None
     if out_dir is not None:

@@ -61,8 +61,6 @@ class EmOptions:
     tangent_directions  TCA/MTCA: leading loading columns pinned to template
                       derivatives along these directions, recomputed each
                       M-step instead of learned
-    refresh_tangent   set False to keep tangent columns fixed at their
-                      initial values
     clamp_motion      THMM: fixed motion table (per the model's mode/shape);
                       the M-step leaves it untouched
     freeze_motion     THMM: keep the current motion table
@@ -76,7 +74,6 @@ class EmOptions:
     floor: float | None = None
     seed: int = 0
     tangent_directions: Sequence[str] = ()
-    refresh_tangent: bool = True
     clamp_motion: np.ndarray | None = None
     freeze_motion: bool = False
     joint_pi: bool = False
@@ -126,14 +123,12 @@ class SequencePosterior:
     xi_motion  expected relative-motion counts, pooled per bin (and per class
                when the motion prior is class-conditional); same layout as
                the model's motion table
-    map_path   (T, 2) Viterbi (class, transform) indices
     loglik     log p(x_1..T)
     """
 
     gamma: np.ndarray
     xi_class: np.ndarray
     xi_motion: np.ndarray
-    map_path: np.ndarray
     loglik: float
 
 

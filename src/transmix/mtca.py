@@ -102,12 +102,11 @@ def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
 def loglik_table(model: MtcaModel, X) -> np.ndarray:
     """(T, L, C) table of log p(x_t | l, c)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    fast = _tca._use_fast(model)
     out = np.empty((X.shape[0], model.L, model.C))
     for c in range(model.C):
         out[:, :, c] = _tca.cluster_loglik(model.transforms, model.mu[c],
                                            model.loadings[c], model.phi[c],
-                                           model.psi, X, fast)
+                                           model.psi, X, model.fast_likelihood)
     return out
 
 
@@ -166,7 +165,7 @@ def _em_step_full(model: MtcaModel, X, options: EmOptions):
         if c in rescued:
             continue
         loadings[c], mu[c], phi[c] = _tca.solve_mstep(st, model.loadings[c], n_tangent)
-        if n_tangent and options.refresh_tangent:
+        if n_tangent:
             loadings[c, :, :n_tangent] = _tca.tangent_columns(
                 mu[c], model.transforms, options.tangent_directions)
         if not options.freeze_rho:

@@ -99,11 +99,6 @@ def init_tca(transforms: TransformationSet, n_factors: int, data,
     )
 
 
-def _use_fast(model) -> bool:
-    # void rows make G(..)G^T singular; the exact path is forced then
-    return model.fast_likelihood and not model.transforms.has_void
-
-
 def _per_op_pieces(transforms, mu, loadings, phi, psi, l):
     """Mean/diag/loading rows of the op-l observation covariance D + A A^T."""
     src = transforms.source_matrix[l]
@@ -152,7 +147,7 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X, fast: bool):
 def loglik_table(model: TcaModel, X) -> np.ndarray:
     """(T, L) table of log p(x_t | l), fast or exact per the model flag."""
     return cluster_loglik(model.transforms, model.mu, model.loadings,
-                          model.phi, model.psi, X, _use_fast(model))
+                          model.phi, model.psi, X, model.fast_likelihood)
 
 
 def cond_loglik(model: TcaModel, x, l: int) -> float:
@@ -324,7 +319,7 @@ def _em_step_full(model: TcaModel, X, options: EmOptions):
                              model.phi, model.psi, X, resp)
     n_tangent = len(options.tangent_directions)
     loadings, mu, phi = solve_mstep(stats, model.loadings, n_tangent)
-    if n_tangent and options.refresh_tangent:
+    if n_tangent:
         loadings = loadings.copy()
         loadings[:, :n_tangent] = tangent_columns(
             mu, model.transforms, options.tangent_directions)

@@ -3,9 +3,11 @@
 The state lumps a class index with a transformation index, s = (c, l).  The
 transition factorizes into a class chain and a relative-motion prior over the
 shift difference between consecutive transformations, optionally conditioned
-on the previous class.  Truncating the motion prior at a threshold makes the
-per-step cost O(C^2 L + C L B) for B in-range displacements instead of
-O((C L)^2), while forward-backward and Viterbi stay exact.
+on the previous class.  Truncating the motion prior at a threshold makes every
+pass (forward, backward with its transition statistics, and Viterbi) cost
+O(C^2 L + C L B) per step for B in-range moves instead of O((C L)^2), while
+staying exact.  All of them, and `dense_transition`, read one set of gather
+tables built by `_Dynamics`.
 
 Motion differences are taken modulo the shift grid when the transformation
 set wraps (the grid is then a torus and every state has the same moves);
@@ -258,55 +260,43 @@ def emission_table(model: ThmmModel, frames) -> np.ndarray:
     return np.ascontiguousarray(_tmg.loglik_table(model, frames).transpose(0, 2, 1))
 
 
-def _shift2d(a: np.ndarray, di: int, dj: int, wrap: bool, fill: float = 0.0) -> np.ndarray:
-    """Move a[..., r, c] to [..., r + di, c + dj]; wrap or fill vacated cells."""
-    if wrap:
-        return np.roll(a, (di, dj), axis=(-2, -1))
-    out = np.full_like(a, fill)
-    h, w = a.shape[-2:]
-    if abs(di) >= h or abs(dj) >= w:
-        return out
-    rs, rd = (slice(0, h - di), slice(di, h)) if di >= 0 else (slice(-di, h), slice(0, h + di))
-    cs, cd = (slice(0, w - dj), slice(dj, w)) if dj >= 0 else (slice(-dj, w), slice(0, w + dj))
-    out[..., rd, cd] = a[..., rs, cs]
-    return out
-
-
 class _Dynamics:
-    """Precomputed motion kernels and normalizers for one model.
+    """Gather tables of the motion step for one model.
 
-    `offsets`/`weights` keep one entry per raw displacement (the motion
-    M-step needs counts split per displacement).  `f_offsets`/`f_weights`
-    merge displacements that alias on a small wrapped grid; max-product
-    recursions must use the merged weights.  The sum-product passes gather
-    through per-displacement tables: move r carries state src[r, l] onto l
-    and l onto dst[r, l]; log_into[c, r, l] and log_from[c, r, l] are the
-    move's log weight, -inf where that source or target is off a
-    zero-padded grid.  z[c, l] is the weight of the moves that leave l and
-    stay on the grid.
+    The tables run over *moves*: displacements that alias on a small wrapped
+    grid (+1 and -1 on a 2-wide torus, say) land on the same state and are
+    merged into one move whose weight is their sum.  Move m carries state
+    src[m, l] onto l and l onto dst[m, l]; log_into[c, m, l] and
+    log_from[c, m, l] are its log weight under source class c, -inf where
+    that source or target is off a zero-padded grid.  log_z[c, l] is the log
+    weight of the moves that leave l and stay on the grid.
+
+    `offsets`/`weights` keep one entry per raw displacement, since the motion
+    M-step counts per displacement: `fold` maps displacement b to its move,
+    and `share[c, b]` is b's fraction of that move's weight, the split of
+    the move's expected count back onto b (exactly 1.0 for unmerged moves).
     """
 
     def __init__(self, model: ThmmModel):
-        self.grid = model.transforms.grid
+        mv, mh = model.transforms.grid
         self.wrap = model.wrap_motion
         self.offsets = motion_offsets(model.motion.threshold)
         w = model.motion.weights(self.offsets)
         self.weights = w if model.motion.per_class else np.tile(w, (model.C, 1))
-        mv, mh = self.grid
-        folded = {}
-        for b, (di, dj) in enumerate(self.offsets):
-            key = (di % mv, dj % mh) if self.wrap else (di, dj)
-            if key in folded:
-                folded[key] = folded[key] + self.weights[:, b]
-            else:
-                folded[key] = self.weights[:, b].copy()
-        self.f_offsets = tuple(folded.keys())
-        self.f_weights = np.stack(list(folded.values()), axis=1)
+        keys = [(di % mv, dj % mh) if self.wrap else (di, dj)
+                for di, dj in self.offsets]
+        moves = list(dict.fromkeys(keys))
+        self.fold = np.array([moves.index(k) for k in keys], dtype=np.int64)
+        move_w = np.zeros((model.C, len(moves)))
+        np.add.at(move_w, (slice(None), self.fold), self.weights)
+        per_b = move_w[:, self.fold]
+        self.share = np.divide(self.weights, per_b, out=np.zeros_like(per_b),
+                               where=per_b > 0)
 
         i, j = np.divmod(np.arange(mv * mh), mh)
-        d = np.array(self.offsets).T[:, :, None]
+        d = np.array(moves).T[:, :, None]
         with np.errstate(divide="ignore"):
-            log_w = np.log(self.weights)[:, :, None]
+            log_w = np.log(move_w)[:, :, None]
 
         def table(ti, tj):
             on_grid = self.wrap | ((ti >= 0) & (ti < mv) & (tj >= 0) & (tj < mh))
@@ -314,34 +304,22 @@ class _Dynamics:
 
         self.src, self.log_into = table(i - d[0], j - d[1])
         self.dst, self.log_from = table(i + d[0], j + d[1])
-        self.z = np.exp(self.log_from).sum(axis=1).reshape(model.C, mv, mh)
-        if np.any(self.z <= 0):
+        z = np.exp(self.log_from).sum(axis=1)
+        if np.any(z <= 0):
             raise ValueError("motion prior leaves some state with no move")
-        self.log_z = np.log(self.z.reshape(model.C, -1))
+        self.log_z = np.log(z)
 
 
 def dense_transition(model: ThmmModel) -> np.ndarray:
     """(C*L, C*L) transition matrix materialized from the factorization.
     Row/column order is the lumped index c * L + l."""
     dyn = _Dynamics(model)
-    mv, mh = model.transforms.grid
     C, L = model.C, model.L
-    out = np.zeros((C * L, C * L))
-    for c in range(C):
-        for i in range(mv):
-            for j in range(mh):
-                l = i * mh + j
-                for wk, (di, dj) in zip(dyn.weights[c], dyn.offsets):
-                    i2, j2 = i + di, j + dj
-                    if model.wrap_motion:
-                        i2, j2 = i2 % mv, j2 % mh
-                    elif not (0 <= i2 < mv and 0 <= j2 < mh):
-                        continue
-                    l2 = i2 * mh + j2
-                    for c2 in range(C):
-                        out[c * L + l, c2 * L + l2] += (
-                            model.class_trans[c, c2] * wk / dyn.z[c, i, j])
-    return out
+    motion = np.zeros((C, L, L))
+    np.add.at(motion, (np.arange(C)[:, None, None], np.arange(L), dyn.dst),
+              np.exp(dyn.log_from - dyn.log_z[:, None, :]))
+    out = model.class_trans[:, None, :, None] * motion[:, :, None, :]
+    return out.reshape(C * L, C * L)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -382,14 +360,12 @@ def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics):
     return float(steps.sum()), log_alpha, moved, steps
 
 
-def forward_backward(model: ThmmModel, frames,
-                     map_path: bool = True) -> SequencePosterior:
-    """Exact smoothed marginals, transition statistics, Viterbi path and
-    sequence log-likelihood under the factorized transition.
+def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
+    """Exact smoothed marginals, transition statistics and sequence
+    log-likelihood under the factorized transition.
 
     Both passes stay in the log domain; every quantity exponentiated is a
-    posterior probability.  `map_path=False` skips the Viterbi pass (the EM
-    loop does not need it).
+    posterior probability.
     """
     X = _frames(frames, model.n)
     emis = emission_table(model, X)
@@ -401,7 +377,7 @@ def forward_backward(model: ThmmModel, frames,
 
     gamma = np.exp(log_alpha)
     xi_class = np.zeros((C, C))
-    xi_motion = np.zeros((C, len(dyn.offsets)))
+    xi_moves = np.zeros(dyn.log_from.shape[:2])
     log_beta = np.zeros((C, L))
     for t in range(T - 2, -1, -1):
         # log p(x_t+1.., state at t+1 | x_..t), per target class, then per
@@ -412,14 +388,14 @@ def forward_backward(model: ThmmModel, frames,
                            + ahead[None]).sum(axis=2)
         out = back[:, dyn.dst] + dyn.log_from
         leave = log_alpha[t] - dyn.log_z
-        xi_motion += np.exp(out + leave[:, None, :]).sum(axis=2)
+        xi_moves += np.exp(out + leave[:, None, :]).sum(axis=2)
         log_beta = _logsumexp(out, 1) - dyn.log_z
         gamma[t] = np.exp(log_alpha[t] + log_beta)
 
-    path = viterbi(model, X, emis=emis, dyn=dyn) if map_path else None
-    xi_bins = _pool_motion(model.motion, dyn.offsets, xi_motion)
+    xi_bins = _pool_motion(model.motion, dyn.offsets,
+                           xi_moves[:, dyn.fold] * dyn.share)
     return SequencePosterior(gamma=gamma, xi_class=xi_class,
-                             xi_motion=xi_bins, map_path=path, loglik=loglik)
+                             xi_motion=xi_bins, loglik=loglik)
 
 
 def _pool_motion(motion: MotionPrior, offsets, counts: np.ndarray) -> np.ndarray:
@@ -443,66 +419,32 @@ def score_sequence(model: ThmmModel, frames) -> float:
     return loglik
 
 
-def viterbi(model: ThmmModel, frames, emis=None, dyn=None) -> np.ndarray:
-    """MAP state path as (T, 2) (class, op) indices; ties break toward the
-    smallest lumped index c * L + l."""
+def viterbi(model: ThmmModel, frames) -> np.ndarray:
+    """MAP state path as (T, 2) (class, op) indices; among tied candidates
+    the smallest lumped index c * L + l wins."""
     X = _frames(frames, model.n)
-    if emis is None:
-        emis = emission_table(model, X)
-    if dyn is None:
-        dyn = _Dynamics(model)
-    T = X.shape[0]
-    mv, mh = model.transforms.grid
-    C, L = model.C, model.L
+    emis = emission_table(model, X)
+    dyn = _Dynamics(model)
+    T, C, L = emis.shape
     with np.errstate(divide="ignore"):
-        log_e = emis.reshape(T, C, mv, mh)
-        log_pi = np.log(model.pi_s).reshape(C, mv, mh)
-        log_trans = np.log(model.class_trans)
-        log_w = np.log(dyn.f_weights)
-        log_z = np.log(dyn.z)
-
-    # lumped source index at target (i', j') for each (source class, move)
-    ii, jj = np.meshgrid(np.arange(mv), np.arange(mh), indexing="ij")
-    src_idx = np.empty((C, len(dyn.f_offsets), mv, mh), dtype=np.int64)
-    feasible = np.empty((len(dyn.f_offsets), mv, mh), dtype=bool)
-    for b, (di, dj) in enumerate(dyn.f_offsets):
-        si, sj = ii - di, jj - dj
-        if dyn.wrap:
-            si, sj = si % mv, sj % mh
-            feasible[b] = True
-        else:
-            feasible[b] = (si >= 0) & (si < mv) & (sj >= 0) & (sj < mh)
-            si, sj = np.clip(si, 0, mv - 1), np.clip(sj, 0, mh - 1)
-        for c in range(C):
-            src_idx[c, b] = c * L + si * mh + sj
-
-    v = log_pi + log_e[0]
-    back = np.empty((T, C, mv, mh), dtype=np.int64)
-    big = np.iinfo(np.int64).max
+        log_trans = np.log(model.class_trans)[:, :, None]
+        v = np.log(model.pi_s) + emis[0]
+    back = np.empty((T, C, L), dtype=np.int64)
     for t in range(1, T):
-        cand = np.empty((C, len(dyn.f_offsets), mv, mh))
-        base = v - log_z
-        for b, (di, dj) in enumerate(dyn.f_offsets):
-            cand[:, b] = (_shift2d(base, di, dj, dyn.wrap, fill=-np.inf)
-                          + log_w[:, b, None, None])
-            if not dyn.wrap:
-                cand[:, b][:, ~feasible[b]] = -np.inf
-        v_new = np.empty_like(v)
-        for c2 in range(C):
-            scored = cand + log_trans[:, c2][:, None, None, None]
-            best = scored.max(axis=(0, 1))
-            tie = np.where(scored == best[None, None], src_idx, big)
-            back[t, c2] = tie.min(axis=(0, 1))
-            v_new[c2] = best + log_e[t, c2]
-        v = v_new
+        # best move into each position per source class (ties: smallest
+        # source position), then the best source class (ties: smallest c)
+        cand = (v - dyn.log_z)[:, dyn.src] + dyn.log_into
+        best = cand.max(axis=1)
+        pos = np.where(cand == best[:, None], dyn.src, L).min(axis=1)
+        scored = log_trans + best[:, None, :]
+        cls = scored.argmax(axis=0)
+        back[t] = cls * L + np.take_along_axis(pos, cls, axis=0)
+        v = scored.max(axis=0) + emis[t]
 
-    flat = v.reshape(-1)
-    best = flat.max()
-    last = int(np.flatnonzero(flat == best)[0])
+    last = int(v.argmax())
     path = np.empty((T, 2), dtype=np.int64)
     for t in range(T - 1, -1, -1):
-        c, l = divmod(last, L)
-        path[t] = (c, l)
+        path[t] = divmod(last, L)
         if t > 0:
             last = int(back[t].reshape(-1)[last])
     return path
@@ -523,7 +465,7 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
     xi_motion = np.zeros_like(model.motion.table, dtype=np.float64)
     gammas = []
     for X in seqs:
-        post = forward_backward(model, X, map_path=False)
+        post = forward_backward(model, X)
         total += post.loglik
         gamma_first += post.gamma[0]
         xi_class += post.xi_class
@@ -595,7 +537,7 @@ def _map_states(model: ThmmModel, frames, use_viterbi: bool):
     X = _frames(frames, model.n)
     if use_viterbi:
         return X, viterbi(model, X), None
-    post = forward_backward(model, X, map_path=False)
+    post = forward_backward(model, X)
     T = X.shape[0]
     flat = post.gamma.reshape(T, -1)
     best = flat.argmax(axis=1)
@@ -647,7 +589,7 @@ def track(model: ThmmModel, frames, use_viterbi: bool = False):
     (or the Viterbi path), decoded through the shift grid."""
     X, states, post = _map_states(model, frames, use_viterbi)
     if post is None:
-        post = forward_backward(model, X, map_path=False)
+        post = forward_backward(model, X)
     offsets = model.transforms.grid_offsets()
     T = X.shape[0]
     out = np.empty((T, 4))

@@ -198,3 +198,14 @@ def hmm_forward_logdomain(pi_s, trans, log_emit) -> float:
     for t in range(1, log_emit.shape[0]):
         log_alpha = logsumexp(log_alpha[:, None] + log_a, axis=0) + log_emit[t]
     return float(logsumexp(log_alpha))
+
+
+def hmm_viterbi_dense(pi_s, trans, log_emit) -> float:
+    """Best-path log probability of a lumped-state HMM by a dense
+    max-product recursion.  pi_s (S,), trans (S, S), log_emit (T, S)."""
+    with np.errstate(divide="ignore"):
+        log_a = np.log(trans)
+        v = np.log(pi_s) + log_emit[0]
+    for t in range(1, log_emit.shape[0]):
+        v = (v[:, None] + log_a).max(axis=0) + log_emit[t]
+    return float(v.max())

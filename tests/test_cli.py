@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transmix import ImageShape, Manifest
+from transmix import ImageShape, Manifest, build_translation_set, thmm
 from transmix.cli import (build_transforms, cmd_eval, cmd_gen, cmd_infer,
                           cmd_train, main)
 from transmix.metrics import (best_template_assignment, classification_error,
@@ -130,6 +130,19 @@ def test_infer_score_prefers_own_sequence(tmp_path):
     own = cmd_infer([model_path], gen_dir / "frames", "score")["score"]
     mismatched = cmd_infer([model_path], other_dir / "frames", "score")["score"]
     assert own > mismatched
+
+
+def test_infer_rejects_transposed_frames(tmp_path):
+    # 6x4 frames hold as many pixels as the 4x6 model expects
+    rng = np.random.default_rng(5)
+    ts = build_translation_set(ImageShape(4, 6), 3, 3)
+    model = thmm.init_thmm(ts, 1, rng.uniform(0, 1, (5, 24)), seed=6,
+                           motion=thmm.uniform_motion(1.0))
+    model_io.save_model(model, tmp_path / "model.txm")
+    model_io.write_frames(rng.uniform(0, 1, (5, 24)), ImageShape(6, 4),
+                          tmp_path / "frames")
+    with pytest.raises(ValueError, match="6x4.*4x6"):
+        cmd_infer([tmp_path / "model.txm"], tmp_path / "frames", "score")
 
 
 def test_classify_task_writes_predictions(tmp_path):

@@ -185,11 +185,6 @@ def test_em_frozen_tangent_columns():
     new, _ = em_step(model, X, opts)
     expected = tangent_columns(new.mu, ts, ("h",))
     assert np.allclose(new.loadings[:, :1], expected)
-    # fixed (no refresh): the tangent column never moves
-    frozen = model.loadings[:, :1].copy()
-    new2, _ = em_step(model, X, EmOptions(tangent_directions=("h",),
-                                          refresh_tangent=False))
-    assert np.array_equal(new2.loadings[:, :1], frozen)
 
 
 def test_tangent_columns_examples():

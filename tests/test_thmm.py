@@ -14,7 +14,7 @@ from transmix.thmm import (MotionPrior, ThmmModel, dense_transition, denoise,
                            viterbi)
 
 from oracles import (dense_matrix, gauss_logpdf, hmm_enumerate,
-                     hmm_forward_logdomain)
+                     hmm_forward_logdomain, hmm_viterbi_dense)
 
 
 def make_grid_set(shape, mv, mh, boundary="wrap"):
@@ -58,46 +58,76 @@ def random_thmm(seed, shape=ImageShape(2, 2), grid=(2, 2), C=2,
                      motion=random_motion(rng, threshold, mode, per_class, C))
 
 
-def oracle_transition(model):
-    """Dense transition matrix rebuilt from the factorization rules with
-    plain loops, independent of the library's kernel machinery."""
-    mv, mh = model.transforms.grid
-    C, L = model.C, model.L
+def oracle_kernel(model):
+    """In-range displacements, their motion-table bin and per-class weight,
+    from the binning rules with plain loops."""
     thr = model.motion.threshold
     r = int(math.floor(thr))
     offs = [(di, dj) for di in range(-r, r + 1) for dj in range(-r, r + 1)
             if math.hypot(di, dj) <= thr + 1e-9]
 
-    def bin_key(di, dj):
+    def bin_index(di, dj):
         if model.motion.mode == "vector":
-            return (di, dj)
-        return int(np.rint(math.hypot(di, dj)))
+            return (di + r, dj + r)
+        return (int(np.rint(math.hypot(di, dj))),)
 
     mult = {}
     for o in offs:
-        mult[bin_key(*o)] = mult.get(bin_key(*o), 0) + 1
+        mult[bin_index(*o)] = mult.get(bin_index(*o), 0) + 1
 
     def kweight(c, di, dj):
         tab = model.motion.table[c] if model.motion.per_class else model.motion.table
-        if model.motion.mode == "vector":
-            w = tab[di + r, dj + r]
-        else:
-            w = tab[bin_key(di, dj)]
-        return w / mult[bin_key(di, dj)]
+        return tab[bin_index(di, dj)] / mult[bin_index(di, dj)]
 
+    return offs, bin_index, kweight
+
+
+def oracle_moves(model, c, l):
+    """(displacement, weight, target op) for every displacement that keeps
+    op l on the grid, under source class c."""
+    mv, mh = model.transforms.grid
+    offs, _, kweight = oracle_kernel(model)
     wrap = model.transforms.boundary == "wrap"
+    i, j = divmod(l, mh)
+    return [((di, dj), kweight(c, di, dj), ((i + di) % mv) * mh + (j + dj) % mh)
+            for di, dj in offs
+            if wrap or (0 <= i + di < mv and 0 <= j + dj < mh)]
+
+
+def oracle_transition(model):
+    """Dense transition matrix rebuilt from the factorization rules with
+    plain loops, independent of the library's kernel machinery."""
+    C, L = model.C, model.L
     out = np.zeros((C * L, C * L))
     for c in range(C):
-        for i in range(mv):
-            for j in range(mh):
-                feas = [(di, dj) for di, dj in offs
-                        if wrap or (0 <= i + di < mv and 0 <= j + dj < mh)]
-                z = sum(kweight(c, di, dj) for di, dj in feas)
-                for di, dj in feas:
-                    i2, j2 = (i + di) % mv, (j + dj) % mh
-                    for c2 in range(C):
-                        out[c * L + i * mh + j, c2 * L + i2 * mh + j2] += \
-                            model.class_trans[c, c2] * kweight(c, di, dj) / z
+        for l in range(L):
+            moves = oracle_moves(model, c, l)
+            z = sum(w for _, w, _ in moves)
+            for _, w, l2 in moves:
+                for c2 in range(C):
+                    out[c * L + l, c2 * L + l2] += model.class_trans[c, c2] * w / z
+    return out
+
+
+def oracle_motion_counts(model, xi):
+    """Expected motion-table counts from enumerated lumped transition counts
+    xi (S, S): each (s -> s') count is spread over the displacements that
+    carry l onto l', in proportion to their weights, then pooled per bin."""
+    C, L = model.C, model.L
+    _, bin_index, _ = oracle_kernel(model)
+    out = np.zeros_like(model.motion.table)
+    for c in range(C):
+        for l in range(L):
+            moves = oracle_moves(model, c, l)
+            for s2 in range(C * L):
+                l2 = s2 % L
+                into = [(d, w) for d, w, target in moves if target == l2]
+                total = sum(w for _, w in into)
+                for d, w in into:
+                    idx = bin_index(*d)
+                    if model.motion.per_class:
+                        idx = (c,) + idx
+                    out[idx] += xi[c * L + l, s2] * w / total
     return out
 
 
@@ -265,10 +295,51 @@ def test_viterbi_beats_pointwise_decoding():
                             per_class=bool(seed % 2))
         frames = np.random.default_rng(seed + 70).uniform(-1, 1, (5, model.n))
         post = forward_backward(model, frames)
-        vit = post.map_path[:, 0] * model.L + post.map_path[:, 1]
+        path = viterbi(model, frames)
+        vit = path[:, 0] * model.L + path[:, 1]
         point = post.gamma.reshape(5, -1).argmax(axis=1)
         assert path_logprob(model, frames, vit) >= \
             path_logprob(model, frames, point) - 1e-12
+
+
+VITERBI_GRIDS = [  # (grid, threshold): aliasing moves on the 3x3 and 4x3 tori
+    ((3, 3), 2.0), ((4, 3), 2.0), ((5, 5), 1.5)]
+
+
+@pytest.mark.parametrize("grid,threshold", VITERBI_GRIDS)
+@pytest.mark.parametrize("boundary", ["wrap", "zero"])
+@pytest.mark.parametrize("mode", ["vector", "magnitude"])
+def test_viterbi_path_scores_the_dense_maximum(grid, threshold, boundary, mode):
+    seed = 80 + 10 * VITERBI_GRIDS.index((grid, threshold)) \
+        + 2 * (boundary == "wrap") + (mode == "vector")
+    model = random_thmm(seed, shape=ImageShape(*grid), grid=grid, C=2,
+                        boundary=boundary, mode=mode, threshold=threshold,
+                        per_class=bool(seed % 2))
+    frames = np.random.default_rng(seed).uniform(-1, 1, (5, model.n))
+    trans = oracle_transition(model)
+    assert np.allclose(dense_transition(model), trans, atol=1e-12)
+    want = hmm_viterbi_dense(model.pi_s.reshape(-1), trans,
+                             oracle_emissions(model, frames))
+    path = viterbi(model, frames)
+    got = path_logprob(model, frames, path[:, 0] * model.L + path[:, 1])
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("boundary", ["wrap", "zero"])
+def test_xi_motion_per_bin_matches_enumeration(seed, boundary):
+    # on the 2x2 torus the displacements +1 and -1 land on the same state
+    model = random_thmm(seed + 90, grid=(2, 2), C=2, boundary=boundary,
+                        mode="vector" if seed % 2 else "magnitude",
+                        per_class=seed % 4 < 2, threshold=1.0)
+    frames = np.random.default_rng(seed + 95).uniform(-1, 1, (4, model.n))
+    trans = oracle_transition(model)
+    _, _, xi, _, _ = hmm_enumerate(model.pi_s.reshape(-1), trans,
+                                   oracle_emissions(model, frames))
+    post = forward_backward(model, frames)
+    assert post.xi_motion.shape == model.motion.table.shape
+    np.testing.assert_allclose(post.xi_motion, oracle_motion_counts(model, xi),
+                               atol=1e-10)
 
 
 def test_motion_threshold_respected():
