@@ -47,6 +47,15 @@ def _frames(X, n: int) -> np.ndarray:
     return X
 
 
+def _frame(x, n: int) -> np.ndarray:
+    """One frame as an (n,) float array, checked like `_frames`; a stack of
+    more than one frame is refused."""
+    X = _frames(x, n)
+    if X.shape[0] != 1:
+        raise ValueError(f"expected a single frame of {n} pixels, got {X.shape[0]}")
+    return X[0]
+
+
 @dataclass
 class EmOptions:
     """Knobs for a single EM step.  Fields irrelevant to a family are ignored.
@@ -54,7 +63,6 @@ class EmOptions:
     freeze_rho        keep transformation probabilities at their current value
     tie_psi           average sensor variances to one scalar after the
                       update; the variance floor applies after the tie
-    freeze_pi         keep mixing proportions fixed
     floor             variance floor override (default: relative to the data)
     seed              RNG seed for cluster rescues (kept in options for
                       determinism)
@@ -63,19 +71,16 @@ class EmOptions:
                       M-step instead of learned
     clamp_motion      THMM: fixed motion table (per the model's mode/shape);
                       the M-step leaves it untouched
-    freeze_motion     THMM: keep the current motion table
     joint_pi          THMM: learn the full initial state table instead of the
                       factorized class-marginal x uniform-shift default
     """
 
     freeze_rho: bool = False
     tie_psi: bool = False
-    freeze_pi: bool = False
     floor: float | None = None
     seed: int = 0
     tangent_directions: Sequence[str] = ()
     clamp_motion: np.ndarray | None = None
-    freeze_motion: bool = False
     joint_pi: bool = False
 
 
@@ -138,10 +143,9 @@ def _latent_posterior(dst, mu, phi, psi, X):
     The latent prior is N(mu, diag(phi)); `dst` holds, per latent pixel, the
     observed pixel it lands on (VOID when it falls off the image).  The
     posterior is diagonal with precision 1/phi + 1/psi_back on landing pixels
-    and 1/phi elsewhere.  `dst` is either one op's row (n,), with data X
-    (T, n) and mu (n,) or per datum (T, n), or every op's rows (L, n) with
-    one image X (n,).  The mean has the broadcast shape, (T, n) or (L, n);
-    the variance has the shape of `dst`.
+    and 1/phi elsewhere.  `dst` is one op's row (n,) or every op's rows
+    (L, n), for one image X (n,); mu is (n,) or per op (L, n).  The mean
+    and the variance have the shape of `dst`.
     """
     observed = dst >= 0
     dst_safe = np.where(observed, dst, 0)
@@ -153,56 +157,89 @@ def _latent_posterior(dst, mu, phi, psi, X):
     return mean, var
 
 
-def gaussian_template_stats(transforms, mu, phi, psi, X, W):
-    """Weighted posterior-moment sums for one latent template.
+def _observed(src, mu, loadings, phi, psi):
+    """N(mu + loadings y, diag phi) seen through the op(s) with source rows
+    `src` (n,) or (L, n), plus noise psi: per observed pixel the mean, the
+    variance phi[src] + psi and the loading rows (psi and 0s with no source)."""
+    valid = src >= 0
+    src_safe = np.where(valid, src, 0)
+    mean = np.where(valid, mu[src_safe], 0.0)
+    var = np.where(valid, phi[src_safe], 0.0) + psi
+    rows = np.where(valid[..., None], loadings[src_safe], 0.0)
+    return mean, var, rows
 
-    For each datum t and op l, the latent posterior given (x_t, l) is the
-    diagonal Gaussian of `_latent_posterior`.  Accumulates, with weights
-    ``W[t, l]``:
 
-      s1      sum of E[z]                      (n,)
-      s2      sum of E[z]^2 + Var[z]           (n,)
-      s_psi   sum of (x - G E[z])^2 + G Var[z] (n,)  in observed coordinates
+def _factor_gain(rows, var):
+    """rows/var and M = I + rows^T (rows/var), for loading rows (..., n, K)
+    and variances (..., n) in observed coordinates: M^-1 is the factors'
+    posterior covariance (Woodbury), det M the determinant lemma's factor."""
+    scaled = rows / var[..., None]
+    return scaled, np.eye(rows.shape[-1]) + np.swapaxes(rows, -1, -2) @ scaled
 
-    plus the total weight.  These are exactly the statistics the template,
-    latent-variance and sensor-variance updates need.
 
-    The posterior variance ``var = 1/(1/phi + b)``, with ``b = 1/psi[dst]``
-    on latent pixels that land in the image and 0 elsewhere, does not depend
-    on the datum, and E[z] = var * (mu/phi + b * x[dst]) is affine in it.
-    So the data enter only through two matrix products, A = W.T @ X and
-    Q = W.T @ (X*X), and the op weights w = W.sum(0); the rest is an
-    O(L n) gather through the ops' dest/source maps.  The residual on an
-    observed pixel is x - E[z] = (var/phi) * (x - mu) (read at the source
-    pixel), so its weighted square is (var/phi)^2 (Q - 2 mu A + mu^2 w);
-    a pixel with no source keeps its whole x^2 and contributes Q.
+def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
+    """Weighted posterior-moment sums for one latent component analyzer.
+
+    The latent image z = mu + loadings y + N(0, diag phi), with factors
+    y ~ N(0, I_K), is seen through op l with sensor noise psi; K = 0 is a
+    plain template.  With weights ``W[t, l]`` over every datum t and op l it
+    sums the exact joint posterior moments of (z, y) that `tca.solve_mstep`
+    and the sensor-variance update read (TMG and THMM read the first three
+    and the last):
+
+      mass, s_z = sum E[z], s_zz = sum E[z]^2 + Var[z] (n,),
+      s_y = sum E[y] (K,), s_yy = sum E[y] E[y]^T + Cov[y] (K, K),
+      s_zy = sum E[z] E[y]^T + Cov[z, y] (n, K),
+      s_psi = sum (x - G E[z])^2 + G Var[z] (n,), in observed coordinates.
+
+    Given y the latent posterior is that of `_latent_posterior`: its
+    variance ``var = 1/(1/phi + b)``, with ``b = 1/psi[dst]`` on latent
+    pixels that land in the image and 0 elsewhere, does not depend on the
+    datum, and E[z | y] = var * (mu/phi + b * x[dst]) + r * loadings y with
+    r = var/phi.  So at K = 0 the data enter only through A = W.T @ X,
+    Q = W.T @ (X*X) and w = W.sum(0), then an O(L n) gather through the
+    dest/source maps.  An observed pixel's residual is r * (x - mu -
+    loadings y) at its source pixel, r^2 (Q - 2 mu A + mu^2 w) summed at
+    K = 0; a pixel with no source keeps its whole x^2, Q.  With factors,
+    E[y] = B^T (x - G mu), B = (a/D) M^-1 (`_factor_gain`), is affine in x
+    too: per op, U = X B holds E[y] for every datum, and the factor terms
+    read only sum_t w U U^T, X^T (w U) (gathered at dst) and w M^-1.
 
     Those expanded squares cancel when the data sit far from zero, so X and
     mu are first centred on the batch's mean pixel value m, which leaves var
-    unchanged and shifts E[z] by m; s1 and s2 are moved back afterwards.  The
+    and E[y] unchanged (E[y] reads only pixels that have a source) and
+    shifts E[z] by m; s_z, s_zz and s_zy are moved back afterwards.  The
     ops are processed in blocks of `_STATS_BLOCK`, so the temporaries stay
-    (block, n) however large L is.
+    (block, n) and (block, n, K) however large L is.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
+    n, k = loadings.shape
     m = float(X.mean())
     Xc, mu_c = X - m, mu - m
-    sums = np.zeros((3, transforms.shape.n))
+    Xc2 = Xc * Xc
+    sums = [np.zeros(n), np.zeros(n), np.zeros(n),
+            np.zeros(k), np.zeros((k, k)), np.zeros((n, k))]
     for lo in range(0, transforms.L, _STATS_BLOCK):
-        sums += _block_stats(transforms, slice(lo, lo + _STATS_BLOCK), W,
-                             Xc, Xc * Xc, mu_c, phi, psi, m)
-    s1, s2, s_psi = sums
+        # without factors a block yields three sums and zip stops there
+        for total, part in zip(sums, _block_stats(
+                transforms, slice(lo, lo + _STATS_BLOCK), W, Xc, Xc2, mu_c,
+                loadings, phi, psi, m)):
+            total += part
+    s_z, s_zz, s_psi, s_y, s_yy, s_zy = sums
     mass = float(W.sum())
     # back from the centred latent: E[z] = m + E[z - m]
-    s2 += 2.0 * m * s1 + m * m * mass
-    s1 += m * mass
-    return mass, s1, s2, s_psi
+    s_zy += m * s_y
+    s_zz += 2.0 * m * s_z + m * m * mass
+    s_z += m * mass
+    return mass, s_z, s_zz, s_y, s_yy, s_zy, s_psi
 
 
-def _block_stats(transforms, block, W, Xc, Xc2, mu_c, phi, psi, m):
-    """(s1, s2, s_psi) of `gaussian_template_stats` over one block of ops,
-    for data Xc (squared: Xc2) and template mu_c centred on m, with s1 and
-    s2 still centred."""
+def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
+    """(s_z, s_zz, s_psi) of `gaussian_template_stats` over one block of ops,
+    for data Xc (squared: Xc2) and template mu_c centred on m, with s_z and
+    s_zz still centred; with factors, followed by (s_y, s_yy, s_zy), s_zy
+    still centred."""
     Wb = W[:, block]
     w = Wb.sum(axis=0)[:, None]
     A, Q = Wb.T @ Xc, Wb.T @ Xc2
@@ -214,9 +251,9 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, phi, psi, m):
     b = np.where(observed, 1.0 / psi[dst_safe], 0.0)
     var = 1.0 / (1.0 / phi + b)
     A_dst, Q_dst = A[rows, dst_safe], Q[rows, dst_safe]
-    s1 = (var * (w * a + b * A_dst)).sum(axis=0)
-    s2 = (var * var * (w * a * a + 2.0 * a * b * A_dst + b * b * Q_dst)
-          + w * var).sum(axis=0)
+    s_z = (var * (w * a + b * A_dst)).sum(axis=0)
+    s_zz = (var * var * (w * a * a + 2.0 * a * b * A_dst + b * b * Q_dst)
+            + w * var).sum(axis=0)
     src = transforms.source_matrix[block]
     valid = src >= 0
     src_safe = np.where(valid, src, 0)
@@ -225,7 +262,37 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, phi, psi, m):
     resid = (r * r * (Q - 2.0 * mu_src * A + mu_src * mu_src * w)
              + w * var[rows, src_safe])
     s_psi = np.where(valid, resid, Q + m * (2.0 * A + m * w)).sum(axis=0)
-    return np.stack((s1, s2, s_psi))
+    if not loadings.shape[1]:
+        return s_z, s_zz, s_psi
+
+    T, n = Xc.shape
+    nb, k = var.shape[0], loadings.shape[1]
+    mean, obs_var, lam = _observed(src, mu_c, loadings, phi, psi)
+    scaled, M = _factor_gain(lam, obs_var)
+    y_cov = np.linalg.inv(M)
+    B = scaled @ y_cov                                          # (nb, n, k)
+    U = ((Xc @ B.transpose(1, 0, 2).reshape(n, nb * k)).reshape(T, nb, k)
+         - np.einsum("lp,lpk->lk", mean, B))                    # E[y] per (t, l)
+    WU = Wb[:, :, None] * U
+    s_y = WU.sum(axis=0)
+    s_yy = np.einsum("tlk,tlj->lkj", WU, U) + w[:, :, None] * y_cov
+    P = (Xc.T @ WU.reshape(T, nb * k)).reshape(n, nb, k)        # sum_t w x u^T
+    P_dst = P.transpose(1, 0, 2)[rows, dst_safe]
+    # latent coordinates: E[z] gains R loadings E[y], R = var/phi
+    R = var / phi
+    lam_y = s_y @ loadings.T                                    # sum_t w (L u)
+    lam_syy = np.einsum("qk,lkj->lqj", loadings, s_yy)
+    quad = np.einsum("lqk,qk->lq", lam_syy, loadings)           # diag(L s_yy L^T)
+    xu = np.einsum("lqk,qk->lq", P_dst, loadings)               # sum_t w x[dst] (L u)
+    s_z += (R * lam_y).sum(axis=0)
+    s_zz += (2.0 * R * var * (a * lam_y + b * xu) + R * R * quad).sum(axis=0)
+    s_zy = (var[:, :, None] * (a[:, None] * s_y[:, None, :] + b[:, :, None] * P_dst)
+            + R[:, :, None] * lam_syy).sum(axis=0)
+    # observed coordinates: the residual gains -r (L u) at the source pixel
+    extra = r * r * (quad[rows, src_safe]
+                     - 2.0 * (xu[rows, src_safe] - mu_src * lam_y[rows, src_safe]))
+    s_psi += np.where(valid, extra, 0.0).sum(axis=0)
+    return s_z, s_zz, s_psi, s_y.sum(axis=0), s_yy.sum(axis=0), s_zy
 
 
 def _normalise(log_joint: np.ndarray, what: str):

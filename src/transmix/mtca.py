@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, _fit, _frames, _mstep_tail,
-                     _normalise, _starved)
+from .common import (EmOptions, PosteriorSummary, _fit, _frame, _frames,
+                     _mstep_tail, _normalise, _starved, gaussian_template_stats)
 from .transforms import ImageShape, TransformationSet, apply
 from . import tca as _tca
 
@@ -103,17 +103,16 @@ def loglik_table(model: MtcaModel, X) -> np.ndarray:
     """(T, L, C) table of log p(x_t | l, c)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = np.empty((X.shape[0], model.L, model.C))
+    psi = _tca._emission_psi(model)
     for c in range(model.C):
         out[:, :, c] = _tca.cluster_loglik(model.transforms, model.mu[c],
                                            model.loadings[c], model.phi[c],
-                                           model.psi, X, model.fast_likelihood)
+                                           psi, X)
     return out
 
 
 def cond_loglik(model: MtcaModel, x, l: int, c: int) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n,) or not np.all(np.isfinite(x)):
-        raise ValueError("x must be a finite pixel vector of the model size")
+    x = _frame(x, model.n)
     return float(loglik_table(model, x[None, :])[0, l, c])
 
 
@@ -131,20 +130,15 @@ def loglik(model: MtcaModel, X) -> np.ndarray:
 
 def posterior(model: MtcaModel, x) -> PosteriorSummary:
     """Responsibilities P(l, c | x) plus per-(l, c) latent moments."""
-    (x,) = _frames(x, model.n)
+    x = _frame(x, model.n)
     per_datum, resp = _normalise(_log_joint(model, x[None, :]), "(l, c) configuration")
     L, C, n, K = model.L, model.C, model.n, model.K
-    z_mean = np.empty((L, C, n))
-    z_var = np.empty((L, C, n))
-    y_mean = np.empty((L, C, K))
-    y_cov = np.empty((L, C, K, K))
+    z_mean, z_var = np.empty((L, C, n)), np.empty((L, C, n))
+    y_mean, y_cov = np.empty((L, C, K)), np.empty((L, C, K, K))
     for c in range(C):
-        for l in range(L):
-            ym, yc, zm, zv, _ = _tca._op_posterior(
-                model.transforms, model.mu[c], model.loadings[c],
-                model.phi[c], model.psi, x[None, :], l)
-            y_mean[l, c], y_cov[l, c] = ym[0], yc
-            z_mean[l, c], z_var[l, c] = zm[0], zv
+        y_cov[:, c], y_mean[:, c], z_mean[:, c], z_var[:, c] = _tca._op_posterior(
+            model.transforms, model.mu[c], model.loadings[c], model.phi[c],
+            model.psi, x)
     return PosteriorSummary(resp=resp[0], z_mean=z_mean, z_var_diag=z_var,
                             loglik=float(per_datum[0]), y_mean=y_mean, y_cov=y_cov)
 
@@ -153,8 +147,8 @@ def _em_step_full(model: MtcaModel, X, options: EmOptions):
     X = _frames(X, model.n)
     T = X.shape[0]
     per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
-    stats = [_tca.accumulate_stats(model.transforms, model.mu[c], model.loadings[c],
-                                   model.phi[c], model.psi, X, resp[:, :, c])
+    stats = [gaussian_template_stats(model.transforms, model.mu[c], model.loadings[c],
+                                     model.phi[c], model.psi, X, resp[:, :, c])
              for c in range(model.C)]
     mass = np.array([s[0] for s in stats])
     rescued = _starved(mass, T)
@@ -170,8 +164,7 @@ def _em_step_full(model: MtcaModel, X, options: EmOptions):
                 mu[c], model.transforms, options.tangent_directions)
         if not options.freeze_rho:
             rho[:, c] = resp[:, :, c].sum(axis=0) / mass[c]
-    pi = model.pi.copy() if options.freeze_pi else mass / T
-    phi, psi, pi = _mstep_tail(X, options, stats, rescued, mu, phi, pi, rho)
+    phi, psi, pi = _mstep_tail(X, options, stats, rescued, mu, phi, mass / T, rho)
     new = replace(model, pi=pi, mu=mu, loadings=loadings, phi=phi, rho=rho, psi=psi)
     return new, float(per_datum.sum()), tuple(mass), rescued
 

@@ -3,9 +3,12 @@
 A factor analyzer on the latent image — mean plus a low-rank loading matrix
 plus diagonal noise — observed through a discrete transformation and sensor
 noise.  Likelihoods use rank-K determinant/inverse identities, so evaluation
-costs O(n K^2) per transformation instead of O(n^3).  The fast path drops the
-sensor noise term entirely (the latent variances absorb it), which makes the
-per-transformation covariance a permuted copy of one matrix.
+costs O(n K^2) per transformation instead of O(n^3).  The fast likelihood is
+the same kernel with the sensor noise dropped (psi = 0): the latent variances
+absorb it, and with void-free ops each transformation's covariance is then a
+permuted copy of one matrix.  The emission table, the M-step statistics and
+the latent posterior are each one kernel over all ops with the loadings as
+an argument; TMG and THMM call them with zero factors.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, _fit, _frames,
-                     _latent_posterior, _mstep_tail, _normalise)
+from .common import (EmOptions, PosteriorSummary, _factor_gain, _fit, _frame,
+                     _frames, _latent_posterior, _mstep_tail, _normalise,
+                     _observed, gaussian_template_stats)
 from .transforms import ImageShape, TransformationSet, apply
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -99,62 +103,53 @@ def init_tca(transforms: TransformationSet, n_factors: int, data,
     )
 
 
-def _per_op_pieces(transforms, mu, loadings, phi, psi, l):
-    """Mean/diag/loading rows of the op-l observation covariance D + A A^T."""
-    src = transforms.source_matrix[l]
-    valid = src >= 0
-    src_safe = np.where(valid, src, 0)
-    mean = np.where(valid, mu[src_safe], 0.0)
-    diag = np.where(valid, phi[src_safe], 0.0) + psi
-    a = np.where(valid[:, None], loadings[src_safe], 0.0)
-    return mean, diag, a
+def cluster_loglik(transforms, mu, loadings, phi, psi, X):
+    """(T, L) table of log p(x | l) for one latent component analyzer.
 
-
-def _lowrank_loglik(X, mean, diag, a):
-    """log N(x; mean, diag(diag) + a a^T) for a batch, via the rank-K
-    determinant lemma and Woodbury identity."""
-    n, k = a.shape
-    d = X - mean[None, :]
-    dd = d / diag[None, :]
-    quad = np.einsum("tp,tp->t", d, dd)
-    logdet = float(np.log(diag).sum())
-    if k:
-        m = np.eye(k) + a.T @ (a / diag[:, None])
-        sign, extra = np.linalg.slogdet(m)
-        if sign <= 0:
-            raise np.linalg.LinAlgError("low-rank system not positive definite")
-        logdet += extra
-        u = dd @ a
-        quad -= np.einsum("tk,tk->t", u, np.linalg.solve(m, u.T).T)
-    return -0.5 * (n * _LOG2PI + logdet + quad)
-
-
-def cluster_loglik(transforms, mu, loadings, phi, psi, X, fast: bool):
-    """(T, L) table of log p(x | l) for one latent component analyzer."""
+    Given op l the image is Gaussian with covariance D_l + a_l a_l^T (D_l
+    diagonal, a_l the loading rows in observed coordinates).  The diagonal
+    part takes two matrix products over all ops; K > 0 factors add log det
+    M_l and a K-dimensional Woodbury term per (t, l) from one more product.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.empty((X.shape[0], transforms.L))
-    if fast:
-        dst = transforms.dest_matrix
-        for l in range(transforms.L):
-            out[:, l] = _lowrank_loglik(X[:, dst[l]], mu, phi, loadings)
-    else:
-        for l in range(transforms.L):
-            mean, diag, a = _per_op_pieces(transforms, mu, loadings, phi, psi, l)
-            out[:, l] = _lowrank_loglik(X, mean, diag, a)
+    mean, var, rows = _observed(transforms.source_matrix, mu, loadings, phi, psi)
+    L, n, k = rows.shape
+    if k:
+        # the squares expanded below cancel when the data sit far from zero;
+        # x - mean is unchanged by a common shift, so factor models shift by
+        # the batch mean (K = 0 keeps the TMG arithmetic bit for bit)
+        shift = X.mean()
+        X, mean = X - shift, mean - shift
+    inv = 1.0 / var
+    const = -0.5 * (np.log(var).sum(axis=1) + transforms.shape.n * _LOG2PI)
+    with np.errstate(over="ignore"):
+        quad = ((X * X) @ inv.T - 2.0 * (X @ (mean * inv).T)
+                + (mean * mean * inv).sum(axis=1))
+        out = const[None, :] - 0.5 * quad
+        if k:
+            scaled, M = _factor_gain(rows, var)   # M = I + PSD: det M >= 1
+            logdet = np.linalg.slogdet(M)[1]
+            U = ((X @ scaled.transpose(1, 0, 2).reshape(n, L * k)).reshape(-1, L, k)
+                 - np.einsum("lp,lpk->lk", mean, scaled))
+            V = np.linalg.solve(M, U.transpose(1, 2, 0))       # (L, k, T)
+            out += 0.5 * (np.einsum("tlk,lkt->tl", U, V) - logdet[None, :])
     return out
+
+
+def _emission_psi(model) -> np.ndarray:
+    """The likelihood's sensor variances: zero on the fast path."""
+    return np.zeros_like(model.psi) if model.fast_likelihood else model.psi
 
 
 def loglik_table(model: TcaModel, X) -> np.ndarray:
     """(T, L) table of log p(x_t | l), fast or exact per the model flag."""
     return cluster_loglik(model.transforms, model.mu, model.loadings,
-                          model.phi, model.psi, X, model.fast_likelihood)
+                          model.phi, _emission_psi(model), X)
 
 
 def cond_loglik(model: TcaModel, x, l: int) -> float:
     """log p(x | l) for one image and one transformation."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n,) or not np.all(np.isfinite(x)):
-        raise ValueError("x must be a finite pixel vector of the model size")
+    x = _frame(x, model.n)
     return float(loglik_table(model, x[None, :])[0, l])
 
 
@@ -169,77 +164,39 @@ def loglik(model: TcaModel, X) -> np.ndarray:
     return logsumexp(_log_joint(model, X), axis=1)
 
 
-def _op_posterior(transforms, mu, loadings, phi, psi, X, l):
-    """Exact joint posterior moments of (z, y) given x and op l.
+def _op_posterior(transforms, mu, loadings, phi, psi, x):
+    """Exact joint posterior moments of (z, y) given one image x, for every
+    op at once.
 
-    Returns (y_mean (T,K), y_cov (K,K), z_mean (T,n), z_var (n,),
-    cov_zy (n,K)); the t-independent pieces depend only on the op.
+    Returns y_cov (L, K, K), y_mean (L, K), z_mean (L, n) and the diagonal
+    z_var (L, n).  Given y the latent prior is N(mu + loadings y, diag phi),
+    so z is the diagonal posterior of `_latent_posterior` at the factors'
+    posterior mean, widened by r^2 diag(loadings y_cov loadings^T) with
+    r = var/phi.
     """
-    k = loadings.shape[1]
-    mean, diag, a = _per_op_pieces(transforms, mu, loadings, phi, psi, l)
-    d = X - mean[None, :]
-    m = np.eye(k) + a.T @ (a / diag[:, None])
-    y_cov = np.linalg.inv(m) if k else np.zeros((0, 0))
-    y_mean = (d / diag[None, :]) @ a @ y_cov if k else np.zeros((X.shape[0], 0))
-
-    # given y the latent prior is N(mu + W y, diag(phi))
-    z_mean, var = _latent_posterior(transforms.dest_matrix[l],
-                                    mu + y_mean @ loadings.T, phi, psi, X)
-    jac = loadings * (var / phi)[:, None]
-    cov_zy = jac @ y_cov
-    z_var = var + np.einsum("pk,pk->p", cov_zy, jac)
-    return y_mean, y_cov, z_mean, z_var, cov_zy
+    L, k = transforms.L, loadings.shape[1]
+    if not k:
+        z_mean, z_var = _latent_posterior(transforms.dest_matrix, mu, phi, psi, x)
+        return np.zeros((L, 0, 0)), np.zeros((L, 0)), z_mean, z_var
+    mean, var, rows = _observed(transforms.source_matrix, mu, loadings, phi, psi)
+    scaled, M = _factor_gain(rows, var)
+    y_cov = np.linalg.inv(M)
+    y_mean = np.einsum("lp,lpk,lkj->lj", x - mean, scaled, y_cov)
+    z_mean, var = _latent_posterior(transforms.dest_matrix,
+                                    mu + y_mean @ loadings.T, phi, psi, x)
+    r = var / phi
+    z_var = var + r * r * np.einsum("pk,lkj,pj->lp", loadings, y_cov, loadings)
+    return y_cov, y_mean, z_mean, z_var
 
 
 def posterior(model: TcaModel, x) -> PosteriorSummary:
     """Responsibilities p(l | x) plus exact latent posteriors per op."""
-    (x,) = _frames(x, model.n)
+    x = _frame(x, model.n)
     per_datum, resp = _normalise(_log_joint(model, x[None, :]), "transformation")
-    L, n, K = model.L, model.n, model.K
-    z_mean = np.empty((L, n))
-    z_var = np.empty((L, n))
-    y_mean = np.empty((L, K))
-    y_cov = np.empty((L, K, K))
-    for l in range(L):
-        ym, yc, zm, zv, _ = _op_posterior(model.transforms, model.mu,
-                                          model.loadings, model.phi,
-                                          model.psi, x[None, :], l)
-        y_mean[l], y_cov[l], z_mean[l], z_var[l] = ym[0], yc, zm[0], zv
+    y_cov, y_mean, z_mean, z_var = _op_posterior(
+        model.transforms, model.mu, model.loadings, model.phi, model.psi, x)
     return PosteriorSummary(resp=resp[0], z_mean=z_mean, z_var_diag=z_var,
                             loglik=float(per_datum[0]), y_mean=y_mean, y_cov=y_cov)
-
-
-def accumulate_stats(transforms, mu, loadings, phi, psi, X, W):
-    """Responsibility-weighted posterior sufficient statistics for one latent
-    component analyzer.  W is (T, L)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n, k = loadings.shape
-    src_all = transforms.source_matrix
-    mass = 0.0
-    s_z = np.zeros(n)
-    s_zz = np.zeros(n)
-    s_y = np.zeros(k)
-    s_yy = np.zeros((k, k))
-    s_zy = np.zeros((n, k))
-    s_psi = np.zeros(n)
-    for l in range(transforms.L):
-        w = W[:, l]
-        wsum = float(w.sum())
-        y_mean, y_cov, z_mean, z_var, cov_zy = _op_posterior(
-            transforms, mu, loadings, phi, psi, X, l)
-        mass += wsum
-        s_z += w @ z_mean
-        s_zz += w @ np.square(z_mean) + wsum * z_var
-        s_y += w @ y_mean
-        s_yy += wsum * y_cov + (w[:, None] * y_mean).T @ y_mean
-        s_zy += wsum * cov_zy + z_mean.T @ (w[:, None] * y_mean)
-        src = src_all[l]
-        valid = src >= 0
-        src_safe = np.where(valid, src, 0)
-        resid = np.where(valid, X - z_mean[:, src_safe], X) ** 2
-        resid += np.where(valid, z_var[src_safe], 0.0)
-        s_psi += w @ resid
-    return mass, s_z, s_zz, s_y, s_yy, s_zy, s_psi
 
 
 def solve_mstep(stats, loadings_old, tangent_cols: int):
@@ -315,8 +272,8 @@ def _em_step_full(model: TcaModel, X, options: EmOptions):
     X = _frames(X, model.n)
     T = X.shape[0]
     per_datum, resp = _normalise(_log_joint(model, X), "transformation")
-    stats = accumulate_stats(model.transforms, model.mu, model.loadings,
-                             model.phi, model.psi, X, resp)
+    stats = gaussian_template_stats(model.transforms, model.mu, model.loadings,
+                                    model.phi, model.psi, X, resp)
     n_tangent = len(options.tangent_directions)
     loadings, mu, phi = solve_mstep(stats, model.loadings, n_tangent)
     if n_tangent:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tmg as _tmg
 from .common import (EmOptions, SequencePosterior, UnderflowError, _fit,
-                     _frames, _latent_posterior, _mstep_tail, _starved,
+                     _frame, _frames, _latent_posterior, _mstep_tail, _starved,
                      gaussian_template_stats)
 from .transforms import ImageShape, TransformationSet, apply, shift_op
 from .tmg import TmgModel
@@ -248,9 +248,7 @@ def from_tmg(model: TmgModel, motion: MotionPrior | None = None,
 
 def emission_loglik(model: ThmmModel, x) -> np.ndarray:
     """(C, L) table of log p(x | c, l); the per-frame TMG conditional."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n,):
-        raise ValueError("frame length must match the model")
+    x = _frame(x, model.n)
     return emission_table(model, x[None, :])[0]
 
 
@@ -474,12 +472,13 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
 
     all_frames = np.concatenate(seqs, axis=0)
     stats = [gaussian_template_stats(
-        model.transforms, model.mu[c], model.phi[c], model.psi, all_frames,
+        model.transforms, model.mu[c], np.zeros((model.n, 0)), model.phi[c],
+        model.psi, all_frames,
         np.concatenate([g[:, c, :] for g in gammas], axis=0)) for c in range(C)]
     mass = np.array([s[0] for s in stats])
     rescued = _starved(mass, all_frames.shape[0])
     mu, phi = model.mu.copy(), model.phi.copy()
-    for c, (m_c, s1, s2, _) in enumerate(stats):
+    for c, (m_c, s1, s2) in enumerate(s[:3] for s in stats):
         if c in rescued:
             continue
         mu[c] = s1 / m_c
@@ -504,7 +503,7 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
     if options.clamp_motion is not None:
         motion = replace(model.motion, table=np.asarray(options.clamp_motion,
                                                         dtype=np.float64))
-    elif not options.freeze_motion:
+    else:
         # smoothing mass only inside the threshold support
         support = uniform_motion(model.motion.threshold, model.motion.mode).table > 0
         pooled = xi_motion + tiny * support

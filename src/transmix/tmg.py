@@ -4,7 +4,9 @@ Each cluster is a latent template with diagonal variance; an observed image
 is a discretely transformed latent image plus diagonal sensor noise.  The
 transformation index and cluster are lumped into one discrete variable, so
 posteriors, likelihoods and EM are exact, with per-configuration cost linear
-in the pixel count.
+in the pixel count.  A template is a component analyzer with no factors, so
+TMG runs the component-analyzer kernels (emission table, M-step statistics,
+latent posterior) with zero-width loadings.
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, _fit, _frames,
-                     _latent_posterior, _mstep_tail, _normalise, _starved,
-                     gaussian_template_stats)
+from .common import (EmOptions, PosteriorSummary, _fit, _frame, _frames,
+                     _mstep_tail, _normalise, _starved, gaussian_template_stats)
 from .transforms import ImageShape, TransformationSet, apply
-
-_LOG2PI = np.log(2.0 * np.pi)
+from . import tca as _tca
 
 
 @dataclass(eq=False)
@@ -101,43 +101,22 @@ def init_tmg(transforms: TransformationSet, n_clusters: int, data,
     )
 
 
-def _class_loglik(transforms, mu_c, phi_c, psi, X):
-    """(T, L) conditional log-likelihood table for one cluster.
-
-    The covariance of image x given op l is diagonal (the ops are injective
-    generalized permutations), so each entry costs O(n).
-    """
-    src = transforms.source_matrix
-    valid = src >= 0
-    src_safe = np.where(valid, src, 0)
-    mean = np.where(valid, mu_c[src_safe], 0.0)
-    var = np.where(valid, phi_c[src_safe], 0.0) + psi
-    inv = 1.0 / var
-    const = -0.5 * (np.log(var).sum(axis=1) + transforms.shape.n * _LOG2PI)
-    with np.errstate(over="ignore"):
-        quad = ((X * X) @ inv.T - 2.0 * (X @ (mean * inv).T)
-                + (mean * mean * inv).sum(axis=1))
-    return const[None, :] - 0.5 * quad
-
-
 def loglik_table(model: TmgModel, X) -> np.ndarray:
     """(T, L, C) table of log p(x_t | l, c)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = np.empty((X.shape[0], model.L, model.C))
     for c in range(model.C):
-        out[:, :, c] = _class_loglik(model.transforms, model.mu[c],
-                                     model.phi[c], model.psi, X)
+        out[:, :, c] = _tca.cluster_loglik(model.transforms, model.mu[c],
+                                           np.zeros((model.n, 0)), model.phi[c],
+                                           model.psi, X)
     return out
 
 
 def cond_loglik(model: TmgModel, x, l: int, c: int) -> float:
     """log p(x | l, c): Gaussian with transformed template mean and
     transform-propagated diagonal covariance."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n,) or not np.all(np.isfinite(x)):
-        raise ValueError("x must be a finite pixel vector of the model size")
-    return float(_class_loglik(model.transforms, model.mu[c], model.phi[c],
-                               model.psi, x[None, :])[0, l])
+    x = _frame(x, model.n)
+    return float(loglik_table(model, x[None, :])[0, l, c])
 
 
 def _log_joint(model: TmgModel, X) -> np.ndarray:
@@ -155,13 +134,14 @@ def loglik(model: TmgModel, X) -> np.ndarray:
 
 def posterior(model: TmgModel, x) -> PosteriorSummary:
     """Responsibilities P(l, c | x) plus latent-image posterior moments."""
-    (x,) = _frames(x, model.n)
+    x = _frame(x, model.n)
     per_datum, resp = _normalise(_log_joint(model, x[None, :]), "(l, c) configuration")
     z_mean = np.empty((model.L, model.C, model.n))
     z_var = np.empty((model.L, model.C, model.n))
     for c in range(model.C):
-        z_mean[:, c, :], z_var[:, c, :] = _latent_posterior(
-            model.transforms.dest_matrix, model.mu[c], model.phi[c], model.psi, x)
+        z_mean[:, c], z_var[:, c] = _tca._op_posterior(
+            model.transforms, model.mu[c], np.zeros((model.n, 0)), model.phi[c],
+            model.psi, x)[2:]
     return PosteriorSummary(resp=resp[0], z_mean=z_mean, z_var_diag=z_var,
                             loglik=float(per_datum[0]))
 
@@ -170,21 +150,21 @@ def _em_step_full(model: TmgModel, X, options: EmOptions):
     X = _frames(X, model.n)
     T = X.shape[0]
     per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
-    stats = [gaussian_template_stats(model.transforms, model.mu[c], model.phi[c],
+    stats = [gaussian_template_stats(model.transforms, model.mu[c],
+                                     np.zeros((model.n, 0)), model.phi[c],
                                      model.psi, X, resp[:, :, c])
              for c in range(model.C)]
     mass = np.array([s[0] for s in stats])
     rescued = _starved(mass, T)
     mu, phi, rho = model.mu.copy(), model.phi.copy(), model.rho.copy()
-    for c, (m_c, s1, s2, _) in enumerate(stats):
+    for c, (m_c, s1, s2) in enumerate(s[:3] for s in stats):
         if c in rescued:
             continue
         mu[c] = s1 / m_c
         phi[c] = s2 / m_c - mu[c] ** 2
         if not options.freeze_rho:
             rho[:, c] = resp[:, :, c].sum(axis=0) / m_c
-    pi = model.pi.copy() if options.freeze_pi else mass / T
-    phi, psi, pi = _mstep_tail(X, options, stats, rescued, mu, phi, pi, rho)
+    phi, psi, pi = _mstep_tail(X, options, stats, rescued, mu, phi, mass / T, rho)
     new = replace(model, pi=pi, mu=mu, phi=phi, rho=rho, psi=psi)
     return new, float(per_datum.sum()), tuple(mass), rescued
 

@@ -165,28 +165,32 @@ def principal_angle_deg(a, b) -> float:
     return float(np.degrees(np.arccos(sv.min())))
 
 
-def template_stats_dense(transforms, mu, phi, psi, X, W):
-    """M-step sums of `gaussian_template_stats` by dense Gaussian
-    conditioning of the latent image on each (datum, op) pair.
+def template_stats_dense(transforms, mu, loadings, phi, psi, X, W):
+    """M-step sums of `gaussian_template_stats` by dense joint conditioning
+    of (z, y) on each (datum, op) pair with `joint_zy_conditioning`.
 
-    Returns (mass, s1, s2, s_psi) with s1 = sum W E[z], s2 = sum W
-    (E[z]^2 + Var[z]) and s_psi = sum W ((x - G E[z])^2 + diag(G Cov G^T)).
+    Returns (mass, s_z, s_zz, s_y, s_yy, s_zy, s_psi): the W-weighted sums
+    of E[z], E[z]^2 + Var[z], E[y], E[y] E[y]^T + Cov[y], E[z] E[y]^T +
+    Cov[z, y] and (x - G E[z])^2 + diag(G Cov[z] G^T).
     """
     X, W = np.atleast_2d(X), np.atleast_2d(W)
-    n = mu.shape[0]
-    mass, s1, s2, s_psi = 0.0, np.zeros(n), np.zeros(n), np.zeros(n)
+    n, k = loadings.shape
+    mass, s_z, s_zz, s_psi = 0.0, np.zeros(n), np.zeros(n), np.zeros(n)
+    s_y, s_yy, s_zy = np.zeros(k), np.zeros((k, k)), np.zeros((n, k))
     for l, op in enumerate(transforms):
         g = dense_matrix(op)
-        cov = np.linalg.inv(np.diag(1.0 / phi) + g.T @ np.diag(1.0 / psi) @ g)
-        obs_var = np.diag(g @ cov @ g.T)
         for t, x in enumerate(X):
             w = W[t, l]
-            mean = cov @ (mu / phi + g.T @ (x / psi))
+            mean, cov = joint_zy_conditioning(g, mu, loadings, phi, psi, x)
+            z, y = mean[:n], mean[n:]
             mass += w
-            s1 += w * mean
-            s2 += w * (mean ** 2 + np.diag(cov))
-            s_psi += w * ((x - g @ mean) ** 2 + obs_var)
-    return mass, s1, s2, s_psi
+            s_z += w * z
+            s_zz += w * (z ** 2 + np.diag(cov)[:n])
+            s_y += w * y
+            s_yy += w * (np.outer(y, y) + cov[n:, n:])
+            s_zy += w * (np.outer(z, y) + cov[:n, n:])
+            s_psi += w * ((x - g @ z) ** 2 + np.diag(g @ cov[:n, :n] @ g.T))
+    return mass, s_z, s_zz, s_y, s_yy, s_zy, s_psi
 
 
 def hmm_forward_logdomain(pi_s, trans, log_emit) -> float:

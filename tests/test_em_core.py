@@ -118,3 +118,30 @@ def test_frames_are_checked_at_the_boundary(family):
     score = thmm.score_sequence if family is thmm else family.em_step
     with pytest.raises(UnderflowError), np.errstate(all="ignore"):
         score(model, huge)
+
+
+SINGLE_FRAME_CALLS = {
+    "tmg.posterior": (tmg, lambda m, x: tmg.posterior(m, x)),
+    "tmg.cond_loglik": (tmg, lambda m, x: tmg.cond_loglik(m, x, 0, 0)),
+    "tca.posterior": (tca, lambda m, x: tca.posterior(m, x)),
+    "tca.cond_loglik": (tca, lambda m, x: tca.cond_loglik(m, x, 0)),
+    "mtca.posterior": (mtca, lambda m, x: mtca.posterior(m, x)),
+    "mtca.cond_loglik": (mtca, lambda m, x: mtca.cond_loglik(m, x, 0, 0)),
+    "thmm.emission_loglik": (thmm, lambda m, x: thmm.emission_loglik(m, x)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SINGLE_FRAME_CALLS))
+def test_single_frame_is_checked_at_the_boundary(entry):
+    family, call = SINGLE_FRAME_CALLS[entry]
+    X, _ = _two_image_data()
+    model = _fresh_model(family, X)
+    call(model, X[0])
+    with_nan = X[0].copy()
+    with_nan[4] = np.nan
+    with pytest.raises(ValueError, match="frame 0 has a non-finite"):
+        call(model, with_nan)
+    with pytest.raises(ValueError, match="single frame of 9 pixels, got 2"):
+        call(model, X[:2])
+    with pytest.raises(ValueError, match="9 pixels"):
+        call(model, X[0, :-1])

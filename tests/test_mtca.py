@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from transmix import tmg as tmg_mod
 from transmix.classify import bayes_classify, classify_batch, marginal_loglik
 from transmix.mtca import MtcaModel, init_mtca
 
-from oracles import mtca_loglik_dense
+from oracles import dense_matrix, joint_zy_conditioning, mtca_loglik_dense
 
 
 def small_set(shape, offsets, boundary="wrap"):
@@ -58,13 +60,27 @@ def test_c1_reduces_to_tca():
 
 
 def test_posterior_matches_dense_oracle():
-    for seed in range(8):
-        model = random_mtca(10 + seed, offsets=((0, 0), (1, 0)), C=2, K=1,
+    for K, seed in itertools.product((0, 1, 2), range(8)):
+        model = random_mtca(10 + seed, shape=ImageShape(2, 3),
+                            offsets=((0, 0), (1, 0), (0, 1)), C=2, K=K,
                             boundary="wrap" if seed % 2 else "zero")
         x = np.random.default_rng(30 + seed).uniform(-1, 1, model.n)
         post = mtca_mod.posterior(model, x)
         assert post.loglik == pytest.approx(mtca_loglik_dense(model, x), abs=1e-6)
         assert post.resp.sum() == pytest.approx(1.0, abs=1e-12)
+        assert post.y_mean.shape == (model.L, model.C, K)
+        assert post.y_cov.shape == (model.L, model.C, K, K)
+        n = model.n
+        for l in range(model.L):
+            g = dense_matrix(model.transforms[l])
+            for c in range(model.C):
+                mean, cov = joint_zy_conditioning(g, model.mu[c], model.loadings[c],
+                                                  model.phi[c], model.psi, x)
+                np.testing.assert_allclose(post.z_mean[l, c], mean[:n], atol=1e-10)
+                np.testing.assert_allclose(post.z_var_diag[l, c], np.diag(cov)[:n],
+                                           atol=1e-10)
+                np.testing.assert_allclose(post.y_mean[l, c], mean[n:], atol=1e-10)
+                np.testing.assert_allclose(post.y_cov[l, c], cov[n:, n:], atol=1e-10)
 
 
 def test_em_monotone():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -56,9 +58,12 @@ def test_exact_path_matches_dense():
                            offsets=((0, 0), (1, 0), (0, -1)),
                            boundary="wrap" if seed % 2 else "zero")
         x = rng.uniform(-2, 2, model.n)
-        for l in range(model.L):
-            assert cond_loglik(model, x, l) == pytest.approx(
-                tca_cond_dense(model, x, l, fast=False), abs=1e-10)
+        for offset in (0.0, 1e3):  # expanded squares must not cancel
+            shifted = replace(model, mu=model.mu + offset)
+            for l in range(model.L):
+                assert cond_loglik(shifted, x + offset, l) == pytest.approx(
+                    tca_cond_dense(shifted, x + offset, l, fast=False),
+                    rel=1e-12, abs=1e-10)
 
 
 def test_fast_path_matches_dense_and_approximates_exact():

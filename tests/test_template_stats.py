@@ -1,4 +1,5 @@
-"""gaussian_template_stats against dense Gaussian conditioning per (t, l)."""
+"""gaussian_template_stats against dense joint conditioning of (z, y) per
+(t, l), with K = 0 (a plain template) and with factors."""
 
 import numpy as np
 import pytest
@@ -17,31 +18,41 @@ CASES = {
     # more ops than one block, and not a whole number of blocks
     "block-boundary": lambda: build_translation_set(ImageShape(9, 9), 9, 9),
 }
+FACTORS = [0, 1, 3]
 
 
-def _inputs(transforms, seed, offset=0.0, tied=False, T=6):
+def _cases(names):
+    """Every case with every factor count; K = 0 keeps the bare case name."""
+    return [pytest.param(name, K, id=name if K == 0 else f"{name}-K{K}")
+            for name in names for K in FACTORS]
+
+
+def _inputs(transforms, seed, K, offset=0.0, tied=False, T=6):
     rng = np.random.default_rng(seed)
     n, L = transforms.shape.n, transforms.L
     mu = offset + rng.uniform(0.2, 1.0, n)
+    loadings = rng.uniform(-0.5, 0.5, (n, K))
     phi = rng.uniform(0.1, 1.0, n)
     psi = np.full(n, 0.3) if tied else rng.uniform(0.05, 0.5, n)
     X = offset + rng.uniform(0.0, 1.2, (T, n))
     W = rng.dirichlet(np.ones(L), size=T)
-    return mu, phi, psi, X, W
+    return mu, loadings, phi, psi, X, W
 
 
 def _check(transforms, args):
     got = gaussian_template_stats(transforms, *args)
     want = template_stats_dense(transforms, *args)
+    assert len(got) == len(want) == 7
     assert got[0] == pytest.approx(want[0], rel=1e-10)
     for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape
         np.testing.assert_allclose(g, w, rtol=1e-10, atol=0)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_dense_conditioning(name):
+@pytest.mark.parametrize("name, K", _cases(sorted(CASES)))
+def test_matches_dense_conditioning(name, K):
     ts = CASES[name]()
-    _check(ts, _inputs(ts, seed=len(name)))
+    _check(ts, _inputs(ts, seed=len(name) + 10 * K, K=K))
 
 
 def test_block_case_spans_blocks():
@@ -49,20 +60,21 @@ def test_block_case_spans_blocks():
     assert L > _STATS_BLOCK and L % _STATS_BLOCK
 
 
-@pytest.mark.parametrize("name", ["wrap-5x5", "zero-pad"])
-def test_tied_psi(name):
+@pytest.mark.parametrize("name, K", _cases(["wrap-5x5", "zero-pad"]))
+def test_tied_psi(name, K):
     ts = CASES[name]()
-    _check(ts, _inputs(ts, seed=3, tied=True))
+    _check(ts, _inputs(ts, seed=3, K=K, tied=True))
 
 
-@pytest.mark.parametrize("name", ["wrap-5x5", "shear"])
-def test_data_far_from_zero(name):
+@pytest.mark.parametrize("name, K", _cases(["wrap-5x5", "shear"]))
+def test_data_far_from_zero(name, K):
     ts = CASES[name]()
-    _check(ts, _inputs(ts, seed=4, offset=1e3))
+    _check(ts, _inputs(ts, seed=4, K=K, offset=1e3))
 
 
 def test_single_datum_and_zero_weight_ops():
     ts = CASES["zero-pad"]()
-    mu, phi, psi, X, W = _inputs(ts, seed=5, T=1)
-    W[:, ::2] = 0.0
-    _check(ts, (mu, phi, psi, X[0], W[0]))
+    for K in FACTORS:
+        mu, loadings, phi, psi, X, W = _inputs(ts, seed=5, K=K, T=1)
+        W[:, ::2] = 0.0
+        _check(ts, (mu, loadings, phi, psi, X[0], W[0]))

@@ -397,7 +397,7 @@ def test_em_clamped_motion_stays_fixed():
     clamp = uniform_motion(1.0).table
     model, _ = em_step(gen, frames, EmOptions(clamp_motion=clamp))
     assert np.array_equal(model.motion.table, clamp)
-    model2, _ = em_step(gen, frames, EmOptions(freeze_motion=True))
+    model2, _ = em_step(gen, frames, EmOptions(clamp_motion=gen.motion.table))
     assert np.array_equal(model2.motion.table, gen.motion.table)
 
 

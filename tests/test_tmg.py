@@ -163,8 +163,6 @@ def test_em_options_freeze_and_tie():
     new, _ = em_step(model, X, EmOptions(freeze_rho=True, tie_psi=True))
     assert np.array_equal(new.rho, model.rho)
     assert np.allclose(new.psi, new.psi[0])
-    new2, _ = em_step(model, X, EmOptions(freeze_pi=True))
-    assert np.array_equal(new2.pi, model.pi)
 
 
 def test_em_rescues_starved_cluster():
