@@ -4,24 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import mtca, tca, tmg
-
-_FAMILIES = ((tmg.TmgModel, tmg), (tca.TcaModel, tca), (mtca.MtcaModel, mtca))
-
-
-def _family(model):
-    """The module scoring `model`, or None for other objects."""
-    for cls, mod in _FAMILIES:
-        if isinstance(model, cls):
-            return mod
-    return None
+from . import mtca
 
 
 def marginal_loglik(model, x) -> float:
-    """log p(x) under any model family (or any object with a loglik method)."""
-    mod = _family(model)
-    if mod is not None:
-        return float(mod.loglik(model, np.asarray(x)[None, :])[0])
+    """log p(x) under a TMG, TCA or MTCA model, scored as its MTCA view, or
+    under any object with a loglik method."""
+    if hasattr(model, "as_mtca"):
+        return float(mtca.loglik(model.as_mtca(), np.asarray(x)[None, :])[0])
     if hasattr(model, "loglik"):
         return float(model.loglik(x))
     raise TypeError(f"no marginal likelihood for {type(model).__name__}")
@@ -51,15 +41,14 @@ def bayes_classify(models, x, priors=None) -> int:
 
 
 def classify_batch(models, X, priors=None) -> np.ndarray:
-    """bayes_classify for each image of a batch.  A family model scores the
-    whole batch in one call; other objects are scored image by image."""
+    """bayes_classify for each image of a batch.  A TMG, TCA or MTCA model
+    scores the whole batch in one call; other objects go image by image."""
     log_priors = _log_priors(models, priors)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     scores = np.empty((X.shape[0], len(models)))
     for k, model in enumerate(models):
-        mod = _family(model)
-        if mod is not None:
-            scores[:, k] = mod.loglik(model, X)
+        if hasattr(model, "as_mtca"):
+            scores[:, k] = mtca.loglik(model.as_mtca(), X)
         else:
             scores[:, k] = [marginal_loglik(model, x) for x in X]
     return np.argmax(scores + log_priors, axis=1).astype(np.int64)

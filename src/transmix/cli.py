@@ -258,19 +258,13 @@ def cmd_train(man: Manifest, out_dir, verbose: bool = False) -> Path:
 
 def _write_montages(model, out: Path) -> None:
     shape = model.shape
-    if isinstance(model, tca.TcaModel):
-        means, variances = model.mu[None, :], model.phi[None, :]
-        comps = model.loadings.T
-    elif isinstance(model, mtca.MtcaModel):
-        means, variances = model.mu, model.phi
-        comps = model.loadings.reshape(-1, shape.n)
-    else:
-        means, variances = model.mu, model.phi
-        comps = None
-    model_io.write_pgm(out / "means.pgm", model_io.montage(means, shape))
-    model_io.write_pgm(out / "variances.pgm", model_io.montage(variances, shape))
+    # TMG and TCA models tile as their MTCA view: per cluster, then per factor
+    core = model if isinstance(model, thmm.ThmmModel) else model.as_mtca()
+    model_io.write_pgm(out / "means.pgm", model_io.montage(core.mu, shape))
+    model_io.write_pgm(out / "variances.pgm", model_io.montage(core.phi, shape))
     model_io.write_pgm(out / "psi.pgm", model_io.montage(model.psi[None, :], shape))
-    if comps is not None and comps.shape[0]:
+    if getattr(core, "K", 0):
+        comps = core.loadings.transpose(0, 2, 1).reshape(-1, shape.n)
         model_io.write_pgm(out / "components.pgm", model_io.montage(comps, shape))
     if isinstance(model, thmm.ThmmModel) and model.motion.mode == "vector":
         tables = model.motion.table if model.motion.per_class \

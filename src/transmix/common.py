@@ -1,6 +1,7 @@
 """Shared pieces of the EM machinery: options, reports, posterior containers,
-and the EM loop, E-step normaliser, M-step tail and latent-posterior kernel
-that every model family runs on."""
+the Gaussian model classes' constructor check, and the EM loop, E-step
+normaliser, M-step tail and latent-posterior kernel that every model family
+runs on.  Needs numpy alone."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 FLOOR_REL = 1e-6
 FLOOR_ABS = 1e-12
@@ -22,6 +22,15 @@ _STATS_BLOCK = 32
 
 class UnderflowError(ArithmeticError):
     """All discrete configurations underflowed despite log-domain math."""
+
+
+def logsumexp(a: np.ndarray, axis) -> np.ndarray:
+    """log(sum(exp(a))) over `axis`, an int or a tuple of ints; -inf where
+    every term is -inf."""
+    top = np.max(a, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
 
 
 def variance_floor(data: np.ndarray, override: float | None = None) -> float:
@@ -54,6 +63,59 @@ def _frame(x, n: int) -> np.ndarray:
     if X.shape[0] != 1:
         raise ValueError(f"expected a single frame of {n} pixels, got {X.shape[0]}")
     return X[0]
+
+
+def _record(cls, **fields):
+    """A `cls` over `fields` without the constructor's check, for arrays that
+    are valid already: a model's view as an MTCA, or an EM step's result."""
+    model = object.__new__(cls)
+    model.__dict__.update(fields)
+    return model
+
+
+class _GaussianModel:
+    """Base of the TMG, TCA and MTCA model classes, which list their array
+    fields with the fields' axes in `_AXES`."""
+
+    _AXES: dict = {}
+
+    def __post_init__(self):
+        """The one constructor check.  Each field becomes float64 of exactly
+        its axes' shape: n and L come from the image shape and the ops, C
+        and K from the first field that has them.  The distributions must
+        sum to one, the variances be positive, the factors be fewer than the
+        pixels, and a fast likelihood run only over void-free ops."""
+        size = {"n": self.shape.n, "L": self.transforms.L}
+        for name, axes in self._AXES.items():
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.ndim != len(axes) or any(axis in size and size[axis] != d
+                                            for axis, d in zip(axes, arr.shape)):
+                want = ", ".join(str(size.get(axis, axis)) for axis in axes)
+                raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
+            size.update(zip(axes, arr.shape))
+            setattr(self, name, arr)
+        if "pi" in self._AXES and not np.isclose(self.pi.sum(), 1.0):
+            raise ValueError("pi must sum to 1")
+        if not np.allclose(self.rho.sum(axis=0), 1.0):
+            raise ValueError("rho must be a distribution over the ops (per cluster)")
+        if np.any(self.phi <= 0) or np.any(self.psi <= 0):
+            raise ValueError("variances must be positive")
+        if size.get("K", 0) >= size["n"]:
+            raise ValueError("the factor count must be below the pixel count")
+        if getattr(self, "fast_likelihood", False) and self.transforms.has_void:
+            raise ValueError("fast likelihood needs void-free (invertible) ops")
+
+    @property
+    def K(self) -> int:
+        return self.loadings.shape[-1]
+
+    @property
+    def L(self) -> int:
+        return self.transforms.L
+
+    @property
+    def n(self) -> int:
+        return self.shape.n
 
 
 @dataclass
@@ -106,8 +168,9 @@ class PosteriorSummary:
     resp        P(l, c | x) as (L, C), or P(l | x) as (L,) for TCA
     z_mean      posterior latent-image mean per discrete configuration
     z_var_diag  matching diagonal posterior variances
-    y_mean      factor posterior means (TCA/MTCA), None otherwise
-    y_cov       factor posterior covariances, None otherwise
+    y_mean      factor posterior means per configuration, (..., K)
+    y_cov       factor posterior covariances, (..., K, K); a TMG has no
+                factors, so both are zero-width: (L, C, 0) and (L, C, 0, 0)
     loglik      log p(x) under the model
     """
 
@@ -115,8 +178,8 @@ class PosteriorSummary:
     z_mean: np.ndarray
     z_var_diag: np.ndarray
     loglik: float
-    y_mean: np.ndarray | None = None
-    y_cov: np.ndarray | None = None
+    y_mean: np.ndarray
+    y_cov: np.ndarray
 
 
 @dataclass(eq=False)
@@ -184,13 +247,13 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     y ~ N(0, I_K), is seen through op l with sensor noise psi; K = 0 is a
     plain template.  With weights ``W[t, l]`` over every datum t and op l it
     sums the exact joint posterior moments of (z, y) that `tca.solve_mstep`
-    and the sensor-variance update read (TMG and THMM read the first three
-    and the last):
+    and the sensor-variance update read, in this order:
 
-      mass, s_z = sum E[z], s_zz = sum E[z]^2 + Var[z] (n,),
+      mass, s_z = sum E[z'], s_zz = sum E[z']^2 + Var[z] (n,),
       s_y = sum E[y] (K,), s_yy = sum E[y] E[y]^T + Cov[y] (K, K),
-      s_zy = sum E[z] E[y]^T + Cov[z, y] (n, K),
-      s_psi = sum (x - G E[z])^2 + G Var[z] (n,), in observed coordinates.
+      s_zy = sum E[z'] E[y]^T + Cov[z, y] (n, K),
+      s_psi = sum (x - G E[z])^2 + G Var[z] (n,), in observed coordinates,
+      m, the centre: z' = z - m is the latent image centred on it.
 
     Given y the latent posterior is that of `_latent_posterior`: its
     variance ``var = 1/(1/phi + b)``, with ``b = 1/psi[dst]`` on latent
@@ -208,8 +271,10 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     Those expanded squares cancel when the data sit far from zero, so X and
     mu are first centred on the batch's mean pixel value m, which leaves var
     and E[y] unchanged (E[y] reads only pixels that have a source) and
-    shifts E[z] by m; s_z, s_zz and s_zy are moved back afterwards.  The
-    ops are processed in blocks of `_STATS_BLOCK`, so the temporaries stay
+    shifts E[z] by m.  The latent sums stay centred, so the variances formed
+    from them do not cancel either (Chan, Golub & LeVeque 1983); s_psi is
+    moved back, since a pixel with no source predicts 0, not m.  The ops
+    are processed in blocks of `_STATS_BLOCK`, so the temporaries stay
     (block, n) and (block, n, K) however large L is.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -227,19 +292,13 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
                 loadings, phi, psi, m)):
             total += part
     s_z, s_zz, s_psi, s_y, s_yy, s_zy = sums
-    mass = float(W.sum())
-    # back from the centred latent: E[z] = m + E[z - m]
-    s_zy += m * s_y
-    s_zz += 2.0 * m * s_z + m * m * mass
-    s_z += m * mass
-    return mass, s_z, s_zz, s_y, s_yy, s_zy, s_psi
+    return float(W.sum()), s_z, s_zz, s_y, s_yy, s_zy, s_psi, m
 
 
 def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
     """(s_z, s_zz, s_psi) of `gaussian_template_stats` over one block of ops,
-    for data Xc (squared: Xc2) and template mu_c centred on m, with s_z and
-    s_zz still centred; with factors, followed by (s_y, s_yy, s_zy), s_zy
-    still centred."""
+    for data Xc (squared: Xc2) and template mu_c centred on m; with factors,
+    followed by (s_y, s_yy, s_zy)."""
     Wb = W[:, block]
     w = Wb.sum(axis=0)[:, None]
     A, Q = Wb.T @ Xc, Wb.T @ Xc2
@@ -317,8 +376,8 @@ def _mstep_tail(X, options: EmOptions, stats, rescued, mu, phi, pi=None, rho=Non
     Reseeds each rescued cluster from a random datum (template, latent
     variance, uniform `rho` column) and resets its rows of the prior `pi`
     (mixing proportions, or the (C, L) initial-state table) to uniform before
-    renormalising.  Then psi = sum of the per-cluster s_psi (the last entry of
-    each statistics tuple) over the batch size, tied to its mean when asked,
+    renormalising.  Then psi = sum of the per-cluster s_psi (entry 6 of each
+    statistics tuple) over the batch size, tied to its mean when asked,
     and phi and psi are floored.  Writes into mu, rho and pi; returns
     (phi, psi, pi).
     """
@@ -336,7 +395,7 @@ def _mstep_tail(X, options: EmOptions, stats, rescued, mu, phi, pi=None, rho=Non
         pi = pi / pi.sum()
     s_psi = np.zeros(n)
     for s in stats:
-        s_psi += s[-1]
+        s_psi += s[6]
     psi = s_psi / T
     if options.tie_psi:
         psi = np.full(n, psi.mean())

@@ -4,7 +4,6 @@ and shift-invariant template correlation."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .transforms import ImageShape, apply, shift_op
 
@@ -84,8 +83,10 @@ def best_template_assignment(means, templates, shape: ImageShape):
     Returns (corr (n_means,), match (n_means,)): the shift-max correlation of
     every mean against its best template, with the bipartite assignment
     maximizing total correlation marked first (surplus means keep their best
-    match).
+    match).  Needs scipy, which only this function imports.
     """
+    from scipy.optimize import linear_sum_assignment
+
     means = np.atleast_2d(means)
     templates = np.atleast_2d(templates)
     corr = np.array([[shift_max_correlation(m, t, shape) for t in templates]

@@ -1,26 +1,29 @@
-"""Mixture of transformed component analyzers (MTCA).
+"""Mixture of transformed component analyzers (MTCA): the Gaussian model core.
 
 Clusters, low-rank appearance components and discrete transformations in one
 model: each cluster owns a template, loading matrix and latent variances;
 cluster and transformation index are lumped for exact inference.  With zero
 factors per cluster this is exactly a TMG; with one cluster, exactly a TCA.
+So `tmg` and `tca` are views: their functions call the ones here on the
+model's `as_mtca()`, a record sharing its arrays, and reshape the result.
+The per-cluster kernels live in `tca`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, _fit, _frame, _frames,
-                     _mstep_tail, _normalise, _starved, gaussian_template_stats)
+from .common import (EmOptions, PosteriorSummary, _GaussianModel, _fit, _frame,
+                     _frames, _mstep_tail, _normalise, _record, _starved,
+                     gaussian_template_stats, logsumexp)
 from .transforms import ImageShape, TransformationSet, apply
 from . import tca as _tca
 
 
 @dataclass(eq=False)
-class MtcaModel:
+class MtcaModel(_GaussianModel):
     """Per-cluster component analyzers under a shared transformation family.
 
     pi (C,), mu (C, n), loadings (C, n, K), phi (C, n), rho (L, C),
@@ -37,43 +40,16 @@ class MtcaModel:
     psi: np.ndarray
     fast_likelihood: bool = False
 
-    def __post_init__(self):
-        n, L = self.shape.n, self.transforms.L
-        self.pi = np.asarray(self.pi, dtype=np.float64)
-        C = self.pi.shape[0]
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.loadings = np.asarray(self.loadings, dtype=np.float64).reshape(C, n, -1)
-        self.phi = np.asarray(self.phi, dtype=np.float64)
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        self.psi = np.asarray(self.psi, dtype=np.float64)
-        if self.mu.shape != (C, n) or self.phi.shape != (C, n):
-            raise ValueError("mu and phi must be (C, n)")
-        if self.rho.shape != (L, C) or not np.allclose(self.rho.sum(axis=0), 1.0):
-            raise ValueError("rho columns must be distributions over ops")
-        if not np.isclose(self.pi.sum(), 1.0):
-            raise ValueError("pi must sum to 1")
-        if self.loadings.shape[2] >= n:
-            raise ValueError("the factor count must be below the pixel count")
-        if np.any(self.phi <= 0) or np.any(self.psi <= 0):
-            raise ValueError("variances must be positive")
-        if self.fast_likelihood and self.transforms.has_void:
-            raise ValueError("fast likelihood needs void-free (invertible) ops")
+    _AXES = {"pi": "C", "mu": "Cn", "loadings": "CnK", "phi": "Cn",
+             "rho": "LC", "psi": "n"}
 
     @property
     def C(self) -> int:
         return self.pi.shape[0]
 
-    @property
-    def K(self) -> int:
-        return self.loadings.shape[2]
-
-    @property
-    def L(self) -> int:
-        return self.transforms.L
-
-    @property
-    def n(self) -> int:
-        return self.shape.n
+    def as_mtca(self) -> MtcaModel:
+        """The model itself; TMG and TCA models return their MTCA view."""
+        return self
 
 
 def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
@@ -100,15 +76,12 @@ def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
 
 
 def loglik_table(model: MtcaModel, X) -> np.ndarray:
-    """(T, L, C) table of log p(x_t | l, c)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.empty((X.shape[0], model.L, model.C))
-    psi = _tca._emission_psi(model)
-    for c in range(model.C):
-        out[:, :, c] = _tca.cluster_loglik(model.transforms, model.mu[c],
-                                           model.loadings[c], model.phi[c],
-                                           psi, X)
-    return out
+    """(T, L, C) table of log p(x_t | l, c); the fast likelihood drops the
+    sensor noise (see `tca`)."""
+    psi = np.zeros_like(model.psi) if model.fast_likelihood else model.psi
+    return np.stack([_tca.cluster_loglik(model.transforms, model.mu[c],
+                                         model.loadings[c], model.phi[c], psi, X)
+                     for c in range(model.C)], axis=2)
 
 
 def cond_loglik(model: MtcaModel, x, l: int, c: int) -> float:
@@ -143,29 +116,43 @@ def posterior(model: MtcaModel, x) -> PosteriorSummary:
                             loglik=float(per_datum[0]), y_mean=y_mean, y_cov=y_cov)
 
 
+def _cluster_mstep(transforms, mu, loadings, phi, psi, X, W, directions=()):
+    """The per-cluster M-step of every Gaussian family, from weights W[t, l, c].
+
+    Returns the statistics, their masses, the starved clusters and the new
+    (mu, loadings, phi), where a starved cluster keeps its old values for
+    `_mstep_tail` to reseed.  The first loading columns follow the template
+    derivatives along `directions` instead of being learned.
+    """
+    stats = [gaussian_template_stats(transforms, mu[c], loadings[c], phi[c], psi,
+                                     X, W[:, :, c]) for c in range(mu.shape[0])]
+    mass = np.array([s[0] for s in stats])
+    rescued = _starved(mass, X.shape[0])
+    mu, loadings, phi = mu.copy(), loadings.copy(), phi.copy()
+    for c, st in enumerate(stats):
+        if c in rescued:
+            continue
+        loadings[c], mu[c], phi[c] = _tca.solve_mstep(st, loadings[c], len(directions))
+        if directions:
+            loadings[c, :, :len(directions)] = _tca.tangent_columns(
+                mu[c], transforms, directions)
+    return stats, mass, rescued, mu, loadings, phi
+
+
 def _em_step_full(model: MtcaModel, X, options: EmOptions):
     X = _frames(X, model.n)
     T = X.shape[0]
     per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
-    stats = [gaussian_template_stats(model.transforms, model.mu[c], model.loadings[c],
-                                     model.phi[c], model.psi, X, resp[:, :, c])
-             for c in range(model.C)]
-    mass = np.array([s[0] for s in stats])
-    rescued = _starved(mass, T)
-    n_tangent = len(options.tangent_directions)
-    mu, phi = model.mu.copy(), model.phi.copy()
-    loadings, rho = model.loadings.copy(), model.rho.copy()
-    for c, st in enumerate(stats):
-        if c in rescued:
-            continue
-        loadings[c], mu[c], phi[c] = _tca.solve_mstep(st, model.loadings[c], n_tangent)
-        if n_tangent:
-            loadings[c, :, :n_tangent] = _tca.tangent_columns(
-                mu[c], model.transforms, options.tangent_directions)
-        if not options.freeze_rho:
-            rho[:, c] = resp[:, :, c].sum(axis=0) / mass[c]
+    stats, mass, rescued, mu, loadings, phi = _cluster_mstep(
+        model.transforms, model.mu, model.loadings, model.phi, model.psi, X, resp,
+        options.tangent_directions)
+    rho = model.rho.copy()
+    if not options.freeze_rho:
+        live = [c for c in range(model.C) if c not in rescued]
+        rho[:, live] = resp[:, :, live].sum(axis=0) / mass[live]
     phi, psi, pi = _mstep_tail(X, options, stats, rescued, mu, phi, mass / T, rho)
-    new = replace(model, pi=pi, mu=mu, loadings=loadings, phi=phi, rho=rho, psi=psi)
+    new = _record(MtcaModel, **{**vars(model), "pi": pi, "mu": mu, "loadings": loadings,
+                                "phi": phi, "rho": rho, "psi": psi})
     return new, float(per_datum.sum()), tuple(mass), rescued
 
 

@@ -8,7 +8,9 @@ the same kernel with the sensor noise dropped (psi = 0): the latent variances
 absorb it, and with void-free ops each transformation's covariance is then a
 permuted copy of one matrix.  The emission table, the M-step statistics and
 the latent posterior are each one kernel over all ops with the loadings as
-an argument; TMG and THMM call them with zero factors.
+an argument; `mtca` runs them per cluster for every Gaussian family, and a
+TCA is a view of an MTCA with one cluster: each model function below runs
+the `mtca` one on `as_mtca()`, which shares the model's arrays.
 """
 
 from __future__ import annotations
@@ -16,18 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, _factor_gain, _fit, _frame,
-                     _frames, _latent_posterior, _mstep_tail, _normalise,
-                     _observed, gaussian_template_stats)
+from .common import (EmOptions, PosteriorSummary, _GaussianModel, _factor_gain,
+                     _fit, _latent_posterior, _observed, _record)
 from .transforms import ImageShape, TransformationSet, apply
+from . import mtca as _mtca
 
 _LOG2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(eq=False)
-class TcaModel:
+class TcaModel(_GaussianModel):
     """Parameters of a transformed component analyzer.
 
     mu        (n,)    latent mean image
@@ -48,35 +49,14 @@ class TcaModel:
     psi: np.ndarray
     fast_likelihood: bool = False
 
-    def __post_init__(self):
-        n, L = self.shape.n, self.transforms.L
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        self.loadings = np.asarray(self.loadings, dtype=np.float64).reshape(n, -1)
-        self.phi = np.asarray(self.phi, dtype=np.float64)
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        self.psi = np.asarray(self.psi, dtype=np.float64)
-        if self.mu.shape != (n,) or self.phi.shape != (n,) or self.psi.shape != (n,):
-            raise ValueError("mu, phi, psi must be pixel vectors")
-        if self.rho.shape != (L,) or not np.isclose(self.rho.sum(), 1.0):
-            raise ValueError("rho must be a distribution over the L ops")
-        if self.loadings.shape[1] >= n:
-            raise ValueError("the factor count must be below the pixel count")
-        if np.any(self.phi <= 0) or np.any(self.psi <= 0):
-            raise ValueError("variances must be positive")
-        if self.fast_likelihood and self.transforms.has_void:
-            raise ValueError("fast likelihood needs void-free (invertible) ops")
+    _AXES = {"mu": "n", "loadings": "nK", "phi": "n", "rho": "L", "psi": "n"}
 
-    @property
-    def K(self) -> int:
-        return self.loadings.shape[1]
-
-    @property
-    def L(self) -> int:
-        return self.transforms.L
-
-    @property
-    def n(self) -> int:
-        return self.shape.n
+    def as_mtca(self) -> _mtca.MtcaModel:
+        """This model as an MTCA with one cluster, sharing its arrays."""
+        return _record(_mtca.MtcaModel, shape=self.shape, transforms=self.transforms,
+                       pi=np.ones(1), mu=self.mu[None], loadings=self.loadings[None],
+                       phi=self.phi[None], rho=self.rho[:, None], psi=self.psi,
+                       fast_likelihood=self.fast_likelihood)
 
 
 def init_tca(transforms: TransformationSet, n_factors: int, data,
@@ -114,12 +94,10 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     mean, var, rows = _observed(transforms.source_matrix, mu, loadings, phi, psi)
     L, n, k = rows.shape
-    if k:
-        # the squares expanded below cancel when the data sit far from zero;
-        # x - mean is unchanged by a common shift, so factor models shift by
-        # the batch mean (K = 0 keeps the TMG arithmetic bit for bit)
-        shift = X.mean()
-        X, mean = X - shift, mean - shift
+    # the squares expanded below cancel when the data sit far from zero;
+    # x - mean is unchanged by a common shift, so shift by the batch mean
+    shift = X.mean()
+    X, mean = X - shift, mean - shift
     inv = 1.0 / var
     const = -0.5 * (np.log(var).sum(axis=1) + transforms.shape.n * _LOG2PI)
     with np.errstate(over="ignore"):
@@ -136,32 +114,19 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
     return out
 
 
-def _emission_psi(model) -> np.ndarray:
-    """The likelihood's sensor variances: zero on the fast path."""
-    return np.zeros_like(model.psi) if model.fast_likelihood else model.psi
-
-
 def loglik_table(model: TcaModel, X) -> np.ndarray:
     """(T, L) table of log p(x_t | l), fast or exact per the model flag."""
-    return cluster_loglik(model.transforms, model.mu, model.loadings,
-                          model.phi, _emission_psi(model), X)
+    return _mtca.loglik_table(model.as_mtca(), X)[:, :, 0]
 
 
 def cond_loglik(model: TcaModel, x, l: int) -> float:
     """log p(x | l) for one image and one transformation."""
-    x = _frame(x, model.n)
-    return float(loglik_table(model, x[None, :])[0, l])
-
-
-def _log_joint(model: TcaModel, X) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return loglik_table(model, X) + np.log(model.rho)[None, :]
+    return _mtca.cond_loglik(model.as_mtca(), x, l, 0)
 
 
 def loglik(model: TcaModel, X) -> np.ndarray:
     """(T,) marginal log p(x_t)."""
-    X = _frames(X, model.n)
-    return logsumexp(_log_joint(model, X), axis=1)
+    return _mtca.loglik(model.as_mtca(), X)
 
 
 def _op_posterior(transforms, mu, loadings, phi, psi, x):
@@ -191,22 +156,23 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
 
 def posterior(model: TcaModel, x) -> PosteriorSummary:
     """Responsibilities p(l | x) plus exact latent posteriors per op."""
-    x = _frame(x, model.n)
-    per_datum, resp = _normalise(_log_joint(model, x[None, :]), "transformation")
-    y_cov, y_mean, z_mean, z_var = _op_posterior(
-        model.transforms, model.mu, model.loadings, model.phi, model.psi, x)
-    return PosteriorSummary(resp=resp[0], z_mean=z_mean, z_var_diag=z_var,
-                            loglik=float(per_datum[0]), y_mean=y_mean, y_cov=y_cov)
+    post = _mtca.posterior(model.as_mtca(), x)
+    return replace(post, resp=post.resp[:, 0], z_mean=post.z_mean[:, 0],
+                   z_var_diag=post.z_var_diag[:, 0], y_mean=post.y_mean[:, 0],
+                   y_cov=post.y_cov[:, 0])
 
 
 def solve_mstep(stats, loadings_old, tangent_cols: int):
     """Maximize the expected complete log-likelihood for (loadings, mu, phi).
 
-    The mean is appended as an extra regression column; the first
-    `tangent_cols` loading columns are held fixed (their values come from
-    template derivatives, not learning).
+    `stats` holds one cluster's moment sums, those of z' = z - m for the
+    centre m that ends the tuple.  Regressing z' on (y, 1), the mean is the
+    extra column and comes out as mu - m; phi is formed from residuals at
+    the centred scale, so it does not cancel when the data sit far from
+    zero.  The first `tangent_cols` loading columns are held fixed (their
+    values come from template derivatives, not learning).
     """
-    mass, s_z, s_zz, s_y, s_yy, s_zy, _ = stats
+    mass, s_z, s_zz, s_y, s_yy, s_zy, _, centre = stats
     n, k = loadings_old.shape
     syy_aug = np.empty((k + 1, k + 1))
     syy_aug[:k, :k] = s_yy
@@ -224,7 +190,7 @@ def solve_mstep(stats, loadings_old, tangent_cols: int):
     sol = np.linalg.solve(syy_aug[np.ix_(free, free)], target.T).T
     w_full[:, free] = sol
     loadings_new = w_full[:, :k]
-    mu_new = w_full[:, k]
+    mu_new = w_full[:, k] + centre
     resid = (s_zz - 2.0 * np.einsum("pk,pk->p", w_full, szy_aug)
              + np.einsum("pk,kj,pj->p", w_full, syy_aug, w_full))
     phi_new = resid / mass
@@ -269,21 +235,9 @@ def tangent_columns(mu, transforms: TransformationSet, directions) -> np.ndarray
 
 
 def _em_step_full(model: TcaModel, X, options: EmOptions):
-    X = _frames(X, model.n)
-    T = X.shape[0]
-    per_datum, resp = _normalise(_log_joint(model, X), "transformation")
-    stats = gaussian_template_stats(model.transforms, model.mu, model.loadings,
-                                    model.phi, model.psi, X, resp)
-    n_tangent = len(options.tangent_directions)
-    loadings, mu, phi = solve_mstep(stats, model.loadings, n_tangent)
-    if n_tangent:
-        loadings = loadings.copy()
-        loadings[:, :n_tangent] = tangent_columns(
-            mu, model.transforms, options.tangent_directions)
-    rho = model.rho if options.freeze_rho else resp.sum(axis=0) / T
-    phi, psi, _ = _mstep_tail(X, options, [stats], (), mu, phi)
-    new = replace(model, mu=mu, loadings=loadings, phi=phi, rho=rho, psi=psi)
-    return new, float(per_datum.sum()), (float(T),), ()
+    new, total, mass, rescued = _mtca._em_step_full(model.as_mtca(), X, options)
+    return (replace(model, mu=new.mu[0], loadings=new.loadings[0], phi=new.phi[0],
+                    rho=new.rho[:, 0], psi=new.psi), total, mass, rescued)
 
 
 def em_step(model: TcaModel, X, options: EmOptions | None = None):
@@ -300,13 +254,4 @@ def fit(model: TcaModel, X, iterations: int, options: EmOptions | None = None,
 
 def sample(model: TcaModel, seed, size: int | None = None) -> np.ndarray:
     """Ancestral sample: factors, latent image, transformation, sensor noise."""
-    rng = np.random.default_rng(seed)
-    count = 1 if size is None else size
-    out = np.empty((count, model.n))
-    for t in range(count):
-        l = rng.choice(model.L, p=model.rho)
-        y = rng.standard_normal(model.K)
-        z = (model.mu + model.loadings @ y
-             + np.sqrt(model.phi) * rng.standard_normal(model.n))
-        out[t] = apply(model.transforms[l], z) + np.sqrt(model.psi) * rng.standard_normal(model.n)
-    return out[0] if size is None else out
+    return _mtca.sample(model.as_mtca(), seed, size)

@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tmg as _tmg
+from . import tca as _tca
 from .common import (EmOptions, SequencePosterior, UnderflowError, _fit,
-                     _frame, _frames, _latent_posterior, _mstep_tail, _starved,
-                     gaussian_template_stats)
+                     _frame, _frames, _latent_posterior, _mstep_tail, logsumexp)
+from .mtca import _cluster_mstep
 from .transforms import ImageShape, TransformationSet, apply, shift_op
 from .tmg import TmgModel
 
@@ -253,9 +253,12 @@ def emission_loglik(model: ThmmModel, x) -> np.ndarray:
 
 
 def emission_table(model: ThmmModel, frames) -> np.ndarray:
-    """(T, C, L) emission log-likelihood tables: the TMG conditional table
-    with its state axes in (class, op) order."""
-    return np.ascontiguousarray(_tmg.loglik_table(model, frames).transpose(0, 2, 1))
+    """(T, C, L) emission log-likelihood tables: per class, the component
+    analyzer's emission kernel with no factors."""
+    zero = np.zeros((model.n, 0))
+    return np.stack([_tca.cluster_loglik(model.transforms, model.mu[c], zero,
+                                         model.phi[c], model.psi, frames)
+                     for c in range(model.C)], axis=1)
 
 
 class _Dynamics:
@@ -320,14 +323,6 @@ def dense_transition(model: ThmmModel) -> np.ndarray:
     return out.reshape(C * L, C * L)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along one axis; -inf where every term is -inf."""
-    top = a.max(axis=axis)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - np.expand_dims(top, axis)).sum(axis=axis)) + top
-
-
 def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics):
     """Forward pass in the log domain.  Returns (loglik, log_alpha, moved,
     steps): log filtered state probabilities (T, C, L); moved[t], the log
@@ -347,11 +342,11 @@ def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics):
     steps = np.empty(T)
     for t in range(T):
         if t > 0:
-            moved[t] = _logsumexp((log_alpha[t - 1] - dyn.log_z)[:, dyn.src]
-                                  + dyn.log_into, 1)
-            log_pred = _logsumexp(log_trans + moved[t][:, None, :], 0)
+            moved[t] = logsumexp((log_alpha[t - 1] - dyn.log_z)[:, dyn.src]
+                                 + dyn.log_into, 1)
+            log_pred = logsumexp(log_trans + moved[t][:, None, :], 0)
         joint = log_pred + emis[t]
-        steps[t] = _logsumexp(joint.reshape(-1), 0)
+        steps[t] = logsumexp(joint.reshape(-1), 0)
         if not np.isfinite(steps[t]):
             raise UnderflowError(f"zero total path probability at frame {t}")
         log_alpha[t] = joint - steps[t]
@@ -381,13 +376,13 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
         # log p(x_t+1.., state at t+1 | x_..t), per target class, then per
         # source class before the class step, then per move out of each state
         ahead = emis[t + 1] + log_beta - steps[t + 1]
-        back = _logsumexp(log_trans + ahead[None], 1)
+        back = logsumexp(log_trans + ahead[None], 1)
         xi_class += np.exp(log_trans + moved[t + 1][:, None, :]
                            + ahead[None]).sum(axis=2)
         out = back[:, dyn.dst] + dyn.log_from
         leave = log_alpha[t] - dyn.log_z
         xi_moves += np.exp(out + leave[:, None, :]).sum(axis=2)
-        log_beta = _logsumexp(out, 1) - dyn.log_z
+        log_beta = logsumexp(out, 1) - dyn.log_z
         gamma[t] = np.exp(log_alpha[t] + log_beta)
 
     xi_bins = _pool_motion(model.motion, dyn.offsets,
@@ -471,18 +466,9 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
         gammas.append(post.gamma)
 
     all_frames = np.concatenate(seqs, axis=0)
-    stats = [gaussian_template_stats(
-        model.transforms, model.mu[c], np.zeros((model.n, 0)), model.phi[c],
-        model.psi, all_frames,
-        np.concatenate([g[:, c, :] for g in gammas], axis=0)) for c in range(C)]
-    mass = np.array([s[0] for s in stats])
-    rescued = _starved(mass, all_frames.shape[0])
-    mu, phi = model.mu.copy(), model.phi.copy()
-    for c, (m_c, s1, s2) in enumerate(s[:3] for s in stats):
-        if c in rescued:
-            continue
-        mu[c] = s1 / m_c
-        phi[c] = s2 / m_c - mu[c] ** 2
+    stats, mass, rescued, mu, _, phi = _cluster_mstep(
+        model.transforms, model.mu, np.zeros((C, model.n, 0)), model.phi,
+        model.psi, all_frames, np.concatenate(gammas, axis=0).transpose(0, 2, 1))
 
     # dynamics
     if options.joint_pi:

@@ -5,8 +5,8 @@ is a discretely transformed latent image plus diagonal sensor noise.  The
 transformation index and cluster are lumped into one discrete variable, so
 posteriors, likelihoods and EM are exact, with per-configuration cost linear
 in the pixel count.  A template is a component analyzer with no factors, so
-TMG runs the component-analyzer kernels (emission table, M-step statistics,
-latent posterior) with zero-width loadings.
+a TMG is a view of an MTCA with zero factors: each function below runs the
+`mtca` one on `as_mtca()`, which shares the model's arrays.
 """
 
 from __future__ import annotations
@@ -14,16 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .common import (EmOptions, PosteriorSummary, _fit, _frame, _frames,
-                     _mstep_tail, _normalise, _starved, gaussian_template_stats)
-from .transforms import ImageShape, TransformationSet, apply
-from . import tca as _tca
+from .common import EmOptions, PosteriorSummary, _GaussianModel, _fit, _record
+from .transforms import ImageShape, TransformationSet
+from . import mtca as _mtca
 
 
 @dataclass(eq=False)
-class TmgModel:
+class TmgModel(_GaussianModel):
     """Parameters of a transformed mixture of Gaussians.
 
     pi    (C,)   mixing proportions
@@ -41,33 +39,17 @@ class TmgModel:
     rho: np.ndarray
     psi: np.ndarray
 
-    def __post_init__(self):
-        n, L, C = self.shape.n, self.transforms.L, self.pi.shape[0]
-        for name, arr, want in (("pi", self.pi, (C,)), ("mu", self.mu, (C, n)),
-                                ("phi", self.phi, (C, n)), ("rho", self.rho, (L, C)),
-                                ("psi", self.psi, (n,))):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != want:
-                raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
-            setattr(self, name, arr)
-        if not np.isclose(self.pi.sum(), 1.0):
-            raise ValueError("pi must sum to 1")
-        if not np.allclose(self.rho.sum(axis=0), 1.0):
-            raise ValueError("each rho column must sum to 1")
-        if np.any(self.phi <= 0) or np.any(self.psi <= 0):
-            raise ValueError("variances must be positive")
+    _AXES = {"pi": "C", "mu": "Cn", "phi": "Cn", "rho": "LC", "psi": "n"}
 
     @property
     def C(self) -> int:
         return self.pi.shape[0]
 
-    @property
-    def L(self) -> int:
-        return self.transforms.L
-
-    @property
-    def n(self) -> int:
-        return self.shape.n
+    def as_mtca(self) -> _mtca.MtcaModel:
+        """This model as an MTCA with zero factors, sharing its arrays."""
+        return _record(_mtca.MtcaModel, shape=self.shape, transforms=self.transforms,
+                       pi=self.pi, mu=self.mu, loadings=np.zeros((self.C, self.n, 0)),
+                       phi=self.phi, rho=self.rho, psi=self.psi, fast_likelihood=False)
 
 
 def init_tmg(transforms: TransformationSet, n_clusters: int, data,
@@ -103,70 +85,30 @@ def init_tmg(transforms: TransformationSet, n_clusters: int, data,
 
 def loglik_table(model: TmgModel, X) -> np.ndarray:
     """(T, L, C) table of log p(x_t | l, c)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.empty((X.shape[0], model.L, model.C))
-    for c in range(model.C):
-        out[:, :, c] = _tca.cluster_loglik(model.transforms, model.mu[c],
-                                           np.zeros((model.n, 0)), model.phi[c],
-                                           model.psi, X)
-    return out
+    return _mtca.loglik_table(model.as_mtca(), X)
 
 
 def cond_loglik(model: TmgModel, x, l: int, c: int) -> float:
     """log p(x | l, c): Gaussian with transformed template mean and
     transform-propagated diagonal covariance."""
-    x = _frame(x, model.n)
-    return float(loglik_table(model, x[None, :])[0, l, c])
-
-
-def _log_joint(model: TmgModel, X) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return (loglik_table(model, X)
-                + np.log(model.rho)[None, :, :]
-                + np.log(model.pi)[None, None, :])
+    return _mtca.cond_loglik(model.as_mtca(), x, l, c)
 
 
 def loglik(model: TmgModel, X) -> np.ndarray:
     """(T,) marginal log p(x_t)."""
-    X = _frames(X, model.n)
-    return logsumexp(_log_joint(model, X), axis=(1, 2))
+    return _mtca.loglik(model.as_mtca(), X)
 
 
 def posterior(model: TmgModel, x) -> PosteriorSummary:
-    """Responsibilities P(l, c | x) plus latent-image posterior moments."""
-    x = _frame(x, model.n)
-    per_datum, resp = _normalise(_log_joint(model, x[None, :]), "(l, c) configuration")
-    z_mean = np.empty((model.L, model.C, model.n))
-    z_var = np.empty((model.L, model.C, model.n))
-    for c in range(model.C):
-        z_mean[:, c], z_var[:, c] = _tca._op_posterior(
-            model.transforms, model.mu[c], np.zeros((model.n, 0)), model.phi[c],
-            model.psi, x)[2:]
-    return PosteriorSummary(resp=resp[0], z_mean=z_mean, z_var_diag=z_var,
-                            loglik=float(per_datum[0]))
+    """Responsibilities P(l, c | x) plus latent-image posterior moments; the
+    factor moments are zero-width."""
+    return _mtca.posterior(model.as_mtca(), x)
 
 
 def _em_step_full(model: TmgModel, X, options: EmOptions):
-    X = _frames(X, model.n)
-    T = X.shape[0]
-    per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
-    stats = [gaussian_template_stats(model.transforms, model.mu[c],
-                                     np.zeros((model.n, 0)), model.phi[c],
-                                     model.psi, X, resp[:, :, c])
-             for c in range(model.C)]
-    mass = np.array([s[0] for s in stats])
-    rescued = _starved(mass, T)
-    mu, phi, rho = model.mu.copy(), model.phi.copy(), model.rho.copy()
-    for c, (m_c, s1, s2) in enumerate(s[:3] for s in stats):
-        if c in rescued:
-            continue
-        mu[c] = s1 / m_c
-        phi[c] = s2 / m_c - mu[c] ** 2
-        if not options.freeze_rho:
-            rho[:, c] = resp[:, :, c].sum(axis=0) / m_c
-    phi, psi, pi = _mstep_tail(X, options, stats, rescued, mu, phi, mass / T, rho)
-    new = replace(model, pi=pi, mu=mu, phi=phi, rho=rho, psi=psi)
-    return new, float(per_datum.sum()), tuple(mass), rescued
+    new, total, mass, rescued = _mtca._em_step_full(model.as_mtca(), X, options)
+    return (replace(model, pi=new.pi, mu=new.mu, phi=new.phi, rho=new.rho, psi=new.psi),
+            total, mass, rescued)
 
 
 def em_step(model: TmgModel, X, options: EmOptions | None = None):
@@ -185,13 +127,4 @@ def fit(model: TmgModel, X, iterations: int, options: EmOptions | None = None,
 def sample(model: TmgModel, seed, size: int | None = None) -> np.ndarray:
     """Ancestral sample: cluster, transformation, latent image, sensor noise.
     Deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    count = 1 if size is None else size
-    out = np.empty((count, model.n))
-    for t in range(count):
-        c = rng.choice(model.C, p=model.pi)
-        l = rng.choice(model.L, p=model.rho[:, c])
-        z = model.mu[c] + np.sqrt(model.phi[c]) * rng.standard_normal(model.n)
-        x = apply(model.transforms[l], z)
-        out[t] = x + np.sqrt(model.psi) * rng.standard_normal(model.n)
-    return out[0] if size is None else out
+    return _mtca.sample(model.as_mtca(), seed, size)

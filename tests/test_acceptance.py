@@ -179,6 +179,13 @@ def test_acceptance_3_em_monotonicity():
     assert ok
 
 
+def _gap(a, b) -> float:
+    """Largest absolute difference of two arrays; inf when the shapes differ."""
+    if a is None or b is None or np.shape(a) != np.shape(b):
+        return np.inf
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0))
+
+
 def test_acceptance_4_reduction_lattice():
     rng = np.random.default_rng(200)
     worst = 0.0
@@ -218,6 +225,23 @@ def test_acceptance_4_reduction_lattice():
         worst = max(worst, abs(float(mtca_mod.loglik(m1, x[None])[0])
                                - float(tca_mod.loglik(t1, x[None])[0])))
 
+        # ... and so are the views' EM steps and posteriors, TCA's with the
+        # cluster axis squeezed out
+        X = np.random.default_rng(case).uniform(-2, 2, (5, n))
+        (a0, total_a0), (b0, total_b0) = tmg_mod.em_step(t0, X), mtca_mod.em_step(m0, X)
+        (a1, total_a1), (b1, total_b1) = tca_mod.em_step(t1, X), mtca_mod.em_step(m1, X)
+        p0, q0 = tmg_mod.posterior(t0, x), mtca_mod.posterior(m0, x)
+        p1, q1 = tca_mod.posterior(t1, x), mtca_mod.posterior(m1, x)
+        moments = ("resp", "z_mean", "z_var_diag", "y_mean", "y_cov")
+        pairs = [(total_a0, total_b0), (total_a1, total_b1),
+                 (p0.loglik, q0.loglik), (p1.loglik, q1.loglik),
+                 (a1.mu, b1.mu[0]), (a1.loadings, b1.loadings[0]),
+                 (a1.phi, b1.phi[0]), (a1.rho, b1.rho[:, 0]), (a1.psi, b1.psi)]
+        pairs += [(getattr(a0, f), getattr(b0, f)) for f in ("pi", "mu", "phi", "rho", "psi")]
+        pairs += [(getattr(p0, f), getattr(q0, f)) for f in moments]
+        pairs += [(getattr(p1, f), getattr(q1, f)[:, 0]) for f in moments]
+        worst = max([worst] + [_gap(u, v) for u, v in pairs])
+
         # TMG(L=1 identity) == mixture of Gaussians
         t2 = TmgModel(shape=shape, transforms=ident, pi=pi, mu=mu, phi=phi,
                       rho=np.ones((1, C)), psi=psi)
@@ -237,7 +261,8 @@ def test_acceptance_4_reduction_lattice():
                      + (x - mu[0]) @ np.linalg.solve(cov, x - mu[0]))
         worst = max(worst, abs(float(tca_mod.loglik(t3, x[None])[0]) - float(fa)))
     ok = worst <= 1e-10
-    report(4, ok, f"reduction lattice over 100 random inputs "
+    report(4, ok, f"reduction lattice over 100 random inputs, EM steps and "
+                  f"posteriors of the TMG/TCA views "
                   f"(worst gap {worst:.2e} <= 1e-10)")
     assert ok
 

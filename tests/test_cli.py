@@ -243,3 +243,15 @@ def test_bundled_manifests_parse():
     for path in sorted(root.glob("*.txt")):
         man = Manifest.load(path)
         assert "family" in man and "generator" in man
+
+
+def test_train_mtca_components_tile_each_factor_image(tmp_path):
+    man = Manifest.parse(SMALL).override({
+        "family": "mtca", "clusters": "2", "factors": "2", "iterations": "2"})
+    path = cmd_train(man, tmp_path / "mtca")
+    model = model_io.load_model(path, family="mtca")
+    assert (model.C, model.K) == (2, 2)
+    tiles = [model.loadings[c, :, k] for c in range(model.C) for k in range(model.K)]
+    model_io.write_pgm(tmp_path / "want.pgm", model_io.montage(tiles, model.shape))
+    assert (tmp_path / "mtca" / "components.pgm").read_bytes() == \
+        (tmp_path / "want.pgm").read_bytes()

@@ -145,3 +145,57 @@ def test_single_frame_is_checked_at_the_boundary(entry):
         call(model, X[:2])
     with pytest.raises(ValueError, match="9 pixels"):
         call(model, X[0, :-1])
+
+
+OFFSET = 1e3
+
+
+def _on_grid(a):
+    """Values on a 2^-20 grid, so adding OFFSET to them is exact."""
+    return np.round(a * 2.0 ** 20) / 2.0 ** 20
+
+
+def _offset_case(family, offset):
+    """One family's model and frames on a 5x5 wrap set, with the templates
+    and the data moved by `offset`; any difference between offsets then
+    comes from the arithmetic."""
+    rng = np.random.default_rng(30)
+    shape = ImageShape(5, 5)
+    n, C = shape.n, 2
+    ts = build_translation_set(shape, 5, 5, "wrap")
+    mu = offset + _on_grid(rng.uniform(0.2, 0.8, (C, n)))
+    X = offset + _on_grid(rng.uniform(0.0, 1.0, (12, n)))
+    phi, psi = rng.uniform(0.01, 0.05, (C, n)), rng.uniform(0.01, 0.05, n)
+    rho = rng.dirichlet(np.ones(ts.L) * 4, size=C).T
+    loadings = rng.uniform(-0.1, 0.1, (C, n, 2))
+    pi = np.array([0.4, 0.6])
+    if family is tmg:
+        model = tmg.TmgModel(shape=shape, transforms=ts, pi=pi, mu=mu, phi=phi,
+                             rho=rho, psi=psi)
+    elif family is tca:
+        model = tca.TcaModel(shape=shape, transforms=ts, mu=mu[0],
+                             loadings=loadings[0], phi=phi[0], rho=rho[:, 0], psi=psi)
+    elif family is mtca:
+        model = mtca.MtcaModel(shape=shape, transforms=ts, pi=pi, mu=mu,
+                               loadings=loadings, phi=phi, rho=rho, psi=psi)
+    else:
+        model = thmm.ThmmModel(shape=shape, transforms=ts, mu=mu, phi=phi, psi=psi,
+                               pi_s=np.full((C, ts.L), 1 / (C * ts.L)),
+                               class_trans=np.array([[0.7, 0.3], [0.4, 0.6]]),
+                               motion=thmm.uniform_motion(1.5, per_class=True,
+                                                          n_classes=C))
+    return model, X
+
+
+@pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
+                         ids=["tmg", "tca", "mtca", "thmm"])
+def test_em_step_is_offset_equivariant(family):
+    """Moving the data and the templates by a common offset leaves an EM
+    step's variances and log-likelihood unchanged (to rounding at the
+    centred scale, not at the offset's)."""
+    near, total_near = family.em_step(*_offset_case(family, 0.0))
+    far, total_far = family.em_step(*_offset_case(family, OFFSET))
+    assert total_far == pytest.approx(total_near, rel=1e-12, abs=0)
+    np.testing.assert_allclose(far.phi, near.phi, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(far.psi, near.psi, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(far.mu - OFFSET, near.mu, rtol=0, atol=1e-10)

@@ -173,8 +173,8 @@ def test_classify_batch_matches_per_image_rule(monkeypatch):
                 return score(model, X)
             return wrapped
 
-        for mod in (tca_mod, tmg_mod):
-            monkeypatch.setattr(mod, "loglik", counted(mod.loglik))
+        # TMG and TCA models are scored as their MTCA view
+        monkeypatch.setattr(mtca_mod, "loglik", counted(mtca_mod.loglik))
         got = classify_batch(models, X, priors)
         monkeypatch.undo()
         assert got.tolist() == want
@@ -197,3 +197,35 @@ def test_classify_batch_scores_plain_objects_per_image():
         [bayes_classify(models, x) for x in X]
     with pytest.raises(ValueError):
         classify_batch([a], X)
+
+
+def _malformed(case):
+    """Models whose arrays hold the right number of values in the wrong
+    shape; each must be refused, not reshaped."""
+    rng = np.random.default_rng(40)
+    shape, C, K = ImageShape(2, 3), 2, 2
+    ts = small_set(shape, ((0, 0), (0, 1)))
+    n = shape.n
+    fields = dict(shape=shape, transforms=ts, pi=np.full(C, 1 / C),
+                  mu=rng.uniform(-1, 1, (C, n)), loadings=rng.uniform(-1, 1, (C, n, K)),
+                  phi=np.full((C, n), 0.5), rho=np.full((ts.L, C), 1 / ts.L),
+                  psi=np.full(n, 0.5))
+    if case == "tca-loadings-K-by-n":
+        return lambda: tca_mod.TcaModel(
+            shape=shape, transforms=ts, mu=fields["mu"][0],
+            loadings=fields["loadings"][0].T, phi=fields["phi"][0],
+            rho=fields["rho"][:, 0], psi=fields["psi"])
+    if case == "mtca-loadings-C-K-n":
+        fields["loadings"] = fields["loadings"].transpose(0, 2, 1)
+    elif case == "mtca-pi-column":
+        fields["pi"] = fields["pi"][:, None]
+    else:
+        fields["psi"] = np.full((1, n), 0.5)
+    return lambda: MtcaModel(**fields)
+
+
+@pytest.mark.parametrize("case", ["tca-loadings-K-by-n", "mtca-loadings-C-K-n",
+                                  "mtca-pi-column", "mtca-psi-row"])
+def test_constructors_reject_malformed_shapes(case):
+    with pytest.raises(ValueError, match="must have shape"):
+        _malformed(case)()

@@ -40,11 +40,18 @@ def _inputs(transforms, seed, K, offset=0.0, tied=False, T=6):
 
 
 def _check(transforms, args):
+    mu, loadings, phi, psi, X, W = args
     got = gaussian_template_stats(transforms, *args)
-    want = template_stats_dense(transforms, *args)
-    assert len(got) == len(want) == 7
+    assert len(got) == 8
+    m = got[7]
+    assert m == np.mean(X)
+    # the latent sums come back centred on m, so they are the sums of the
+    # centred problem; s_psi stays in observed coordinates, where a pixel
+    # with no source predicts 0 rather than m
+    want = template_stats_dense(transforms, mu - m, loadings, phi, psi, X - m, W)
+    want = want[:6] + template_stats_dense(transforms, *args)[6:]
     assert got[0] == pytest.approx(want[0], rel=1e-10)
-    for g, w in zip(got[1:], want[1:]):
+    for g, w in zip(got[1:7], want[1:]):
         assert g.shape == w.shape
         np.testing.assert_allclose(g, w, rtol=1e-10, atol=0)
 
