@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -154,68 +155,62 @@ def _em_options(man: Manifest) -> EmOptions:
     )
 
 
+def _init_gaussian(man: Manifest, family: str, transforms, frames, seed: int):
+    """The manifest's starting TMG, TCA or MTCA model."""
+    if family == "tmg":
+        return tmg.init_tmg(transforms, man.get_int("clusters", 1), frames,
+                            seed=seed, init=man.get("init", "sample"))
+    if family == "tca":
+        return tca.init_tca(transforms, man.get_int("factors", 1), frames, seed=seed,
+                            fast_likelihood=man.get_bool("options.fast", False))
+    return mtca.init_mtca(transforms, man.get_int("clusters", 1),
+                          man.get_int("factors", 1), frames, seed=seed,
+                          fast_likelihood=man.get_bool("options.fast", False))
+
+
+_GAUSSIAN = {"tmg": tmg, "tca": tca, "mtca": mtca}
+
+
 def _train_once(man: Manifest, data, transforms, seed: int, callback=None):
     family = man.get("family")
     frames = data["frames"]
     iterations = man.get_int("iterations", 30)
     tol = man.get_float("tolerance", 1e-7)
     options = _em_options(man)
-    reports = []
 
-    if family == "tmg":
-        model = tmg.init_tmg(transforms, man.get_int("clusters", 1), frames,
-                             seed=seed, init=man.get("init", "sample"))
-        model, reports = tmg.fit(model, frames, iterations, options, tol,
-                                 callback=callback)
-        final = float(np.sum(tmg.loglik(model, frames)))
-    elif family == "tca":
-        model = tca.init_tca(transforms, man.get_int("factors", 1), frames,
-                             seed=seed,
-                             fast_likelihood=man.get_bool("options.fast", False))
-        model, reports = tca.fit(model, frames, iterations, options, tol,
-                                 callback=callback)
-        final = float(np.sum(tca.loglik(model, frames)))
-    elif family == "mtca":
-        model = mtca.init_mtca(transforms, man.get_int("clusters", 1),
-                               man.get_int("factors", 1), frames, seed=seed,
-                               fast_likelihood=man.get_bool("options.fast", False))
-        model, reports = mtca.fit(model, frames, iterations, options, tol,
-                                  callback=callback)
-        final = float(np.sum(mtca.loglik(model, frames)))
-    elif family == "thmm":
-        motion = thmm.uniform_motion(
-            man.get_float("motion.threshold", 3.0),
-            man.get("motion.mode", "vector"),
-            per_class=man.get_bool("motion.per_class", True),
-            n_classes=man.get_int("clusters", 1))
-        if "options.clamp_motion" in man:
-            flat = np.array([float(v) for v in
-                             man.get("options.clamp_motion").split(",")])
-            if flat.size != motion.table.size:
-                raise ValueError(
-                    f"options.clamp_motion needs {motion.table.size} values "
-                    f"for this motion mode, got {flat.size}")
-            from dataclasses import replace as _replace
-            motion = _replace(motion, table=flat.reshape(motion.table.shape))
-            options = _replace(options, clamp_motion=motion.table)
-        if man.get_bool("init.from_tmg", True):
-            pre = tmg.init_tmg(transforms, man.get_int("clusters", 1), frames,
-                               seed=seed, init=man.get("init", "sample"))
-            pre, pre_reports = tmg.fit(pre, frames,
-                                       man.get_int("init.iterations", 20),
-                                       options, tol, callback=callback)
-            reports.extend(pre_reports)
-            model = thmm.from_tmg(pre, motion=motion)
-        else:
-            model = thmm.init_thmm(transforms, man.get_int("clusters", 1),
-                                   frames, seed=seed, motion=motion)
-        model, fit_reports = thmm.fit(model, frames, iterations, options, tol,
-                                      callback=callback)
-        reports.extend(fit_reports)
-        final = thmm.score_sequence(model, frames)
-    else:
+    if family in _GAUSSIAN:
+        module = _GAUSSIAN[family]
+        model, reports = module.fit(_init_gaussian(man, family, transforms, frames, seed),
+                                    frames, iterations, options, tol, callback=callback)
+        return model, float(np.sum(module.loglik(model, frames))), reports
+    if family != "thmm":
         raise ValueError(f"unknown family {family!r}")
-    return model, final, reports
+    motion = thmm.uniform_motion(
+        man.get_float("motion.threshold", 3.0),
+        man.get("motion.mode", "vector"),
+        per_class=man.get_bool("motion.per_class", True),
+        n_classes=man.get_int("clusters", 1))
+    if "options.clamp_motion" in man:
+        flat = np.array([float(v) for v in
+                         man.get("options.clamp_motion").split(",")])
+        if flat.size != motion.table.size:
+            raise ValueError(
+                f"options.clamp_motion needs {motion.table.size} values "
+                f"for this motion mode, got {flat.size}")
+        motion = replace(motion, table=flat.reshape(motion.table.shape))
+        options = replace(options, clamp_motion=motion.table)
+    reports = []
+    if man.get_bool("init.from_tmg", True):
+        pre = _init_gaussian(man, "tmg", transforms, frames, seed)
+        pre, reports = tmg.fit(pre, frames, man.get_int("init.iterations", 20),
+                               options, tol, callback=callback)
+        model = thmm.from_tmg(pre, motion=motion)
+    else:
+        model = thmm.init_thmm(transforms, man.get_int("clusters", 1),
+                               frames, seed=seed, motion=motion)
+    model, fit_reports = thmm.fit(model, frames, iterations, options, tol,
+                                  callback=callback)
+    return model, thmm.score_sequence(model, frames), reports + fit_reports
 
 
 def cmd_train(man: Manifest, out_dir, verbose: bool = False) -> Path:

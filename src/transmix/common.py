@@ -1,5 +1,5 @@
 """Shared pieces of the EM machinery: options, reports, posterior containers,
-the Gaussian model classes' constructor check, and the EM loop, E-step
+the model classes' constructor check, and the EM loop, E-step
 normaliser, M-step tail and latent-posterior kernel that every model family
 runs on.  Needs numpy alone."""
 
@@ -65,6 +65,21 @@ def _frame(x, n: int) -> np.ndarray:
     return X[0]
 
 
+def _starting_templates(rng, X, count: int, mean_noise: float, pick: bool = True):
+    """The starting templates, one row each, and the starting variance of
+    every family's init, from data X (T, n).  Each template is a random datum (with `pick`; else the
+    data mean) plus mean_noise times the data's spread of Gaussian noise;
+    the variance is the data's pixel variance.  Draws from the caller's
+    generator, so the caller's later draws keep their place in its stream."""
+    if pick:
+        base = X[rng.choice(X.shape[0], size=count, replace=X.shape[0] < count)]
+    else:
+        base = np.broadcast_to(X.mean(axis=0), (count, X.shape[1]))
+    spread = max(float(np.std(X)), 1e-3)
+    mu = base + mean_noise * spread * rng.standard_normal(base.shape)
+    return mu, max(float(np.var(X)), 1e-6)
+
+
 def _record(cls, **fields):
     """A `cls` over `fields` without the constructor's check, for arrays that
     are valid already: a model's view as an MTCA, or an EM step's result."""
@@ -74,10 +89,13 @@ def _record(cls, **fields):
 
 
 class _GaussianModel:
-    """Base of the TMG, TCA and MTCA model classes, which list their array
-    fields with the fields' axes in `_AXES`."""
+    """Base of the model classes (TMG, TCA, MTCA and THMM).  Each lists its
+    array fields with the fields' axes in `_AXES`, in the order of its
+    model file's blocks, and in `_SUMS` the fields that are distributions,
+    each with the axis it sums to one over (None: the whole array)."""
 
     _AXES: dict = {}
+    _SUMS: dict = {}
 
     def __post_init__(self):
         """The one constructor check.  Each field becomes float64 of exactly
@@ -94,10 +112,10 @@ class _GaussianModel:
                 raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
             size.update(zip(axes, arr.shape))
             setattr(self, name, arr)
-        if "pi" in self._AXES and not np.isclose(self.pi.sum(), 1.0):
-            raise ValueError("pi must sum to 1")
-        if not np.allclose(self.rho.sum(axis=0), 1.0):
-            raise ValueError("rho must be a distribution over the ops (per cluster)")
+        for name, axis in self._SUMS.items():
+            if not np.allclose(getattr(self, name).sum(axis=axis), 1.0):
+                over = "" if axis is None else f" along axis {axis}"
+                raise ValueError(f"{name} must sum to 1{over}")
         if np.any(self.phi <= 0) or np.any(self.psi <= 0):
             raise ValueError("variances must be positive")
         if size.get("K", 0) >= size["n"]:
@@ -130,7 +148,7 @@ class EmOptions:
                       determinism)
     tangent_directions  TCA/MTCA: leading loading columns pinned to template
                       derivatives along these directions, recomputed each
-                      M-step instead of learned
+                      M-step instead of learned; at most one per factor
     clamp_motion      THMM: fixed motion table (per the model's mode/shape);
                       the M-step leaves it untouched
     joint_pi          THMM: learn the full initial state table instead of the

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .thmm import MotionPrior, ThmmModel
+from .thmm import MotionPrior, ThmmModel, uniform_motion
 from .mtca import MtcaModel
 from .tca import TcaModel
 from .tmg import TmgModel
@@ -47,19 +47,8 @@ class FamilyMismatchError(ModelIOError):
     """File holds a different family than the caller asked for."""
 
 
-_FAMILIES = ("tmg", "tca", "mtca", "thmm")
-
-
-def _family_of(model) -> str:
-    if isinstance(model, TmgModel):
-        return "tmg"
-    if isinstance(model, TcaModel):
-        return "tca"
-    if isinstance(model, MtcaModel):
-        return "mtca"
-    if isinstance(model, ThmmModel):
-        return "thmm"
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+# model files name their family; a family's arrays are its class's `_AXES`
+_CLASSES = {"tmg": TmgModel, "tca": TcaModel, "mtca": MtcaModel, "thmm": ThmmModel}
 
 
 def _f64(arr) -> bytes:
@@ -70,26 +59,20 @@ def _i64(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<i8").tobytes()
 
 
-def _blocks_for(model, family: str):
-    if family == "tmg":
-        return [model.pi, model.mu, model.phi, model.rho, model.psi]
-    if family == "tca":
-        return [model.mu, model.loadings, model.phi, model.rho, model.psi]
-    if family == "mtca":
-        return [model.pi, model.mu, model.loadings, model.phi, model.rho, model.psi]
-    return [model.mu, model.phi, model.psi, model.pi_s, model.class_trans,
-            model.motion.table]
-
-
 def save_model(model, path) -> None:
-    """Write a model file; the byte stream is canonical for a given model."""
-    family = _family_of(model)
+    """Write a model file; the byte stream is canonical for a given model.
+    The parameter blocks follow the class's `_AXES`; a THMM's motion table
+    comes last."""
+    family = next((f for f, cls in _CLASSES.items() if type(model) is cls), None)
+    if family is None:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    axes = "".join(model._AXES.values())
     ts = model.transforms
     lines = [f"{MAGIC} {VERSION}", f"family {family}",
              f"height {model.shape.height}", f"width {model.shape.width}"]
-    if family in ("tmg", "mtca", "thmm"):
+    if "C" in axes:
         lines.append(f"clusters {model.C}")
-    if family in ("tca", "mtca"):
+    if "K" in axes:
         lines.append(f"factors {model.K}")
         lines.append(f"fast {int(model.fast_likelihood)}")
     lines.append(f"boundary {ts.boundary}")
@@ -109,19 +92,28 @@ def save_model(model, path) -> None:
     payload += _i64(ts.source_matrix)
     if param_width:
         payload += _f64(np.array(ts.params))
-    for block in _blocks_for(model, family):
-        payload += _f64(block)
+    for name in model._AXES:
+        payload += _f64(getattr(model, name))
+    if family == "thmm":
+        payload += _f64(model.motion.table)
     payload += struct.pack("<I", zlib.crc32(bytes(payload)))
     Path(path).write_bytes(bytes(payload))
 
 
-def _take(buf: memoryview, count: int, dtype: str, shape) -> tuple[np.ndarray, memoryview]:
-    width = np.dtype(dtype).itemsize
-    need = count * width
+def _take(buf: memoryview, shape, dtype: str = "<f8") -> tuple[np.ndarray, memoryview]:
+    """The next block, of the given shape, and the bytes after it."""
+    need = int(np.prod(shape)) * np.dtype(dtype).itemsize
     if len(buf) < need:
         raise ModelIOError("file truncated inside a parameter block")
     arr = np.frombuffer(buf[:need], dtype=dtype).reshape(shape).copy()
     return arr, buf[need:]
+
+
+class _Header(dict):
+    """Header fields by key; a missing key is a malformed file."""
+
+    def __missing__(self, key):
+        raise ModelIOError(f"header lacks the {key!r} line")
 
 
 def load_model(path, family: str | None = None):
@@ -145,77 +137,52 @@ def load_model(path, family: str | None = None):
         raise VersionError(f"not a {MAGIC} file")
     if int(magic[1]) != VERSION:
         raise VersionError(f"format version {magic[1]} not supported")
-    fields = dict(line.split(maxsplit=1) for line in lines[1:])
+    fields = _Header(line.split(maxsplit=1) for line in lines[1:])
 
     file_family = fields["family"]
-    if file_family not in _FAMILIES:
+    if file_family not in _CLASSES:
         raise UnknownFamilyError(f"unknown family {file_family!r}")
     if family is not None and family != file_family:
         raise FamilyMismatchError(
             f"file holds a {file_family} model, caller asked for {family}")
+    cls = _CLASSES[file_family]
 
     shape = ImageShape(int(fields["height"]), int(fields["width"]))
     n = shape.n
     L = int(fields["ops"])
-    src, body = _take(body, L * n, "<i8", (L, n))
+    src, body = _take(body, (L, n), "<i8")
     grid = None if fields["grid"] == "none" else tuple(int(v) for v in fields["grid"].split())
     param_width = int(fields["param_width"])
     params = None
     if param_width:
-        raw_params, body = _take(body, L * param_width, "<f8", (L, param_width))
+        raw_params, body = _take(body, (L, param_width))
         params = tuple(tuple(row) for row in raw_params)
     ops = tuple(TransformOp(row, shape) for row in src)
     ts = TransformationSet(ops, fields["boundary"], grid=grid, params=params,
                            kind=fields["kind"])
 
-    if file_family == "tmg":
-        C = int(fields["clusters"])
-        pi, body = _take(body, C, "<f8", (C,))
-        mu, body = _take(body, C * n, "<f8", (C, n))
-        phi, body = _take(body, C * n, "<f8", (C, n))
-        rho, body = _take(body, L * C, "<f8", (L, C))
-        psi, body = _take(body, n, "<f8", (n,))
-        return TmgModel(shape=shape, transforms=ts, pi=pi, mu=mu, phi=phi,
-                        rho=rho, psi=psi)
-    if file_family == "tca":
-        K = int(fields["factors"])
-        mu, body = _take(body, n, "<f8", (n,))
-        loadings, body = _take(body, n * K, "<f8", (n, K))
-        phi, body = _take(body, n, "<f8", (n,))
-        rho, body = _take(body, L, "<f8", (L,))
-        psi, body = _take(body, n, "<f8", (n,))
-        return TcaModel(shape=shape, transforms=ts, mu=mu, loadings=loadings,
-                        phi=phi, rho=rho, psi=psi,
-                        fast_likelihood=bool(int(fields["fast"])))
-    if file_family == "mtca":
-        C, K = int(fields["clusters"]), int(fields["factors"])
-        pi, body = _take(body, C, "<f8", (C,))
-        mu, body = _take(body, C * n, "<f8", (C, n))
-        loadings, body = _take(body, C * n * K, "<f8", (C, n, K))
-        phi, body = _take(body, C * n, "<f8", (C, n))
-        rho, body = _take(body, L * C, "<f8", (L, C))
-        psi, body = _take(body, n, "<f8", (n,))
-        return MtcaModel(shape=shape, transforms=ts, pi=pi, mu=mu,
-                         loadings=loadings, phi=phi, rho=rho, psi=psi,
-                         fast_likelihood=bool(int(fields["fast"])))
-
-    C = int(fields["clusters"])
-    mode = fields["motion_mode"]
-    threshold = float(fields["motion_threshold"])
-    per_class = bool(int(fields["motion_per_class"]))
-    r = int(np.floor(threshold))
-    bin_shape = (2 * r + 1, 2 * r + 1) if mode == "vector" else (r + 1,)
-    table_shape = ((C,) + bin_shape) if per_class else bin_shape
-    mu, body = _take(body, C * n, "<f8", (C, n))
-    phi, body = _take(body, C * n, "<f8", (C, n))
-    psi, body = _take(body, n, "<f8", (n,))
-    pi_s, body = _take(body, C * L, "<f8", (C, L))
-    class_trans, body = _take(body, C * C, "<f8", (C, C))
-    table, body = _take(body, int(np.prod(table_shape)), "<f8", table_shape)
-    motion = MotionPrior(mode=mode, threshold=threshold, table=table,
-                         per_class=per_class)
-    return ThmmModel(shape=shape, transforms=ts, mu=mu, phi=phi, psi=psi,
-                     pi_s=pi_s, class_trans=class_trans, motion=motion)
+    axes = "".join(cls._AXES.values())
+    size = {"n": n, "L": L}
+    extra = {}
+    if "C" in axes:
+        size["C"] = int(fields["clusters"])
+    if "K" in axes:
+        size["K"] = int(fields["factors"])
+        extra["fast_likelihood"] = bool(int(fields["fast"]))
+    arrays = {}
+    for name, field_axes in cls._AXES.items():
+        arrays[name], body = _take(body, tuple(size[a] for a in field_axes))
+    if file_family == "thmm":
+        mode = fields["motion_mode"]
+        threshold = float(fields["motion_threshold"])
+        per_class = bool(int(fields["motion_per_class"]))
+        table_shape = uniform_motion(threshold, mode, per_class, size["C"]).table.shape
+        table, body = _take(body, table_shape)
+        extra["motion"] = MotionPrior(mode=mode, threshold=threshold, table=table,
+                                      per_class=per_class)
+    if len(body):
+        raise ModelIOError(f"{len(body)} bytes follow the last parameter block")
+    return cls(shape=shape, transforms=ts, **arrays, **extra)
 
 
 def write_pgm(path, image, shape: ImageShape | None = None, maxval: int = 255) -> None:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import (EmOptions, PosteriorSummary, _GaussianModel, _fit, _frame,
-                     _frames, _mstep_tail, _normalise, _record, _starved,
-                     gaussian_template_stats, logsumexp)
+                     _frames, _mstep_tail, _normalise, _record, _starting_templates,
+                     _starved, gaussian_template_stats, logsumexp)
 from .transforms import ImageShape, TransformationSet, apply
 from . import tca as _tca
 
@@ -42,6 +42,7 @@ class MtcaModel(_GaussianModel):
 
     _AXES = {"pi": "C", "mu": "Cn", "loadings": "CnK", "phi": "Cn",
              "rho": "LC", "psi": "n"}
+    _SUMS = {"pi": None, "rho": 0}
 
     @property
     def C(self) -> int:
@@ -58,10 +59,7 @@ def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
     X = np.atleast_2d(np.asarray(data, dtype=np.float64))
     rng = np.random.default_rng(seed)
     n = transforms.shape.n
-    picks = rng.choice(X.shape[0], size=n_clusters, replace=X.shape[0] < n_clusters)
-    spread = max(float(np.std(X)), 1e-3)
-    mu = X[picks] + mean_noise * spread * rng.standard_normal((n_clusters, n))
-    var = max(float(np.var(X)), 1e-6)
+    mu, var = _starting_templates(rng, X, n_clusters, mean_noise)
     loadings = np.zeros((n_clusters, n, n_factors))
     for c in range(n_clusters):
         if n_factors:
@@ -78,6 +76,7 @@ def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
 def loglik_table(model: MtcaModel, X) -> np.ndarray:
     """(T, L, C) table of log p(x_t | l, c); the fast likelihood drops the
     sensor noise (see `tca`)."""
+    X = _frames(X, model.n)
     psi = np.zeros_like(model.psi) if model.fast_likelihood else model.psi
     return np.stack([_tca.cluster_loglik(model.transforms, model.mu[c],
                                          model.loadings[c], model.phi[c], psi, X)
@@ -140,6 +139,9 @@ def _cluster_mstep(transforms, mu, loadings, phi, psi, X, W, directions=()):
 
 
 def _em_step_full(model: MtcaModel, X, options: EmOptions):
+    if len(options.tangent_directions) > model.K:
+        raise ValueError(f"{len(options.tangent_directions)} tangent directions "
+                         f"need as many factors, but the model has {model.K}")
     X = _frames(X, model.n)
     T = X.shape[0]
     per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")

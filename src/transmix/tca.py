@@ -50,6 +50,7 @@ class TcaModel(_GaussianModel):
     fast_likelihood: bool = False
 
     _AXES = {"mu": "n", "loadings": "nK", "phi": "n", "rho": "L", "psi": "n"}
+    _SUMS = {"rho": None}
 
     def as_mtca(self) -> _mtca.MtcaModel:
         """This model as an MTCA with one cluster, sharing its arrays."""

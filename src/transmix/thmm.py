@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tca as _tca
-from .common import (EmOptions, SequencePosterior, UnderflowError, _fit,
-                     _frame, _frames, _latent_posterior, _mstep_tail, logsumexp)
+from .common import (EmOptions, SequencePosterior, UnderflowError, _GaussianModel,
+                     _fit, _frame, _frames, _latent_posterior, _mstep_tail,
+                     _starting_templates, logsumexp)
 from .mtca import _cluster_mstep
 from .transforms import ImageShape, TransformationSet, apply, shift_op
 from .tmg import TmgModel
@@ -127,7 +128,7 @@ def uniform_motion(threshold: float = 3.0, mode: str = "vector",
 
 
 @dataclass(eq=False)
-class ThmmModel:
+class ThmmModel(_GaussianModel):
     """Class templates with variances, sensor noise, and factorized dynamics.
 
     mu (C, n), phi (C, n), psi (n,), pi_s (C, L) initial state probabilities,
@@ -144,39 +145,19 @@ class ThmmModel:
     class_trans: np.ndarray
     motion: MotionPrior
 
+    _AXES = {"mu": "Cn", "phi": "Cn", "psi": "n", "pi_s": "CL", "class_trans": "CC"}
+    _SUMS = {"pi_s": None, "class_trans": 1}
+
     def __post_init__(self):
         if self.transforms.grid is None:
             raise ValueError("THMM needs a grid-structured transformation set")
-        n, L = self.shape.n, self.transforms.L
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        C = self.mu.shape[0]
-        for name, arr, want in (("phi", self.phi, (C, n)), ("psi", self.psi, (n,)),
-                                ("pi_s", self.pi_s, (C, L)),
-                                ("class_trans", self.class_trans, (C, C))):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != want:
-                raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
-            setattr(self, name, arr)
-        if not np.isclose(self.pi_s.sum(), 1.0):
-            raise ValueError("pi_s must sum to 1")
-        if not np.allclose(self.class_trans.sum(axis=1), 1.0):
-            raise ValueError("class_trans rows must sum to 1")
-        if np.any(self.phi <= 0) or np.any(self.psi <= 0):
-            raise ValueError("variances must be positive")
-        if self.motion.per_class and self.motion.table.shape[0] != C:
+        super().__post_init__()
+        if self.motion.per_class and self.motion.table.shape[0] != self.C:
             raise ValueError("per-class motion table does not match C")
 
     @property
     def C(self) -> int:
         return self.mu.shape[0]
-
-    @property
-    def L(self) -> int:
-        return self.transforms.L
-
-    @property
-    def n(self) -> int:
-        return self.shape.n
 
     @property
     def wrap_motion(self) -> bool:
@@ -188,12 +169,9 @@ def init_thmm(transforms: TransformationSet, n_classes: int, frames,
               mean_noise: float = 0.05) -> ThmmModel:
     """Random-frame templates, uniform dynamics with a diagonal boost."""
     X = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    rng = np.random.default_rng(seed)
     n, L = transforms.shape.n, transforms.L
-    picks = rng.choice(X.shape[0], size=n_classes, replace=X.shape[0] < n_classes)
-    spread = max(float(np.std(X)), 1e-3)
-    mu = X[picks] + mean_noise * spread * rng.standard_normal((n_classes, n))
-    var = max(float(np.var(X)), 1e-6)
+    mu, var = _starting_templates(np.random.default_rng(seed), X, n_classes,
+                                  mean_noise)
     if motion is None:
         motion = uniform_motion(per_class=True, n_classes=n_classes)
     trans = np.full((n_classes, n_classes), 1.0 / n_classes)
@@ -255,6 +233,7 @@ def emission_loglik(model: ThmmModel, x) -> np.ndarray:
 def emission_table(model: ThmmModel, frames) -> np.ndarray:
     """(T, C, L) emission log-likelihood tables: per class, the component
     analyzer's emission kernel with no factors."""
+    frames = _frames(frames, model.n)
     zero = np.zeros((model.n, 0))
     return np.stack([_tca.cluster_loglik(model.transforms, model.mu[c], zero,
                                          model.phi[c], model.psi, frames)

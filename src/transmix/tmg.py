@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .common import EmOptions, PosteriorSummary, _GaussianModel, _fit, _record
+from .common import (EmOptions, PosteriorSummary, _GaussianModel, _fit, _record,
+                     _starting_templates)
 from .transforms import ImageShape, TransformationSet
 from . import mtca as _mtca
 
@@ -40,6 +41,7 @@ class TmgModel(_GaussianModel):
     psi: np.ndarray
 
     _AXES = {"pi": "C", "mu": "Cn", "phi": "Cn", "rho": "LC", "psi": "n"}
+    _SUMS = {"pi": None, "rho": 0}
 
     @property
     def C(self) -> int:
@@ -59,19 +61,12 @@ def init_tmg(transforms: TransformationSet, n_clusters: int, data,
     (init="sample") or the data mean (init="mean", an annealing-style start
     that registers single templates reliably), plus a little noise;
     variances from the global pixel variance, uniform priors."""
-    X = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    rng = np.random.default_rng(seed)
-    n = transforms.shape.n
-    spread = max(float(np.std(X)), 1e-3)
-    if init == "sample":
-        picks = rng.choice(X.shape[0], size=n_clusters, replace=X.shape[0] < n_clusters)
-        base = X[picks]
-    elif init == "mean":
-        base = np.broadcast_to(X.mean(axis=0), (n_clusters, n))
-    else:
+    if init not in ("sample", "mean"):
         raise ValueError("init must be 'sample' or 'mean'")
-    mu = base + mean_noise * spread * rng.standard_normal((n_clusters, n))
-    var = max(float(np.var(X)), 1e-6)
+    X = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    n = transforms.shape.n
+    mu, var = _starting_templates(np.random.default_rng(seed), X, n_clusters,
+                                  mean_noise, pick=init == "sample")
     return TmgModel(
         shape=transforms.shape,
         transforms=transforms,

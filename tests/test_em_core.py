@@ -90,9 +90,11 @@ def _entry_points(family, model):
         return [lambda F: thmm.score_sequence(model, F),
                 lambda F: thmm.forward_backward(model, F),
                 lambda F: thmm.viterbi(model, F),
+                lambda F: thmm.emission_table(model, F),
                 lambda F: thmm.em_step(model, F),
                 lambda F: thmm.fit(model, [F], 1)]
     return [lambda F: family.loglik(model, F),
+            lambda F: family.loglik_table(model, F),
             lambda F: family.posterior(model, F[-1]),
             lambda F: family.em_step(model, F),
             lambda F: family.fit(model, F, 1)]

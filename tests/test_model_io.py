@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,10 @@ from transmix.model_io import (ChecksumError, FamilyMismatchError, ModelIOError,
                                UnknownFamilyError, VersionError, load_model,
                                montage, read_frames, read_pgm, save_model,
                                write_frames, write_pgm)
-from transmix.mtca import init_mtca
-from transmix.tca import init_tca
-from transmix.thmm import init_thmm, uniform_motion
-from transmix.tmg import init_tmg
+from transmix.mtca import MtcaModel, init_mtca
+from transmix.tca import TcaModel, init_tca
+from transmix.thmm import MotionPrior, ThmmModel, init_thmm, uniform_motion
+from transmix.tmg import TmgModel, init_tmg
 
 
 def fields_equal(a, b):
@@ -95,8 +97,8 @@ def test_version_and_family_errors(tmp_path):
     save_model(model, path)
     raw = path.read_bytes()
 
-    def rewrite(old, new):
-        body = raw[:-4].replace(old, new, 1)
+    def rewrite(old=b"", new=b"", tail=b""):
+        body = raw[:-4].replace(old, new, 1) + tail
         import struct
         import zlib
         return body + struct.pack("<I", zlib.crc32(body))
@@ -107,6 +109,113 @@ def test_version_and_family_errors(tmp_path):
     path.write_bytes(rewrite(b"family tmg", b"family xyz"))
     with pytest.raises(UnknownFamilyError):
         load_model(path)
+    path.write_bytes(rewrite(tail=bytes(64)))
+    with pytest.raises(ModelIOError, match="64 bytes follow the last"):
+        load_model(path)
+    path.write_bytes(rewrite(b"clusters 2\n", b""))
+    with pytest.raises(ModelIOError, match="'clusters'"):
+        load_model(path)
+
+
+def _ramp(shape, lo, hi):
+    """Evenly spaced values from lo to hi, filled in C order."""
+    size = int(np.prod(shape))
+    return (lo + (hi - lo) * np.arange(size) / (size - 1)).reshape(shape)
+
+
+def _dist(shape, axis):
+    """Positive values summing to one along `axis`, each slice tilted the
+    other way from its neighbour, so a transposed block changes the bytes."""
+    shape = tuple(shape)
+    k = shape[axis]
+    rest = shape[:axis] + shape[axis + 1:]
+    tilt = (np.arange(k) - (k - 1) / 2) / (k * k)
+    sign = 1.0 - 2.0 * (np.arange(int(np.prod(rest))) % 2)
+    return np.moveaxis((1.0 / k + sign[:, None] * tilt).reshape(rest + (k,)), -1, axis)
+
+
+def _pinned_model(case):
+    """A model built from closed-form arrays: elementwise arithmetic only, no
+    RNG and no reductions, so its file depends on nothing but the format."""
+    shape, C, K = ImageShape(3, 3), 2, 2
+    n = shape.n
+    grid = build_translation_set(shape, 3, 3)
+    shear = build_shear_translation_set(shape, [-0.5, 0.0, 0.5], 3, boundary="zero")
+    mu, phi, psi = _ramp((C, n), -1, 1), _ramp((C, n), 0.5, 1.5), _ramp(n, 0.25, 0.75)
+    family, _, variant = case.partition("-")
+    if family == "tmg":
+        return TmgModel(shape=shape, transforms=shear, pi=_dist((C,), 0), mu=mu,
+                        phi=phi, rho=_dist((shear.L, C), 0), psi=psi)
+    if family == "tca":
+        ts = grid if variant == "fast" else shear
+        return TcaModel(shape=shape, transforms=ts, mu=mu[0],
+                        loadings=_ramp((n, K), -0.5, 0.5), phi=phi[0],
+                        rho=_dist((ts.L,), 0), psi=psi,
+                        fast_likelihood=variant == "fast")
+    if family == "mtca":
+        K = int(variant[1:])
+        ts = shear if K else grid
+        return MtcaModel(shape=shape, transforms=ts, pi=_dist((C,), 0), mu=mu,
+                         loadings=_ramp((C, n, K), -0.5, 0.5), phi=phi,
+                         rho=_dist((ts.L, C), 0), psi=psi)
+    mode, sharing = variant.split("-")
+    per_class = sharing == "per_class"
+    bins = (3, 3) if mode == "vector" else (2,)
+    table = _dist((C if per_class else 1, int(np.prod(bins))), 1)
+    table = table.reshape(((C,) if per_class else ()) + bins)
+    return ThmmModel(shape=shape, transforms=grid, mu=mu, phi=phi, psi=psi,
+                     pi_s=_dist((C * grid.L,), 0).reshape(C, grid.L),
+                     class_trans=_dist((C, C), 1),
+                     motion=MotionPrior(mode, 1.5, table, per_class))
+
+
+_GRID = ("boundary wrap", "grid 3 3", "kind translate", "ops 9", "param_width 2")
+_SHEAR = ("boundary zero", "grid none", "kind shear", "ops 9", "param_width 2")
+_THMM = ("TXMODEL 1", "family thmm", "height 3", "width 3", "clusters 2") + _GRID
+
+# header lines and SHA-256 of each pinned model's file, as written by the
+# format's first reader; a change here is a change of the file format
+PINNED = {
+    "tmg": (("TXMODEL 1", "family tmg", "height 3", "width 3", "clusters 2") + _SHEAR,
+            "44a28b0c3ca13aeeb6ae934e26322cb5f343fff592fd76b56e3fc9958577eef0"),
+    "tca-fast": (("TXMODEL 1", "family tca", "height 3", "width 3", "factors 2",
+                  "fast 1") + _GRID,
+                 "3334a35bc3fbbe0a6032d780f1f44301f8d277730df8ca85a767a2efda50c987"),
+    "tca-exact": (("TXMODEL 1", "family tca", "height 3", "width 3", "factors 2",
+                   "fast 0") + _SHEAR,
+                  "c840c286557c5f0f51dbec325281daddb2803aa0eb733fd61fa382d1d134d9d3"),
+    "mtca-K0": (("TXMODEL 1", "family mtca", "height 3", "width 3", "clusters 2",
+                 "factors 0", "fast 0") + _GRID,
+                "68f57dad0315bb5dbfcd715c5c2e1d6640d18aad1c1abf98f97fe028a87f285c"),
+    "mtca-K2": (("TXMODEL 1", "family mtca", "height 3", "width 3", "clusters 2",
+                 "factors 2", "fast 0") + _SHEAR,
+                "37cbcf760adc59727275f9005c60ff61ca8f4b4bff19ca9b8367e3c75e25867a"),
+    "thmm-vector-per_class": (
+        _THMM + ("motion_mode vector", "motion_threshold 1.5", "motion_per_class 1"),
+        "be6bd30603642fb18e93ff72a1a774a86c6e2ac264146feb9362998841cfb30b"),
+    "thmm-vector-shared": (
+        _THMM + ("motion_mode vector", "motion_threshold 1.5", "motion_per_class 0"),
+        "811721f4c742f49fc9b72bae7aad47541b12dc8d333dbbb82918107a0bd0520f"),
+    "thmm-magnitude-per_class": (
+        _THMM + ("motion_mode magnitude", "motion_threshold 1.5", "motion_per_class 1"),
+        "e9543077198cbaf3cdb1f005da62ebe0d36f23ca08ebc34b7d46801352377c26"),
+    "thmm-magnitude-shared": (
+        _THMM + ("motion_mode magnitude", "motion_threshold 1.5", "motion_per_class 0"),
+        "6e48af69de04543326f5a3ebcd001fbab6dd1080ddbdeb8ed8ec830d7b6d2238"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_file_format_is_pinned(case, tmp_path):
+    path = tmp_path / "m.txm"
+    save_model(_pinned_model(case), path)
+    raw = path.read_bytes()
+    header, digest = PINNED[case]
+    assert tuple(raw[:raw.index(b"\nEND\n")].decode("ascii").splitlines()) == header
+    assert hashlib.sha256(raw).hexdigest() == digest
+    again = tmp_path / "again.txm"
+    save_model(load_model(path), again)
+    assert again.read_bytes() == raw
 
 
 def test_pgm_round_trip_8_and_16_bit(tmp_path):

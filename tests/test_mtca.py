@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from transmix import ImageShape, TransformationSet, shift_op
+from transmix import ImageShape, TransformationSet, build_translation_set, shift_op
 from transmix import mtca as mtca_mod
 from transmix import tca as tca_mod
+from transmix import thmm as thmm_mod
 from transmix import tmg as tmg_mod
 from transmix.classify import bayes_classify, classify_batch, marginal_loglik
 from transmix.mtca import MtcaModel, init_mtca
@@ -215,6 +216,13 @@ def _malformed(case):
             shape=shape, transforms=ts, mu=fields["mu"][0],
             loadings=fields["loadings"][0].T, phi=fields["phi"][0],
             rho=fields["rho"][:, 0], psi=fields["psi"])
+    if case.startswith("thmm"):
+        grid = build_translation_set(shape, 1, 3)
+        mu = fields["mu"][0] if case == "thmm-mu-flat" else np.zeros((C, n + 1))
+        return lambda: thmm_mod.ThmmModel(
+            shape=shape, transforms=grid, mu=mu, phi=fields["phi"], psi=fields["psi"],
+            pi_s=np.full((C, grid.L), 1 / (C * grid.L)),
+            class_trans=np.full((C, C), 1 / C), motion=thmm_mod.uniform_motion(1.0))
     if case == "mtca-loadings-C-K-n":
         fields["loadings"] = fields["loadings"].transpose(0, 2, 1)
     elif case == "mtca-pi-column":
@@ -225,7 +233,9 @@ def _malformed(case):
 
 
 @pytest.mark.parametrize("case", ["tca-loadings-K-by-n", "mtca-loadings-C-K-n",
-                                  "mtca-pi-column", "mtca-psi-row"])
+                                  "mtca-pi-column", "mtca-psi-row",
+                                  "thmm-mu-too-wide", "thmm-mu-flat"])
 def test_constructors_reject_malformed_shapes(case):
-    with pytest.raises(ValueError, match="must have shape"):
+    field = case.split("-")[1]
+    with pytest.raises(ValueError, match=f"^{field} must have shape"):
         _malformed(case)()

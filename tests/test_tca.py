@@ -9,6 +9,7 @@ from transmix import EmOptions, ImageShape, TransformationSet
 from transmix import apply, build_shear_translation_set, build_translation_set, identity_set, shift_op
 from transmix.tca import (TcaModel, cond_loglik, em_step, fit, init_tca,
                           loglik, posterior, sample, tangent_columns)
+from transmix import mtca as mtca_mod
 from transmix import tmg as tmg_mod
 
 from oracles import (joint_zy_conditioning, dense_matrix, principal_angle_deg,
@@ -190,6 +191,21 @@ def test_em_frozen_tangent_columns():
     new, _ = em_step(model, X, opts)
     expected = tangent_columns(new.mu, ts, ("h",))
     assert np.allclose(new.loadings[:, :1], expected)
+
+
+def test_more_tangent_directions_than_factors_are_refused(monkeypatch):
+    ts = build_translation_set(ImageShape(3, 3), 3, 3)
+    X = np.random.default_rng(19).uniform(0, 1, (10, 9))
+    model = init_tca(ts, 1, X, seed=20)
+    e_steps, log_joint = [], mtca_mod._log_joint
+    monkeypatch.setattr(mtca_mod, "_log_joint",
+                        lambda *args: e_steps.append(args) or log_joint(*args))
+    opts = EmOptions(tangent_directions=("h", "v"))
+    for run in (lambda: em_step(model, X, opts), lambda: fit(model, X, 3, opts)):
+        with pytest.raises(ValueError, match="2 tangent directions need as many "
+                                             "factors, but the model has 1"):
+            run()
+    assert not e_steps
 
 
 def test_tangent_columns_examples():
