@@ -258,7 +258,7 @@ def _write_montages(model, out: Path) -> None:
     model_io.write_pgm(out / "means.pgm", model_io.montage(core.mu, shape))
     model_io.write_pgm(out / "variances.pgm", model_io.montage(core.phi, shape))
     model_io.write_pgm(out / "psi.pgm", model_io.montage(model.psi[None, :], shape))
-    if getattr(core, "K", 0):
+    if core.K:
         comps = core.loadings.transpose(0, 2, 1).reshape(-1, shape.n)
         model_io.write_pgm(out / "components.pgm", model_io.montage(comps, shape))
     if isinstance(model, thmm.ThmmModel) and model.motion.mode == "vector":

@@ -18,19 +18,31 @@ RESCUE_THRESHOLD = 1e-6
 # ops per block in gaussian_template_stats: bounds its temporaries to
 # (block, n) arrays
 _STATS_BLOCK = 32
+# shifted log terms at or below this count as exactly 0 in `_cutexp`:
+# e^-700 ~ 1e-304 is below the rounding of any sum whose largest term is 1,
+# and numpy's exp takes a slow path on arguments below about -708
+CUT = -700.0
 
 
 class UnderflowError(ArithmeticError):
     """All discrete configurations underflowed despite log-domain math."""
 
 
+def _cutexp(d: np.ndarray) -> np.ndarray:
+    """exp(d) for shifted log terms d, with terms at or below `CUT` (and
+    -inf) exactly 0.  NaN stays NaN."""
+    return np.exp(np.maximum(d, CUT)) * (d > CUT)
+
+
 def logsumexp(a: np.ndarray, axis) -> np.ndarray:
     """log(sum(exp(a))) over `axis`, an int or a tuple of ints; -inf where
-    every term is -inf."""
+    every term is -inf.  After the shift by the largest term, which is then
+    exactly 1, terms below e^CUT of it are dropped: they cannot move the
+    float64 sum."""
     top = np.max(a, axis=axis, keepdims=True)
     top = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
+        return np.log(_cutexp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
 
 
 def variance_floor(data: np.ndarray, override: float | None = None) -> float:
@@ -125,7 +137,8 @@ class _GaussianModel:
 
     @property
     def K(self) -> int:
-        return self.loadings.shape[-1]
+        """Factor count; 0 for a class that declares no loadings."""
+        return self.loadings.shape[-1] if "loadings" in self._AXES else 0
 
     @property
     def L(self) -> int:

@@ -102,6 +102,8 @@ def save_model(model, path) -> None:
 
 def _take(buf: memoryview, shape, dtype: str = "<f8") -> tuple[np.ndarray, memoryview]:
     """The next block, of the given shape, and the bytes after it."""
+    if min(shape) < 0:
+        raise ModelIOError(f"header gives a negative block size {shape}")
     need = int(np.prod(shape)) * np.dtype(dtype).itemsize
     if len(buf) < need:
         raise ModelIOError("file truncated inside a parameter block")
@@ -117,14 +119,23 @@ class _Header(dict):
 
 
 def load_model(path, family: str | None = None):
-    """Read a model file back, verifying version, family and checksum."""
+    """Read a model file back, verifying version, family and checksum.  Any
+    fault in a file whose checksum holds is a `ModelIOError`."""
     raw = Path(path).read_bytes()
     if len(raw) < 4:
         raise ModelIOError("file too short to hold a checksum")
     payload, tail = raw[:-4], raw[-4:]
     if struct.unpack("<I", tail)[0] != zlib.crc32(payload):
         raise ChecksumError("trailing checksum does not match the payload")
+    try:
+        return _parse(payload, family)
+    except (ValueError, IndexError, OverflowError) as exc:  # and UnicodeDecodeError
+        raise ModelIOError(f"malformed model file: {exc}") from exc
 
+
+def _parse(payload: bytes, family: str | None):
+    """The model in a checksummed payload: header, transformation set and
+    parameter blocks."""
     end = payload.find(b"\nEND\n")
     if end < 0:
         raise ModelIOError("missing header terminator")
@@ -132,11 +143,12 @@ def load_model(path, family: str | None = None):
     body = memoryview(payload[end + len(b"\nEND\n"):])
 
     lines = header_text.splitlines()
-    magic = lines[0].split()
-    if magic[0] != MAGIC:
+    magic = (lines[0] if lines else "").split()
+    if magic[:1] != [MAGIC]:
         raise VersionError(f"not a {MAGIC} file")
-    if int(magic[1]) != VERSION:
-        raise VersionError(f"format version {magic[1]} not supported")
+    if magic[1:] != [str(VERSION)]:
+        version = " ".join(magic[1:]) or "missing"
+        raise VersionError(f"format version {version} not supported")
     fields = _Header(line.split(maxsplit=1) for line in lines[1:])
 
     file_family = fields["family"]

@@ -9,6 +9,14 @@ O(C^2 L + C L B) per step for B in-range moves instead of O((C L)^2), while
 staying exact.  All of them, and `dense_transition`, read one set of gather
 tables built by `_Dynamics`.
 
+The passes run in the log domain.  Every log-sum-exp is shifted by its
+largest term, which becomes exactly 1, and drops the terms below e^-700
+(about 1e-304) of it (`common._cutexp`): they are below the rounding of the
+sum, so the result is the same float64 number, and numpy's exp would spend
+most of its time on them, in its slow path below about -708.  Expected
+transition counts drop posterior terms below e^-700 the same way; smoothed
+marginals are exponentiated uncut.
+
 Motion differences are taken modulo the shift grid when the transformation
 set wraps (the grid is then a torus and every state has the same moves);
 with zero-padded sets, edge states renormalize over their feasible moves.
@@ -23,8 +31,8 @@ import numpy as np
 
 from . import tca as _tca
 from .common import (EmOptions, SequencePosterior, UnderflowError, _GaussianModel,
-                     _fit, _frame, _frames, _latent_posterior, _mstep_tail,
-                     _starting_templates, logsumexp)
+                     _cutexp, _fit, _frame, _frames, _latent_posterior,
+                     _mstep_tail, _starting_templates, logsumexp)
 from .mtca import _cluster_mstep
 from .transforms import ImageShape, TransformationSet, apply, shift_op
 from .tmg import TmgModel
@@ -321,8 +329,8 @@ def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics):
     steps = np.empty(T)
     for t in range(T):
         if t > 0:
-            moved[t] = logsumexp((log_alpha[t - 1] - dyn.log_z)[:, dyn.src]
-                                 + dyn.log_into, 1)
+            moved[t] = logsumexp(np.take(log_alpha[t - 1] - dyn.log_z, dyn.src,
+                                         axis=1) + dyn.log_into, 1)
             log_pred = logsumexp(log_trans + moved[t][:, None, :], 0)
         joint = log_pred + emis[t]
         steps[t] = logsumexp(joint.reshape(-1), 0)
@@ -336,8 +344,13 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
     """Exact smoothed marginals, transition statistics and sequence
     log-likelihood under the factorized transition.
 
-    Both passes stay in the log domain; every quantity exponentiated is a
-    posterior probability.
+    Both passes stay in the log domain.  Per frame, the backward pass takes
+    one exponential of each move's log weight relative to the best move out
+    of its state: summed, it gives beta; scaled by that best move's log
+    posterior, the expected move counts.  Each expected count drops its
+    posterior terms below e^-700, so it can differ from the uncut sum by
+    less than T L e^-700; log-sum-exps drop only what rounding would (see
+    the module docstring), and `gamma` keeps its exact tiny values.
     """
     X = _frames(frames, model.n)
     emis = emission_table(model, X)
@@ -347,7 +360,8 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
     with np.errstate(divide="ignore"):
         log_trans = np.log(model.class_trans)[:, :, None]
 
-    gamma = np.exp(log_alpha)
+    gamma = np.empty((T, C, L))
+    gamma[T - 1] = np.exp(log_alpha[T - 1])
     xi_class = np.zeros((C, C))
     xi_moves = np.zeros(dyn.log_from.shape[:2])
     log_beta = np.zeros((C, L))
@@ -356,12 +370,19 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
         # source class before the class step, then per move out of each state
         ahead = emis[t + 1] + log_beta - steps[t + 1]
         back = logsumexp(log_trans + ahead[None], 1)
-        xi_class += np.exp(log_trans + moved[t + 1][:, None, :]
-                           + ahead[None]).sum(axis=2)
-        out = back[:, dyn.dst] + dyn.log_from
+        xi_class += _cutexp(log_trans + moved[t + 1][:, None, :]
+                            + ahead[None]).sum(axis=2)
+        out = np.take(back, dyn.dst, axis=1) + dyn.log_from
+        # one exponential serves beta and the move counts: each move's
+        # weight relative to the best move out of its state, scaled by that
+        # best move's log posterior top + leave <= 0
+        top = out.max(axis=1)
+        top = np.where(np.isfinite(top), top, 0.0)
+        E = _cutexp(out - top[:, None, :])
         leave = log_alpha[t] - dyn.log_z
-        xi_moves += np.exp(out + leave[:, None, :]).sum(axis=2)
-        log_beta = logsumexp(out, 1) - dyn.log_z
+        xi_moves += np.matmul(E, _cutexp(top + leave)[..., None])[..., 0]
+        with np.errstate(divide="ignore"):
+            log_beta = np.log(E.sum(axis=1)) + top - dyn.log_z
         gamma[t] = np.exp(log_alpha[t] + log_beta)
 
     xi_bins = _pool_motion(model.motion, dyn.offsets,
@@ -405,7 +426,7 @@ def viterbi(model: ThmmModel, frames) -> np.ndarray:
     for t in range(1, T):
         # best move into each position per source class (ties: smallest
         # source position), then the best source class (ties: smallest c)
-        cand = (v - dyn.log_z)[:, dyn.src] + dyn.log_into
+        cand = np.take(v - dyn.log_z, dyn.src, axis=1) + dyn.log_into
         best = cand.max(axis=1)
         pos = np.where(cand == best[:, None], dyn.src, L).min(axis=1)
         scored = log_trans + best[:, None, :]

@@ -1,10 +1,13 @@
-"""The EM core shared by every family: cluster rescue and the psi tail."""
+"""The EM core shared by every family: cluster rescue, the psi tail, the
+log-domain sums and the boundary checks."""
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from transmix import EmOptions, ImageShape, UnderflowError, build_translation_set
 from transmix import mtca, tca, thmm, tmg
+from transmix.common import CUT, _cutexp, logsumexp
 
 SHAPE = ImageShape(3, 3)
 C, FAR = 3, 2
@@ -201,3 +204,45 @@ def test_em_step_is_offset_equivariant(family):
     np.testing.assert_allclose(far.phi, near.phi, rtol=1e-12, atol=0)
     np.testing.assert_allclose(far.psi, near.psi, rtol=1e-12, atol=0)
     np.testing.assert_allclose(far.mu - OFFSET, near.mu, rtol=0, atol=1e-10)
+
+
+def test_cutexp_zeroes_terms_at_or_below_the_cut():
+    got = _cutexp(np.array([0.0, -1.0, CUT + 1.0, CUT, -800.0, -np.inf, np.nan]))
+    np.testing.assert_array_equal(got[:3], np.exp([0.0, -1.0, CUT + 1.0]))
+    np.testing.assert_array_equal(got[3:6], 0.0)
+    assert np.isnan(got[6])
+
+
+def test_logsumexp_edge_cases():
+    inf = np.inf
+    # an all -inf slice stays -inf: clipping without the mask would make it
+    # finite (about CUT + log 2 here)
+    np.testing.assert_array_equal(
+        logsumexp(np.array([[-inf, -inf], [0.0, -inf]]), 1), [-inf, 0.0])
+    assert logsumexp(np.array([0.0, -800.0, -inf]), 0) == 0.0
+    # the cut is relative to each slice's largest term, not to zero
+    assert logsumexp(np.array([-1000.0, -1000.0]), 0) == -1000.0 + np.log(2.0)
+    assert logsumexp(np.array([inf, 0.0]), 0) == inf
+    assert logsumexp(np.array([inf, -inf]), 0) == inf
+    assert np.isnan(logsumexp(np.array([np.nan, 0.0]), 0))
+    assert np.isnan(logsumexp(np.array([np.nan, -inf]), 0))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1, (0, 2), (1, 2)])
+def test_logsumexp_matches_scipy_on_deep_terms(axis):
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-5000.0, 0.0, (6, 40, 30))
+    a[rng.uniform(size=a.shape) < 0.2] = -np.inf
+    a[2, :, 3] = -np.inf
+    got = logsumexp(a, axis)
+    want = scipy_logsumexp(a, axis=axis)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
+                         ids=["tmg", "tca", "mtca", "thmm"])
+def test_factor_count(family):
+    X = np.random.default_rng(3).uniform(0, 1, (6, SHAPE.n))
+    want = {tmg: 0, tca: 1, mtca: 1, thmm: 0}[family]
+    assert _fresh_model(family, X).K == want

@@ -1,4 +1,6 @@
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -91,6 +93,14 @@ def test_family_mismatch(tmp_path):
     assert load_model(path, family="tmg") is not None
 
 
+def _rewritten(raw, old=b"", new=b"", tail=b""):
+    """A saved model file with `old` replaced by `new` once and `tail`
+    appended, under a recomputed checksum."""
+    assert old in raw
+    body = raw[:-4].replace(old, new, 1) + tail
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_version_and_family_errors(tmp_path):
     model = make_models()["tmg"]
     path = tmp_path / "m.txm"
@@ -98,10 +108,7 @@ def test_version_and_family_errors(tmp_path):
     raw = path.read_bytes()
 
     def rewrite(old=b"", new=b"", tail=b""):
-        body = raw[:-4].replace(old, new, 1) + tail
-        import struct
-        import zlib
-        return body + struct.pack("<I", zlib.crc32(body))
+        return _rewritten(raw, old, new, tail)
 
     path.write_bytes(rewrite(b"TXMODEL 1", b"TXMODEL 9"))
     with pytest.raises(VersionError):
@@ -114,6 +121,37 @@ def test_version_and_family_errors(tmp_path):
         load_model(path)
     path.write_bytes(rewrite(b"clusters 2\n", b""))
     with pytest.raises(ModelIOError, match="'clusters'"):
+        load_model(path)
+
+
+# (family, header text, its replacement); every file keeps a valid checksum
+MALFORMED_HEADERS = {
+    "ops-not-integer": ("tmg", b"ops 9", b"ops x"),
+    "height-not-integer": ("tmg", b"height 4", b"height 4.5"),
+    "clusters-not-integer": ("tmg", b"clusters 2", b"clusters two"),
+    "negative-ops": ("tmg", b"ops 9", b"ops -9"),
+    "negative-clusters": ("tmg", b"clusters 2", b"clusters -2"),
+    "bare-key": ("tmg", b"grid none", b"grid"),
+    "empty-first-line": ("tmg", b"TXMODEL 1", b""),
+    "missing-version": ("tmg", b"TXMODEL 1", b"TXMODEL"),
+    "version-not-integer": ("tmg", b"TXMODEL 1", b"TXMODEL one"),
+    "non-ascii": ("tmg", b"kind shear", "kind cisaillé".encode("utf-8")),
+    "grid-not-integer": ("thmm", b"grid 3 3", b"grid 3 x"),
+    "grid-one-number": ("thmm", b"grid 3 3", b"grid 3"),
+    "infinite-threshold": ("thmm", b"motion_threshold 1.5", b"motion_threshold inf"),
+    "unknown-motion-mode": ("thmm", b"motion_mode magnitude", b"motion_mode spiral"),
+    "unknown-boundary": ("thmm", b"boundary wrap", b"boundary mirror"),
+    "negative-factors": ("mtca", b"factors 1", b"factors -1"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_HEADERS)
+def test_malformed_header_is_a_model_io_error(tmp_path, case):
+    family, old, new = MALFORMED_HEADERS[case]
+    path = tmp_path / "m.txm"
+    save_model(make_models()[family], path)
+    path.write_bytes(_rewritten(path.read_bytes(), old, new))
+    with pytest.raises(ModelIOError):
         load_model(path)
 
 

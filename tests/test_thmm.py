@@ -581,11 +581,13 @@ def test_unreachable_best_state_scores_exactly():
     np.testing.assert_allclose(post.gamma.sum(axis=(1, 2)), 1.0, rtol=1e-12)
 
 
-def test_smoothing_exact_when_the_best_path_starts_far_below_the_best_state():
-    # the only paths that reach frame 1's diagonal shift start from
-    # states thousands of nats below frame 0's best state
+def _far_start_case(boundary="wrap", motion=None):
+    """Tight variances (1e-4) and frames at shifts (0, 0), (1, 1), (1, 1) on
+    a 3x3 grid under threshold-1 motion: the only paths that reach frame 1's
+    diagonal shift start from states thousands of nats below frame 0's best
+    state.  Returns (model, frames, emission table, dense transition)."""
     shape = ImageShape(3, 3)
-    ts = make_grid_set(shape, 3, 3)
+    ts = make_grid_set(shape, 3, 3, boundary)
     rng = np.random.default_rng(68)
     C, n, L = 2, shape.n, ts.L
     mu = rng.uniform(0.0, 1.0, (C, n))
@@ -593,12 +595,17 @@ def test_smoothing_exact_when_the_best_path_starts_far_below_the_best_state():
                       phi=np.full((C, n), 1e-4), psi=np.full(n, 1e-4),
                       pi_s=np.full((C, L), 1.0 / (C * L)),
                       class_trans=np.array([[0.9, 0.1], [0.2, 0.8]]),
-                      motion=uniform_motion(1.0))
+                      motion=motion or uniform_motion(1.0))
     frames = np.stack([apply(ts[ts.grid_index(0, 0)], mu[0])]
                       + 2 * [apply(ts[ts.grid_index(1, 1)], mu[0])])
     emis = emission_table(model, frames)
     assert emis[0, 0, ts.grid_index(0, 0)] - emis[0, 0, ts.grid_index(0, 1)] > 800.0
-    trans = dense_transition(model)
+    return model, frames, emis, dense_transition(model)
+
+
+def test_smoothing_exact_when_the_best_path_starts_far_below_the_best_state():
+    model, frames, emis, trans = _far_start_case()
+    C, L = model.C, model.L
     loglik, gamma, xi, _, _ = hmm_enumerate(model.pi_s.reshape(-1), trans,
                                             emis.reshape(3, -1))
     post = forward_backward(model, frames)
@@ -607,6 +614,23 @@ def test_smoothing_exact_when_the_best_path_starts_far_below_the_best_state():
     np.testing.assert_allclose(post.gamma.reshape(3, -1), gamma, atol=1e-9)
     xi_class = xi.reshape(C, L, C, L).sum(axis=(1, 3))
     np.testing.assert_allclose(post.xi_class, xi_class, atol=1e-9)
+
+
+@pytest.mark.parametrize("per_class", [False, True], ids=["shared", "per-class"])
+@pytest.mark.parametrize("boundary", ["wrap", "zero"])
+def test_xi_motion_exact_when_the_best_path_starts_far_below_the_best_state(
+        boundary, per_class):
+    # the backward pass weighs each move against the best move out of its
+    # state; here those log weights and the states' posteriors reach far
+    # below -700, where the per-bin counts must still match enumeration
+    motion = random_motion(np.random.default_rng(69), 1.0, "vector", per_class, 2)
+    model, frames, emis, trans = _far_start_case(boundary, motion)
+    _, _, xi, _, _ = hmm_enumerate(model.pi_s.reshape(-1), trans,
+                                   emis.reshape(3, -1))
+    post = forward_backward(model, frames)
+    want = oracle_motion_counts(model, xi)
+    assert want.sum() == pytest.approx(2.0)
+    np.testing.assert_allclose(post.xi_motion, want, rtol=1e-9, atol=1e-12)
 
 
 def test_underflow_error():
