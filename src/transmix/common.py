@@ -6,7 +6,8 @@ runs on.  Needs numpy alone."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -197,20 +198,46 @@ class PosteriorSummary:
     """Posterior for one image: discrete responsibilities plus latent moments.
 
     resp        P(l, c | x) as (L, C), or P(l | x) as (L,) for TCA
+    loglik      log p(x) under the model
     z_mean      posterior latent-image mean per discrete configuration
     z_var_diag  matching diagonal posterior variances
     y_mean      factor posterior means per configuration, (..., K)
     y_cov       factor posterior covariances, (..., K, K); a TMG has no
                 factors, so both are zero-width: (L, C, 0) and (L, C, 0, 0)
-    loglik      log p(x) under the model
+
+    `resp` and `loglik` are computed with the summary.  The moments are as
+    large as L * C * n, so all four are computed when one of them is first
+    read, then kept: a caller that reads only `resp` never pays for them.
+    They are those of the frame and parameters as they were at the
+    `posterior` call: the summary holds copies of both until then, so later
+    in-place edits to the caller's arrays do not change them.
     """
 
     resp: np.ndarray
-    z_mean: np.ndarray
-    z_var_diag: np.ndarray
     loglik: float
-    y_mean: np.ndarray
-    y_cov: np.ndarray
+    _compute: Callable[[], tuple] = field(repr=False)
+
+    @cached_property
+    def _moments(self) -> tuple:
+        """(z_mean, z_var_diag, y_mean, y_cov), computed on first read."""
+        moments, self._compute = self._compute(), None
+        return moments
+
+    @property
+    def z_mean(self) -> np.ndarray:
+        return self._moments[0]
+
+    @property
+    def z_var_diag(self) -> np.ndarray:
+        return self._moments[1]
+
+    @property
+    def y_mean(self) -> np.ndarray:
+        return self._moments[2]
+
+    @property
+    def y_cov(self) -> np.ndarray:
+        return self._moments[3]
 
 
 @dataclass(eq=False)
@@ -251,15 +278,24 @@ def _latent_posterior(dst, mu, phi, psi, X):
     return mean, var
 
 
-def _observed(src, mu, loadings, phi, psi):
-    """N(mu + loadings y, diag phi) seen through the op(s) with source rows
-    `src` (n,) or (L, n), plus noise psi: per observed pixel the mean, the
-    variance phi[src] + psi and the loading rows (psi and 0s with no source)."""
-    valid = src >= 0
-    src_safe = np.where(valid, src, 0)
-    mean = np.where(valid, mu[src_safe], 0.0)
-    var = np.where(valid, phi[src_safe], 0.0) + psi
-    rows = np.where(valid[..., None], loadings[src_safe], 0.0)
+def _padded(a: np.ndarray) -> np.ndarray:
+    """`a` with one trailing zero row, the row a VOID entry of
+    `TransformationSet.padded_source` reads."""
+    return np.concatenate([a, np.zeros((1,) + a.shape[1:])])
+
+
+def _observed(padded, mu, loadings, phi, psi):
+    """N(mu + loadings y, diag phi) seen through the op(s) with padded source
+    rows `padded` (n,) or (L, n) (`TransformationSet.padded_source`), plus
+    noise psi: per observed pixel the mean, the variance phi[src] + psi and
+    the loading rows (psi and 0s with no source).  One gather fills mean
+    and var, as two halves of one fresh block that the caller may
+    overwrite; another the rows (`np.take` walks every index even when the
+    rows are zero-width, so K = 0 skips it)."""
+    mean, var = np.take(np.stack([_padded(mu), _padded(phi)]), padded, axis=-1)
+    var += psi
+    rows = (np.take(_padded(loadings), padded, axis=0) if loadings.shape[-1]
+            else np.empty(padded.shape + (0,)))
     return mean, var, rows
 
 
@@ -357,7 +393,8 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
 
     T, n = Xc.shape
     nb, k = var.shape[0], loadings.shape[1]
-    mean, obs_var, lam = _observed(src, mu_c, loadings, phi, psi)
+    mean, obs_var, lam = _observed(transforms.padded_source[block], mu_c,
+                                   loadings, phi, psi)
     scaled, M = _factor_gain(lam, obs_var)
     y_cov = np.linalg.inv(M)
     B = scaled @ y_cov                                          # (nb, n, k)

@@ -11,13 +11,14 @@ Frames are binary PGM (P5), 8- or 16-bit, mapped linearly to [0, 1].
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .thmm import MotionPrior, ThmmModel, uniform_motion
+from .thmm import MotionPrior, ThmmModel
 from .mtca import MtcaModel
 from .tca import TcaModel
 from .tmg import TmgModel
@@ -104,7 +105,7 @@ def _take(buf: memoryview, shape, dtype: str = "<f8") -> tuple[np.ndarray, memor
     """The next block, of the given shape, and the bytes after it."""
     if min(shape) < 0:
         raise ModelIOError(f"header gives a negative block size {shape}")
-    need = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    need = math.prod(shape) * np.dtype(dtype).itemsize
     if len(buf) < need:
         raise ModelIOError("file truncated inside a parameter block")
     arr = np.frombuffer(buf[:need], dtype=dtype).reshape(shape).copy()
@@ -188,7 +189,12 @@ def _parse(payload: bytes, family: str | None):
         mode = fields["motion_mode"]
         threshold = float(fields["motion_threshold"])
         per_class = bool(int(fields["motion_per_class"]))
-        table_shape = uniform_motion(threshold, mode, per_class, size["C"]).table.shape
+        # the table's shape, from its radius alone: nothing is built before
+        # `_take` has checked that the file holds the table
+        r = math.floor(threshold)
+        table_shape = (2 * r + 1, 2 * r + 1) if mode == "vector" else (r + 1,)
+        if per_class:
+            table_shape = (size["C"],) + table_shape
         table, body = _take(body, table_shape)
         extra["motion"] = MotionPrior(mode=mode, threshold=threshold, table=table,
                                       per_class=per_class)

@@ -12,6 +12,7 @@ The per-cluster kernels live in `tca`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -101,18 +102,26 @@ def loglik(model: MtcaModel, X) -> np.ndarray:
 
 
 def posterior(model: MtcaModel, x) -> PosteriorSummary:
-    """Responsibilities P(l, c | x) plus per-(l, c) latent moments."""
+    """Responsibilities P(l, c | x) plus per-(l, c) latent moments.  The
+    moments are computed on first read, from copies of x and the parameters
+    taken now (see `PosteriorSummary`)."""
     x = _frame(x, model.n)
     per_datum, resp = _normalise(_log_joint(model, x[None, :]), "(l, c) configuration")
-    L, C, n, K = model.L, model.C, model.n, model.K
+    return PosteriorSummary(resp=resp[0], loglik=float(per_datum[0]), _compute=partial(
+        _latent_moments, model.transforms, model.mu.copy(), model.loadings.copy(),
+        model.phi.copy(), model.psi.copy(), x.copy()))
+
+
+def _latent_moments(transforms, mu, loadings, phi, psi, x):
+    """(z_mean, z_var_diag, y_mean, y_cov) of `posterior`: the exact latent
+    moments per (l, c), from `tca._op_posterior` per cluster."""
+    L, (C, n, K) = transforms.L, loadings.shape
     z_mean, z_var = np.empty((L, C, n)), np.empty((L, C, n))
     y_mean, y_cov = np.empty((L, C, K)), np.empty((L, C, K, K))
     for c in range(C):
         y_cov[:, c], y_mean[:, c], z_mean[:, c], z_var[:, c] = _tca._op_posterior(
-            model.transforms, model.mu[c], model.loadings[c], model.phi[c],
-            model.psi, x)
-    return PosteriorSummary(resp=resp[0], z_mean=z_mean, z_var_diag=z_var,
-                            loglik=float(per_datum[0]), y_mean=y_mean, y_cov=y_cov)
+            transforms, mu[c], loadings[c], phi[c], psi, x)
+    return z_mean, z_var, y_mean, y_cov
 
 
 def _cluster_mstep(transforms, mu, loadings, phi, psi, X, W, directions=()):

@@ -93,20 +93,30 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
     M_l and a K-dimensional Woodbury term per (t, l) from one more product.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    mean, var, rows = _observed(transforms.source_matrix, mu, loadings, phi, psi)
+    mean, var, rows = _observed(transforms.padded_source, mu, loadings, phi, psi)
     L, n, k = rows.shape
     # the squares expanded below cancel when the data sit far from zero;
     # x - mean is unchanged by a common shift, so shift by the batch mean
     shift = X.mean()
-    X, mean = X - shift, mean - shift
-    inv = 1.0 / var
-    const = -0.5 * (np.log(var).sum(axis=1) + transforms.shape.n * _LOG2PI)
+    X = X - shift
+    mean -= shift
+    if k:
+        scaled, M = _factor_gain(rows, var)       # M = I + PSD: det M >= 1
+    # Each (L, n) table is megabytes at large L * n, and paging in fresh
+    # memory costs more than the arithmetic on it, so the kernel makes two
+    # blocks and works in them in place: mean and var (var then takes
+    # mean/var, then mean^2/var), and log(var), then 1/var
+    inv = np.log(var)
+    const = -0.5 * (inv.sum(axis=1) + n * _LOG2PI)
+    np.divide(1.0, var, out=inv)
     with np.errstate(over="ignore"):
-        quad = ((X * X) @ inv.T - 2.0 * (X @ (mean * inv).T)
-                + (mean * mean * inv).sum(axis=1))
+        mean_inv = np.multiply(mean, inv, out=var)
+        quad = (X * X) @ inv.T - 2.0 * (X @ mean_inv.T)
+        np.multiply(mean, mean, out=mean_inv)
+        mean_inv *= inv
+        quad += mean_inv.sum(axis=1)
         out = const[None, :] - 0.5 * quad
         if k:
-            scaled, M = _factor_gain(rows, var)   # M = I + PSD: det M >= 1
             logdet = np.linalg.slogdet(M)[1]
             U = ((X @ scaled.transpose(1, 0, 2).reshape(n, L * k)).reshape(-1, L, k)
                  - np.einsum("lp,lpk->lk", mean, scaled))
@@ -144,7 +154,7 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
     if not k:
         z_mean, z_var = _latent_posterior(transforms.dest_matrix, mu, phi, psi, x)
         return np.zeros((L, 0, 0)), np.zeros((L, 0)), z_mean, z_var
-    mean, var, rows = _observed(transforms.source_matrix, mu, loadings, phi, psi)
+    mean, var, rows = _observed(transforms.padded_source, mu, loadings, phi, psi)
     scaled, M = _factor_gain(rows, var)
     y_cov = np.linalg.inv(M)
     y_mean = np.einsum("lp,lpk,lkj->lj", x - mean, scaled, y_cov)
@@ -156,11 +166,11 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
 
 
 def posterior(model: TcaModel, x) -> PosteriorSummary:
-    """Responsibilities p(l | x) plus exact latent posteriors per op."""
+    """Responsibilities p(l | x) plus exact latent posteriors per op, the
+    latter computed on first read (see `PosteriorSummary`)."""
     post = _mtca.posterior(model.as_mtca(), x)
-    return replace(post, resp=post.resp[:, 0], z_mean=post.z_mean[:, 0],
-                   z_var_diag=post.z_var_diag[:, 0], y_mean=post.y_mean[:, 0],
-                   y_cov=post.y_cov[:, 0])
+    return PosteriorSummary(resp=post.resp[:, 0], loglik=post.loglik,
+                            _compute=lambda: tuple(m[:, 0] for m in post._moments))
 
 
 def solve_mstep(stats, loadings_old, tangent_cols: int):

@@ -95,8 +95,9 @@ def loglik(model: TmgModel, X) -> np.ndarray:
 
 
 def posterior(model: TmgModel, x) -> PosteriorSummary:
-    """Responsibilities P(l, c | x) plus latent-image posterior moments; the
-    factor moments are zero-width."""
+    """Responsibilities P(l, c | x) plus latent-image posterior moments,
+    computed on first read (see `PosteriorSummary`); the factor moments are
+    zero-width."""
     return _mtca.posterior(model.as_mtca(), x)
 
 

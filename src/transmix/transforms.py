@@ -145,6 +145,19 @@ class TransformationSet:
         return cached
 
     @property
+    def padded_source(self) -> np.ndarray:
+        """(L, n) `source_matrix` with VOID mapped to n: one gather from a
+        per-pixel array padded with a trailing zero reads 0 where an output
+        pixel has no source."""
+        cached = self.__dict__.get("_padded_source")
+        if cached is None:
+            src = self.source_matrix
+            cached = np.where(src >= 0, src, self.shape.n)
+            cached.setflags(write=False)
+            self.__dict__["_padded_source"] = cached
+        return cached
+
+    @property
     def dest_matrix(self) -> np.ndarray:
         """(L, n) stacked inverse maps; requires every op to be injective."""
         cached = self.__dict__.get("_dest_matrix")

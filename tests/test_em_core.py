@@ -246,3 +246,96 @@ def test_factor_count(family):
     X = np.random.default_rng(3).uniform(0, 1, (6, SHAPE.n))
     want = {tmg: 0, tca: 1, mtca: 1, thmm: 0}[family]
     assert _fresh_model(family, X).K == want
+
+
+MOMENTS = ("z_mean", "z_var_diag", "y_mean", "y_cov")
+# (family, factors, boundary): zero-padded sets have VOID pixels
+MOMENT_CASES = [(family, K, boundary) for family, K in ((tmg, 0), (tca, 0), (tca, 2),
+                                                        (mtca, 0), (mtca, 2))
+                for boundary in ("wrap", "zero")]
+MOMENT_IDS = [f"{family.__name__.rsplit('.', 1)[-1]}-K{K}-{boundary}"
+              for family, K, boundary in MOMENT_CASES]
+
+
+def _moment_case(family, K, boundary):
+    """A model of the family on a 4x4 set of 3x3 shifts, and one frame."""
+    rng = np.random.default_rng(40)
+    shape = ImageShape(4, 4)
+    ts = build_translation_set(shape, 3, 3, boundary)
+    n, C = shape.n, 2
+    mu, loadings = rng.uniform(0, 1, (C, n)), rng.uniform(-0.3, 0.3, (C, n, K))
+    phi, psi = rng.uniform(0.05, 0.2, (C, n)), rng.uniform(0.05, 0.2, n)
+    rho, pi = rng.dirichlet(np.ones(ts.L), size=C).T, np.array([0.4, 0.6])
+    if family is tmg:
+        model = tmg.TmgModel(shape=shape, transforms=ts, pi=pi, mu=mu, phi=phi,
+                             rho=rho, psi=psi)
+    elif family is tca:
+        model = tca.TcaModel(shape=shape, transforms=ts, mu=mu[0], loadings=loadings[0],
+                             phi=phi[0], rho=rho[:, 0], psi=psi)
+    else:
+        model = mtca.MtcaModel(shape=shape, transforms=ts, pi=pi, mu=mu,
+                               loadings=loadings, phi=phi, rho=rho, psi=psi)
+    return model, rng.uniform(0, 1, n)
+
+
+def _kernel_moments(model, x):
+    """The moments of `posterior`, from `tca._op_posterior` per cluster."""
+    core = model.as_mtca()
+    per_cluster = [tca._op_posterior(core.transforms, core.mu[c], core.loadings[c],
+                                     core.phi[c], core.psi, x) for c in range(core.C)]
+    y_cov, y_mean, z_mean, z_var = (np.stack(m, axis=1) for m in zip(*per_cluster))
+    moments = (z_mean, z_var, y_mean, y_cov)
+    return tuple(m[:, 0] for m in moments) if isinstance(model, tca.TcaModel) else moments
+
+
+@pytest.mark.parametrize("case", MOMENT_CASES, ids=MOMENT_IDS)
+def test_reading_resp_never_runs_the_moment_kernel(case, monkeypatch):
+    model, x = _moment_case(*case)
+
+    def kernel(*args):
+        raise AssertionError("the moment kernel ran")
+
+    monkeypatch.setattr(tca, "_op_posterior", kernel)
+    post = case[0].posterior(model, x)
+    assert post.resp.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.isfinite(post.loglik)
+    with pytest.raises(AssertionError, match="moment kernel ran"):
+        post.z_mean
+
+
+@pytest.mark.parametrize("case", MOMENT_CASES, ids=MOMENT_IDS)
+def test_moments_are_computed_once_and_equal_the_kernel(case, monkeypatch):
+    model, x = _moment_case(*case)
+    want = _kernel_moments(model, x)
+    calls = []
+    kernel = tca._op_posterior
+    monkeypatch.setattr(tca, "_op_posterior", lambda *a: calls.append(a) or kernel(*a))
+    post = case[0].posterior(model, x)
+    first = [getattr(post, name) for name in MOMENTS]
+    assert len(calls) == model.as_mtca().C
+    for name, got, expected in zip(MOMENTS, first, want):
+        assert getattr(post, name) is got
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+    assert len(calls) == model.as_mtca().C
+
+
+@pytest.mark.parametrize("case", MOMENT_CASES, ids=MOMENT_IDS)
+def test_moments_are_those_of_the_call(case):
+    """Moments read after the caller edits the frame and the model in place
+    are those of the arrays at the `posterior` call."""
+    family, K, _ = case
+    model, x = _moment_case(*case)
+    read_at_once = family.posterior(model, x)
+    want = [getattr(read_at_once, name) for name in MOMENTS]
+    post = family.posterior(model, x)
+    x += 0.5
+    model.mu += 0.5
+    model.phi *= 2.0
+    model.psi *= 2.0
+    if K:
+        model.loadings *= 2.0
+    for name, expected in zip(MOMENTS, want):
+        np.testing.assert_array_equal(getattr(post, name), expected, err_msg=name)
+    # the edits do move the moments of a new call
+    assert not np.array_equal(family.posterior(model, x).z_mean, want[0])

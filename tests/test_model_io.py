@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transmix import ImageShape, build_shear_translation_set, build_translation_set
+from transmix import thmm as thmm_mod
 from transmix.model_io import (ChecksumError, FamilyMismatchError, ModelIOError,
                                UnknownFamilyError, VersionError, load_model,
                                montage, read_frames, read_pgm, save_model,
@@ -152,6 +153,24 @@ def test_malformed_header_is_a_model_io_error(tmp_path, case):
     save_model(make_models()[family], path)
     path.write_bytes(_rewritten(path.read_bytes(), old, new))
     with pytest.raises(ModelIOError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("mode", [b"magnitude", b"vector"])
+def test_huge_motion_threshold_fails_before_a_table_is_built(tmp_path, monkeypatch, mode):
+    """The motion table's size comes from the header's threshold; a file
+    too short for it is refused from that size alone, before any table is
+    built (building one loops over every displacement within the radius)."""
+    path = tmp_path / "m.txm"
+    save_model(make_models()["thmm"], path)
+    raw = _rewritten(path.read_bytes(), b"motion_threshold 1.5", b"motion_threshold 1e9")
+    path.write_bytes(_rewritten(raw, b"motion_mode magnitude", b"motion_mode " + mode))
+
+    def built(threshold):
+        raise AssertionError("a motion table was built before the size check")
+
+    monkeypatch.setattr(thmm_mod, "motion_offsets", built)
+    with pytest.raises(ModelIOError, match="truncated"):
         load_model(path)
 
 

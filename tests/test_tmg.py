@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -109,6 +111,24 @@ def test_posterior_zero_pad_matches_quadrature():
     post = posterior(model, x)
     ref = tmg_resp_quadrature(model, x, z_lo=-14.0, z_hi=14.0, points=561)
     assert np.allclose(post.resp, ref, atol=1e-6)
+
+
+def test_posterior_resp_builds_no_moment_array():
+    """Reading only the responsibilities allocates less than one (L, C, n)
+    array: the latent moments are not built, and the emission kernel's
+    (L, n) tables stay few."""
+    shape = ImageShape(15, 15)
+    ts = build_translation_set(shape, 15, 15)
+    X = np.random.default_rng(12).uniform(0, 1, (8, shape.n))
+    model = init_tmg(ts, 4, X, seed=1)
+    posterior(model, X[0]).resp    # builds the set's cached index tables
+    tracemalloc.start()
+    try:
+        posterior(model, X[1]).resp
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.L * model.C * model.n * np.dtype(np.float64).itemsize
 
 
 def test_em_monotone_on_model_data():
