@@ -115,7 +115,8 @@ class _GaussianModel:
         its axes' shape: n and L come from the image shape and the ops, C
         and K from the first field that has them.  The distributions must
         sum to one, the variances be positive, the factors be fewer than the
-        pixels, and a fast likelihood run only over void-free ops."""
+        pixels, every op be injective (see `padded_dest`), and a fast
+        likelihood run only over void-free ops."""
         size = {"n": self.shape.n, "L": self.transforms.L}
         for name, axes in self._AXES.items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
@@ -133,8 +134,14 @@ class _GaussianModel:
             raise ValueError("variances must be positive")
         if size.get("K", 0) >= size["n"]:
             raise ValueError("the factor count must be below the pixel count")
+        self.transforms.padded_dest  # refuses a non-injective op, naming it
         if getattr(self, "fast_likelihood", False) and self.transforms.has_void:
             raise ValueError("fast likelihood needs void-free (invertible) ops")
+
+    @property
+    def C(self) -> int:
+        """Cluster count; 1 for a class whose template has no cluster axis."""
+        return self.mu.shape[0] if self._AXES["mu"] == "Cn" else 1
 
     @property
     def K(self) -> int:
@@ -258,30 +265,43 @@ class SequencePosterior:
     loglik: float
 
 
+def _padded(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """`a` with one zero pixel appended along its pixel `axis`: the entry
+    that a padded index's n reads (see the `transforms` module docstring)."""
+    return np.concatenate([a, np.zeros_like(np.take(a, [0], axis=axis))], axis=axis)
+
+
+def _padded_product(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """a @ b padded along `axis` like `_padded`.  The product is written
+    into the padded block, so its bits are those of a @ b: a product with
+    padded data can take another BLAS kernel and round differently."""
+    out = np.zeros((a.shape[0] + (axis == 0), b.shape[1] + (axis == 1)))
+    np.matmul(a, b, out=out[:a.shape[0], :b.shape[1]])
+    return out
+
+
+def _latent_var(dst, phi, psi):
+    """(b, var) of the latent posterior through the op(s) with padded
+    destinations `dst` (`TransformationSet.padded_dest`): b = 1/psi at the
+    observed pixel each latent pixel lands on, 0 where it lands on none, and
+    the posterior variance var = 1/(1/phi + b)."""
+    b = _padded(1.0 / psi)[dst]
+    return b, 1.0 / (1.0 / phi + b)
+
+
 def _latent_posterior(dst, mu, phi, psi, X):
     """Posterior mean and variance of the latent image given data and op(s).
 
-    The latent prior is N(mu, diag(phi)); `dst` holds, per latent pixel, the
-    observed pixel it lands on (VOID when it falls off the image).  The
-    posterior is diagonal with precision 1/phi + 1/psi_back on landing pixels
-    and 1/phi elsewhere.  `dst` is one op's row (n,) or every op's rows
-    (L, n), for one image X (n,); mu is (n,) or per op (L, n).  The mean
-    and the variance have the shape of `dst`.
+    The latent prior is N(mu, diag(phi)); `dst` is `padded_dest` of every op
+    for one image X (n,), or one row per image X (T, n), with mu and phi
+    (n,) or one row per row.  The posterior is diagonal: the variance of
+    `_latent_var`, the mean var * (mu/phi + (x/psi)[dst]).  Both have the
+    shape of `dst`.
     """
-    observed = dst >= 0
-    dst_safe = np.where(observed, dst, 0)
-    psi_back = psi[dst_safe]
-    prior_prec = 1.0 / phi
-    var = 1.0 / (prior_prec + np.where(observed, 1.0 / psi_back, 0.0))
-    mean = (mu * prior_prec
-            + np.where(observed, X[..., dst_safe] / psi_back, 0.0)) * var
-    return mean, var
-
-
-def _padded(a: np.ndarray) -> np.ndarray:
-    """`a` with one trailing zero row, the row a VOID entry of
-    `TransformationSet.padded_source` reads."""
-    return np.concatenate([a, np.zeros((1,) + a.shape[1:])])
+    _, var = _latent_var(dst, phi, psi)
+    seen = _padded(X / psi, axis=-1)
+    seen = seen[dst] if seen.ndim == 1 else np.take_along_axis(seen, dst, axis=-1)
+    return (mu * (1.0 / phi) + seen) * var, var
 
 
 def _observed(padded, mu, loadings, phi, psi):
@@ -327,13 +347,14 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     pixels that land in the image and 0 elsewhere, does not depend on the
     datum, and E[z | y] = var * (mu/phi + b * x[dst]) + r * loadings y with
     r = var/phi.  So at K = 0 the data enter only through A = W.T @ X,
-    Q = W.T @ (X*X) and w = W.sum(0), then an O(L n) gather through the
-    dest/source maps.  An observed pixel's residual is r * (x - mu -
-    loadings y) at its source pixel, r^2 (Q - 2 mu A + mu^2 w) summed at
-    K = 0; a pixel with no source keeps its whole x^2, Q.  With factors,
-    E[y] = B^T (x - G mu), B = (a/D) M^-1 (`_factor_gain`), is affine in x
-    too: per op, U = X B holds E[y] for every datum, and the factor terms
-    read only sum_t w U U^T, X^T (w U) (gathered at dst) and w M^-1.
+    Q = W.T @ (X*X) and w = W.sum(0), then O(L n) gathers at the padded
+    indices (see the `transforms` module docstring).  An observed pixel's
+    residual is r * (x - mu - loadings y) at its source pixel, r^2 (Q -
+    2 mu A + mu^2 w) summed at K = 0; a pixel with no source keeps its
+    whole x^2, Q.  With factors, E[y] = B^T (x - G mu), B = (a/D) M^-1
+    (`_factor_gain`), is affine in x too: per op, U = X B holds E[y] for
+    every datum, and the factor terms read only sum_t w U U^T, X^T (w U)
+    (gathered at dst) and w M^-1.
 
     Those expanded squares cancel when the data sit far from zero, so X and
     mu are first centred on the batch's mean pixel value m, which leaves var
@@ -365,36 +386,34 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
 def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
     """(s_z, s_zz, s_psi) of `gaussian_template_stats` over one block of ops,
     for data Xc (squared: Xc2) and template mu_c centred on m; with factors,
-    followed by (s_y, s_yy, s_zy)."""
+    followed by (s_y, s_yy, s_zy).  Gathers read padded arrays: the data
+    sums at `padded_dest`, and var, r = var/phi and mu_c at `padded_source`."""
     Wb = W[:, block]
     w = Wb.sum(axis=0)[:, None]
-    A, Q = Wb.T @ Xc, Wb.T @ Xc2
-    rows = np.arange(A.shape[0])[:, None]
+    A, Q = _padded_product(Wb.T, Xc, 1), _padded_product(Wb.T, Xc2, 1)
+    nb, n = A.shape[0], Xc.shape[1]
+    rows = np.arange(nb)[:, None]
+    dst, src = transforms.padded_dest[block], transforms.padded_source[block]
+    # flat positions in a padded (nb, n + 1) block: one 1-D gather per array
+    at_dst, at_src = rows * (n + 1) + dst, rows * (n + 1) + src
     a = mu_c / phi
-    dst = transforms.dest_matrix[block]
-    observed = dst >= 0
-    dst_safe = np.where(observed, dst, 0)
-    b = np.where(observed, 1.0 / psi[dst_safe], 0.0)
-    var = 1.0 / (1.0 / phi + b)
-    A_dst, Q_dst = A[rows, dst_safe], Q[rows, dst_safe]
+    b, var = _latent_var(dst, phi, psi)
+    A_dst, Q_dst = A.ravel()[at_dst], Q.ravel()[at_dst]
     s_z = (var * (w * a + b * A_dst)).sum(axis=0)
     s_zz = (var * var * (w * a * a + 2.0 * a * b * A_dst + b * b * Q_dst)
             + w * var).sum(axis=0)
-    src = transforms.source_matrix[block]
-    valid = src >= 0
-    src_safe = np.where(valid, src, 0)
-    r = (var / phi)[rows, src_safe]
-    mu_src = mu_c[src_safe]
-    resid = (r * r * (Q - 2.0 * mu_src * A + mu_src * mu_src * w)
-             + w * var[rows, src_safe])
-    s_psi = np.where(valid, resid, Q + m * (2.0 * A + m * w)).sum(axis=0)
+    R = var / phi
+    var_src, r = (_padded(v, axis=1).ravel()[at_src] for v in (var, R))
+    mu_src = _padded(mu_c)[src]
+    A, Q = A[:, :n], Q[:, :n]
+    resid = r * r * (Q - 2.0 * mu_src * A + mu_src * mu_src * w) + w * var_src
+    # a pixel with no source keeps its whole x^2: no padding value gives that
+    s_psi = np.where(src < n, resid, Q + m * (2.0 * A + m * w)).sum(axis=0)
     if not loadings.shape[1]:
         return s_z, s_zz, s_psi
 
-    T, n = Xc.shape
-    nb, k = var.shape[0], loadings.shape[1]
-    mean, obs_var, lam = _observed(transforms.padded_source[block], mu_c,
-                                   loadings, phi, psi)
+    T, k = Xc.shape[0], loadings.shape[1]
+    mean, obs_var, lam = _observed(src, mu_c, loadings, phi, psi)
     scaled, M = _factor_gain(lam, obs_var)
     y_cov = np.linalg.inv(M)
     B = scaled @ y_cov                                          # (nb, n, k)
@@ -403,10 +422,9 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
     WU = Wb[:, :, None] * U
     s_y = WU.sum(axis=0)
     s_yy = np.einsum("tlk,tlj->lkj", WU, U) + w[:, :, None] * y_cov
-    P = (Xc.T @ WU.reshape(T, nb * k)).reshape(n, nb, k)        # sum_t w x u^T
-    P_dst = P.transpose(1, 0, 2)[rows, dst_safe]
-    # latent coordinates: E[z] gains R loadings E[y], R = var/phi
-    R = var / phi
+    P = _padded_product(Xc.T, WU.reshape(T, nb * k), 0)         # sum_t w x u^T
+    P_dst = P.reshape(n + 1, nb, k).transpose(1, 0, 2)[rows, dst]
+    # latent coordinates: E[z] gains R loadings E[y]
     lam_y = s_y @ loadings.T                                    # sum_t w (L u)
     lam_syy = np.einsum("qk,lkj->lqj", loadings, s_yy)
     quad = np.einsum("lqk,qk->lq", lam_syy, loadings)           # diag(L s_yy L^T)
@@ -415,10 +433,10 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
     s_zz += (2.0 * R * var * (a * lam_y + b * xu) + R * R * quad).sum(axis=0)
     s_zy = (var[:, :, None] * (a[:, None] * s_y[:, None, :] + b[:, :, None] * P_dst)
             + R[:, :, None] * lam_syy).sum(axis=0)
-    # observed coordinates: the residual gains -r (L u) at the source pixel
-    extra = r * r * (quad[rows, src_safe]
-                     - 2.0 * (xu[rows, src_safe] - mu_src * lam_y[rows, src_safe]))
-    s_psi += np.where(valid, extra, 0.0).sum(axis=0)
+    # observed coordinates: the residual gains -r (L u) at the source pixel;
+    # r reads 0 where there is none
+    extra = _padded(quad - 2.0 * (xu - mu_c * lam_y), axis=1).ravel()[at_src]
+    s_psi += (r * r * extra).sum(axis=0)
     return s_z, s_zz, s_psi, s_y.sum(axis=0), s_yy.sum(axis=0), s_zy
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transforms import ImageShape, apply, shift_op
+from .transforms import ImageShape, wrap_shift_index
 
 
 def classification_error(pred, truth) -> float:
@@ -69,12 +69,12 @@ def shift_max_correlation(image, template, shape: ImageShape) -> float:
     (transformation-invariant template match)."""
     image = np.asarray(image, dtype=np.float64).reshape(-1)
     template = np.asarray(template, dtype=np.float64).reshape(-1)
-    best = -1.0
-    for di in range(shape.height):
-        for dj in range(shape.width):
-            cand = apply(shift_op(shape, di, dj, "wrap"), template)
-            best = max(best, normalized_correlation(image, cand))
-    return best
+    a = image - image.mean()
+    cands = template[wrap_shift_index(shape)]
+    b = cands - cands.mean(axis=1, keepdims=True)
+    denom = np.linalg.norm(a) * np.linalg.norm(b, axis=1)
+    corr = np.divide(b @ a, denom, out=np.zeros_like(denom), where=denom > 0)
+    return max(-1.0, float(corr.max()))
 
 
 def best_template_assignment(means, templates, shape: ImageShape):

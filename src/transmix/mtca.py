@@ -45,10 +45,6 @@ class MtcaModel(_GaussianModel):
              "rho": "LC", "psi": "n"}
     _SUMS = {"pi": None, "rho": 0}
 
-    @property
-    def C(self) -> int:
-        return self.pi.shape[0]
-
     def as_mtca(self) -> MtcaModel:
         """The model itself; TMG and TCA models return their MTCA view."""
         return self

@@ -152,13 +152,13 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
     """
     L, k = transforms.L, loadings.shape[1]
     if not k:
-        z_mean, z_var = _latent_posterior(transforms.dest_matrix, mu, phi, psi, x)
+        z_mean, z_var = _latent_posterior(transforms.padded_dest, mu, phi, psi, x)
         return np.zeros((L, 0, 0)), np.zeros((L, 0)), z_mean, z_var
     mean, var, rows = _observed(transforms.padded_source, mu, loadings, phi, psi)
     scaled, M = _factor_gain(rows, var)
     y_cov = np.linalg.inv(M)
     y_mean = np.einsum("lp,lpk,lkj->lj", x - mean, scaled, y_cov)
-    z_mean, var = _latent_posterior(transforms.dest_matrix,
+    z_mean, var = _latent_posterior(transforms.padded_dest,
                                     mu + y_mean @ loadings.T, phi, psi, x)
     r = var / phi
     z_var = var + r * r * np.einsum("pk,lkj,pj->lp", loadings, y_cov, loadings)

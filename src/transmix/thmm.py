@@ -32,9 +32,9 @@ import numpy as np
 from . import tca as _tca
 from .common import (EmOptions, SequencePosterior, UnderflowError, _GaussianModel,
                      _cutexp, _fit, _frame, _frames, _latent_posterior,
-                     _mstep_tail, _starting_templates, logsumexp)
+                     _mstep_tail, _padded, _starting_templates, logsumexp)
 from .mtca import _cluster_mstep
-from .transforms import ImageShape, TransformationSet, apply, shift_op
+from .transforms import ImageShape, TransformationSet, apply, wrap_shift_index
 from .tmg import TmgModel
 
 
@@ -164,10 +164,6 @@ class ThmmModel(_GaussianModel):
             raise ValueError("per-class motion table does not match C")
 
     @property
-    def C(self) -> int:
-        return self.mu.shape[0]
-
-    @property
     def wrap_motion(self) -> bool:
         return self.transforms.boundary == "wrap"
 
@@ -209,20 +205,15 @@ def from_tmg(model: TmgModel, motion: MotionPrior | None = None,
     mu, phi = model.mu.copy(), model.phi.copy()
     if align_gauge and model.transforms.grid is not None \
             and model.transforms.boundary == "wrap" and C > 1:
-        shape = model.shape
+        shifts = wrap_shift_index(model.shape)
         ref = mu[int(np.argmax(model.pi))]
         ref_c = ref - ref.mean()
         for c in range(C):
-            best, best_op = -np.inf, None
-            for di in range(shape.height):
-                for dj in range(shape.width):
-                    op = shift_op(shape, di, dj, "wrap")
-                    cand = apply(op, mu[c])
-                    score = float(ref_c @ (cand - cand.mean()))
-                    if score > best:
-                        best, best_op = score, op
-            mu[c] = apply(best_op, mu[c])
-            phi[c] = apply(best_op, phi[c])
+            cand = mu[c][shifts]
+            # row sums, so equal candidates score equally and the first wins
+            score = ((cand - cand.mean(axis=1, keepdims=True)) * ref_c).sum(axis=1)
+            best = shifts[np.argmax(score)]
+            mu[c], phi[c] = mu[c][best], phi[c][best]
     trans = np.tile(model.pi, (C, 1)) + np.eye(C)
     trans = trans / trans.sum(axis=1, keepdims=True)
     pi_s = np.tile(model.pi[:, None], (1, L)) / L
@@ -523,17 +514,8 @@ def _map_states(model: ThmmModel, frames, use_viterbi: bool):
     if use_viterbi:
         return X, viterbi(model, X), None
     post = forward_backward(model, X)
-    T = X.shape[0]
-    flat = post.gamma.reshape(T, -1)
-    best = flat.argmax(axis=1)
-    states = np.stack(np.divmod(best, model.L), axis=1)
-    return X, states, post
-
-
-def _z_mean(model: ThmmModel, x, c: int, l: int) -> np.ndarray:
-    """Posterior-mean latent image given one frame and one state."""
-    return _latent_posterior(model.transforms.dest_matrix[l], model.mu[c],
-                             model.phi[c], model.psi, x)[0]
+    best = post.gamma.reshape(X.shape[0], -1).argmax(axis=1)
+    return X, np.stack(np.divmod(best, model.L), axis=1), post
 
 
 def denoise(model: ThmmModel, frames, mode: str = "soft",
@@ -549,24 +531,23 @@ def denoise(model: ThmmModel, frames, mode: str = "soft",
     if use_viterbi is None:
         use_viterbi = mode == "hard"
     X, states, _ = _map_states(model, frames, use_viterbi)
-    out = np.empty_like(X)
-    for t, (c, l) in enumerate(states):
-        op = model.transforms[l]
-        if mode == "hard":
-            out[t] = apply(op, model.mu[c])
-        else:
-            out[t] = apply(op, _z_mean(model, X[t], c, l))
-    return out
+    c, l = states.T
+    latent = model.mu[c] if mode == "hard" else _latent_means(model, X, c, l)
+    return np.take_along_axis(_padded(latent, axis=1),
+                              model.transforms.padded_source[l], axis=1)
 
 
 def stabilize(model: ThmmModel, frames, use_viterbi: bool = False) -> np.ndarray:
     """Posterior-mean latent images per frame: the tracked object appears
     registered in the latent coordinate frame."""
     X, states, _ = _map_states(model, frames, use_viterbi)
-    out = np.empty_like(X)
-    for t, (c, l) in enumerate(states):
-        out[t] = _z_mean(model, X[t], c, l)
-    return out
+    return _latent_means(model, X, *states.T)
+
+
+def _latent_means(model: ThmmModel, X, c, l) -> np.ndarray:
+    """(T, n) posterior-mean latent images, frame t given state (c[t], l[t])."""
+    return _latent_posterior(model.transforms.padded_dest[l], model.mu[c],
+                             model.phi[c], model.psi, X)[0]
 
 
 def track(model: ThmmModel, frames, use_viterbi: bool = False):
@@ -575,17 +556,14 @@ def track(model: ThmmModel, frames, use_viterbi: bool = False):
     X, states, post = _map_states(model, frames, use_viterbi)
     if post is None:
         post = forward_backward(model, X)
-    offsets = model.transforms.grid_offsets()
     T = X.shape[0]
-    out = np.empty((T, 4))
     flat = post.gamma.reshape(T, -1)
     order = np.sort(flat, axis=1)
     with np.errstate(divide="ignore"):
         margin = np.log(order[:, -1]) - np.log(order[:, -2]) if flat.shape[1] > 1 \
             else np.full(T, np.inf)
-    for t, (c, l) in enumerate(states):
-        out[t] = (c, offsets[l, 0], offsets[l, 1], margin[t])
-    return out
+    offsets = model.transforms.grid_offsets()[states[:, 1]]
+    return np.column_stack([states[:, 0], offsets, margin])
 
 
 def sample_sequence(model: ThmmModel, length: int, seed):

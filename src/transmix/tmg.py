@@ -43,10 +43,6 @@ class TmgModel(_GaussianModel):
     _AXES = {"pi": "C", "mu": "Cn", "phi": "Cn", "rho": "LC", "psi": "n"}
     _SUMS = {"pi": None, "rho": 0}
 
-    @property
-    def C(self) -> int:
-        return self.pi.shape[0]
-
     def as_mtca(self) -> _mtca.MtcaModel:
         """This model as an MTCA with zero factors, sharing its arrays."""
         return _record(_mtca.MtcaModel, shape=self.shape, transforms=self.transforms,

@@ -5,11 +5,19 @@ marks output pixels with no source).  The induced matrix G has at most one
 unit entry per row, so applying an operator is linear in the pixel count and
 ``G diag(v) G^T`` stays diagonal, which is what makes the model likelihoods
 in this package exact and cheap.
+
+Padded indices.  The model kernels read through a set by plain gathers,
+with n (the pixel count) in place of ``VOID``, from arrays with one zero
+pixel appended: a gather yields 0 where a pixel has no counterpart, with no
+mask.  `TransformationSet.padded_source` maps each observed pixel to the
+latent pixel it reads, `TransformationSet.padded_dest` each latent pixel to
+the observed pixel it lands on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +36,11 @@ DEFAULT_SHEAR_FAMILY: tuple[tuple[float, int], ...] = tuple(
     + [(0.0, -1), (0.0, 1), (-0.25, -1), (-0.25, 1),
        (0.25, -1), (0.25, 1), (0.0, -3), (0.0, 3)]
 )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -59,8 +72,7 @@ class TransformOp:
     shape: ImageShape
 
     def __post_init__(self):
-        src = np.ascontiguousarray(self.source_index, dtype=np.int64)
-        src.setflags(write=False)
+        src = _read_only(np.ascontiguousarray(self.source_index, dtype=np.int64))
         object.__setattr__(self, "source_index", src)
         n = self.shape.n
         if src.shape != (n,):
@@ -76,7 +88,7 @@ class TransformOp:
         if injective:
             dest = np.full(n, VOID, dtype=np.int64)
             dest[sources] = np.nonzero(valid)[0]
-            dest.setflags(write=False)
+            _read_only(dest)
         object.__setattr__(self, "injective", injective)
         object.__setattr__(self, "dest_index", dest)
 
@@ -134,40 +146,27 @@ class TransformationSet:
     def shape(self) -> ImageShape:
         return self.ops[0].shape
 
-    @property
+    @cached_property
     def source_matrix(self) -> np.ndarray:
         """(L, n) stacked source indices, VOID entries where rows are zero."""
-        cached = self.__dict__.get("_source_matrix")
-        if cached is None:
-            cached = np.stack([op.source_index for op in self.ops])
-            cached.setflags(write=False)
-            self.__dict__["_source_matrix"] = cached
-        return cached
+        return _read_only(np.stack([op.source_index for op in self.ops]))
 
-    @property
+    @cached_property
     def padded_source(self) -> np.ndarray:
-        """(L, n) `source_matrix` with VOID mapped to n: one gather from a
-        per-pixel array padded with a trailing zero reads 0 where an output
-        pixel has no source."""
-        cached = self.__dict__.get("_padded_source")
-        if cached is None:
-            src = self.source_matrix
-            cached = np.where(src >= 0, src, self.shape.n)
-            cached.setflags(write=False)
-            self.__dict__["_padded_source"] = cached
-        return cached
+        """(L, n) `source_matrix` with VOID mapped to n."""
+        src = self.source_matrix
+        return _read_only(np.where(src >= 0, src, self.shape.n))
 
-    @property
-    def dest_matrix(self) -> np.ndarray:
-        """(L, n) stacked inverse maps; requires every op to be injective."""
-        cached = self.__dict__.get("_dest_matrix")
-        if cached is None:
-            if not all(op.injective for op in self.ops):
-                raise ValueError("dest_matrix needs injective ops")
-            cached = np.stack([op.dest_index for op in self.ops])
-            cached.setflags(write=False)
-            self.__dict__["_dest_matrix"] = cached
-        return cached
+    @cached_property
+    def padded_dest(self) -> np.ndarray:
+        """(L, n) inverse maps with VOID mapped to n: row l holds, per latent
+        pixel, the observed pixel op l copies it to.  Needs injective ops."""
+        for l, op in enumerate(self.ops):
+            if not op.injective:
+                raise ValueError(f"op {l} is not injective: it copies one "
+                                 "source pixel to several output pixels")
+        dest = np.stack([op.dest_index for op in self.ops])
+        return _read_only(np.where(dest >= 0, dest, self.shape.n))
 
     @property
     def has_void(self) -> bool:
@@ -256,6 +255,16 @@ def shift_op(shape: ImageShape, di: int, dj: int, boundary: str = WRAP) -> Trans
         inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
         src = np.where(inside, np.clip(rows, 0, h - 1) * w + np.clip(cols, 0, w - 1), VOID)
     return TransformOp(src.reshape(-1).astype(np.int64), shape)
+
+
+def wrap_shift_index(shape: ImageShape) -> np.ndarray:
+    """(H W, n) source indices of every wrap shift: row di * W + dj is
+    `shift_op(shape, di, dj, WRAP).source_index`, 0 <= di < H, 0 <= dj < W."""
+    h, w = shape.height, shape.width
+    di, dj = np.divmod(np.arange(h * w), w)
+    rows = (np.arange(h)[None, :, None] - di[:, None, None]) % h
+    cols = (np.arange(w)[None, None, :] - dj[:, None, None]) % w
+    return (rows * w + cols).reshape(h * w, h * w)
 
 
 def build_translation_set(shape: ImageShape, shifts_v: int, shifts_h: int,

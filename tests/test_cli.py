@@ -233,6 +233,13 @@ def test_metric_validation_and_shift_correlation():
     assert shift_max_correlation(shifted, img, shape) == pytest.approx(1.0)
     assert normalized_correlation(img, img) == pytest.approx(1.0)
 
+    flipped = img[::-1]
+    every_shift = [normalized_correlation(img, apply(shift_op(shape, di, dj), flipped))
+                   for di in range(4) for dj in range(4)]
+    assert shift_max_correlation(img, flipped, shape) == pytest.approx(
+        max(every_shift), rel=1e-12)
+    assert shift_max_correlation(img, np.ones(16), shape) == 0.0
+
     means = np.stack([shifted, rng.uniform(0, 1, 16)])
     corr, match = best_template_assignment(means, img[None, :], shape)
     assert match[0] == 0 and corr[0] == pytest.approx(1.0)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from transmix import EmOptions, ImageShape, UnderflowError, build_translation_set
+from transmix import (EmOptions, ImageShape, TransformOp, TransformationSet,
+                      UnderflowError, build_translation_set)
 from transmix import mtca, tca, thmm, tmg
-from transmix.common import CUT, _cutexp, logsumexp
+from transmix.common import CUT, _cutexp, _latent_posterior, logsumexp
 
 SHAPE = ImageShape(3, 3)
 C, FAR = 3, 2
@@ -246,6 +247,53 @@ def test_factor_count(family):
     X = np.random.default_rng(3).uniform(0, 1, (6, SHAPE.n))
     want = {tmg: 0, tca: 1, mtca: 1, thmm: 0}[family]
     assert _fresh_model(family, X).K == want
+
+
+@pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
+                         ids=["tmg", "tca", "mtca", "thmm"])
+def test_cluster_count(family):
+    X = np.random.default_rng(3).uniform(0, 1, (6, SHAPE.n))
+    want = {tmg: 2, tca: 1, mtca: 2, thmm: 2}[family]
+    assert _fresh_model(family, X).C == want
+
+
+@pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
+                         ids=["tmg", "tca", "mtca", "thmm"])
+def test_non_injective_op_is_refused_at_construction(family):
+    """Op 1 copies source pixel 0 to two output pixels: the diagonal
+    kernels would score it wrongly, so no model may be built on it."""
+    shape = ImageShape(1, 3)
+    ops = (TransformOp(np.arange(3), shape), TransformOp(np.array([0, 0, 2]), shape))
+    ts = TransformationSet(ops, "wrap", grid=(1, 2) if family is thmm else None)
+    X = np.random.default_rng(4).uniform(0, 1, (5, 3))
+    init = {tmg: lambda: tmg.init_tmg(ts, 2, X),
+            tca: lambda: tca.init_tca(ts, 1, X),
+            mtca: lambda: mtca.init_mtca(ts, 2, 1, X),
+            thmm: lambda: thmm.init_thmm(ts, 2, X)}[family]
+    with pytest.raises(ValueError, match="op 1 is not injective"):
+        init()
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "zero"])
+def test_latent_posterior_forms_agree(boundary):
+    """Every op for one image, and one op per image row, give the same
+    moments; a latent pixel that lands nowhere keeps its prior."""
+    rng = np.random.default_rng(41)
+    ts = build_translation_set(ImageShape(4, 5), 3, 3, boundary)
+    n, L, dest = ts.shape.n, ts.L, ts.padded_dest
+    mu, x = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+    phi, psi = rng.uniform(0.05, 0.2, n), rng.uniform(0.05, 0.2, n)
+    every_op = _latent_posterior(dest, mu, phi, psi, x)
+    per_row = _latent_posterior(dest, np.tile(mu, (L, 1)), np.tile(phi, (L, 1)), psi,
+                                np.tile(x, (L, 1)))
+    for got, want in zip(per_row, every_op):
+        assert got.shape == (L, n)
+        np.testing.assert_array_equal(got, want)
+    nowhere = dest == n
+    assert nowhere.any() == (boundary == "zero")
+    z_mean, z_var = every_op
+    np.testing.assert_allclose(z_mean[nowhere], np.tile(mu, (L, 1))[nowhere], rtol=1e-14)
+    np.testing.assert_allclose(z_var[nowhere], np.tile(phi, (L, 1))[nowhere], rtol=1e-14)
 
 
 MOMENTS = ("z_mean", "z_var_diag", "y_mean", "y_cov")

@@ -156,6 +156,20 @@ def test_malformed_header_is_a_model_io_error(tmp_path, case):
         load_model(path)
 
 
+def test_non_injective_op_in_a_file_is_a_model_io_error(tmp_path):
+    model = make_models()["tmg"]
+    path = tmp_path / "m.txm"
+    save_model(model, path)
+    row = model.transforms[0].source_index
+    p, q = np.nonzero(row >= 0)[0][:2]
+    twice = row.copy()
+    twice[q] = row[p]
+    path.write_bytes(_rewritten(path.read_bytes(), row.astype("<i8").tobytes(),
+                                twice.astype("<i8").tobytes()))
+    with pytest.raises(ModelIOError, match="op 0 is not injective"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("mode", [b"magnitude", b"vector"])
 def test_huge_motion_threshold_fails_before_a_table_is_built(tmp_path, monkeypatch, mode):
     """The motion table's size comes from the header's threshold; a file

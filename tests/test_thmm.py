@@ -473,6 +473,35 @@ def test_stabilize_t1_matches_static_posterior_mean():
     assert np.allclose(out[0], post.z_mean[l_hat, c_hat], atol=1e-10)
 
 
+@pytest.mark.parametrize("task", ["soft", "hard", "stabilize"])
+def test_decoding_on_a_zero_padded_grid_matches_per_frame_posteriors(task):
+    """Each frame's output is the per-frame TMG posterior mean (or template)
+    at its decoded state, seen through the state's op; the zero-padded grid
+    has latent pixels that land nowhere and observed pixels with no source."""
+    model = random_thmm(70, shape=ImageShape(3, 4), grid=(3, 3), C=2,
+                        boundary="zero", threshold=1.5)
+    assert model.transforms.has_void
+    frames, _ = sample_sequence(model, 12, 71)
+    if task == "hard":
+        states = viterbi(model, frames)
+        got = denoise(model, frames, mode="hard")
+    else:
+        best = forward_backward(model, frames).gamma.reshape(len(frames), -1).argmax(axis=1)
+        states = np.stack(np.divmod(best, model.L), axis=1)
+        got = (stabilize(model, frames) if task == "stabilize"
+               else denoise(model, frames, mode="soft"))
+    as_tmg = tmg_mod.TmgModel(shape=model.shape, transforms=model.transforms,
+                              pi=np.full(2, 0.5), mu=model.mu, phi=model.phi,
+                              rho=np.full((model.L, 2), 1.0 / model.L), psi=model.psi)
+    assert len({tuple(s) for s in states}) > 1
+    for t, (c, l) in enumerate(states):
+        z = tmg_mod.posterior(as_tmg, frames[t]).z_mean[l, c]
+        op = model.transforms[l]
+        want = {"soft": apply(op, z), "hard": apply(op, model.mu[c]),
+                "stabilize": z}[task]
+        np.testing.assert_allclose(got[t], want, rtol=1e-12, atol=1e-12)
+
+
 def test_track_static_and_t1():
     shape = ImageShape(3, 3)
     ts = make_grid_set(shape, 3, 3)
@@ -671,3 +700,47 @@ def test_from_tmg_gauge_alignment():
                            psi=np.full(16, 0.3))
     model = from_tmg(tmg)
     assert np.allclose(model.mu[0], model.mu[1], atol=1e-12)
+
+
+def _loop_gauge_shift(ref, template, shape):
+    """The first wrap shift whose centred template scores best against the
+    centred reference, by the per-shift loop; and every shift's score."""
+    shifts = [shift_op(shape, di, dj, "wrap")
+              for di in range(shape.height) for dj in range(shape.width)]
+    scores = [(ref - ref.mean()) @ (apply(op, template) - apply(op, template).mean())
+              for op in shifts]
+    return shifts[int(np.argmax(scores))], scores
+
+
+def test_from_tmg_ties_go_to_the_first_shift():
+    # cluster 1's template repeats with period 2 along both axes, so four
+    # wrap shifts tie for the best score; its variance map does not repeat,
+    # so the chosen shift shows in phi.  All scores are exact in float64.
+    shape = ImageShape(4, 4)
+    ref = np.arange(16.0)
+    periodic = np.tile([[0.0, 2.0], [1.0, 5.0]], (2, 2)).reshape(-1)
+    phi = np.stack([np.ones(16), np.arange(1.0, 17.0)])
+    tmg = tmg_mod.TmgModel(shape=shape, transforms=make_grid_set(shape, 3, 3),
+                           pi=np.array([0.6, 0.4]), mu=np.stack([ref, periodic]),
+                           phi=phi, rho=np.full((9, 2), 1.0 / 9), psi=np.full(16, 0.3))
+    first, scores = _loop_gauge_shift(ref, periodic, shape)
+    assert scores.count(max(scores)) == 4
+    model = from_tmg(tmg)
+    assert np.array_equal(model.mu[1], apply(first, periodic))
+    assert np.array_equal(model.phi[1], apply(first, phi[1]))
+    assert np.array_equal(model.mu[0], ref) and np.array_equal(model.phi[0], phi[0])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_from_tmg_picks_the_shift_of_the_per_shift_loop(seed):
+    rng = np.random.default_rng(80 + seed)
+    shape, C = ImageShape(5, 6), 3
+    tmg = tmg_mod.TmgModel(shape=shape, transforms=make_grid_set(shape, 3, 3),
+                           pi=rng.dirichlet(np.ones(C)), mu=rng.uniform(0, 1, (C, 30)),
+                           phi=rng.uniform(0.1, 1.0, (C, 30)),
+                           rho=np.full((9, C), 1.0 / 9), psi=np.full(30, 0.3))
+    model = from_tmg(tmg)
+    for c in range(C):
+        best, _ = _loop_gauge_shift(tmg.mu[np.argmax(tmg.pi)], tmg.mu[c], shape)
+        assert np.array_equal(model.mu[c], apply(best, tmg.mu[c]))
+        assert np.array_equal(model.phi[c], apply(best, tmg.phi[c]))

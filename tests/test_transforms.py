@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transmix import (DEFAULT_SHEAR_FAMILY, ImageShape, VOID, apply,
-                      apply_adjoint, build_shear_translation_set,
-                      build_translation_set, identity_set,
-                      shear_translate_op, shift_op, transform_diag_cov)
+from transmix import (DEFAULT_SHEAR_FAMILY, ImageShape, TransformOp,
+                      TransformationSet, VOID, apply, apply_adjoint,
+                      build_shear_translation_set, build_translation_set,
+                      identity_set, shear_translate_op, shift_op,
+                      transform_diag_cov)
+from transmix.transforms import wrap_shift_index
 
 from oracles import dense_matrix
 
@@ -182,3 +184,34 @@ def test_batched_apply():
     assert np.allclose(apply(op, batch), stacked)
     stacked_adj = np.stack([apply_adjoint(op, row) for row in batch])
     assert np.allclose(apply_adjoint(op, batch), stacked_adj)
+
+
+def test_padded_dest_inverts_padded_source_and_maps_void_to_n():
+    ts = build_translation_set(ImageShape(4, 5), 3, 3, "zero")
+    n, dest, src = ts.shape.n, ts.padded_dest, ts.padded_source
+    assert dest.shape == (ts.L, n) and not dest.flags.writeable
+    assert (dest == n).any() and (src == n).any()
+    assert dest is ts.padded_dest
+    for l, op in enumerate(ts):
+        assert np.array_equal(dest[l], np.where(op.dest_index == VOID, n, op.dest_index))
+        lands = dest[l] < n
+        assert np.array_equal(src[l, dest[l, lands]], np.nonzero(lands)[0])
+        assert np.count_nonzero(lands) == np.count_nonzero(src[l] < n)
+
+
+def test_padded_dest_refuses_a_non_injective_op():
+    shape = ImageShape(1, 3)
+    ts = TransformationSet((TransformOp(np.arange(3), shape),
+                            TransformOp(np.array([0, 0, 2]), shape)), "wrap")
+    with pytest.raises(ValueError, match="op 1 is not injective"):
+        ts.padded_dest
+
+
+def test_wrap_shift_index_rows_are_the_shift_ops():
+    shape = ImageShape(3, 4)
+    index = wrap_shift_index(shape)
+    assert index.shape == (12, 12)
+    for di in range(3):
+        for dj in range(4):
+            assert np.array_equal(index[di * 4 + dj],
+                                  shift_op(shape, di, dj, "wrap").source_index)
