@@ -115,8 +115,8 @@ class _GaussianModel:
         its axes' shape: n and L come from the image shape and the ops, C
         and K from the first field that has them.  The distributions must
         sum to one, the variances be positive, the factors be fewer than the
-        pixels, every op be injective (see `padded_dest`), and a fast
-        likelihood run only over void-free ops."""
+        pixels, and a fast likelihood run only over void-free ops.  The
+        transformation set has already refused non-injective ops."""
         size = {"n": self.shape.n, "L": self.transforms.L}
         for name, axes in self._AXES.items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
@@ -134,7 +134,6 @@ class _GaussianModel:
             raise ValueError("variances must be positive")
         if size.get("K", 0) >= size["n"]:
             raise ValueError("the factor count must be below the pixel count")
-        self.transforms.padded_dest  # refuses a non-injective op, naming it
         if getattr(self, "fast_likelihood", False) and self.transforms.has_void:
             raise ValueError("fast likelihood needs void-free (invertible) ops")
 

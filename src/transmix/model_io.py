@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .thmm import MotionPrior, ThmmModel
+from .thmm import MotionPrior, ThmmModel, _table_shape
 from .mtca import MtcaModel
 from .tca import TcaModel
 from .tmg import TmgModel
-from .transforms import ImageShape, TransformOp, TransformationSet
+from .transforms import ImageShape, TransformationSet
 
 MAGIC = "TXMODEL"
 VERSION = 1
@@ -170,8 +170,7 @@ def _parse(payload: bytes, family: str | None):
     if param_width:
         raw_params, body = _take(body, (L, param_width))
         params = tuple(tuple(row) for row in raw_params)
-    ops = tuple(TransformOp(row, shape) for row in src)
-    ts = TransformationSet(ops, fields["boundary"], grid=grid, params=params,
+    ts = TransformationSet(src, shape, fields["boundary"], grid=grid, params=params,
                            kind=fields["kind"])
 
     axes = "".join(cls._AXES.values())
@@ -191,8 +190,7 @@ def _parse(payload: bytes, family: str | None):
         per_class = bool(int(fields["motion_per_class"]))
         # the table's shape, from its radius alone: nothing is built before
         # `_take` has checked that the file holds the table
-        r = math.floor(threshold)
-        table_shape = (2 * r + 1, 2 * r + 1) if mode == "vector" else (r + 1,)
+        table_shape = _table_shape(mode, threshold)
         if per_class:
             table_shape = (size["C"],) + table_shape
         table, body = _take(body, table_shape)

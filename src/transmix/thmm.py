@@ -25,7 +25,7 @@ with zero-padded sets, edge states renormalize over their feasible moves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,15 +38,33 @@ from .transforms import ImageShape, TransformationSet, apply, wrap_shift_index
 from .tmg import TmgModel
 
 
-def motion_offsets(threshold: float) -> tuple[tuple[int, int], ...]:
-    """Integer displacements with Euclidean norm within the threshold."""
+def motion_offsets(threshold: float) -> np.ndarray:
+    """(B, 2) integer displacements (di, dj) with Euclidean norm within the
+    threshold, di major, both ascending."""
     r = int(math.floor(threshold))
-    out = []
-    for di in range(-r, r + 1):
-        for dj in range(-r, r + 1):
-            if math.hypot(di, dj) <= threshold + 1e-9:
-                out.append((di, dj))
-    return tuple(out)
+    d = np.arange(-r, r + 1)
+    di, dj = np.repeat(d, 2 * r + 1), np.tile(d, 2 * r + 1)
+    keep = np.sqrt(di * di + dj * dj) <= threshold + 1e-9
+    return np.stack([di[keep], dj[keep]], axis=1)
+
+
+def _table_shape(mode: str, threshold: float) -> tuple[int, ...]:
+    """Shape of one class's motion table."""
+    r = int(math.floor(threshold))
+    return (2 * r + 1, 2 * r + 1) if mode == "vector" else (r + 1,)
+
+
+def _bins(mode: str, threshold: float, offsets: np.ndarray) -> np.ndarray:
+    """Flat index into one class's motion table of each displacement's bin:
+    the displacement itself ("vector") or its rounded norm ("magnitude")."""
+    r = int(math.floor(threshold))
+    if mode == "vector":
+        return (offsets[:, 0] + r) * (2 * r + 1) + offsets[:, 1] + r
+    bins = np.rint(np.sqrt((offsets * offsets).sum(axis=1))).astype(np.int64)
+    if bins.max(initial=0) > r:
+        raise ValueError(f"threshold {threshold} rounds a norm within it up to "
+                         f"{bins.max()}, past the magnitude table's last bin {r}")
+    return bins
 
 
 @dataclass(eq=False)
@@ -57,34 +75,42 @@ class MotionPrior:
     on the rounded Euclidean norm, splitting each bin's mass uniformly over
     the displacements that realize it.  Entries beyond the threshold are
     zero.  With per_class=True the table carries a leading class axis and
-    conditions on the previous frame's class.
+    conditions on the previous frame's class.  `offsets` holds the
+    displacements within the threshold (`motion_offsets`), `bins` the flat
+    index of each one's bin in one class's table.
     """
 
     mode: str
     threshold: float
     table: np.ndarray
     per_class: bool = False
+    offsets: np.ndarray = field(init=False, repr=False)
+    bins: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("vector", "magnitude"):
             raise ValueError("mode must be 'vector' or 'magnitude'")
         self.table = np.asarray(self.table, dtype=np.float64)
-        r = int(math.floor(self.threshold))
-        want = (2 * r + 1, 2 * r + 1) if self.mode == "vector" else (r + 1,)
+        want = _table_shape(self.mode, self.threshold)
         got = self.table.shape[1:] if self.per_class else self.table.shape
         if got != want:
             raise ValueError(f"table shape {got} does not match mode/threshold {want}")
         if np.any(self.table < 0):
             raise ValueError("motion table entries must be nonnegative")
-        flat = self.table.reshape(-1, self.table[0].size if self.per_class else self.table.size)
-        if not np.allclose(flat.sum(axis=1), 1.0):
+        flat = self._flat()
+        if not np.allclose(flat.sum(axis=-1), 1.0):
             raise ValueError("motion table must sum to 1 (per class)")
-        if self.mode == "vector":
-            mask = np.ones((2 * r + 1, 2 * r + 1), dtype=bool)
-            for di, dj in motion_offsets(self.threshold):
-                mask[di + r, dj + r] = False
-            if np.any(self.table[..., mask] > 0):
-                raise ValueError("motion table has mass beyond the threshold")
+        self.offsets = motion_offsets(self.threshold)
+        self.bins = _bins(self.mode, self.threshold, self.offsets)
+        beyond = np.ones(flat.shape[-1], dtype=bool)
+        beyond[self.bins] = False
+        if np.any(flat[..., beyond] > 0):
+            raise ValueError("motion table has mass beyond the threshold")
+
+    def _flat(self) -> np.ndarray:
+        """The table with one flat bin axis: (C?, bins)."""
+        return self.table.reshape(len(self.table), -1) if self.per_class \
+            else self.table.reshape(-1)
 
     @property
     def radius(self) -> int:
@@ -93,41 +119,20 @@ class MotionPrior:
     def n_classes(self) -> int | None:
         return self.table.shape[0] if self.per_class else None
 
-    def bin_of(self, di: int, dj: int):
-        if self.mode == "vector":
-            return (di + self.radius, dj + self.radius)
-        return (int(np.rint(math.hypot(di, dj))),)
-
-    def weights(self, offsets) -> np.ndarray:
-        """Per-displacement transition weights, (C?, B).
+    def weights(self) -> np.ndarray:
+        """Per-displacement transition weights, (C?, B), over `offsets`.
 
         Vector bins hold one displacement each; magnitude bins split their
         mass over the displacements sharing the rounded norm.
         """
-        mult = {}
-        for di, dj in offsets:
-            b = self.bin_of(di, dj)
-            mult[b] = mult.get(b, 0) + 1
-        cols = []
-        for di, dj in offsets:
-            b = self.bin_of(di, dj)
-            cols.append(self.table[(...,) + b] / mult[b])
-        return np.stack(cols, axis=-1)
+        return self._flat()[..., self.bins] / np.bincount(self.bins)[self.bins]
 
 
 def uniform_motion(threshold: float = 3.0, mode: str = "vector",
                    per_class: bool = False, n_classes: int = 1) -> MotionPrior:
     """Uniform-over-bins motion prior within the threshold."""
-    r = int(math.floor(threshold))
-    offsets = motion_offsets(threshold)
-    if mode == "vector":
-        table = np.zeros((2 * r + 1, 2 * r + 1))
-        for di, dj in offsets:
-            table[di + r, dj + r] = 1.0
-    else:
-        bins = sorted({int(np.rint(math.hypot(*o))) for o in offsets})
-        table = np.zeros(r + 1)
-        table[bins] = 1.0
+    table = np.zeros(_table_shape(mode, threshold))
+    table.reshape(-1)[_bins(mode, threshold, motion_offsets(threshold))] = 1.0
     table = table / table.sum()
     if per_class:
         table = np.tile(table, (n_classes,) + (1,) * table.ndim)
@@ -259,13 +264,18 @@ class _Dynamics:
     def __init__(self, model: ThmmModel):
         mv, mh = model.transforms.grid
         self.wrap = model.wrap_motion
-        self.offsets = motion_offsets(model.motion.threshold)
-        w = model.motion.weights(self.offsets)
+        self.offsets = model.motion.offsets
+        w = model.motion.weights()
         self.weights = w if model.motion.per_class else np.tile(w, (model.C, 1))
-        keys = [(di % mv, dj % mh) if self.wrap else (di, dj)
-                for di, dj in self.offsets]
-        moves = list(dict.fromkeys(keys))
-        self.fold = np.array([moves.index(k) for k in keys], dtype=np.int64)
+        keys = self.offsets % (mv, mh) if self.wrap else self.offsets
+        # merge aliasing displacements into moves, in order of first
+        # appearance: fold[b] is the move of displacement b
+        _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        self.fold = rank[inverse.reshape(-1)]
+        moves = keys[np.sort(first)]
         move_w = np.zeros((model.C, len(moves)))
         np.add.at(move_w, (slice(None), self.fold), self.weights)
         per_b = move_w[:, self.fold]
@@ -273,7 +283,7 @@ class _Dynamics:
                                where=per_b > 0)
 
         i, j = np.divmod(np.arange(mv * mh), mh)
-        d = np.array(moves).T[:, :, None]
+        d = moves.T[:, :, None]
         with np.errstate(divide="ignore"):
             log_w = np.log(move_w)[:, :, None]
 
@@ -376,23 +386,21 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
             log_beta = np.log(E.sum(axis=1)) + top - dyn.log_z
         gamma[t] = np.exp(log_alpha[t] + log_beta)
 
-    xi_bins = _pool_motion(model.motion, dyn.offsets,
-                           xi_moves[:, dyn.fold] * dyn.share)
+    xi_bins = _pool_motion(model.motion, xi_moves[:, dyn.fold] * dyn.share)
     return SequencePosterior(gamma=gamma, xi_class=xi_class,
                              xi_motion=xi_bins, loglik=loglik)
 
 
-def _pool_motion(motion: MotionPrior, offsets, counts: np.ndarray) -> np.ndarray:
-    """Pool per-displacement expected counts into the motion table's bins."""
-    pooled = np.zeros_like(motion.table, dtype=np.float64)
-    per_class = motion.per_class
-    for b, (di, dj) in enumerate(offsets):
-        idx = motion.bin_of(di, dj)
-        if per_class:
-            pooled[(slice(None),) + idx] += counts[:, b]
-        else:
-            pooled[idx] += counts[:, b].sum()
-    return pooled
+def _pool_motion(motion: MotionPrior, counts: np.ndarray) -> np.ndarray:
+    """Pool per-displacement expected counts (C, B) into the motion table's
+    bins, each bin summing its displacements in order."""
+    if not motion.per_class:
+        # per displacement, its column's sum over classes (a contiguous row
+        # sums in the same order as the column)
+        counts = np.ascontiguousarray(counts.T).sum(axis=1)[None]
+    pooled = np.zeros((len(counts), motion._flat().shape[-1]))
+    np.add.at(pooled, (slice(None), motion.bins), counts)
+    return pooled.reshape(motion.table.shape)
 
 
 def score_sequence(model: ThmmModel, frames) -> float:
@@ -571,6 +579,7 @@ def sample_sequence(model: ThmmModel, length: int, seed):
     rng = np.random.default_rng(seed)
     dyn = _Dynamics(model)
     mv, mh = model.transforms.grid
+    di, dj = dyn.offsets.T
     frames = np.empty((length, model.n))
     states = np.empty((length, 2), dtype=np.int64)
     flat_pi = model.pi_s.reshape(-1)
@@ -583,15 +592,11 @@ def sample_sequence(model: ThmmModel, length: int, seed):
             + np.sqrt(model.psi) * rng.standard_normal(model.n)
         if t + 1 < length:
             i, j = divmod(l, mh)
-            w = dyn.weights[c].copy()
+            w = dyn.weights[c]
             if not dyn.wrap:
-                for b, (di, dj) in enumerate(dyn.offsets):
-                    if not (0 <= i + di < mv and 0 <= j + dj < mh):
-                        w[b] = 0.0
-            w = w / w.sum()
-            b = rng.choice(len(dyn.offsets), p=w)
-            di, dj = dyn.offsets[b]
-            i2, j2 = (i + di) % mv, (j + dj) % mh
+                w = np.where((0 <= i + di) & (i + di < mv) & (0 <= j + dj) & (j + dj < mh),
+                             w, 0.0)
+            b = rng.choice(len(w), p=w / w.sum())
             c = rng.choice(model.C, p=model.class_trans[c])
-            l = i2 * mh + j2
+            l = (i + di[b]) % mv * mh + (j + dj[b]) % mh
     return frames, states

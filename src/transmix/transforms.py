@@ -1,8 +1,11 @@
 """Discrete image transformations as sparse generalized-permutation operators.
 
 A transformation is stored as one source index per output pixel (``VOID``
-marks output pixels with no source).  The induced matrix G has at most one
-unit entry per row, so applying an operator is linear in the pixel count and
+marks output pixels with no source), and a family of L transformations as
+one (L, n) table of them, a `TransformationSet`.  The induced matrix G has
+at most one unit entry per row, so applying an operator is linear in the
+pixel count.  Every operator must also be injective, no source pixel read
+by two output pixels: then G has at most one unit entry per column too, and
 ``G diag(v) G^T`` stays diagonal, which is what makes the model likelihoods
 in this package exact and cheap.
 
@@ -17,10 +20,11 @@ the observed pixel it lands on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .common import _padded
 
 VOID = -1
 
@@ -61,48 +65,15 @@ class ImageShape:
 
 
 @dataclass(frozen=True, eq=False)
-class TransformOp:
-    """One generalized-permutation operator on flattened pixel vectors.
-
-    ``source_index[p]`` is the input pixel copied to output pixel ``p``, or
-    ``VOID`` when output pixel ``p`` has no source (zero row of G).
-    """
-
-    source_index: np.ndarray
-    shape: ImageShape
-
-    def __post_init__(self):
-        src = _read_only(np.ascontiguousarray(self.source_index, dtype=np.int64))
-        object.__setattr__(self, "source_index", src)
-        n = self.shape.n
-        if src.shape != (n,):
-            raise ValueError(f"source_index must have shape ({n},)")
-        if src.min(initial=0) < VOID or src.max(initial=0) >= n:
-            raise ValueError("source indices out of range")
-        valid = src >= 0
-        # Inverse map: dest_index[q] = output pixel fed by input q, VOID if
-        # q is never read.  Only defined when the op is injective.
-        sources = src[valid]
-        injective = np.unique(sources).size == sources.size
-        dest = None
-        if injective:
-            dest = np.full(n, VOID, dtype=np.int64)
-            dest[sources] = np.nonzero(valid)[0]
-            _read_only(dest)
-        object.__setattr__(self, "injective", injective)
-        object.__setattr__(self, "dest_index", dest)
-
-    injective: bool = field(init=False)
-    dest_index: np.ndarray | None = field(init=False)
-
-    @property
-    def n(self) -> int:
-        return self.shape.n
-
-
-@dataclass(frozen=True, eq=False)
 class TransformationSet:
-    """Ordered family of operators sharing one shape and boundary rule.
+    """Ordered family of L operators sharing one shape and boundary rule,
+    held as one read-only (L, n) table of source indices.
+
+    Row l of ``source_matrix`` is op l: ``source_matrix[l, p]`` is the input
+    pixel copied to output pixel p, or ``VOID`` when p has no source (a zero
+    row of G).  Every op must be injective, no input pixel copied twice,
+    which the constructor checks once over the whole table as it builds
+    `padded_source` and `padded_dest`.
 
     ``grid``, when present, is ``(M_v, M_h)`` and op ``l = i * M_h + j`` is
     the integer shift by ``(i - M_v // 2, j - M_h // 2)``.  ``params`` keeps
@@ -110,63 +81,61 @@ class TransformationSet:
     ``(shear, shift)`` pairs), which tangent-direction lookups rely on.
     """
 
-    ops: tuple[TransformOp, ...]
+    source_matrix: np.ndarray
+    shape: ImageShape
     boundary: str
     grid: tuple[int, int] | None = None
     params: tuple[tuple[float, ...], ...] | None = None
     kind: str = "custom"
+    padded_source: np.ndarray = field(init=False, repr=False)
+    padded_dest: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.ops) < 1:
-            raise ValueError("a TransformationSet needs at least one op")
+        src = np.array(self.source_matrix, dtype=np.int64)
+        n = self.shape.n
+        if src.ndim != 2 or src.shape[0] < 1 or src.shape[1] != n:
+            raise ValueError(f"source_matrix must have shape (L >= 1, {n}), "
+                             f"got {src.shape}")
         if self.boundary not in _BOUNDARIES:
             raise ValueError(f"boundary must be one of {_BOUNDARIES}")
-        shape = self.ops[0].shape
-        if any(op.shape != shape for op in self.ops):
-            raise ValueError("all ops must share one image shape")
-        if self.grid is not None and self.grid[0] * self.grid[1] != len(self.ops):
+        L = src.shape[0]
+        if self.grid is not None and self.grid[0] * self.grid[1] != L:
             raise ValueError("grid dims inconsistent with op count")
-        if self.params is not None and len(self.params) != len(self.ops):
+        if self.params is not None and len(self.params) != L:
             raise ValueError("params length must match op count")
+        if src.min() < VOID or src.max() >= n:
+            raise ValueError("source indices out of range")
+        # padded_dest inverts padded_source row by row: scatter each output
+        # pixel p to the input pixel it reads, in a table with one spare
+        # column for VOID, then read back.  An op is injective exactly when
+        # every p reads back its own index: of two outputs sharing a source,
+        # one scatter overwrites the other.
+        padded = np.where(src >= 0, src, n)
+        at = padded + (n + 1) * np.arange(L)[:, None]
+        dest = np.full(L * (n + 1), n)
+        dest[at] = np.arange(n)
+        clash = (dest[at] != np.arange(n)) & (src >= 0)
+        if clash.any():
+            l = int(np.nonzero(clash)[0][0])
+            raise ValueError(f"op {l} is not injective: it copies one "
+                             "source pixel to several output pixels")
+        object.__setattr__(self, "source_matrix", _read_only(src))
+        object.__setattr__(self, "padded_source", _read_only(padded))
+        object.__setattr__(self, "padded_dest",
+                           _read_only(dest.reshape(L, n + 1)[:, :n].copy()))
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return self.L
 
     def __getitem__(self, l: int) -> TransformOp:
-        return self.ops[l]
+        return TransformOp(self, range(self.L)[l])
 
     def __iter__(self):
-        return iter(self.ops)
+        return (TransformOp(self, l) for l in range(self.L))
 
     @property
     def L(self) -> int:
-        return len(self.ops)
-
-    @property
-    def shape(self) -> ImageShape:
-        return self.ops[0].shape
-
-    @cached_property
-    def source_matrix(self) -> np.ndarray:
-        """(L, n) stacked source indices, VOID entries where rows are zero."""
-        return _read_only(np.stack([op.source_index for op in self.ops]))
-
-    @cached_property
-    def padded_source(self) -> np.ndarray:
-        """(L, n) `source_matrix` with VOID mapped to n."""
-        src = self.source_matrix
-        return _read_only(np.where(src >= 0, src, self.shape.n))
-
-    @cached_property
-    def padded_dest(self) -> np.ndarray:
-        """(L, n) inverse maps with VOID mapped to n: row l holds, per latent
-        pixel, the observed pixel op l copies it to.  Needs injective ops."""
-        for l, op in enumerate(self.ops):
-            if not op.injective:
-                raise ValueError(f"op {l} is not injective: it copies one "
-                                 "source pixel to several output pixels")
-        dest = np.stack([op.dest_index for op in self.ops])
-        return _read_only(np.where(dest >= 0, dest, self.shape.n))
+        return self.source_matrix.shape[0]
 
     @property
     def has_void(self) -> bool:
@@ -191,6 +160,39 @@ class TransformationSet:
         return i * mh + j
 
 
+@dataclass(frozen=True, eq=False)
+class TransformOp:
+    """Op ``l`` of a `TransformationSet`: row l of the set's tables.
+
+    ``source_index[p]`` is the input pixel copied to output pixel ``p``, or
+    ``VOID`` when output pixel ``p`` has no source (zero row of G);
+    ``padded_source`` and ``padded_dest`` are the op's padded rows.
+    """
+
+    transforms: TransformationSet
+    l: int
+
+    @property
+    def source_index(self) -> np.ndarray:
+        return self.transforms.source_matrix[self.l]
+
+    @property
+    def padded_source(self) -> np.ndarray:
+        return self.transforms.padded_source[self.l]
+
+    @property
+    def padded_dest(self) -> np.ndarray:
+        return self.transforms.padded_dest[self.l]
+
+    @property
+    def shape(self) -> ImageShape:
+        return self.transforms.shape
+
+    @property
+    def n(self) -> int:
+        return self.shape.n
+
+
 def _check_vector(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != n:
@@ -201,29 +203,13 @@ def _check_vector(x, n: int) -> np.ndarray:
 def apply(op: TransformOp, image) -> np.ndarray:
     """Apply G to a pixel vector (or a batch stacked on leading axes)."""
     x = _check_vector(image, op.n)
-    src = op.source_index
-    out = np.where(src >= 0, x[..., np.where(src >= 0, src, 0)], 0.0)
-    return out
+    return _padded(x, axis=-1)[..., op.padded_source]
 
 
 def apply_adjoint(op: TransformOp, image) -> np.ndarray:
     """Apply G^T (scatter).  Inverts `apply` exactly for wrap permutations."""
     x = _check_vector(image, op.n)
-    if op.injective:
-        dest = op.dest_index
-        return np.where(dest >= 0, x[..., np.where(dest >= 0, dest, 0)], 0.0)
-    out = np.zeros_like(x)
-    valid = np.nonzero(op.source_index >= 0)[0]
-    sources = op.source_index[valid]
-    if x.ndim == 1:
-        np.add.at(out, sources, x[valid])
-    else:
-        flat = out.reshape(-1, op.n)
-        xf = x.reshape(-1, op.n)
-        rows = np.arange(flat.shape[0])[:, None]
-        np.add.at(flat, (rows, sources[None, :]), xf[:, valid])
-        out = flat.reshape(x.shape)
-    return out
+    return _padded(x, axis=-1)[..., op.padded_dest]
 
 
 def transform_diag_cov(op: TransformOp, phi, psi) -> np.ndarray:
@@ -238,33 +224,36 @@ def transform_diag_cov(op: TransformOp, phi, psi) -> np.ndarray:
         raise ValueError("phi entries must be positive")
     if np.any(psi < 0):
         raise ValueError("psi entries must be nonnegative")
-    src = op.source_index
-    return np.where(src >= 0, phi[np.where(src >= 0, src, 0)], 0.0) + psi
+    return _padded(phi)[op.padded_source] + psi
+
+
+def _shift_table(shape: ImageShape, di, dj, boundary: str) -> np.ndarray:
+    """(L, n) source indices of L ops: op l moves the content down by di[l]
+    rows and output row r right by dj[l, r] columns (dj[l] may be a single
+    column shift for every row).  Zero-pad leaves VOID where the source
+    falls outside the image; wrap reads it modulo the image size."""
+    h, w = shape.height, shape.width
+    di = np.asarray(di, dtype=np.int64)
+    rows = np.arange(h)[:, None] - di[:, None, None]
+    cols = np.arange(w) - np.asarray(dj, dtype=np.int64).reshape(len(di), -1, 1)
+    if boundary == WRAP:
+        src = rows % h * w + cols % w
+    else:
+        inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+        src = np.where(inside, rows * w + cols, VOID)
+    return src.reshape(len(di), h * w)
 
 
 def shift_op(shape: ImageShape, di: int, dj: int, boundary: str = WRAP) -> TransformOp:
     """Integer-pixel shift moving content down by `di` rows, right by `dj`."""
-    if boundary not in _BOUNDARIES:
-        raise ValueError(f"boundary must be one of {_BOUNDARIES}")
-    h, w = shape.height, shape.width
-    rows = np.arange(h)[:, None] - di
-    cols = np.arange(w)[None, :] - dj
-    if boundary == WRAP:
-        src = (rows % h) * w + (cols % w)
-    else:
-        inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-        src = np.where(inside, np.clip(rows, 0, h - 1) * w + np.clip(cols, 0, w - 1), VOID)
-    return TransformOp(src.reshape(-1).astype(np.int64), shape)
+    return TransformationSet(_shift_table(shape, [di], [dj], boundary),
+                             shape, boundary)[0]
 
 
 def wrap_shift_index(shape: ImageShape) -> np.ndarray:
     """(H W, n) source indices of every wrap shift: row di * W + dj is
     `shift_op(shape, di, dj, WRAP).source_index`, 0 <= di < H, 0 <= dj < W."""
-    h, w = shape.height, shape.width
-    di, dj = np.divmod(np.arange(h * w), w)
-    rows = (np.arange(h)[None, :, None] - di[:, None, None]) % h
-    cols = (np.arange(w)[None, None, :] - dj[:, None, None]) % w
-    return (rows * w + cols).reshape(h * w, h * w)
+    return _shift_table(shape, *np.divmod(np.arange(shape.n), shape.width), WRAP)
 
 
 def build_translation_set(shape: ImageShape, shifts_v: int, shifts_h: int,
@@ -285,15 +274,12 @@ def build_translation_set(shape: ImageShape, shifts_v: int, shifts_h: int,
             raise ValueError(
                 f"{axis} shift range {count // 2} is degenerate for zero-pad "
                 f"(all-VOID rows) on extent {extent}")
-    ops = []
-    params = []
-    for i in range(shifts_v):
-        for j in range(shifts_h):
-            di, dj = i - shifts_v // 2, j - shifts_h // 2
-            ops.append(shift_op(shape, di, dj, boundary))
-            params.append((float(di), float(dj)))
-    return TransformationSet(tuple(ops), boundary, grid=(shifts_v, shifts_h),
-                             params=tuple(params), kind="translate")
+    i, j = np.divmod(np.arange(shifts_v * shifts_h), shifts_h)
+    di, dj = i - shifts_v // 2, j - shifts_h // 2
+    params = tuple(zip(di.astype(float).tolist(), dj.astype(float).tolist()))
+    return TransformationSet(_shift_table(shape, di, dj, boundary), shape, boundary,
+                             grid=(shifts_v, shifts_h), params=params,
+                             kind="translate")
 
 
 def identity_set(shape: ImageShape) -> TransformationSet:
@@ -308,21 +294,8 @@ def shear_translate_op(shape: ImageShape, factor: float, t: int,
     Nearest-neighbor resampling keeps the op a generalized permutation; row
     offsets are measured from the exact image center (height - 1) / 2.
     """
-    if not np.isfinite(factor):
-        raise ValueError("shear factor must be finite")
-    h, w = shape.height, shape.width
-    center = (h - 1) / 2.0
-    k = np.rint(factor * (np.arange(h) - center)).astype(np.int64)
-    if boundary == ZERO and np.any(np.abs(k + t) >= w):
-        raise ValueError("shear+shift leaves a whole row without source columns")
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :] - k[:, None] - t
-    if boundary == WRAP:
-        src = rows * w + (cols % w)
-    else:
-        inside = (cols >= 0) & (cols < w)
-        src = np.where(inside, rows * w + np.clip(cols, 0, w - 1), VOID)
-    return TransformOp(src.reshape(-1).astype(np.int64), shape)
+    return build_shear_translation_set(shape, pairs=[(factor, t)],
+                                       boundary=boundary)[0]
 
 
 def build_shear_translation_set(shape: ImageShape,
@@ -331,7 +304,7 @@ def build_shear_translation_set(shape: ImageShape,
                                 *,
                                 pairs: Iterable[tuple[float, int]] | None = None,
                                 boundary: str = WRAP) -> TransformationSet:
-    """Family of shear+translate ops.
+    """Family of shear+translate ops (see `shear_translate_op`).
 
     Either give `shear_levels` and an odd centered `shifts_h` count (full
     cross product), or explicit (factor, shift) `pairs`.  With no arguments
@@ -348,5 +321,15 @@ def build_shear_translation_set(shape: ImageShape,
             shifts = [j - shifts_h // 2 for j in range(shifts_h)]
             pairs = [(float(s), t) for s in shear_levels for t in shifts]
     pairs = tuple((float(s), int(t)) for s, t in pairs)
-    ops = tuple(shear_translate_op(shape, s, t, boundary) for s, t in pairs)
-    return TransformationSet(ops, boundary, params=pairs, kind="shear")
+    if not pairs:
+        raise ValueError("a TransformationSet needs at least one op")
+    factor, t = (np.array(v) for v in zip(*pairs))
+    if not np.isfinite(factor).all():
+        raise ValueError("shear factor must be finite")
+    h, w = shape.height, shape.width
+    k = np.rint(factor[:, None] * (np.arange(h) - (h - 1) / 2.0)).astype(np.int64)
+    dj = k + t[:, None]
+    if boundary == ZERO and np.any(np.abs(dj) >= w):
+        raise ValueError("shear+shift leaves a whole row without source columns")
+    return TransformationSet(_shift_table(shape, np.zeros(len(pairs)), dj, boundary),
+                             shape, boundary, params=pairs, kind="shear")

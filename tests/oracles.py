@@ -24,6 +24,56 @@ def dense_matrix(op) -> np.ndarray:
     return g
 
 
+def shift_index(h, w, di, dj, wrap) -> list[int]:
+    """Per output pixel, the source pixel of a shift moving content down
+    `di` rows and right `dj` columns, -1 where a zero-padded shift reads
+    outside the image."""
+    out = []
+    for r in range(h):
+        for c in range(w):
+            sr, sc = r - di, c - dj
+            if wrap:
+                out.append((sr % h) * w + sc % w)
+            elif 0 <= sr < h and 0 <= sc < w:
+                out.append(sr * w + sc)
+            else:
+                out.append(-1)
+    return out
+
+
+def shear_index(h, w, factor, t, wrap) -> list[int]:
+    """Per output pixel, the source pixel of a horizontal shear of row r by
+    round(factor * (r - (h - 1) / 2)), ties to even, then a shift by `t`
+    columns; -1 where a zero-padded op reads outside the row."""
+    out = []
+    for r in range(h):
+        k = round(factor * (r - (h - 1) / 2))
+        for c in range(w):
+            sc = c - k - t
+            if wrap:
+                out.append(r * w + sc % w)
+            elif 0 <= sc < w:
+                out.append(r * w + sc)
+            else:
+                out.append(-1)
+    return out
+
+
+def padded_tables(rows, n):
+    """(padded source, padded destination) tables of index rows: -1 becomes
+    n, and each destination row sends input pixel q to the output pixel
+    that reads it, n when none does."""
+    src = [[n if q < 0 else q for q in row] for row in rows]
+    dest = []
+    for row in rows:
+        inverse = [n] * n
+        for p, q in enumerate(row):
+            if q >= 0:
+                inverse[q] = p
+        dest.append(inverse)
+    return src, dest
+
+
 def gauss_logpdf(x, mean, cov) -> float:
     return float(multivariate_normal(mean=mean, cov=cov, allow_singular=False).logpdf(x))
 

@@ -43,8 +43,9 @@ def small_set(rng, shape, L, boundary):
     offsets = {(0, 0)}
     while len(offsets) < L:
         offsets.add((int(rng.integers(-1, 2)), int(rng.integers(-1, 2))))
-    ops = tuple(shift_op(shape, di, dj, boundary) for di, dj in sorted(offsets))
-    return TransformationSet(ops, boundary)
+    rows = [shift_op(shape, di, dj, boundary).source_index
+            for di, dj in sorted(offsets)]
+    return TransformationSet(np.stack(rows), shape, boundary)
 
 
 def random_instance(rng, family: str, wrap_only: bool):

@@ -170,6 +170,20 @@ def test_non_injective_op_in_a_file_is_a_model_io_error(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("bad", ["n", "-2"])
+def test_out_of_range_source_index_in_a_file_is_a_model_io_error(tmp_path, bad):
+    model = make_models()["tmg"]
+    path = tmp_path / "m.txm"
+    save_model(model, path)
+    row = model.transforms[1].source_index
+    broken = row.copy()
+    broken[0] = model.n if bad == "n" else -2
+    path.write_bytes(_rewritten(path.read_bytes(), row.astype("<i8").tobytes(),
+                                broken.astype("<i8").tobytes()))
+    with pytest.raises(ModelIOError, match="out of range"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("mode", [b"magnitude", b"vector"])
 def test_huge_motion_threshold_fails_before_a_table_is_built(tmp_path, monkeypatch, mode):
     """The motion table's size comes from the header's threshold; a file

@@ -17,8 +17,8 @@ from oracles import (joint_zy_conditioning, dense_matrix, principal_angle_deg,
 
 
 def small_set(shape, offsets, boundary="wrap"):
-    ops = tuple(shift_op(shape, di, dj, boundary) for di, dj in offsets)
-    return TransformationSet(ops, boundary,
+    rows = [shift_op(shape, di, dj, boundary).source_index for di, dj in offsets]
+    return TransformationSet(np.stack(rows), shape, boundary,
                              params=tuple((float(a), float(b)) for a, b in offsets))
 
 

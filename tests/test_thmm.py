@@ -20,13 +20,13 @@ from oracles import (dense_matrix, gauss_logpdf, hmm_enumerate,
 def make_grid_set(shape, mv, mh, boundary="wrap"):
     """Grid-structured shift set without the odd-count restriction of the
     public builder (tests need tiny even grids)."""
-    ops, params = [], []
+    rows, params = [], []
     for i in range(mv):
         for j in range(mh):
             di, dj = i - mv // 2, j - mh // 2
-            ops.append(shift_op(shape, di, dj, boundary))
+            rows.append(shift_op(shape, di, dj, boundary).source_index)
             params.append((float(di), float(dj)))
-    return TransformationSet(tuple(ops), boundary, grid=(mv, mh),
+    return TransformationSet(np.stack(rows), shape, boundary, grid=(mv, mh),
                              params=tuple(params), kind="translate")
 
 
@@ -356,6 +356,35 @@ def test_motion_threshold_respected():
             di = min((i2 - i1) % mv, (i1 - i2) % mv)
             dj = min((j2 - j1) % mh, (j1 - j2) % mh)
             assert math.hypot(di, dj) <= model.motion.threshold + 1e-9
+
+
+@pytest.mark.parametrize("mode", ["vector", "magnitude"])
+def test_motion_offsets_and_bins_match_the_hypot_definition(mode):
+    """Displacements within each threshold, di major, and each one's bin:
+    its own table cell (vector) or its rounded norm (magnitude).  A
+    magnitude threshold that rounds some norm up past the table's last bin,
+    floor(threshold), is refused."""
+    for threshold in np.arange(0.0, 6.01, 0.25):
+        r = math.floor(threshold)
+        want = [(di, dj) for di in range(-r, r + 1) for dj in range(-r, r + 1)
+                if math.hypot(di, dj) <= threshold + 1e-9]
+        assert thmm_mod.motion_offsets(threshold).tolist() == [list(d) for d in want]
+        if mode == "vector":
+            bins = [np.ravel_multi_index((di + r, dj + r), (2 * r + 1, 2 * r + 1))
+                    for di, dj in want]
+        else:
+            bins = [round(math.hypot(di, dj)) for di, dj in want]
+        if max(bins) > r and mode == "magnitude":
+            with pytest.raises(ValueError, match="past the magnitude table"):
+                uniform_motion(threshold, mode)
+            continue
+        prior = uniform_motion(threshold, mode, per_class=True, n_classes=2)
+        assert prior.offsets.tolist() == [list(d) for d in want]
+        assert prior.bins.tolist() == bins
+        for c in range(2):
+            cells = prior.table[c].reshape(-1)
+            share = [cells[b] / bins.count(b) for b in bins]
+            assert prior.weights()[c].tolist() == share
 
 
 def test_em_reduces_to_tmg_for_single_state_dynamics():

@@ -14,8 +14,9 @@ from oracles import tmg_cond_dense, tmg_loglik_dense, tmg_resp_quadrature
 
 
 def small_set(shape, offsets, boundary="wrap"):
-    ops = tuple(shift_op(shape, di, dj, boundary) for di, dj in offsets)
-    return TransformationSet(ops, boundary, params=tuple((float(a), float(b)) for a, b in offsets))
+    rows = [shift_op(shape, di, dj, boundary).source_index for di, dj in offsets]
+    return TransformationSet(np.stack(rows), shape, boundary,
+                             params=tuple((float(a), float(b)) for a, b in offsets))
 
 
 def random_tmg(seed, shape=ImageShape(2, 2), offsets=((0, 0), (0, 1)), C=2,

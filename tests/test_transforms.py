@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transmix import (DEFAULT_SHEAR_FAMILY, ImageShape, TransformOp,
-                      TransformationSet, VOID, apply, apply_adjoint,
+                      TransformationSet, apply, apply_adjoint,
                       build_shear_translation_set, build_translation_set,
                       identity_set, shear_translate_op, shift_op,
                       transform_diag_cov)
 from transmix.transforms import wrap_shift_index
 
-from oracles import dense_matrix
+from oracles import dense_matrix, padded_tables, shear_index, shift_index
 
 
 def test_translation_set_counts():
@@ -134,8 +134,57 @@ def test_grid_indexing_invariant():
     offsets = ts.grid_offsets()
     for l, (di, dj) in enumerate(offsets):
         assert ts.grid_index(di, dj) == l
-        expected = shift_op(ts.shape, di, dj, ts.boundary)
-        assert np.array_equal(ts[l].source_index, expected.source_index)
+        assert ts.params[l] == (di, dj)
+
+
+def _translation(h, w, mv, mh, boundary):
+    offsets = [(i - mv // 2, j - mh // 2) for i in range(mv) for j in range(mh)]
+    return pytest.param(
+        lambda: build_translation_set(ImageShape(h, w), mv, mh, boundary),
+        [shift_index(h, w, di, dj, boundary == "wrap") for di, dj in offsets],
+        (mv, mh), [(float(di), float(dj)) for di, dj in offsets], "translate",
+        id=f"translate-{h}x{w}-{mv}x{mh}-{boundary}")
+
+
+def _shear(h, w, boundary, ops, **kwargs):
+    """Builder call with `kwargs`, which should give the (factor, shift) `ops`."""
+    return pytest.param(
+        lambda: build_shear_translation_set(ImageShape(h, w), boundary=boundary, **kwargs),
+        [shear_index(h, w, s, t, boundary == "wrap") for s, t in ops],
+        None, ops, "shear", id=f"shear-{h}x{w}-{len(ops)}-{boundary}")
+
+
+LEVELS = [(s, t) for s in (-0.5, 0.0, 0.5) for t in (-1, 0, 1)]
+PAIRS = [(0.3, 1), (-0.7, -2), (1.0, 0), (0.5, 2), (-1.5, 1)]
+# grids below and at each boundary's extent cap, and each shear builder form
+ORACLE_CASES = (
+    [_translation(*grid) for grid in
+     [(5, 7, 3, 5, "wrap"), (5, 7, 5, 7, "wrap"), (1, 6, 1, 5, "wrap"),
+      (6, 1, 5, 1, "wrap"), (8, 8, 7, 7, "wrap"), (1, 1, 1, 1, "wrap"),
+      (5, 7, 3, 5, "zero"), (5, 7, 9, 13, "zero"), (1, 6, 1, 11, "zero"),
+      (6, 1, 11, 1, "zero"), (8, 8, 15, 15, "zero"), (1, 1, 1, 1, "zero")]]
+    + [pytest.param(lambda: identity_set(ImageShape(5, 7)), [list(range(35))],
+                    (1, 1), [(0.0, 0.0)], "translate", id="identity-5x7")]
+    + [_shear(h, w, b, DEFAULT_SHEAR_FAMILY) for h, w, b in
+       [(8, 8, "wrap"), (8, 8, "zero"), (1, 6, "wrap"), (1, 6, "zero"), (6, 1, "wrap")]]
+    + [_shear(5, 7, b, LEVELS, shear_levels=[-0.5, 0.0, 0.5], shifts_h=3)
+       for b in ("wrap", "zero")]
+    + [_shear(6, 9, b, PAIRS, pairs=PAIRS) for b in ("wrap", "zero")])
+
+
+@pytest.mark.parametrize("build, rows, grid, params, kind", ORACLE_CASES)
+def test_set_tables_match_the_index_oracles(build, rows, grid, params, kind):
+    """Every builder's tables against per-pixel loops from first principles."""
+    ts = build()
+    padded_source, padded_dest = padded_tables(rows, ts.shape.n)
+    assert ts.source_matrix.dtype == np.int64
+    assert ts.source_matrix.tolist() == rows
+    assert ts.padded_source.tolist() == padded_source
+    assert ts.padded_dest.tolist() == padded_dest
+    assert (ts.grid, ts.params, ts.kind) == (grid, tuple(params), kind)
+    assert [op.source_index.tolist() for op in ts] == rows
+    assert all(isinstance(op, TransformOp) and not op.source_index.flags.writeable
+               for op in ts)
 
 
 @settings(max_examples=120, deadline=None)
@@ -174,6 +223,13 @@ def test_validation_errors():
         ImageShape(0, 3)
     with pytest.raises(ValueError):
         shear_translate_op(shape, np.inf, 0)
+    for bad in (16, -2):
+        table = np.arange(32).reshape(2, 16) % 16
+        table[1, 5] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            TransformationSet(table, shape, "wrap")
+    with pytest.raises(ValueError, match="shape"):
+        TransformationSet(np.arange(15)[None], shape, "wrap")
 
 
 def test_batched_apply():
@@ -193,18 +249,17 @@ def test_padded_dest_inverts_padded_source_and_maps_void_to_n():
     assert (dest == n).any() and (src == n).any()
     assert dest is ts.padded_dest
     for l, op in enumerate(ts):
-        assert np.array_equal(dest[l], np.where(op.dest_index == VOID, n, op.dest_index))
         lands = dest[l] < n
         assert np.array_equal(src[l, dest[l, lands]], np.nonzero(lands)[0])
         assert np.count_nonzero(lands) == np.count_nonzero(src[l] < n)
 
 
 def test_padded_dest_refuses_a_non_injective_op():
-    shape = ImageShape(1, 3)
-    ts = TransformationSet((TransformOp(np.arange(3), shape),
-                            TransformOp(np.array([0, 0, 2]), shape)), "wrap")
+    """Op 1 copies source pixel 0 to two output pixels: G diag(v) G^T would
+    not be diagonal, so the diagonal kernels would score it wrongly.  The
+    pass that builds padded_dest refuses it when the set is constructed."""
     with pytest.raises(ValueError, match="op 1 is not injective"):
-        ts.padded_dest
+        TransformationSet(np.array([[0, 1, 2], [0, 0, 2]]), ImageShape(1, 3), "wrap")
 
 
 def test_wrap_shift_index_rows_are_the_shift_ops():
@@ -213,5 +268,4 @@ def test_wrap_shift_index_rows_are_the_shift_ops():
     assert index.shape == (12, 12)
     for di in range(3):
         for dj in range(4):
-            assert np.array_equal(index[di * 4 + dj],
-                                  shift_op(shape, di, dj, "wrap").source_index)
+            assert index[di * 4 + dj].tolist() == shift_index(3, 4, di, dj, True)
