@@ -19,6 +19,13 @@ RESCUE_THRESHOLD = 1e-6
 # ops per block in gaussian_template_stats: bounds its temporaries to
 # (block, n) arrays
 _STATS_BLOCK = 32
+# pixel count from which the K = 0 kernels on a full wrap grid with one
+# sensor variance take the FFT path (see `_fft_rows`).  Per cluster, one CPU,
+# T = 100, emission / statistics in ms: 11x11 dense 0.44 / 1.30, FFT 1.05 /
+# 1.88; 13x13 dense 0.80 / 2.43, FFT 1.60 / 2.82; 15x15 dense 1.26 / 4.06,
+# FFT 1.24 / 2.08; 23x23 dense 4.89 / 15.4, FFT 2.75 / 5.15.  At T = 1 the
+# FFT is faster from 10x10; a prime side makes it slower than its neighbours
+FFT_MIN_PIXELS = 225
 # shifted log terms at or below this count as exactly 0 in `_cutexp`:
 # e^-700 ~ 1e-304 is below the rounding of any sum whose largest term is 1,
 # and numpy's exp takes a slow path on arguments below about -708
@@ -326,6 +333,32 @@ def _factor_gain(rows, var):
     return scaled, np.eye(rows.shape[-1]) + np.swapaxes(rows, -1, -2) @ scaled
 
 
+def _fft_rows(transforms, loadings, psi):
+    """`TransformationSet.wrap_rows` when the exact FFT kernels apply: the
+    set holds every wrap shift once, there are no factors, the image has at
+    least `FFT_MIN_PIXELS` pixels and psi is one value (0 counts).  Every
+    op then sees the same variances, only shifted, so the op-dependent sums
+    are circular correlations.  Else None, for the dense kernels.  The set
+    property is cached, so a set that is not a wrap grid costs attribute
+    reads; a small image or factors do not read it at all."""
+    if loadings.shape[-1] or transforms.shape.n < FFT_MIN_PIXELS:
+        return None
+    rows = transforms.wrap_rows
+    return None if rows is None or psi.min() != psi.max() else rows
+
+
+def _spectra(shape, *images):
+    """2-D real spectra of (..., n) pixel arrays, one per argument."""
+    stack = np.stack(images)
+    return np.fft.rfft2(stack.reshape(stack.shape[:-1] + (shape.height, shape.width)))
+
+
+def _unspectra(shape, spec):
+    """Pixel arrays (..., n) from `_spectra`-style 2-D spectra."""
+    h, w = shape.height, shape.width
+    return np.fft.irfft2(spec, s=(h, w)).reshape(spec.shape[:-2] + (h * w,))
+
+
 def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     """Weighted posterior-moment sums for one latent component analyzer.
 
@@ -363,6 +396,17 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     moved back, since a pixel with no source predicts 0, not m.  The ops
     are processed in blocks of `_STATS_BLOCK`, so the temporaries stay
     (block, n) and (block, n, K) however large L is.
+
+    At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`),
+    b, var and r are the same for every op, op l carries latent pixel q to
+    observed pixel q + d_l, and the gathers become circular correlations
+    corr(f, g)[q] = sum_d f[q + d] g[d] and convolutions conv(g, f)[p] =
+    sum_d g[d] f[p - d], with W_t datum t's weights laid out over the shifts
+    d (`_fft_stats`): sum_l A[l, q + d_l] = sum_t corr(Xc_t, W_t)[q] and
+    likewise Q with Xc_t^2, while s_psi = sum_t Xc_t^2 conv(W_t, r^2) -
+    2 Xc_t conv(W_t, r^2 mu_c) + conv(sum_t W_t, r^2 mu_c^2 + var).  Summed
+    over t as spectra, A and Q take one inverse 2-D FFT each; s_psi takes
+    two per datum.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     W = np.atleast_2d(np.asarray(W, dtype=np.float64))
@@ -372,14 +416,44 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     Xc2 = Xc * Xc
     sums = [np.zeros(n), np.zeros(n), np.zeros(n),
             np.zeros(k), np.zeros((k, k)), np.zeros((n, k))]
-    for lo in range(0, transforms.L, _STATS_BLOCK):
-        # without factors a block yields three sums and zip stops there
-        for total, part in zip(sums, _block_stats(
-                transforms, slice(lo, lo + _STATS_BLOCK), W, Xc, Xc2, mu_c,
-                loadings, phi, psi, m)):
-            total += part
+    rows = _fft_rows(transforms, loadings, psi)
+    if rows is not None:
+        sums[:3] = _fft_stats(transforms.shape, rows, W, Xc, Xc2, mu_c, phi, psi[0])
+    else:
+        for lo in range(0, transforms.L, _STATS_BLOCK):
+            # without factors a block yields three sums and zip stops there
+            for total, part in zip(sums, _block_stats(
+                    transforms, slice(lo, lo + _STATS_BLOCK), W, Xc, Xc2, mu_c,
+                    loadings, phi, psi, m)):
+                total += part
     s_z, s_zz, s_psi, s_y, s_yy, s_zy = sums
     return float(W.sum()), s_z, s_zz, s_y, s_yy, s_zy, s_psi, m
+
+
+def _fft_stats(shape, rows, W, Xc, Xc2, mu_c, phi, psi):
+    """(s_z, s_zz, s_psi) of `gaussian_template_stats` at K = 0 on a full
+    wrap grid with one sensor variance psi, op l the shift d_l = rows[l]
+    (`TransformationSet.wrap_rows`), by the correlation identities there.
+    A correlation with W_t multiplies spectra by conj(F W_t), a convolution
+    by F W_t."""
+    T, n = Xc.shape
+    b = 1.0 / psi
+    var = 1.0 / (1.0 / phi + b)
+    a, r2 = mu_c / phi, (var / phi) ** 2
+    Wd = np.empty((T, n))
+    Wd[:, rows] = W                     # rows is a permutation of the shifts
+    tot = float(W.sum())
+    fx, fx2, fw = _spectra(shape, Xc, Xc2, Wd)
+    fw_conj = np.conj(fw)
+    A, Q = _unspectra(shape, np.stack([(fx * fw_conj).sum(axis=0),
+                                       (fx2 * fw_conj).sum(axis=0)]))
+    s_z = var * (tot * a + b * A)
+    s_zz = var * var * (tot * a * a + 2.0 * a * b * A + b * b * Q) + tot * var
+    g = _spectra(shape, r2, r2 * mu_c, r2 * mu_c * mu_c + var)
+    conv = _unspectra(shape, fw * g[:2, None])
+    spread = _unspectra(shape, fw.sum(axis=0) * g[2])
+    s_psi = (Xc2 * conv[0]).sum(axis=0) - 2.0 * (Xc * conv[1]).sum(axis=0) + spread
+    return s_z, s_zz, s_psi
 
 
 def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
@@ -441,12 +515,14 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
 
 def _normalise(log_joint: np.ndarray, what: str):
     """E-step normaliser: per-datum log-evidence and responsibilities from a
-    (T, ...) log-joint table over the discrete configurations."""
+    (T, ...) log-joint table over the discrete configurations.  A
+    responsibility at or below e^CUT of its datum's total is exactly 0
+    (`_cutexp`), not a subnormal."""
     axes = tuple(range(1, log_joint.ndim))
     per_datum = logsumexp(log_joint, axis=axes)
     if not np.all(np.isfinite(per_datum)):
         raise UnderflowError(f"a datum underflowed every {what}")
-    return per_datum, np.exp(log_joint - np.expand_dims(per_datum, axes))
+    return per_datum, _cutexp(log_joint - np.expand_dims(per_datum, axes))
 
 
 def _starved(mass, T: int) -> tuple[int, ...]:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .common import (EmOptions, PosteriorSummary, _GaussianModel, _factor_gain,
-                     _fit, _latent_posterior, _observed, _record)
+                     _fft_rows, _fit, _latent_posterior, _observed, _record,
+                     _spectra, _unspectra)
 from .transforms import ImageShape, TransformationSet, apply
 from . import mtca as _mtca
 
@@ -91,8 +92,20 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
     diagonal, a_l the loading rows in observed coordinates).  The diagonal
     part takes two matrix products over all ops; K > 0 factors add log det
     M_l and a K-dimensional Woodbury term per (t, l) from one more product.
+
+    At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`), op
+    l reads latent pixel p - d_l at observed pixel p, so with v = phi + psi
+    in latent coordinates the log-determinant and sum mu^2/v are the same
+    for every op, and the rest of the quadratic term is
+    sum_p x_p^2 / v[p - d] - 2 x_p mu[p - d] / v[p - d] =
+    corr(x^2, 1/v)[d] - 2 corr(x, mu/v)[d], with the circular
+    cross-correlation corr(f, g)[d] = sum_p f[p] g[p - d]: per datum one
+    inverse 2-D FFT of a combination of spectra (`_fft_loglik`).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    wrap = _fft_rows(transforms, loadings, psi)
+    if wrap is not None:
+        return _fft_loglik(transforms.shape, wrap, mu, phi + psi[0], X)
     mean, var, rows = _observed(transforms.padded_source, mu, loadings, phi, psi)
     L, n, k = rows.shape
     # the squares expanded below cancel when the data sit far from zero;
@@ -123,6 +136,21 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
             V = np.linalg.solve(M, U.transpose(1, 2, 0))       # (L, k, T)
             out += 0.5 * (np.einsum("tlk,lkt->tl", U, V) - logdet[None, :])
     return out
+
+
+def _fft_loglik(shape, rows, mu, v, X):
+    """`cluster_loglik` at K = 0 on a full wrap grid, op l the shift
+    d_l = rows[l], with latent-coordinate variances v = phi + psi.  Centred
+    on the batch mean like the dense kernel."""
+    shift = X.mean()
+    X, mu = X - shift, mu - shift
+    inv = 1.0 / v
+    mean_inv = mu * inv
+    const = -0.5 * (np.log(v).sum() + shape.n * _LOG2PI + (mu * mean_inv).sum())
+    fx, fx2 = _spectra(shape, X, X * X)
+    f_inv, f_mean = np.conj(_spectra(shape, inv, mean_inv))
+    quad = _unspectra(shape, fx2 * f_inv - 2.0 * fx * f_mean)
+    return const - 0.5 * quad[:, rows]
 
 
 def loglik_table(model: TcaModel, X) -> np.ndarray:

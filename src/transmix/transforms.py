@@ -20,6 +20,7 @@ the observed pixel it lands on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ VOID = -1
 WRAP = "wrap"
 ZERO = "zero"
 _BOUNDARIES = (WRAP, ZERO)
+# rows of the (L, n) table compared at a time by `TransformationSet.wrap_rows`
+_COMPARE_BLOCK = 256
 
 # Default shear+translate family: 7 shear slopes (quarter-pixel-per-row
 # steps) crossed with horizontal shifts {-2, 0, 2}, plus 8 small combined
@@ -140,6 +143,29 @@ class TransformationSet:
     @property
     def has_void(self) -> bool:
         return bool((self.source_matrix < 0).any())
+
+    @cached_property
+    def wrap_rows(self) -> np.ndarray | None:
+        """The row of `wrap_shift_index` that each op equals, read-only, when
+        the set holds every wrap shift exactly once, in any order; else None.
+
+        Op l is then the shift d_l, which carries latent pixel 0 to observed
+        pixel d_l, so its candidate row is ``padded_dest[l, 0]``.  The cheap
+        tests (boundary, L == n, one op per row) come first; the whole table
+        is compared once per set, in blocks of rows to bound the temporaries.
+        """
+        n = self.shape.n
+        if self.boundary != WRAP or self.L != n:
+            return None
+        rows = self.padded_dest[:, 0]
+        if not (np.bincount(rows, minlength=n + 1)[:n] == 1).all():
+            return None
+        for lo in range(0, n, _COMPARE_BLOCK):
+            block = rows[lo:lo + _COMPARE_BLOCK]
+            want = _shift_table(self.shape, *np.divmod(block, self.shape.width), WRAP)
+            if not np.array_equal(self.source_matrix[lo:lo + _COMPARE_BLOCK], want):
+                return None
+        return _read_only(rows.copy())
 
     def grid_offsets(self) -> np.ndarray:
         """(L, 2) signed (di, dj) shift offsets for grid-structured sets."""

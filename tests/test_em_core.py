@@ -7,8 +7,8 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from transmix import (EmOptions, ImageShape, TransformationSet, UnderflowError,
                       build_translation_set)
-from transmix import mtca, tca, thmm, tmg
-from transmix.common import CUT, _cutexp, _latent_posterior, logsumexp
+from transmix import common, mtca, tca, thmm, tmg
+from transmix.common import CUT, _cutexp, _latent_posterior, _normalise, logsumexp
 
 SHAPE = ImageShape(3, 3)
 C, FAR = 3, 2
@@ -161,17 +161,20 @@ def _on_grid(a):
     return np.round(a * 2.0 ** 20) / 2.0 ** 20
 
 
-def _offset_case(family, offset):
-    """One family's model and frames on a 5x5 wrap set, with the templates
-    and the data moved by `offset`; any difference between offsets then
-    comes from the arithmetic."""
+def _offset_case(family, offset, side=5, tied=False):
+    """One family's model and frames on a side x side full wrap set, with
+    the templates and the data moved by `offset`; any difference between
+    offsets then comes from the arithmetic.  `tied` gives one sensor
+    variance, which above the crossover takes the FFT kernels."""
     rng = np.random.default_rng(30)
-    shape = ImageShape(5, 5)
+    shape = ImageShape(side, side)
     n, C = shape.n, 2
-    ts = build_translation_set(shape, 5, 5, "wrap")
+    ts = build_translation_set(shape, side, side, "wrap")
     mu = offset + _on_grid(rng.uniform(0.2, 0.8, (C, n)))
     X = offset + _on_grid(rng.uniform(0.0, 1.0, (12, n)))
     phi, psi = rng.uniform(0.01, 0.05, (C, n)), rng.uniform(0.01, 0.05, n)
+    if tied:
+        psi = np.full(n, 0.03)
     rho = rng.dirichlet(np.ones(ts.L) * 4, size=C).T
     loadings = rng.uniform(-0.1, 0.1, (C, n, 2))
     pi = np.array([0.4, 0.6])
@@ -193,14 +196,22 @@ def _offset_case(family, offset):
     return model, X
 
 
-@pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
-                         ids=["tmg", "tca", "mtca", "thmm"])
-def test_em_step_is_offset_equivariant(family):
+# the smallest odd side at or above the FFT crossover
+FFT_SIDE = int(np.ceil(np.sqrt(common.FFT_MIN_PIXELS))) // 2 * 2 + 1
+
+
+@pytest.mark.parametrize("family, side, tied", [
+    pytest.param(tmg, 5, False, id="tmg"), pytest.param(tca, 5, False, id="tca"),
+    pytest.param(mtca, 5, False, id="mtca"), pytest.param(thmm, 5, False, id="thmm"),
+    pytest.param(tmg, FFT_SIDE, True, id="tmg-fft")])
+def test_em_step_is_offset_equivariant(family, side, tied, monkeypatch):
     """Moving the data and the templates by a common offset leaves an EM
     step's variances and log-likelihood unchanged (to rounding at the
     centred scale, not at the offset's)."""
-    near, total_near = family.em_step(*_offset_case(family, 0.0))
-    far, total_far = family.em_step(*_offset_case(family, OFFSET))
+    if tied:
+        monkeypatch.setattr(common, "_block_stats", None)   # the FFT kernels run
+    near, total_near = family.em_step(*_offset_case(family, 0.0, side, tied))
+    far, total_far = family.em_step(*_offset_case(family, OFFSET, side, tied))
     assert total_far == pytest.approx(total_near, rel=1e-12, abs=0)
     np.testing.assert_allclose(far.phi, near.phi, rtol=1e-12, atol=0)
     np.testing.assert_allclose(far.psi, near.psi, rtol=1e-12, atol=0)
@@ -212,6 +223,43 @@ def test_cutexp_zeroes_terms_at_or_below_the_cut():
     np.testing.assert_array_equal(got[:3], np.exp([0.0, -1.0, CUT + 1.0]))
     np.testing.assert_array_equal(got[3:6], 0.0)
     assert np.isnan(got[6])
+
+
+def test_normalise_cuts_responsibilities_at_or_below_the_cut():
+    """Entries at or below e^CUT of their datum's total are exactly 0, not
+    subnormals; the rest are the plain exponentials."""
+    log_joint = np.array([[[0.0, -1.0, CUT - 1e-3], [CUT, CUT + 1.0, -740.0]],
+                          [[5.0, -np.inf, 5.0 + CUT], [-800.0, 4.0, 5.0 + CUT + 0.5]]])
+    per_datum, resp = _normalise(log_joint, "configuration")
+    d = log_joint - per_datum[:, None, None]
+    assert np.count_nonzero(d <= CUT) == 6
+    np.testing.assert_array_equal(resp[d <= CUT], 0.0)
+    np.testing.assert_array_equal(resp[d > CUT], np.exp(d[d > CUT]))
+
+
+def _uncut_normalise(log_joint, what):
+    per_datum, _ = _normalise(log_joint, what)
+    axes = tuple(range(1, log_joint.ndim))
+    return per_datum, np.exp(log_joint - np.expand_dims(per_datum, axes))
+
+
+@pytest.mark.parametrize("case", ["starving-tmg", "starving-mtca", "offset-tmg",
+                                  "offset-tca", "offset-mtca", "offset-tmg-fft"])
+def test_cut_responsibilities_keep_the_em_step(case, monkeypatch):
+    kind, family = case.split("-")[:2]
+    family = {"tmg": tmg, "tca": tca, "mtca": mtca}[family]
+    if kind == "starving":
+        X, templates = _two_image_data()
+        model = _starving_model(family, templates)
+    else:
+        model, X = _offset_case(family, 0.0, *((FFT_SIDE, True) if "fft" in case else ()))
+    cut, total_cut = family.em_step(model, X)
+    monkeypatch.setattr(mtca, "_normalise", _uncut_normalise)
+    uncut, total_uncut = family.em_step(model, X)
+    assert total_cut == pytest.approx(total_uncut, rel=1e-12, abs=0)
+    for name in ("mu", "phi", "psi", "rho"):
+        np.testing.assert_allclose(getattr(cut, name), getattr(uncut, name),
+                                   rtol=1e-12, atol=0)
 
 
 def test_logsumexp_edge_cases():

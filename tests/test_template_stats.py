@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from transmix import ImageShape, build_translation_set, identity_set
+from transmix import common
 from transmix.common import _STATS_BLOCK, gaussian_template_stats
 from transmix.transforms import build_shear_translation_set
 
@@ -67,9 +68,16 @@ def test_block_case_spans_blocks():
     assert L > _STATS_BLOCK and L % _STATS_BLOCK
 
 
-@pytest.mark.parametrize("name, K", _cases(["wrap-5x5", "zero-pad"]))
-def test_tied_psi(name, K):
+@pytest.mark.parametrize("name, K, fft", [
+    pytest.param(*case.values, False, id=case.id)
+    for case in _cases(["wrap-5x5", "zero-pad"])] + [
+    # a full wrap grid with the crossover lowered: the FFT kernel, not the blocks
+    pytest.param("wrap-5x5", 0, True, id="wrap-5x5-fft")])
+def test_tied_psi(name, K, fft, monkeypatch):
     ts = CASES[name]()
+    if fft:
+        monkeypatch.setattr(common, "FFT_MIN_PIXELS", 0)
+        monkeypatch.setattr(common, "_block_stats", None)
     _check(ts, _inputs(ts, seed=3, K=K, tied=True))
 
 

@@ -269,3 +269,48 @@ def test_wrap_shift_index_rows_are_the_shift_ops():
     for di in range(3):
         for dj in range(4):
             assert index[di * 4 + dj].tolist() == shift_index(3, 4, di, dj, True)
+
+
+def test_wrap_rows_maps_a_full_wrap_grid_onto_wrap_shift_index():
+    shape = ImageShape(5, 7)
+    index = wrap_shift_index(shape)
+    ts = build_translation_set(shape, 5, 7, "wrap")
+    order = np.random.default_rng(0).permutation(shape.n)
+    shuffled = TransformationSet(index[order], shape, "wrap")
+    for s in (ts, shuffled):
+        rows = s.wrap_rows
+        assert sorted(rows.tolist()) == list(range(shape.n))
+        assert np.array_equal(index[rows], s.source_matrix)
+        assert not rows.flags.writeable
+        assert s.wrap_rows is rows
+    assert shuffled.wrap_rows.tolist() == order.tolist()
+
+
+def _one_row_permuted(shape):
+    """A translate-tagged full wrap grid whose op 3 has two outputs swapped:
+    still injective, no longer a shift."""
+    table = build_translation_set(shape, shape.height, shape.width).source_matrix.copy()
+    table[3, [0, 1]] = table[3, [1, 0]]
+    return TransformationSet(table, shape, "wrap", grid=(shape.height, shape.width),
+                             kind="translate")
+
+
+def _one_shift_twice(shape):
+    """L = n wrap shifts with shift 0 twice and shift 1 missing."""
+    table = wrap_shift_index(shape)
+    return TransformationSet(table[[0] + list(range(2, shape.n)) + [0]], shape, "wrap")
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: build_translation_set(s, 5, 5, "zero"),
+    lambda s: build_translation_set(s, 3, 5, "wrap"),
+    lambda s: build_shear_translation_set(
+        s, pairs=[(f, t) for f in (0.0, 0.5, 1.0, -0.5, -1.0) for t in range(-2, 3)]),
+    lambda s: identity_set(s),
+    _one_row_permuted,
+    _one_shift_twice,
+], ids=["zero-padded", "extent-capped", "wrap-shear", "identity", "one-row-permuted",
+        "one-shift-twice"])
+def test_wrap_rows_is_none_for_every_other_set(build):
+    ts = build(ImageShape(5, 5))
+    assert ts.wrap_rows is None
