@@ -24,12 +24,6 @@ from .metrics import classification_error, clustering_purity_error, tracking_agr
 from .transforms import (ImageShape, build_shear_translation_set,
                          build_translation_set, identity_set)
 
-_BUILTIN_TEMPLATES = {
-    "block": lambda h, w: _block(h, w),
-    "cross": lambda h, w: _cross(h, w),
-}
-
-
 def _block(h, w):
     img = np.zeros((h, w))
     img[h // 4: h - h // 4, w // 4: w - w // 4] = 1.0
@@ -41,6 +35,9 @@ def _cross(h, w):
     img[h // 2, :] = 1.0
     img[:, w // 2] = 1.0
     return img
+
+
+_BUILTIN_TEMPLATES = {"block": _block, "cross": _cross}
 
 
 def build_transforms(man: Manifest, shape: ImageShape):
@@ -64,9 +61,8 @@ def build_transforms(man: Manifest, shape: ImageShape):
 def _template_from(man: Manifest):
     name = man.get("gen.template", "block")
     if name in _BUILTIN_TEMPLATES:
-        h = man.get_int("gen.height", 8)
-        w = man.get_int("gen.width", 8)
-        return _BUILTIN_TEMPLATES[name](h, w)
+        return _BUILTIN_TEMPLATES[name](man.get_int("gen.height", 8),
+                                        man.get_int("gen.width", 8))
     img, _ = model_io.read_pgm(name)
     return img
 
@@ -130,20 +126,20 @@ def write_truth_csv(truth: synthgen.GroundTruth, path) -> None:
                              truth.shifts[t, 1]])
 
 
-def read_label_csv(path, column: str) -> np.ndarray:
+def read_csv_columns(path, *columns: str) -> np.ndarray:
+    """The integer values of `columns` in a CSV with a header row, as a
+    (rows, columns) array; an error names the file and the column or cell."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"{path}: empty CSV")
-    return np.array([int(float(r[column])) for r in rows])
-
-
-def read_shift_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    return np.array([[int(float(r["i"])), int(float(r["j"]))] for r in rows])
+    missing = [c for c in columns if c not in rows[0]]
+    if missing:
+        raise ValueError(f"{path}: no {missing[0]!r} column")
+    try:
+        return np.array([[int(float(r[c])) for c in columns] for r in rows])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _em_options(man: Manifest) -> EmOptions:
@@ -216,6 +212,10 @@ def _train_once(man: Manifest, data, transforms, seed: int, callback=None):
 def cmd_train(man: Manifest, out_dir, verbose: bool = False) -> Path:
     """Train per the manifest with restarts, keep the highest-likelihood
     model, write the model file, step reports, and parameter montages."""
+    for key, default, least in (("restarts", 1, 1), ("iterations", 30, 0),
+                                ("init.iterations", 20, 0)):
+        if man.get_int(key, default) < least:
+            raise ValueError(f"manifest key {key!r} must be >= {least}, got {man.get(key)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = _load_data(man)
@@ -334,21 +334,15 @@ def cmd_infer(model_paths, frames_dir, task: str, out_dir=None,
 def cmd_eval(pred_csv, truth_csv, mode: str, wrap: int | None = None,
              align_offset: bool = False) -> dict:
     """Compare a prediction CSV against a ground-truth CSV."""
-    if mode == "classification":
-        pred = read_label_csv(pred_csv, "class")
-        truth = read_label_csv(truth_csv, "class")
-        metrics = {"error": classification_error(pred, truth)}
-    elif mode == "clustering":
-        pred = read_label_csv(pred_csv, "class")
-        truth = read_label_csv(truth_csv, "class")
-        metrics = {"error": clustering_purity_error(pred, truth)}
-    elif mode == "tracking":
-        pred = read_shift_csv(pred_csv)
-        truth = read_shift_csv(truth_csv)
-        metrics = {"agreement": tracking_agreement(pred, truth, wrap=wrap,
-                                                   align_offset=align_offset)}
-    else:
+    if mode not in ("classification", "clustering", "tracking"):
         raise ValueError(f"unknown eval mode {mode!r}")
+    columns = ("i", "j") if mode == "tracking" else ("class",)
+    pred, truth = (read_csv_columns(p, *columns) for p in (pred_csv, truth_csv))
+    if mode == "tracking":
+        metrics = {"agreement": tracking_agreement(pred, truth, wrap, align_offset)}
+    else:
+        score = classification_error if mode == "classification" else clustering_purity_error
+        metrics = {"error": score(pred[:, 0], truth[:, 0])}
     for key, value in metrics.items():
         print(f"{key} {value:.6g}")
     return metrics

@@ -20,11 +20,13 @@ RESCUE_THRESHOLD = 1e-6
 # (block, n) arrays
 _STATS_BLOCK = 32
 # pixel count from which the K = 0 kernels on a full wrap grid with one
-# sensor variance take the FFT path (see `_fft_rows`).  Per cluster, one CPU,
-# T = 100, emission / statistics in ms: 11x11 dense 0.44 / 1.30, FFT 1.05 /
-# 1.88; 13x13 dense 0.80 / 2.43, FFT 1.60 / 2.82; 15x15 dense 1.26 / 4.06,
-# FFT 1.24 / 2.08; 23x23 dense 4.89 / 15.4, FFT 2.75 / 5.15.  At T = 1 the
-# FFT is faster from 10x10; a prime side makes it slower than its neighbours
+# sensor variance take the FFT path (see `_fft_rows`).  Per cluster of a C = 4
+# call sharing the frames' spectra, T = 100, one CPU and BLAS thread, best of
+# 100, emission / statistics in ms: 9x9 dense 0.20 / 0.49, FFT 0.29 / 0.67;
+# 11x11 dense 0.43 / 1.04, FFT 0.35 / 1.00; 13x13 dense 0.66 / 1.84, FFT 0.64
+# / 1.50; 15x15 dense 1.44 / 2.86, FFT 0.48 / 1.46; 23x23 dense 6.66 / 15.7,
+# FFT 1.75 / 4.00.  At T = 1 the FFT is faster from 9x9 (statistics: 7x7).
+# Below 15x15 tied full grids still take the dense reference path
 FFT_MIN_PIXELS = 225
 # shifted log terms at or below this count as exactly 0 in `_cutexp`:
 # e^-700 ~ 1e-304 is below the rounding of any sum whose largest term is 1,
@@ -360,18 +362,18 @@ def _unspectra(shape, spec):
 
 
 def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
-    """Weighted posterior-moment sums for one latent component analyzer.
+    """Weighted posterior-moment sums of C latent component analyzers.
 
-    The latent image z = mu + loadings y + N(0, diag phi), with factors
-    y ~ N(0, I_K), is seen through op l with sensor noise psi; K = 0 is a
-    plain template.  With weights ``W[t, l]`` over every datum t and op l it
-    sums the exact joint posterior moments of (z, y) that `tca.solve_mstep`
-    and the sensor-variance update read, in this order:
+    Cluster c's latent image z = mu[c] + loadings[c] y + N(0, diag phi[c]),
+    with factors y ~ N(0, I_K), is seen through op l with sensor noise psi;
+    K = 0 is a plain template.  With weights ``W[t, l, c]`` it sums per
+    cluster the exact joint posterior moments of (z, y) that
+    `tca.solve_mstep` and the sensor-variance update read, in this order:
 
-      mass, s_z = sum E[z'], s_zz = sum E[z']^2 + Var[z] (n,),
-      s_y = sum E[y] (K,), s_yy = sum E[y] E[y]^T + Cov[y] (K, K),
-      s_zy = sum E[z'] E[y]^T + Cov[z, y] (n, K),
-      s_psi = sum (x - G E[z])^2 + G Var[z] (n,), in observed coordinates,
+      mass (C,), s_z = sum E[z'], s_zz = sum E[z']^2 + Var[z] (C, n),
+      s_y = sum E[y] (C, K), s_yy = sum E[y] E[y]^T + Cov[y] (C, K, K),
+      s_zy = sum E[z'] E[y]^T + Cov[z, y] (C, n, K),
+      s_psi = sum (x - G E[z])^2 + G Var[z] (C, n), in observed coordinates,
       m, the centre: z' = z - m is the latent image centred on it.
 
     Given y the latent posterior is that of `_latent_posterior`: its
@@ -388,14 +390,14 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     every datum, and the factor terms read only sum_t w U U^T, X^T (w U)
     (gathered at dst) and w M^-1.
 
-    Those expanded squares cancel when the data sit far from zero, so X and
-    mu are first centred on the batch's mean pixel value m, which leaves var
-    and E[y] unchanged (E[y] reads only pixels that have a source) and
-    shifts E[z] by m.  The latent sums stay centred, so the variances formed
-    from them do not cancel either (Chan, Golub & LeVeque 1983); s_psi is
-    moved back, since a pixel with no source predicts 0, not m.  The ops
-    are processed in blocks of `_STATS_BLOCK`, so the temporaries stay
-    (block, n) and (block, n, K) however large L is.
+    Those expanded squares cancel when the data sit far from zero, so X
+    (once for all clusters) and mu are first centred on the batch's mean
+    pixel value m, which leaves var and E[y] unchanged (E[y] reads only
+    pixels that have a source) and shifts E[z] by m.  The latent sums stay
+    centred, so the variances formed from them do not cancel either (Chan,
+    Golub & LeVeque 1983); s_psi is moved back, since a pixel with no source
+    predicts 0, not m.  The ops are processed in blocks of `_STATS_BLOCK`,
+    so the temporaries stay (block, n) and (block, n, K) however large L is.
 
     At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`),
     b, var and r are the same for every op, op l carries latent pixel q to
@@ -404,30 +406,32 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     sum_d g[d] f[p - d], with W_t datum t's weights laid out over the shifts
     d (`_fft_stats`): sum_l A[l, q + d_l] = sum_t corr(Xc_t, W_t)[q] and
     likewise Q with Xc_t^2, while s_psi = sum_t Xc_t^2 conv(W_t, r^2) -
-    2 Xc_t conv(W_t, r^2 mu_c) + conv(sum_t W_t, r^2 mu_c^2 + var).  Summed
-    over t as spectra, A and Q take one inverse 2-D FFT each; s_psi takes
-    two per datum.
+    2 Xc_t conv(W_t, r^2 mu_c) + conv(sum_t W_t, r^2 mu_c^2 + var).  The
+    frames' spectra serve every cluster; summed over t as spectra, A and Q
+    take one inverse 2-D FFT each per cluster, s_psi two per datum.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    W = np.atleast_2d(np.asarray(W, dtype=np.float64))
-    n, k = loadings.shape
+    C, n, k = loadings.shape
     m = float(X.mean())
     Xc, mu_c = X - m, mu - m
     Xc2 = Xc * Xc
-    sums = [np.zeros(n), np.zeros(n), np.zeros(n),
-            np.zeros(k), np.zeros((k, k)), np.zeros((n, k))]
+    sums = [np.zeros((C, n)), np.zeros((C, n)), np.zeros((C, n)),
+            np.zeros((C, k)), np.zeros((C, k, k)), np.zeros((C, n, k))]
     rows = _fft_rows(transforms, loadings, psi)
     if rows is not None:
         sums[:3] = _fft_stats(transforms.shape, rows, W, Xc, Xc2, mu_c, phi, psi[0])
     else:
-        for lo in range(0, transforms.L, _STATS_BLOCK):
-            # without factors a block yields three sums and zip stops there
-            for total, part in zip(sums, _block_stats(
-                    transforms, slice(lo, lo + _STATS_BLOCK), W, Xc, Xc2, mu_c,
-                    loadings, phi, psi, m)):
-                total += part
+        for c in range(C):
+            for lo in range(0, transforms.L, _STATS_BLOCK):
+                # without factors a block yields three sums and zip stops there
+                for total, part in zip(sums, _block_stats(
+                        transforms, slice(lo, lo + _STATS_BLOCK), W[:, :, c], Xc, Xc2,
+                        mu_c[c], loadings[c], phi[c], psi, m)):
+                    total[c] += part
     s_z, s_zz, s_psi, s_y, s_yy, s_zy = sums
-    return float(W.sum()), s_z, s_zz, s_y, s_yy, s_zy, s_psi, m
+    # one sum per cluster: W.sum(axis=(0, 1)) adds in another order
+    mass = np.array([W[:, :, c].sum() for c in range(C)])
+    return mass, s_z, s_zz, s_y, s_yy, s_zy, s_psi, m
 
 
 def _fft_stats(shape, rows, W, Xc, Xc2, mu_c, phi, psi):
@@ -436,24 +440,26 @@ def _fft_stats(shape, rows, W, Xc, Xc2, mu_c, phi, psi):
     (`TransformationSet.wrap_rows`), by the correlation identities there.
     A correlation with W_t multiplies spectra by conj(F W_t), a convolution
     by F W_t."""
-    T, n = Xc.shape
     b = 1.0 / psi
-    var = 1.0 / (1.0 / phi + b)
-    a, r2 = mu_c / phi, (var / phi) ** 2
-    Wd = np.empty((T, n))
-    Wd[:, rows] = W                     # rows is a permutation of the shifts
-    tot = float(W.sum())
-    fx, fx2, fw = _spectra(shape, Xc, Xc2, Wd)
-    fw_conj = np.conj(fw)
-    A, Q = _unspectra(shape, np.stack([(fx * fw_conj).sum(axis=0),
-                                       (fx2 * fw_conj).sum(axis=0)]))
-    s_z = var * (tot * a + b * A)
-    s_zz = var * var * (tot * a * a + 2.0 * a * b * A + b * b * Q) + tot * var
-    g = _spectra(shape, r2, r2 * mu_c, r2 * mu_c * mu_c + var)
-    conv = _unspectra(shape, fw * g[:2, None])
-    spread = _unspectra(shape, fw.sum(axis=0) * g[2])
-    s_psi = (Xc2 * conv[0]).sum(axis=0) - 2.0 * (Xc * conv[1]).sum(axis=0) + spread
-    return s_z, s_zz, s_psi
+    fx, fx2 = _spectra(shape, Xc, Xc2)
+    sums = np.empty((3,) + mu_c.shape)
+    Wd = np.empty_like(Xc)
+    for c in range(mu_c.shape[0]):
+        var = 1.0 / (1.0 / phi[c] + b)
+        a, r2 = mu_c[c] / phi[c], (var / phi[c]) ** 2
+        Wd[:, rows] = W[:, :, c]            # rows is a permutation of the shifts
+        tot = float(W[:, :, c].sum())
+        fw = _spectra(shape, Wd)[0]
+        fw_conj = np.conj(fw)
+        A, Q = _unspectra(shape, np.stack([(fx * fw_conj).sum(axis=0),
+                                           (fx2 * fw_conj).sum(axis=0)]))
+        sums[0, c] = var * (tot * a + b * A)
+        sums[1, c] = var * var * (tot * a * a + 2.0 * a * b * A + b * b * Q) + tot * var
+        g = _spectra(shape, r2, r2 * mu_c[c], r2 * mu_c[c] * mu_c[c] + var)
+        conv = _unspectra(shape, fw * g[:2, None])
+        spread = _unspectra(shape, fw.sum(axis=0) * g[2])
+        sums[2, c] = (Xc2 * conv[0]).sum(axis=0) - 2.0 * (Xc * conv[1]).sum(axis=0) + spread
+    return sums
 
 
 def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
@@ -531,14 +537,14 @@ def _starved(mass, T: int) -> tuple[int, ...]:
     return tuple(c for c, m in enumerate(mass) if m < RESCUE_THRESHOLD * T)
 
 
-def _mstep_tail(X, options: EmOptions, stats, rescued, mu, phi, pi=None, rho=None):
+def _mstep_tail(X, options: EmOptions, s_psi, rescued, mu, phi, pi=None, rho=None):
     """The end of every family's M-step.
 
     Reseeds each rescued cluster from a random datum (template, latent
     variance, uniform `rho` column) and resets its rows of the prior `pi`
     (mixing proportions, or the (C, L) initial-state table) to uniform before
-    renormalising.  Then psi = sum of the per-cluster s_psi (entry 6 of each
-    statistics tuple) over the batch size, tied to its mean when asked,
+    renormalising.  Then psi = the clusters' s_psi sums (C, n) summed over
+    clusters and divided by the batch size, tied to its mean when asked,
     and phi and psi are floored.  Writes into mu, rho and pi; returns
     (phi, psi, pi).
     """
@@ -554,10 +560,7 @@ def _mstep_tail(X, options: EmOptions, stats, rescued, mu, phi, pi=None, rho=Non
     if rescued:
         pi[list(rescued)] = 1.0 / pi.size
         pi = pi / pi.sum()
-    s_psi = np.zeros(n)
-    for s in stats:
-        s_psi += s[6]
-    psi = s_psi / T
+    psi = s_psi.sum(axis=0) / T
     if options.tie_psi:
         psi = np.full(n, psi.mean())
     return np.maximum(phi, floor), np.maximum(psi, floor), pi

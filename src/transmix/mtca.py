@@ -6,7 +6,8 @@ cluster and transformation index are lumped for exact inference.  With zero
 factors per cluster this is exactly a TMG; with one cluster, exactly a TCA.
 So `tmg` and `tca` are views: their functions call the ones here on the
 model's `as_mtca()`, a record sharing its arrays, and reshape the result.
-The per-cluster kernels live in `tca`.
+The emission table and the M-step statistics are one kernel call each over
+all clusters; one frame's latent moments are computed per cluster.
 """
 
 from __future__ import annotations
@@ -73,11 +74,9 @@ def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
 def loglik_table(model: MtcaModel, X) -> np.ndarray:
     """(T, L, C) table of log p(x_t | l, c); the fast likelihood drops the
     sensor noise (see `tca`)."""
-    X = _frames(X, model.n)
     psi = np.zeros_like(model.psi) if model.fast_likelihood else model.psi
-    return np.stack([_tca.cluster_loglik(model.transforms, model.mu[c],
-                                         model.loadings[c], model.phi[c], psi, X)
-                     for c in range(model.C)], axis=2)
+    return _tca.cluster_loglik(model.transforms, model.mu, model.loadings, model.phi,
+                               psi, _frames(X, model.n))
 
 
 def cond_loglik(model: MtcaModel, x, l: int, c: int) -> float:
@@ -123,24 +122,22 @@ def _latent_moments(transforms, mu, loadings, phi, psi, x):
 def _cluster_mstep(transforms, mu, loadings, phi, psi, X, W, directions=()):
     """The per-cluster M-step of every Gaussian family, from weights W[t, l, c].
 
-    Returns the statistics, their masses, the starved clusters and the new
-    (mu, loadings, phi), where a starved cluster keeps its old values for
+    Returns the clusters' s_psi (C, n), masses and starved clusters, and the
+    new (mu, loadings, phi), where a starved cluster keeps its old values for
     `_mstep_tail` to reseed.  The first loading columns follow the template
     derivatives along `directions` instead of being learned.
     """
-    stats = [gaussian_template_stats(transforms, mu[c], loadings[c], phi[c], psi,
-                                     X, W[:, :, c]) for c in range(mu.shape[0])]
-    mass = np.array([s[0] for s in stats])
-    rescued = _starved(mass, X.shape[0])
+    stats = gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W)
+    rescued = _starved(stats[0], X.shape[0])
     mu, loadings, phi = mu.copy(), loadings.copy(), phi.copy()
-    for c, st in enumerate(stats):
+    for c in range(mu.shape[0]):
         if c in rescued:
             continue
-        loadings[c], mu[c], phi[c] = _tca.solve_mstep(st, loadings[c], len(directions))
+        loadings[c], mu[c], phi[c] = _tca.solve_mstep(stats, c, loadings[c], len(directions))
         if directions:
             loadings[c, :, :len(directions)] = _tca.tangent_columns(
                 mu[c], transforms, directions)
-    return stats, mass, rescued, mu, loadings, phi
+    return stats[6], stats[0], rescued, mu, loadings, phi
 
 
 def _em_step_full(model: MtcaModel, X, options: EmOptions):
@@ -150,14 +147,14 @@ def _em_step_full(model: MtcaModel, X, options: EmOptions):
     X = _frames(X, model.n)
     T = X.shape[0]
     per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
-    stats, mass, rescued, mu, loadings, phi = _cluster_mstep(
+    s_psi, mass, rescued, mu, loadings, phi = _cluster_mstep(
         model.transforms, model.mu, model.loadings, model.phi, model.psi, X, resp,
         options.tangent_directions)
     rho = model.rho.copy()
     if not options.freeze_rho:
         live = [c for c in range(model.C) if c not in rescued]
         rho[:, live] = resp[:, :, live].sum(axis=0) / mass[live]
-    phi, psi, pi = _mstep_tail(X, options, stats, rescued, mu, phi, mass / T, rho)
+    phi, psi, pi = _mstep_tail(X, options, s_psi, rescued, mu, phi, mass / T, rho)
     new = _record(MtcaModel, **{**vars(model), "pi": pi, "mu": mu, "loadings": loadings,
                                 "phi": phi, "rho": rho, "psi": psi})
     return new, float(per_datum.sum()), tuple(mass), rescued

@@ -6,11 +6,12 @@ noise.  Likelihoods use rank-K determinant/inverse identities, so evaluation
 costs O(n K^2) per transformation instead of O(n^3).  The fast likelihood is
 the same kernel with the sensor noise dropped (psi = 0): the latent variances
 absorb it, and with void-free ops each transformation's covariance is then a
-permuted copy of one matrix.  The emission table, the M-step statistics and
-the latent posterior are each one kernel over all ops with the loadings as
-an argument; `mtca` runs them per cluster for every Gaussian family, and a
-TCA is a view of an MTCA with one cluster: each model function below runs
-the `mtca` one on `as_mtca()`, which shares the model's arrays.
+permuted copy of one matrix.  The emission table here and the M-step
+statistics (`common.gaussian_template_stats`) each take a model's whole
+cluster stack in one call, over all ops; the latent posterior of one frame
+is one kernel over all ops, which `mtca` runs per cluster.  A TCA is a view
+of an MTCA with one cluster: each model function below runs the `mtca` one
+on `as_mtca()`, which shares the model's arrays.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def init_tca(transforms: TransformationSet, n_factors: int, data,
 
 
 def cluster_loglik(transforms, mu, loadings, phi, psi, X):
-    """(T, L) table of log p(x | l) for one latent component analyzer.
+    """(T, L, C) table of log p(x | l, c) for the latent component analyzers
+    mu (C, n), loadings (C, n, K), phi (C, n) with sensor noise psi.
 
     Given op l the image is Gaussian with covariance D_l + a_l a_l^T (D_l
     diagonal, a_l the loading rows in observed coordinates).  The diagonal
@@ -99,58 +101,66 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
     for every op, and the rest of the quadratic term is
     sum_p x_p^2 / v[p - d] - 2 x_p mu[p - d] / v[p - d] =
     corr(x^2, 1/v)[d] - 2 corr(x, mu/v)[d], with the circular
-    cross-correlation corr(f, g)[d] = sum_p f[p] g[p - d]: per datum one
-    inverse 2-D FFT of a combination of spectra (`_fft_loglik`).
+    cross-correlation corr(f, g)[d] = sum_p f[p] g[p - d]: per cluster and
+    datum one inverse 2-D FFT, the frames' spectra shared (`_fft_loglik`).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    wrap = _fft_rows(transforms, loadings, psi)
-    if wrap is not None:
-        return _fft_loglik(transforms.shape, wrap, mu, phi + psi[0], X)
-    mean, var, rows = _observed(transforms.padded_source, mu, loadings, phi, psi)
-    L, n, k = rows.shape
     # the squares expanded below cancel when the data sit far from zero;
-    # x - mean is unchanged by a common shift, so shift by the batch mean
+    # x - mean is unchanged by a common shift, so shift all by the batch mean
     shift = X.mean()
     X = X - shift
-    mean -= shift
-    if k:
-        scaled, M = _factor_gain(rows, var)       # M = I + PSD: det M >= 1
-    # Each (L, n) table is megabytes at large L * n, and paging in fresh
-    # memory costs more than the arithmetic on it, so the kernel makes two
-    # blocks and works in them in place: mean and var (var then takes
-    # mean/var, then mean^2/var), and log(var), then 1/var
-    inv = np.log(var)
-    const = -0.5 * (inv.sum(axis=1) + n * _LOG2PI)
-    np.divide(1.0, var, out=inv)
     with np.errstate(over="ignore"):
-        mean_inv = np.multiply(mean, inv, out=var)
-        quad = (X * X) @ inv.T - 2.0 * (X @ mean_inv.T)
-        np.multiply(mean, mean, out=mean_inv)
-        mean_inv *= inv
-        quad += mean_inv.sum(axis=1)
-        out = const[None, :] - 0.5 * quad
+        X2 = X * X
+    wrap = _fft_rows(transforms, loadings, psi)
+    if wrap is not None:
+        return _fft_loglik(transforms.shape, wrap, mu - shift, phi + psi[0], X, X2)
+    (C, n, k), L = loadings.shape, transforms.L
+    table = np.empty((X.shape[0], L, C))
+    for c in range(C):
+        mean, var, rows = _observed(transforms.padded_source, mu[c], loadings[c],
+                                    phi[c], psi)
+        mean -= shift
         if k:
-            logdet = np.linalg.slogdet(M)[1]
-            U = ((X @ scaled.transpose(1, 0, 2).reshape(n, L * k)).reshape(-1, L, k)
-                 - np.einsum("lp,lpk->lk", mean, scaled))
-            V = np.linalg.solve(M, U.transpose(1, 2, 0))       # (L, k, T)
-            out += 0.5 * (np.einsum("tlk,lkt->tl", U, V) - logdet[None, :])
-    return out
+            scaled, M = _factor_gain(rows, var)       # M = I + PSD: det M >= 1
+        # (L, n) tables are megabytes at large L * n, and paging in fresh memory
+        # costs more than the arithmetic on it, so two blocks are worked in
+        # place: mean and var (var takes mean/var, then mean^2/var), log(var), 1/var
+        inv = np.log(var)
+        const = -0.5 * (inv.sum(axis=1) + n * _LOG2PI)
+        np.divide(1.0, var, out=inv)
+        with np.errstate(over="ignore"):
+            mean_inv = np.multiply(mean, inv, out=var)
+            quad = X2 @ inv.T - 2.0 * (X @ mean_inv.T)
+            np.multiply(mean, mean, out=mean_inv)
+            mean_inv *= inv
+            quad += mean_inv.sum(axis=1)
+            out = const[None, :] - 0.5 * quad
+            if k:
+                logdet = np.linalg.slogdet(M)[1]
+                U = ((X @ scaled.transpose(1, 0, 2).reshape(n, L * k)).reshape(-1, L, k)
+                     - np.einsum("lp,lpk->lk", mean, scaled))
+                V = np.linalg.solve(M, U.transpose(1, 2, 0))       # (L, k, T)
+                out += 0.5 * (np.einsum("tlk,lkt->tl", U, V) - logdet[None, :])
+        table[:, :, c] = out
+    return table
 
 
-def _fft_loglik(shape, rows, mu, v, X):
-    """`cluster_loglik` at K = 0 on a full wrap grid, op l the shift
-    d_l = rows[l], with latent-coordinate variances v = phi + psi.  Centred
-    on the batch mean like the dense kernel."""
-    shift = X.mean()
-    X, mu = X - shift, mu - shift
-    inv = 1.0 / v
-    mean_inv = mu * inv
-    const = -0.5 * (np.log(v).sum() + shape.n * _LOG2PI + (mu * mean_inv).sum())
-    fx, fx2 = _spectra(shape, X, X * X)
-    f_inv, f_mean = np.conj(_spectra(shape, inv, mean_inv))
-    quad = _unspectra(shape, fx2 * f_inv - 2.0 * fx * f_mean)
-    return const - 0.5 * quad[:, rows]
+def _fft_loglik(shape, rows, mu, v, X, X2):
+    """`cluster_loglik` at K = 0 on a full wrap grid, op l the shift d_l =
+    rows[l], with v = phi + psi, from centred frames X and their squares X2.
+    The table is (L, T, C) in memory, the gather's order: sums over it add
+    in memory order, so the layout fixes their rounding."""
+    T, C = X.shape[0], mu.shape[0]
+    table = np.empty((len(rows), T, C)).transpose(1, 0, 2)
+    fx, fx2 = _spectra(shape, X, X2)
+    for c in range(C):
+        inv = 1.0 / v[c]
+        mean_inv = mu[c] * inv
+        const = -0.5 * (np.log(v[c]).sum() + shape.n * _LOG2PI + (mu[c] * mean_inv).sum())
+        f_inv, f_mean = np.conj(_spectra(shape, inv, mean_inv))
+        quad = _unspectra(shape, fx2 * f_inv - 2.0 * fx * f_mean)
+        table[:, :, c] = const - 0.5 * quad[:, rows]
+    return table
 
 
 def loglik_table(model: TcaModel, X) -> np.ndarray:
@@ -201,17 +211,17 @@ def posterior(model: TcaModel, x) -> PosteriorSummary:
                             _compute=lambda: tuple(m[:, 0] for m in post._moments))
 
 
-def solve_mstep(stats, loadings_old, tangent_cols: int):
-    """Maximize the expected complete log-likelihood for (loadings, mu, phi).
-
-    `stats` holds one cluster's moment sums, those of z' = z - m for the
-    centre m that ends the tuple.  Regressing z' on (y, 1), the mean is the
-    extra column and comes out as mu - m; phi is formed from residuals at
-    the centred scale, so it does not cancel when the data sit far from
-    zero.  The first `tangent_cols` loading columns are held fixed (their
-    values come from template derivatives, not learning).
+def solve_mstep(stats, c: int, loadings_old, tangent_cols: int):
+    """Maximize the expected complete log-likelihood for cluster c's
+    (loadings, mu, phi) from the sums of `gaussian_template_stats`, those of
+    z' = z - m for the centre m that ends the tuple.  Regressing z' on
+    (y, 1), the mean is the extra column and comes out as mu - m; phi is
+    formed from residuals at the centred scale, so it does not cancel when
+    the data sit far from zero.  The first `tangent_cols` loading columns
+    are held fixed (their values come from template derivatives, not
+    learning).
     """
-    mass, s_z, s_zz, s_y, s_yy, s_zy, _, centre = stats
+    (mass, s_z, s_zz, s_y, s_yy, s_zy), centre = (s[c] for s in stats[:6]), stats[7]
     n, k = loadings_old.shape
     syy_aug = np.empty((k + 1, k + 1))
     syy_aug[:k, :k] = s_yy

@@ -116,9 +116,6 @@ class MotionPrior:
     def radius(self) -> int:
         return int(math.floor(self.threshold))
 
-    def n_classes(self) -> int | None:
-        return self.table.shape[0] if self.per_class else None
-
     def weights(self) -> np.ndarray:
         """Per-displacement transition weights, (C?, B), over `offsets`.
 
@@ -235,13 +232,11 @@ def emission_loglik(model: ThmmModel, x) -> np.ndarray:
 
 
 def emission_table(model: ThmmModel, frames) -> np.ndarray:
-    """(T, C, L) emission log-likelihood tables: per class, the component
-    analyzer's emission kernel with no factors."""
-    frames = _frames(frames, model.n)
-    zero = np.zeros((model.n, 0))
-    return np.stack([_tca.cluster_loglik(model.transforms, model.mu[c], zero,
-                                         model.phi[c], model.psi, frames)
-                     for c in range(model.C)], axis=1)
+    """(T, C, L) emission log-likelihood tables, C-contiguous: the component
+    analyzers' emission kernel with no factors, over every class at once."""
+    table = _tca.cluster_loglik(model.transforms, model.mu, np.zeros((model.C, model.n, 0)),
+                                model.phi, model.psi, _frames(frames, model.n))
+    return np.ascontiguousarray(table.transpose(0, 2, 1))
 
 
 class _Dynamics:
@@ -465,7 +460,7 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
         gammas.append(post.gamma)
 
     all_frames = np.concatenate(seqs, axis=0)
-    stats, mass, rescued, mu, _, phi = _cluster_mstep(
+    s_psi, mass, rescued, mu, _, phi = _cluster_mstep(
         model.transforms, model.mu, np.zeros((C, model.n, 0)), model.phi,
         model.psi, all_frames, np.concatenate(gammas, axis=0).transpose(0, 2, 1))
 
@@ -476,7 +471,7 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
         class_marg = gamma_first.sum(axis=1)
         class_marg = class_marg / class_marg.sum()
         pi_s = np.tile(class_marg[:, None], (1, L)) / L
-    phi, psi, pi_s = _mstep_tail(all_frames, options, stats, rescued, mu, phi, pi_s)
+    phi, psi, pi_s = _mstep_tail(all_frames, options, s_psi, rescued, mu, phi, pi_s)
     tiny = 1e-12
     trans = xi_class + tiny
     if rescued:

@@ -262,3 +262,25 @@ def test_train_mtca_components_tile_each_factor_image(tmp_path):
     model_io.write_pgm(tmp_path / "want.pgm", model_io.montage(tiles, model.shape))
     assert (tmp_path / "mtca" / "components.pgm").read_bytes() == \
         (tmp_path / "want.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("restarts", "0"), ("iterations", "-2"),
+                                        ("init.iterations", "-1")])
+def test_train_refuses_counts_below_their_least_value(key, value, tmp_path):
+    man = Manifest.parse(SMALL).override({key: value})
+    with pytest.raises(ValueError, match=repr(key)):
+        cmd_train(man, tmp_path / "out")
+    assert not (tmp_path / "out" / "model.txm").exists()
+
+
+def test_eval_names_the_file_and_column_of_a_bad_csv(tmp_path):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("t,class,i,j\n0,1,2,3\n")
+    bad.write_text("t,label,i\n0,1,2\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: no 'class' column"):
+        cmd_eval(bad, good, "classification")
+    with pytest.raises(ValueError, match=r"bad\.csv: no 'j' column"):
+        cmd_eval(good, bad, "tracking")
+    bad.write_text("t,class,i,j\n0,x,2,3\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: could not convert .*'x'"):
+        cmd_eval(bad, good, "clustering")

@@ -40,6 +40,14 @@ def _inputs(ts, seed, T=5, psi=0.3, offset=0.0):
     return mu, phi, np.full(n, psi), X, W
 
 
+def _stacked(ts, seed, C, **kwargs):
+    """`_inputs` for C clusters: the frames and psi of `seed`, and cluster
+    c's template, latent variances and weights (T, L, C) of seed + c."""
+    each = [_inputs(ts, seed + c, **kwargs) for c in range(C)]
+    mu, phi, W = (np.stack([e[i] for e in each], axis=a) for i, a in ((0, 0), (1, 0), (4, -1)))
+    return mu, phi, each[0][2], each[0][3], W
+
+
 def _dense(monkeypatch):
     """Route every kernel call to the dense path."""
     monkeypatch.setattr(common, "FFT_MIN_PIXELS", 10 ** 9)
@@ -51,35 +59,38 @@ def _forbid(monkeypatch, module, name):
     monkeypatch.setattr(module, name, forbidden)
 
 
-CASES = ([pytest.param(h, w, None, 0.3, 5, id=f"{h}x{w}") for h, w in SHAPES]
-         + [pytest.param(5, 5, 7, 0.3, 5, id="5x5-shuffled"),
-            pytest.param(4, 6, 8, 0.3, 5, id="4x6-shuffled"),
-            pytest.param(5, 5, None, 0.0, 5, id="5x5-psi0"),
-            pytest.param(8, 8, None, 0.3, 1, id="8x8-T1")])
+CASES = ([pytest.param(h, w, None, 0.3, 5, 1, id=f"{h}x{w}") for h, w in SHAPES]
+         + [pytest.param(5, 5, 7, 0.3, 5, 1, id="5x5-shuffled"),
+            pytest.param(4, 6, 8, 0.3, 5, 1, id="4x6-shuffled"),
+            pytest.param(5, 5, None, 0.0, 5, 1, id="5x5-psi0"),
+            pytest.param(8, 8, None, 0.3, 1, 1, id="8x8-T1"),
+            pytest.param(4, 6, 8, 0.3, 5, 3, id="4x6-shuffled-C3")])
 
 
-@pytest.mark.parametrize("h, w, shuffle, psi, T", CASES)
-def test_fft_emission_matches_the_dense_kernel(h, w, shuffle, psi, T, monkeypatch):
+@pytest.mark.parametrize("h, w, shuffle, psi, T, C", CASES)
+def test_fft_emission_matches_the_dense_kernel(h, w, shuffle, psi, T, C, monkeypatch):
     ts = _full_grid(h, w, shuffle)
-    mu, phi, psi, X, _ = _inputs(ts, seed=h * w, T=T, psi=psi)
-    got = tca._fft_loglik(ts.shape, ts.wrap_rows, mu, phi + psi[0], X)
+    mu, phi, psi, X, _ = _stacked(ts, seed=h * w, C=C, T=T, psi=psi)
+    m = X.mean()
+    Xc = X - m
+    got = tca._fft_loglik(ts.shape, ts.wrap_rows, mu - m, phi + psi[0], Xc, Xc * Xc)
     _dense(monkeypatch)
-    want = tca.cluster_loglik(ts, mu, np.zeros((ts.shape.n, 0)), phi, psi, X)
+    want = tca.cluster_loglik(ts, mu, np.zeros((C, ts.shape.n, 0)), phi, psi, X)
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
 
 
-@pytest.mark.parametrize("h, w, shuffle, psi, T",
+@pytest.mark.parametrize("h, w, shuffle, psi, T, C",
                          [c for c in CASES if c.id != "5x5-psi0"]
-                         + [pytest.param(5, 5, None, 0.3, 1, id="5x5-T1-zero-weight")])
-def test_fft_stats_match_the_dense_kernel(h, w, shuffle, psi, T, monkeypatch):
+                         + [pytest.param(5, 5, None, 0.3, 1, 1, id="5x5-T1-zero-weight")])
+def test_fft_stats_match_the_dense_kernel(h, w, shuffle, psi, T, C, monkeypatch):
     ts = _full_grid(h, w, shuffle)
-    mu, phi, psi, X, W = _inputs(ts, seed=h + w, T=T, psi=psi)
+    mu, phi, psi, X, W = _stacked(ts, seed=h + w, C=C, T=T, psi=psi)
     W[:, ::2] = 0.0
     m = X.mean()
     Xc = X - m
     got = _fft_stats(ts.shape, ts.wrap_rows, W, Xc, Xc * Xc, mu - m, phi, psi[0])
     _dense(monkeypatch)
-    want = gaussian_template_stats(ts, mu, np.zeros((ts.shape.n, 0)), phi, psi, X, W)
+    want = gaussian_template_stats(ts, mu, np.zeros((C, ts.shape.n, 0)), phi, psi, X, W)
     for g, wnt in zip(got, (want[1], want[2], want[6])):
         np.testing.assert_allclose(g, wnt, rtol=RTOL, atol=0)
 
@@ -99,7 +110,9 @@ def test_fft_path_matches_the_dense_oracles(monkeypatch):
     got = tmg.loglik(model, X)
     want = [tmg_loglik_dense(model, x) for x in X]
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
-    stats = gaussian_template_stats(ts, mu, np.zeros((9, 0)), phi, psi, X, W)
+    stats = gaussian_template_stats(ts, mu[None], np.zeros((1, 9, 0)), phi[None], psi, X,
+                                    W[:, :, None])
+    stats = tuple(s[0] for s in stats[:7]) + stats[7:]
     m = stats[7]
     dense = template_stats_dense(ts, mu - m, np.zeros((9, 0)), phi, psi, X - m, W)
     assert stats[0] == pytest.approx(dense[0], rel=RTOL)

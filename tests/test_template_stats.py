@@ -40,21 +40,35 @@ def _inputs(transforms, seed, K, offset=0.0, tied=False, T=6):
     return mu, loadings, phi, psi, X, W
 
 
-def _check(transforms, args):
+def _clusters(args, C):
+    """C clusters from one cluster's inputs: cluster c rolls the pixels of
+    mu, loadings and phi and the ops of W by c, so cluster 0 is `args`."""
     mu, loadings, phi, psi, X, W = args
-    got = gaussian_template_stats(transforms, *args)
-    assert len(got) == 8
-    m = got[7]
-    assert m == np.mean(X)
-    # the latent sums come back centred on m, so they are the sums of the
-    # centred problem; s_psi stays in observed coordinates, where a pixel
-    # with no source predicts 0 rather than m
-    want = template_stats_dense(transforms, mu - m, loadings, phi, psi, X - m, W)
-    want = want[:6] + template_stats_dense(transforms, *args)[6:]
-    assert got[0] == pytest.approx(want[0], rel=1e-10)
-    for g, w in zip(got[1:7], want[1:]):
-        assert g.shape == w.shape
-        np.testing.assert_allclose(g, w, rtol=1e-10, atol=0)
+    return [(np.roll(mu, c), np.roll(loadings, c, axis=0), np.roll(phi, c), psi, X,
+             np.roll(W, c, axis=-1)) for c in range(C)]
+
+
+def _check(transforms, args, C=3):
+    """Every cluster of one C-cluster call against the oracle on its own."""
+    clusters = _clusters(args, C)
+    mu, loadings, phi = (np.stack([each[i] for each in clusters]) for i in range(3))
+    W = np.stack([np.atleast_2d(each[5]) for each in clusters], axis=-1)
+    stacked = gaussian_template_stats(transforms, mu, loadings, phi, *args[3:5], W)
+    for c, args in enumerate(clusters):
+        mu, loadings, phi, psi, X, W = args
+        got = tuple(s[c] for s in stacked[:7]) + stacked[7:]
+        assert len(got) == 8
+        m = got[7]
+        assert m == np.mean(X)
+        # the latent sums come back centred on m, so they are the sums of the
+        # centred problem; s_psi stays in observed coordinates, where a pixel
+        # with no source predicts 0 rather than m
+        want = template_stats_dense(transforms, mu - m, loadings, phi, psi, X - m, W)
+        want = want[:6] + template_stats_dense(transforms, *args)[6:]
+        assert got[0] == pytest.approx(want[0], rel=1e-10)
+        for g, w in zip(got[1:7], want[1:]):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("name, K", _cases(sorted(CASES)))
