@@ -128,7 +128,9 @@ def write_truth_csv(truth: synthgen.GroundTruth, path) -> None:
 
 def read_csv_columns(path, *columns: str) -> np.ndarray:
     """The integer values of `columns` in a CSV with a header row, as a
-    (rows, columns) array; an error names the file and the column or cell."""
+    (rows, columns) array; an error names the file and the column or cell.
+    A cell may spell its integer as a float ("3.0"); a fractional,
+    non-finite or out-of-range value is refused, not truncated."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -137,9 +139,15 @@ def read_csv_columns(path, *columns: str) -> np.ndarray:
     if missing:
         raise ValueError(f"{path}: no {missing[0]!r} column")
     try:
-        return np.array([[int(float(r[c])) for c in columns] for r in rows])
+        values = np.array([[float(r[c]) for c in columns] for r in rows])
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None
+    bad = np.argwhere(~((values == np.round(values)) & (np.abs(values) < 2.0 ** 63)))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"{path}: column {columns[col]!r}, row {row + 1}: "
+                         f"{rows[row][columns[col]]!r} is not a 64-bit integer")
+    return values.astype(np.int64)
 
 
 def _em_options(man: Manifest) -> EmOptions:

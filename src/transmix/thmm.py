@@ -9,13 +9,32 @@ O(C^2 L + C L B) per step for B in-range moves instead of O((C L)^2), while
 staying exact.  All of them, and `dense_transition`, read one set of gather
 tables built by `_Dynamics`.
 
-The passes run in the log domain.  Every log-sum-exp is shifted by its
-largest term, which becomes exactly 1, and drops the terms below e^-700
-(about 1e-304) of it (`common._cutexp`): they are below the rounding of the
-sum, so the result is the same float64 number, and numpy's exp would spend
-most of its time on them, in its slow path below about -708.  Expected
-transition counts drop posterior terms below e^-700 the same way; smoothed
-marginals are exponentiated uncut.
+The passes run in the log domain, one frame at a time, and each frame takes
+two steps per direction:
+
+- The motion step sums, per class and target position, over the B moves
+  into (forward) or out of (backward) that position: one log-sum-exp over a
+  (C, B, L) buffer filled through a flat gather index.  Each target's terms
+  are shifted by their largest, which becomes exactly 1, clamped at `CUT` =
+  -700 and exponentiated in place.  The clamp counts a term below e^-700
+  (about 1e-304) of its target's best as e^-700 instead of its own value,
+  so the sum, at least 1, moves by at most B e^-700: under its rounding.
+  numpy's exp then never takes its slow path below about -708.  A target
+  with no finite term stays -inf.
+- The class step is a (C, C) matrix product with a per-position shift,
+  log(M @ exp(logs - top)) + top, with M the class transitions (transposed
+  in the forward pass) and top each position's best class; its
+  exponentials are clamped the same way.  A row of M sums to at most C, so
+  the clamped terms add at most C e^-700 to a sum.  A position where some
+  sum falls below `_LINEAR_FLOOR` = e^(CUT + 100) is recomputed in the log
+  domain, its class counts too; only a zero or tiny class transition gets
+  there.  Elsewhere the clamp moves a sum by less than C e^-100 of itself,
+  under its rounding.
+
+The frame's normaliser is a clamped log-sum-exp as well.  Smoothed marginals
+are exponentiated exactly: only log values above -746 go through exp, the
+rest are the 0 that exp rounds them to.  `forward_backward` states how far
+the expected transition counts may be from the exact sums.
 
 Motion differences are taken modulo the shift grid when the transformation
 set wraps (the grid is then a torus and every state has the same moves);
@@ -26,16 +45,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tca as _tca
-from .common import (EmOptions, SequencePosterior, UnderflowError, _GaussianModel,
-                     _cutexp, _fit, _frame, _frames, _latent_posterior,
+from .common import (CUT, EmOptions, SequencePosterior, UnderflowError,
+                     _GaussianModel, _cutexp, _fit, _frame, _frames, _latent_posterior,
                      _mstep_tail, _padded, _starting_templates, logsumexp)
 from .mtca import _cluster_mstep
 from .transforms import ImageShape, TransformationSet, apply, wrap_shift_index
 from .tmg import TmgModel
+
+# a class-step position whose linear sum falls below this is recomputed in
+# the log domain; above it, the terms clamped at e^CUT are below e^-100 of
+# the sum, under its rounding
+_LINEAR_FLOOR = math.exp(CUT + 100.0)
+# np.exp rounds every argument below about -745.13 to exactly 0
+_EXP_ZERO = -746.0
 
 
 def motion_offsets(threshold: float) -> np.ndarray:
@@ -306,84 +333,173 @@ def dense_transition(model: ThmmModel) -> np.ndarray:
     return out.reshape(C * L, C * L)
 
 
-def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics):
-    """Forward pass in the log domain.  Returns (loglik, log_alpha, moved,
-    steps): log filtered state probabilities (T, C, L); moved[t], the log
-    mass each class carries into each position at t before the class step
-    (moved[0] unused); steps[t] = log p(x_t | x_<t).
+class _Forward(NamedTuple):
+    """The forward pass's tables, per frame t: log filtered state
+    probabilities log_alpha (T, C, L); steps[t] = log p(x_t | x_<t); moved,
+    the log mass each class carries into each position before the class
+    step; and that step's exponentials lin = exp(moved - top), clamped at
+    `CUT`, with top (T, L) each position's best class.  moved, lin and top
+    are unused at t = 0."""
+
+    loglik: float
+    log_alpha: np.ndarray
+    moved: np.ndarray
+    steps: np.ndarray
+    lin: np.ndarray
+    top: np.ndarray
+
+
+def _shifted_exp(buf: np.ndarray, axis) -> np.ndarray:
+    """Exponentiate `buf` in place relative to the largest term of each line
+    along `axis`, every shifted term clamped at `CUT`; returns those largest
+    terms (keepdims), -inf for a line of -inf terms only."""
+    top = buf.max(axis=axis, keepdims=True)
+    buf -= np.where(top > -np.inf, top, 0.0)
+    np.maximum(buf, CUT, out=buf)
+    np.exp(buf, out=buf)
+    return top
+
+
+def _motion_step(log_w: np.ndarray, index: np.ndarray, log_move: np.ndarray,
+                 buf: np.ndarray):
+    """The motion step over (C, moves, L): per class and position, the
+    log-sum-exp over moves of log_w gathered at the flat `index` plus
+    `log_move`.  Leaves the clamped exponentials in `buf`; returns (log-sum,
+    largest term), both (C, L)."""
+    # the index is in range; "clip" spares take a checked copy into buf
+    np.take(log_w.reshape(-1), index, out=buf, mode="clip")
+    buf += log_move
+    top = _shifted_exp(buf, 1)[:, 0]
+    return np.log(buf.sum(axis=1)) + top, top
+
+
+def _class_step(M: np.ndarray, log_M: np.ndarray, logs: np.ndarray, lin: np.ndarray):
+    """log(M @ exp(logs)) for (C, C) weights M and (C, L) log terms, as a
+    product with a per-position shift: lin = exp(logs - top) clamped at
+    `CUT`, top the best term of each position.  A position whose linear sum
+    falls below `_LINEAR_FLOOR` for some row is recomputed from log_M in
+    the log domain.  Returns (result, top, those positions or None)."""
+    np.copyto(lin, logs)
+    top = _shifted_exp(lin, 0)[0]
+    s = M @ lin
+    with np.errstate(divide="ignore"):
+        out = np.log(s) + top
+    if s.min() >= _LINEAR_FLOOR:
+        return out, top, None
+    low = np.flatnonzero(s.min(axis=0) < _LINEAR_FLOOR)
+    out[:, low] = logsumexp(log_M[:, :, None] + logs[None, :, low], 1)
+    return out, top, low
+
+
+def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics) -> _Forward:
+    """Forward pass in the log domain (see the module docstring).
 
     Every state keeps its exact log weight however far below the frame's
     best state it falls, so a later frame that can only be explained through
     it (a jump beyond the motion threshold, say) still scores exactly.
     """
     T, C, L = emis.shape
+    A = model.class_trans
     with np.errstate(divide="ignore"):
-        log_trans = np.log(model.class_trans)[:, :, None]
+        log_At = np.log(A.T)
         log_pred = np.log(model.pi_s)
     log_alpha = np.empty((T, C, L))
     moved = np.full((T, C, L), -np.inf)
     steps = np.empty(T)
+    lin = np.empty((T, C, L))
+    top = np.full((T, L), -np.inf)
+    index = dyn.src + L * np.arange(C)[:, None, None]
+    buf = np.empty(dyn.log_into.shape)
+    joint = np.empty((C, L))
     for t in range(T):
         if t > 0:
-            moved[t] = logsumexp(np.take(log_alpha[t - 1] - dyn.log_z, dyn.src,
-                                         axis=1) + dyn.log_into, 1)
-            log_pred = logsumexp(log_trans + moved[t][:, None, :], 0)
-        joint = log_pred + emis[t]
-        steps[t] = logsumexp(joint.reshape(-1), 0)
-        if not np.isfinite(steps[t]):
+            moved[t] = _motion_step(log_alpha[t - 1] - dyn.log_z, index,
+                                    dyn.log_into, buf)[0]
+            log_pred, top[t], _ = _class_step(A.T, log_At, moved[t], lin[t])
+        np.add(log_pred, emis[t], out=log_alpha[t])
+        np.copyto(joint, log_alpha[t])
+        best = _shifted_exp(joint, None)[0, 0]
+        if not best > -np.inf:
             raise UnderflowError(f"zero total path probability at frame {t}")
-        log_alpha[t] = joint - steps[t]
-    return float(steps.sum()), log_alpha, moved, steps
+        steps[t] = np.log(joint.sum()) + best
+        log_alpha[t] -= steps[t]
+    return _Forward(float(steps.sum()), log_alpha, moved, steps, lin, top)
+
+
+def _backward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics, fwd: _Forward):
+    """Backward pass in the log domain over the forward pass's tables.
+    Returns (gamma, xi_class, xi_moves), xi_moves (C, moves) per move of
+    `dyn` (see `forward_backward`)."""
+    T, C, L = emis.shape
+    A = model.class_trans
+    with np.errstate(divide="ignore"):
+        log_A = np.log(A)
+    gamma = np.zeros((T, C, L))
+    _exp_above_zero(fwd.log_alpha[T - 1], gamma[T - 1])
+    counts = np.zeros((C, C))      # sum over frames of lin @ (G * scale).T
+    xi_low = np.zeros((C, C))      # counts of the log-domain positions
+    xi_moves = np.zeros(dyn.log_from.shape[:2])
+    index = dyn.dst + L * np.arange(C)[:, None, None]
+    buf = np.empty(dyn.log_from.shape)
+    G = np.empty((C, L))
+    log_beta = np.zeros((C, L))
+    for t in range(T - 2, -1, -1):
+        # log p(x_t+1.., state at t+1 | x_..t), per target class, then per
+        # source class before the class step, then per move out of each state
+        ahead = emis[t + 1] + log_beta - fwd.steps[t + 1]
+        back, g_top, low = _class_step(A, log_A, ahead, G)
+        if low is not None:
+            moved = fwd.moved[t + 1][:, None, low]
+            xi_low += _cutexp(log_A[:, :, None] + moved + ahead[None, :, low]).sum(axis=2)
+            g_top[low] = -np.inf
+        # class counts class_trans[c, c'] exp(moved[c, l] + ahead[c', l]),
+        # from both class steps' exponentials and the positions' shifts
+        G *= np.exp(fwd.top[t + 1] + g_top)
+        counts += fwd.lin[t + 1] @ G.T
+        # one exponential serves beta and the move counts: each move's
+        # weight relative to the best move out of its state, scaled by that
+        # best move's log posterior top + leave <= 0
+        log_sum, top = _motion_step(back, index, dyn.log_from, buf)
+        leave = fwd.log_alpha[t] - dyn.log_z
+        xi_moves += np.matmul(buf, _cutexp(top + leave)[..., None])[..., 0]
+        log_beta = log_sum - dyn.log_z
+        _exp_above_zero(fwd.log_alpha[t] + log_beta, gamma[t])
+    return gamma, A * counts + xi_low, xi_moves
+
+
+def _exp_above_zero(d: np.ndarray, out: np.ndarray) -> None:
+    """out = np.exp(d), bit for bit, for `out` holding zeros: only entries
+    above `_EXP_ZERO` are exponentiated, since np.exp rounds the rest to 0
+    and spends most of its time on them in its slow path."""
+    np.exp(d, out=out, where=d > _EXP_ZERO)
 
 
 def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
     """Exact smoothed marginals, transition statistics and sequence
     log-likelihood under the factorized transition.
 
-    Both passes stay in the log domain.  Per frame, the backward pass takes
-    one exponential of each move's log weight relative to the best move out
-    of its state: summed, it gives beta; scaled by that best move's log
-    posterior, the expected move counts.  Each expected count drops its
-    posterior terms below e^-700, so it can differ from the uncut sum by
-    less than T L e^-700; log-sum-exps drop only what rounding would (see
-    the module docstring), and `gamma` keeps its exact tiny values.
+    Both passes stay in the log domain; per frame and direction they take
+    one fused motion step and one class step (see the module docstring).
+    The backward pass exponentiates each move's log weight relative to the
+    best move out of its state once: summed, it gives beta; scaled by that
+    best move's log posterior, the expected move counts.  The class counts
+    class_trans * (lin @ G.T) come from the two class steps' exponentials,
+    with G the backward step's exponentials scaled by the position's two
+    shifts; positions the class step recomputes in the log domain count in
+    the log domain too.  An expected move count can differ from the exact
+    sum by less than T (L + 1) e^CUT: the clamp, and the posteriors of best
+    moves below e^CUT, which are dropped.  A class count can differ by less
+    than 2 C e^-100 of each position's posterior mass per frame.  `gamma`
+    keeps its exact tiny values.
     """
     X = _frames(frames, model.n)
     emis = emission_table(model, X)
     dyn = _Dynamics(model)
-    loglik, log_alpha, moved, steps = _forward(model, emis, dyn)
-    T, C, L = emis.shape
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(model.class_trans)[:, :, None]
-
-    gamma = np.empty((T, C, L))
-    gamma[T - 1] = np.exp(log_alpha[T - 1])
-    xi_class = np.zeros((C, C))
-    xi_moves = np.zeros(dyn.log_from.shape[:2])
-    log_beta = np.zeros((C, L))
-    for t in range(T - 2, -1, -1):
-        # log p(x_t+1.., state at t+1 | x_..t), per target class, then per
-        # source class before the class step, then per move out of each state
-        ahead = emis[t + 1] + log_beta - steps[t + 1]
-        back = logsumexp(log_trans + ahead[None], 1)
-        xi_class += _cutexp(log_trans + moved[t + 1][:, None, :]
-                            + ahead[None]).sum(axis=2)
-        out = np.take(back, dyn.dst, axis=1) + dyn.log_from
-        # one exponential serves beta and the move counts: each move's
-        # weight relative to the best move out of its state, scaled by that
-        # best move's log posterior top + leave <= 0
-        top = out.max(axis=1)
-        top = np.where(np.isfinite(top), top, 0.0)
-        E = _cutexp(out - top[:, None, :])
-        leave = log_alpha[t] - dyn.log_z
-        xi_moves += np.matmul(E, _cutexp(top + leave)[..., None])[..., 0]
-        with np.errstate(divide="ignore"):
-            log_beta = np.log(E.sum(axis=1)) + top - dyn.log_z
-        gamma[t] = np.exp(log_alpha[t] + log_beta)
-
+    fwd = _forward(model, emis, dyn)
+    gamma, xi_class, xi_moves = _backward(model, emis, dyn, fwd)
     xi_bins = _pool_motion(model.motion, xi_moves[:, dyn.fold] * dyn.share)
     return SequencePosterior(gamma=gamma, xi_class=xi_class,
-                             xi_motion=xi_bins, loglik=loglik)
+                             xi_motion=xi_bins, loglik=fwd.loglik)
 
 
 def _pool_motion(motion: MotionPrior, counts: np.ndarray) -> np.ndarray:
@@ -402,8 +518,7 @@ def score_sequence(model: ThmmModel, frames) -> float:
     """log p(x_1..T): the forward-pass likelihood, exact and deterministic."""
     X = _frames(frames, model.n)
     emis = emission_table(model, X)
-    loglik, _, _, _ = _forward(model, emis, _Dynamics(model))
-    return loglik
+    return _forward(model, emis, _Dynamics(model)).loglik
 
 
 def viterbi(model: ThmmModel, frames) -> np.ndarray:

@@ -263,3 +263,55 @@ def hmm_viterbi_dense(pi_s, trans, log_emit) -> float:
     for t in range(1, log_emit.shape[0]):
         v = (v[:, None] + log_a).max(axis=0) + log_emit[t]
     return float(v.max())
+
+
+def thmm_forward_reference(pi_s, class_trans, dyn, emis):
+    """The THMM forward pass frame by frame in the log domain, every sum an
+    uncut log-sum-exp.  dyn holds the motion step's gather tables
+    (`thmm._Dynamics`), emis (T, C, L) the emission table.  Returns
+    (log_alpha, moved, steps): log filtered state probabilities, the log
+    mass each class carries into each position before the class step
+    (moved[0] is -inf) and steps[t] = log p(x_t | x_<t)."""
+    T, C, L = emis.shape
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(class_trans)[:, :, None]
+        log_pred = np.log(pi_s)
+    log_alpha = np.empty((T, C, L))
+    moved = np.full((T, C, L), -np.inf)
+    steps = np.empty(T)
+    for t in range(T):
+        if t > 0:
+            with np.errstate(divide="ignore"):  # an all -inf sum logs to -inf
+                moved[t] = logsumexp(np.take(log_alpha[t - 1] - dyn.log_z, dyn.src, axis=1)
+                                     + dyn.log_into, axis=1)
+                log_pred = logsumexp(log_trans + moved[t][:, None, :], axis=0)
+        joint = log_pred + emis[t]
+        steps[t] = logsumexp(joint)
+        log_alpha[t] = joint - steps[t]
+    return log_alpha, moved, steps
+
+
+def thmm_backward_reference(class_trans, dyn, emis, log_alpha, moved, steps):
+    """The THMM backward pass frame by frame in the log domain over
+    `thmm_forward_reference`'s tables.  Returns (gamma (T, C, L), xi_class
+    (C, C), xi_moves (C, moves)): each expected count is a sum of exp(log
+    posterior) terms, uncut."""
+    T, C, L = emis.shape
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(class_trans)[:, :, None]
+    gamma = np.empty((T, C, L))
+    gamma[T - 1] = np.exp(log_alpha[T - 1])
+    xi_class = np.zeros((C, C))
+    xi_moves = np.zeros(dyn.log_from.shape[:2])
+    log_beta = np.zeros((C, L))
+    for t in range(T - 2, -1, -1):
+        ahead = emis[t + 1] + log_beta - steps[t + 1]
+        with np.errstate(divide="ignore"):
+            back = logsumexp(log_trans + ahead[None], axis=1)
+        xi_class += np.exp(log_trans + moved[t + 1][:, None, :] + ahead[None]).sum(axis=2)
+        out = np.take(back, dyn.dst, axis=1) + dyn.log_from
+        xi_moves += np.exp(out + (log_alpha[t] - dyn.log_z)[:, None, :]).sum(axis=2)
+        with np.errstate(divide="ignore"):
+            log_beta = logsumexp(out, axis=1) - dyn.log_z
+        gamma[t] = np.exp(log_alpha[t] + log_beta)
+    return gamma, xi_class, xi_moves

@@ -284,3 +284,20 @@ def test_eval_names_the_file_and_column_of_a_bad_csv(tmp_path):
     bad.write_text("t,class,i,j\n0,x,2,3\n")
     with pytest.raises(ValueError, match=r"bad\.csv: could not convert .*'x'"):
         cmd_eval(bad, good, "clustering")
+
+
+def test_eval_refuses_a_fractional_cell(tmp_path):
+    truth, pred = tmp_path / "truth.csv", tmp_path / "pred.csv"
+    truth.write_text("t,class,i,j\n0,1,2,3\n1,1,0,4\n")
+    pred.write_text("t,class,i,j\n0,1.0,2,3\n1,1.7,0,4\n")
+    with pytest.raises(ValueError, match=r"pred\.csv: column 'class', row 2: '1\.7' "
+                                         r"is not a 64-bit integer"):
+        cmd_eval(pred, truth, "classification")
+    for cell in ("nan", "inf", "1e30"):
+        pred.write_text(f"t,class,i,j\n0,1,2,3\n1,1,{cell},4\n")
+        with pytest.raises(ValueError, match=rf"pred\.csv: column 'i', row 2: '{cell}'"):
+            cmd_eval(pred, truth, "tracking")
+    # an integer spelt as a float still reads as that integer
+    pred.write_text("t,class,i,j\n0,1.0,2,3\n1,1,0.0,4.0\n")
+    cmd_eval(pred, truth, "classification")
+    cmd_eval(pred, truth, "tracking")

@@ -7,6 +7,7 @@ from transmix import EmOptions, ImageShape, TransformationSet, UnderflowError
 from transmix import apply, build_translation_set, identity_set, shift_op
 from transmix import thmm as thmm_mod
 from transmix import tmg as tmg_mod
+from transmix.common import CUT
 from transmix.thmm import (MotionPrior, ThmmModel, dense_transition, denoise,
                            emission_loglik, emission_table, forward_backward,
                            from_tmg, em_step, fit, init_thmm, sample_sequence,
@@ -14,7 +15,8 @@ from transmix.thmm import (MotionPrior, ThmmModel, dense_transition, denoise,
                            viterbi)
 
 from oracles import (dense_matrix, gauss_logpdf, hmm_enumerate,
-                     hmm_forward_logdomain, hmm_viterbi_dense)
+                     hmm_forward_logdomain, hmm_viterbi_dense,
+                     thmm_backward_reference, thmm_forward_reference)
 
 
 def make_grid_set(shape, mv, mh, boundary="wrap"):
@@ -689,6 +691,120 @@ def test_xi_motion_exact_when_the_best_path_starts_far_below_the_best_state(
     want = oracle_motion_counts(model, xi)
     assert want.sum() == pytest.approx(2.0)
     np.testing.assert_allclose(post.xi_motion, want, rtol=1e-9, atol=1e-12)
+
+
+def _class_switch_case(class_trans, boundary):
+    """Tight variances (1e-4) on a 3x3 grid under threshold-1 motion; frame 0
+    is class 0's template at shift (0, 0), frames 1 and 2 class 1's.  Class
+    1 explains frame 0 more than 700 nats worse than class 0, so when
+    class_trans carries little or nothing from class 0 to class 1, the class
+    step of frame 1 rests on states far below their position's best class.
+    Returns (model, frames, emission table, dense transition)."""
+    shape = ImageShape(3, 3)
+    ts = make_grid_set(shape, 3, 3, boundary)
+    rng = np.random.default_rng(72)
+    C, n, L = 2, shape.n, ts.L
+    mu = rng.uniform(0.0, 1.0, (C, n))
+    model = ThmmModel(shape=shape, transforms=ts, mu=mu,
+                      phi=np.full((C, n), 1e-4), psi=np.full(n, 1e-4),
+                      pi_s=np.full((C, L), 1.0 / (C * L)),
+                      class_trans=np.array(class_trans), motion=uniform_motion(1.0))
+    start = ts.grid_index(0, 0)
+    frames = np.stack([apply(ts[start], mu[0])] + 2 * [apply(ts[start], mu[1])])
+    emis = emission_table(model, frames)
+    assert emis[0, 0, start] - emis[0, 1, start] > 700.0
+    return model, frames, emis, dense_transition(model)
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "zero"])
+def test_class_step_exact_through_a_tiny_class_transition(boundary):
+    # the switch to class 1 has probability 1e-300, below the linear class
+    # step's floor: those positions are summed in the log domain
+    model, frames, emis, trans = _class_switch_case([[1.0, 1e-300], [0.5, 0.5]],
+                                                    boundary)
+    C, L = model.C, model.L
+    loglik, gamma, xi, _, _ = hmm_enumerate(model.pi_s.reshape(-1), trans,
+                                            emis.reshape(3, -1))
+    post = forward_backward(model, frames)
+    assert post.loglik == pytest.approx(loglik, rel=1e-12)
+    assert score_sequence(model, frames) == pytest.approx(loglik, rel=1e-12)
+    np.testing.assert_allclose(post.gamma.reshape(3, -1), gamma, rtol=1e-9, atol=1e-12)
+    want = xi.reshape(C, L, C, L).sum(axis=(1, 3))
+    assert want[0, 1] == pytest.approx(1.0)
+    np.testing.assert_allclose(post.xi_class, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "zero"])
+def test_class_step_exact_through_a_zero_class_transition(boundary):
+    # class 0 never switches to class 1, so frames 1 and 2 can only be class
+    # 1 if frame 0 is, far below its position's best class
+    model, frames, emis, trans = _class_switch_case([[1.0, 0.0], [0.5, 0.5]],
+                                                    boundary)
+    want = hmm_forward_logdomain(model.pi_s.reshape(-1), trans, emis.reshape(3, -1))
+    assert score_sequence(model, frames) == pytest.approx(want, rel=1e-12)
+    loglik, gamma, _, _, _ = hmm_enumerate(model.pi_s.reshape(-1), trans,
+                                           emis.reshape(3, -1))
+    post = forward_backward(model, frames)
+    assert post.loglik == pytest.approx(loglik, rel=1e-12)
+    np.testing.assert_allclose(post.gamma.reshape(3, -1), gamma, rtol=1e-9, atol=1e-12)
+    assert post.xi_class[0, 1] == 0.0
+
+
+REFERENCE_CASES = [  # (grid, boundary, mode, per_class, threshold)
+    ((5, 5), "wrap", "vector", False, 1.5),
+    ((5, 5), "wrap", "magnitude", True, 2.0),
+    ((5, 5), "zero", "vector", True, 2.0),
+    ((5, 5), "zero", "magnitude", False, 1.5),
+    ((2, 5), "wrap", "vector", True, 1.5),   # 2-wide torus: rows +1 and -1 alias
+    ((2, 5), "wrap", "magnitude", False, 1.0),
+]
+
+
+@pytest.mark.parametrize("grid,boundary,mode,per_class,threshold", REFERENCE_CASES)
+def test_passes_match_the_log_domain_reference(grid, boundary, mode, per_class,
+                                               threshold):
+    """Both passes against the frame-by-frame log-domain recursions, on
+    models past what path enumeration can check (L up to 25, C = 3, T = 20).
+    Expected move counts may differ from the reference by less than
+    T (L + 1) e^CUT, the bound `forward_backward` states."""
+    seed = 300 + REFERENCE_CASES.index((grid, boundary, mode, per_class, threshold))
+    model = random_thmm(seed, shape=ImageShape(5, 5), grid=grid, C=3,
+                        boundary=boundary, mode=mode, per_class=per_class,
+                        threshold=threshold)
+    T = 20
+    frames, _ = sample_sequence(model, T, seed)
+    emis = emission_table(model, frames)
+    dyn = thmm_mod._Dynamics(model)
+    if grid[0] == 2:
+        assert len(dyn.log_from[0]) < len(dyn.offsets)
+    log_alpha, moved, steps = thmm_forward_reference(model.pi_s, model.class_trans,
+                                                     dyn, emis)
+    fwd = thmm_mod._forward(model, emis, dyn)
+    np.testing.assert_allclose(fwd.log_alpha, log_alpha, rtol=1e-12)
+    np.testing.assert_allclose(fwd.moved, moved, rtol=1e-12)
+    np.testing.assert_allclose(fwd.steps, steps, rtol=1e-12)
+    assert fwd.loglik == pytest.approx(steps.sum(), rel=1e-12)
+
+    gamma, xi_class, xi_moves = thmm_backward_reference(
+        model.class_trans, dyn, emis, log_alpha, moved, steps)
+    got = thmm_mod._backward(model, emis, dyn, fwd)
+    np.testing.assert_allclose(got[0], gamma, rtol=1e-12)
+    np.testing.assert_allclose(got[1], xi_class, rtol=1e-12)
+    np.testing.assert_allclose(got[2], xi_moves, rtol=1e-12,
+                               atol=T * (model.L + 1) * math.exp(CUT))
+
+
+def test_smoothed_marginals_exponentiate_bit_for_bit():
+    # around -745.13 np.exp's result drops from the least subnormal to 0
+    rng = np.random.default_rng(73)
+    edge = -745.1332191019412
+    d = np.concatenate([np.linspace(-800.0, 0.0, 4001), rng.uniform(-760, -700, 4000),
+                        edge + np.arange(-50, 51) * np.spacing(edge),
+                        [-746.0, np.nextafter(-746.0, 0.0), -708.4, -np.inf, 0.0]])
+    out = np.zeros_like(d)
+    thmm_mod._exp_above_zero(d, out)
+    assert np.array_equal(out, np.exp(d))
+    assert (out[d < -746.0] == 0.0).all() and (out > 0).any()
 
 
 def test_underflow_error():
