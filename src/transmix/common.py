@@ -396,8 +396,14 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     pixels that have a source) and shifts E[z] by m.  The latent sums stay
     centred, so the variances formed from them do not cancel either (Chan,
     Golub & LeVeque 1983); s_psi is moved back, since a pixel with no source
-    predicts 0, not m.  The ops are processed in blocks of `_STATS_BLOCK`,
-    so the temporaries stay (block, n) and (block, n, K) however large L is.
+    predicts 0, not m.  Each cluster visits only its live ops, whose weight
+    column W[:, l, c] holds a nonzero: an all-zero column adds exactly 0
+    (each term has a factor w, A, Q or W U), so this is still exact EM, and
+    a cluster with no live op gets mass 0, which the M-step rescues.  The
+    zeros are the E-step's own (`_normalise` cuts at e^CUT; THMM's gamma is
+    0 below e^-746); no further cut is made.  The live ops go in blocks of
+    `_STATS_BLOCK` (a slice where they are consecutive), so the temporaries
+    stay (block, n) and (block, n, K) however large L is.
 
     At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`),
     b, var and r are the same for every op, op l carries latent pixel q to
@@ -421,11 +427,17 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     if rows is not None:
         sums[:3] = _fft_stats(transforms.shape, rows, W, Xc, Xc2, mu_c, phi, psi[0])
     else:
+        live_ops = W.any(axis=0)
         for c in range(C):
-            for lo in range(0, transforms.L, _STATS_BLOCK):
+            live = np.flatnonzero(live_ops[:, c])
+            for lo in range(0, live.size, _STATS_BLOCK):
+                ops = live[lo:lo + _STATS_BLOCK]
+                # consecutive ops as a slice: a view, where an index copies
+                if ops[-1] - ops[0] == ops.size - 1:
+                    ops = slice(ops[0], ops[-1] + 1)
                 # without factors a block yields three sums and zip stops there
                 for total, part in zip(sums, _block_stats(
-                        transforms, slice(lo, lo + _STATS_BLOCK), W[:, :, c], Xc, Xc2,
+                        transforms, ops, W[:, :, c], Xc, Xc2,
                         mu_c[c], loadings[c], phi[c], psi, m)):
                     total[c] += part
     s_z, s_zz, s_psi, s_y, s_yy, s_zy = sums

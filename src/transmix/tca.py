@@ -101,8 +101,9 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
     for every op, and the rest of the quadratic term is
     sum_p x_p^2 / v[p - d] - 2 x_p mu[p - d] / v[p - d] =
     corr(x^2, 1/v)[d] - 2 corr(x, mu/v)[d], with the circular
-    cross-correlation corr(f, g)[d] = sum_p f[p] g[p - d]: per cluster and
-    datum one inverse 2-D FFT, the frames' spectra shared (`_fft_loglik`).
+    cross-correlation corr(f, g)[d] = sum_p f[p] g[p - d]: one inverse 2-D
+    FFT per cluster and datum, all in one call, with the frames' spectra
+    shared (`_fft_loglik`).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     # the squares expanded below cancel when the data sit far from zero;
@@ -149,17 +150,18 @@ def _fft_loglik(shape, rows, mu, v, X, X2):
     """`cluster_loglik` at K = 0 on a full wrap grid, op l the shift d_l =
     rows[l], with v = phi + psi, from centred frames X and their squares X2.
     The table is (L, T, C) in memory, the gather's order: sums over it add
-    in memory order, so the layout fixes their rounding."""
+    in memory order, so the layout fixes their rounding.  Every cluster goes
+    through one forward and one inverse transform call, and each column has
+    the bits of a one-cluster call."""
     T, C = X.shape[0], mu.shape[0]
     table = np.empty((len(rows), T, C)).transpose(1, 0, 2)
     fx, fx2 = _spectra(shape, X, X2)
-    for c in range(C):
-        inv = 1.0 / v[c]
-        mean_inv = mu[c] * inv
-        const = -0.5 * (np.log(v[c]).sum() + shape.n * _LOG2PI + (mu[c] * mean_inv).sum())
-        f_inv, f_mean = np.conj(_spectra(shape, inv, mean_inv))
-        quad = _unspectra(shape, fx2 * f_inv - 2.0 * fx * f_mean)
-        table[:, :, c] = const - 0.5 * quad[:, rows]
+    inv = 1.0 / v
+    mean_inv = mu * inv
+    const = -0.5 * (np.log(v).sum(axis=1) + shape.n * _LOG2PI + (mu * mean_inv).sum(axis=1))
+    f_inv, f_mean = np.conj(_spectra(shape, inv, mean_inv))[:, :, None]
+    quad = _unspectra(shape, fx2 * f_inv - 2.0 * fx * f_mean)      # (C, T, n)
+    table[...] = const - 0.5 * quad[:, :, rows].transpose(1, 2, 0)
     return table
 
 

@@ -79,6 +79,21 @@ def test_fft_emission_matches_the_dense_kernel(h, w, shuffle, psi, T, C, monkeyp
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
 
 
+@pytest.mark.parametrize("T", [1, 5])
+def test_fft_emission_of_each_cluster_is_that_of_a_one_cluster_call(T):
+    """The clusters share one forward and one inverse transform call; each
+    cluster's column keeps the bits of its own call."""
+    ts = _full_grid(4, 6, shuffle=3)
+    mu, phi, psi, X, _ = _stacked(ts, seed=21, C=3, T=T)
+    Xc = X - X.mean()
+    v = phi + psi[0]
+    table = tca._fft_loglik(ts.shape, ts.wrap_rows, mu, v, Xc, Xc * Xc)
+    assert table.transpose(1, 0, 2).flags.c_contiguous      # (L, T, C) in memory
+    for c in range(3):
+        alone = tca._fft_loglik(ts.shape, ts.wrap_rows, mu[c:c + 1], v[c:c + 1], Xc, Xc * Xc)
+        assert np.array_equal(table[:, :, c], alone[:, :, 0])
+
+
 @pytest.mark.parametrize("h, w, shuffle, psi, T, C",
                          [c for c in CASES if c.id != "5x5-psi0"]
                          + [pytest.param(5, 5, None, 0.3, 1, 1, id="5x5-T1-zero-weight")])

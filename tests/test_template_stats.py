@@ -107,3 +107,86 @@ def test_single_datum_and_zero_weight_ops():
         mu, loadings, phi, psi, X, W = _inputs(ts, seed=5, K=K, T=1)
         W[:, ::2] = 0.0
         _check(ts, (mu, loadings, phi, psi, X[0], W[0]))
+
+
+# a third of the block-boundary set's ops (L = 81) dead, straddling the
+# edge at _STATS_BLOCK: the first block of live ops (0-19, 47-58) goes as an
+# index array, the second (59-80) as a slice that ends off the old edges
+DEAD = slice(20, 47)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3], ids=["offset0", "offset1e3"])
+@pytest.mark.parametrize("K", FACTORS, ids=[f"K{K}" for K in FACTORS])
+def test_live_ops_across_block_edges(K, offset):
+    ts = CASES["block-boundary"]()
+    mu, loadings, phi, psi, X, W = _inputs(ts, seed=6 + K, K=K, offset=offset, T=3)
+    W[:, DEAD] = 0.0
+    _check(ts, (mu, loadings, phi, psi, X, W), C=2)
+
+
+@pytest.mark.parametrize("K", FACTORS)
+def test_cluster_with_no_live_op_sums_to_exact_zeros(K):
+    ts = CASES["block-boundary"]()
+    mu, loadings, phi, psi, X, W = _inputs(ts, seed=7, K=K, T=3)
+    C = 2
+    W = np.stack([W] * C, axis=-1) / C
+    W[:, :, 1] = 0.0
+    stats = gaussian_template_stats(ts, np.stack([mu] * C), np.stack([loadings] * C),
+                                    np.stack([phi] * C), psi, X, W)
+    assert stats[0][1] == 0.0
+    for s in stats[1:7]:
+        assert not np.any(s[1])
+    m = stats[7]
+    want = template_stats_dense(ts, mu - m, loadings, phi, psi, X - m, W[:, :, 0])
+    want = want[:6] + template_stats_dense(ts, mu, loadings, phi, psi, X, W[:, :, 0])[6:]
+    assert stats[0][0] == pytest.approx(want[0], rel=1e-10)
+    for g, w in zip(stats[1:7], want[1:]):
+        np.testing.assert_allclose(g[0], w, rtol=1e-10, atol=0)
+
+
+def _spy(monkeypatch):
+    """Record the ops of every `_block_stats` call, one list per cluster
+    (keyed by the weight column it is handed)."""
+    seen = []
+    real = common._block_stats
+
+    def spy(transforms, block, W, *args):
+        seen.append((W.ctypes.data, block))
+        return real(transforms, block, W, *args)
+
+    monkeypatch.setattr(common, "_block_stats", spy)
+    return seen
+
+
+@pytest.mark.parametrize("K", [0, 1])
+def test_blocks_receive_exactly_the_live_ops(K, monkeypatch):
+    ts = CASES["block-boundary"]()
+    L, C = ts.L, 3
+    mu, loadings, phi, psi, X, W = _inputs(ts, seed=8, K=K)
+    W = np.stack([W] * C, axis=-1) / C
+    W[:, 1::3, 0] = 0.0
+    W[:, DEAD, 1] = 0.0
+    W[1:, 40:50, 1] = 0.0                # live in datum 0 only: still live
+    W[:, :, 2] = 0.0
+    seen = _spy(monkeypatch)
+    gaussian_template_stats(ts, np.stack([mu] * C), np.stack([loadings] * C),
+                            np.stack([phi] * C), psi, X, W)
+    ops = {}
+    for column, block in seen:
+        ops.setdefault(column, []).append(np.arange(L)[block])
+    assert max(len(block) for each in ops.values() for block in each) == _STATS_BLOCK
+    got = [np.concatenate(each) for each in ops.values()]
+    assert len(got) == 2                 # the cluster with no live op is never visited
+    for c, each in enumerate(got):
+        np.testing.assert_array_equal(each, np.flatnonzero(W[:, :, c].any(axis=0)))
+
+
+def test_all_live_ops_go_as_the_slices_of_full_blocks(monkeypatch):
+    ts = CASES["block-boundary"]()
+    mu, loadings, phi, psi, X, W = _inputs(ts, seed=9, K=0)
+    seen = _spy(monkeypatch)
+    gaussian_template_stats(ts, mu[None], loadings[None], phi[None], psi, X, W[:, :, None])
+    blocks = [block for _, block in seen]
+    assert all(isinstance(block, slice) for block in blocks)
+    assert [list(range(ts.L)[b]) for b in blocks] == [
+        list(range(lo, min(lo + _STATS_BLOCK, ts.L))) for lo in range(0, ts.L, _STATS_BLOCK)]
