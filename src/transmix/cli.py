@@ -221,7 +221,8 @@ def cmd_train(man: Manifest, out_dir, verbose: bool = False) -> Path:
     """Train per the manifest with restarts, keep the highest-likelihood
     model, write the model file, step reports, and parameter montages."""
     for key, default, least in (("restarts", 1, 1), ("iterations", 30, 0),
-                                ("init.iterations", 20, 0)):
+                                ("init.iterations", 20, 0), ("clusters", 1, 1),
+                                ("factors", 1, 0)):
         if man.get_int(key, default) < least:
             raise ValueError(f"manifest key {key!r} must be >= {least}, got {man.get(key)}")
     out = Path(out_dir)

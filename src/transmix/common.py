@@ -1,7 +1,7 @@
 """Shared pieces of the EM machinery: options, reports, posterior containers,
 the model classes' constructor check, and the EM loop, E-step
-normaliser, M-step tail and latent-posterior kernel that every model family
-runs on.  Needs numpy alone."""
+normaliser, M-step tail and latent- and factor-posterior kernels that every
+model family runs on.  Needs numpy alone."""
 
 from __future__ import annotations
 
@@ -327,12 +327,27 @@ def _observed(padded, mu, loadings, phi, psi):
     return mean, var, rows
 
 
-def _factor_gain(rows, var):
-    """rows/var and M = I + rows^T (rows/var), for loading rows (..., n, K)
-    and variances (..., n) in observed coordinates: M^-1 is the factors'
-    posterior covariance (Woodbury), det M the determinant lemma's factor."""
+def _factor_posterior(mean, var, rows, X):
+    """The factors' posterior per op l of `_observed`'s arrays, given frames
+    X (T, n): x | y ~ N(mean[l] + a y, D) with a = rows[l], D = diag var[l]
+    and y ~ N(0, I_K).  Returns M = I + a^T D^-1 a (l, K, K), the determinant
+    lemma's factor; y_cov = M^-1; proj = a^T D^-1 (x - mean[l]) and y_mean =
+    E[y | x, l] = y_cov proj, both (T, l, K).  Zero-width at K = 0."""
+    (l, n, k), T = rows.shape, len(X)
     scaled = rows / var[..., None]
-    return scaled, np.eye(rows.shape[-1]) + np.swapaxes(rows, -1, -2) @ scaled
+    M = np.eye(k) + np.swapaxes(rows, -1, -2) @ scaled
+    y_cov = np.linalg.inv(M)
+    proj = ((X @ scaled.transpose(1, 0, 2).reshape(n, l * k)).reshape(T, l, k)
+            - (mean[:, None, :] @ scaled)[:, 0])
+    y_mean = (proj.transpose(1, 0, 2) @ y_cov).transpose(1, 0, 2)
+    return M, y_cov, proj, y_mean
+
+
+def _diag_quad(loadings, S):
+    """diag(loadings S_l loadings^T) (l, n) for loadings (n, K) and S (l, K, K)."""
+    n, k = loadings.shape
+    outer = (loadings[:, :, None] * loadings[:, None, :]).reshape(n, k * k)
+    return S.reshape(len(S), k * k) @ outer.T
 
 
 def _fft_rows(transforms, loadings, psi):
@@ -385,10 +400,9 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     indices (see the `transforms` module docstring).  An observed pixel's
     residual is r * (x - mu - loadings y) at its source pixel, r^2 (Q -
     2 mu A + mu^2 w) summed at K = 0; a pixel with no source keeps its
-    whole x^2, Q.  With factors, E[y] = B^T (x - G mu), B = (a/D) M^-1
-    (`_factor_gain`), is affine in x too: per op, U = X B holds E[y] for
-    every datum, and the factor terms read only sum_t w U U^T, X^T (w U)
-    (gathered at dst) and w M^-1.
+    whole x^2, Q.  With factors, U = E[y] per (t, l) of `_factor_posterior`
+    is affine in x too, and the factor terms read only sum_t w U U^T,
+    X^T (w U) (gathered at dst) and w y_cov.
 
     Those expanded squares cancel when the data sit far from zero, so X
     (once for all clusters) and mu are first centred on the batch's mean
@@ -504,22 +518,17 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
         return s_z, s_zz, s_psi
 
     T, k = Xc.shape[0], loadings.shape[1]
-    mean, obs_var, lam = _observed(src, mu_c, loadings, phi, psi)
-    scaled, M = _factor_gain(lam, obs_var)
-    y_cov = np.linalg.inv(M)
-    B = scaled @ y_cov                                          # (nb, n, k)
-    U = ((Xc @ B.transpose(1, 0, 2).reshape(n, nb * k)).reshape(T, nb, k)
-         - np.einsum("lp,lpk->lk", mean, B))                    # E[y] per (t, l)
-    WU = Wb[:, :, None] * U
+    _, y_cov, _, U = _factor_posterior(*_observed(src, mu_c, loadings, phi, psi), Xc)
+    WU = Wb[:, :, None] * U                                     # U: E[y] per (t, l)
     s_y = WU.sum(axis=0)
-    s_yy = np.einsum("tlk,tlj->lkj", WU, U) + w[:, :, None] * y_cov
+    s_yy = WU.transpose(1, 2, 0) @ U.transpose(1, 0, 2) + w[:, :, None] * y_cov
     P = _padded_product(Xc.T, WU.reshape(T, nb * k), 0)         # sum_t w x u^T
     P_dst = P.reshape(n + 1, nb, k).transpose(1, 0, 2)[rows, dst]
     # latent coordinates: E[z] gains R loadings E[y]
     lam_y = s_y @ loadings.T                                    # sum_t w (L u)
-    lam_syy = np.einsum("qk,lkj->lqj", loadings, s_yy)
-    quad = np.einsum("lqk,qk->lq", lam_syy, loadings)           # diag(L s_yy L^T)
-    xu = np.einsum("lqk,qk->lq", P_dst, loadings)               # sum_t w x[dst] (L u)
+    lam_syy = loadings @ s_yy
+    quad = _diag_quad(loadings, s_yy)                           # diag(L s_yy L^T)
+    xu = (P_dst * loadings).sum(axis=-1)                        # sum_t w x[dst] (L u)
     s_z += (R * lam_y).sum(axis=0)
     s_zz += (2.0 * R * var * (a * lam_y + b * xu) + R * R * quad).sum(axis=0)
     s_zy = (var[:, :, None] * (a[:, None] * s_y[:, None, :] + b[:, :, None] * P_dst)

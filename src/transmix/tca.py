@@ -7,11 +7,11 @@ costs O(n K^2) per transformation instead of O(n^3).  The fast likelihood is
 the same kernel with the sensor noise dropped (psi = 0): the latent variances
 absorb it, and with void-free ops each transformation's covariance is then a
 permuted copy of one matrix.  The emission table here and the M-step
-statistics (`common.gaussian_template_stats`) each take a model's whole
-cluster stack in one call, over all ops; the latent posterior of one frame
-is one kernel over all ops, which `mtca` runs per cluster.  A TCA is a view
-of an MTCA with one cluster: each model function below runs the `mtca` one
-on `as_mtca()`, which shares the model's arrays.
+statistics (`common.gaussian_template_stats`) take a model's whole cluster
+stack, and a frame's posterior one cluster, in one call over all ops; all
+three get the factors' posterior from one kernel, `common._factor_posterior`.
+A TCA is a view of an MTCA with one cluster: each model function below runs
+the `mtca` one on `as_mtca()`, which shares the model's arrays.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .common import (EmOptions, PosteriorSummary, _GaussianModel, _factor_gain,
-                     _fft_rows, _fit, _latent_posterior, _observed, _record,
-                     _spectra, _unspectra)
+from .common import (EmOptions, PosteriorSummary, _GaussianModel, _diag_quad,
+                     _factor_posterior, _fft_rows, _fit, _latent_posterior,
+                     _observed, _record, _spectra, _unspectra)
 from .transforms import ImageShape, TransformationSet, apply
 from . import mtca as _mtca
 
@@ -93,7 +93,7 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
     Given op l the image is Gaussian with covariance D_l + a_l a_l^T (D_l
     diagonal, a_l the loading rows in observed coordinates).  The diagonal
     part takes two matrix products over all ops; K > 0 factors add log det
-    M_l and a K-dimensional Woodbury term per (t, l) from one more product.
+    M_l and the Woodbury term proj . y_mean per (t, l) of `_factor_posterior`.
 
     At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`), op
     l reads latent pixel p - d_l at observed pixel p, so with v = phi + psi
@@ -122,7 +122,7 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
                                     phi[c], psi)
         mean -= shift
         if k:
-            scaled, M = _factor_gain(rows, var)       # M = I + PSD: det M >= 1
+            M, _, proj, y_mean = _factor_posterior(mean, var, rows, X)   # det M >= 1
         # (L, n) tables are megabytes at large L * n, and paging in fresh memory
         # costs more than the arithmetic on it, so two blocks are worked in
         # place: mean and var (var takes mean/var, then mean^2/var), log(var), 1/var
@@ -137,11 +137,7 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
             quad += mean_inv.sum(axis=1)
             out = const[None, :] - 0.5 * quad
             if k:
-                logdet = np.linalg.slogdet(M)[1]
-                U = ((X @ scaled.transpose(1, 0, 2).reshape(n, L * k)).reshape(-1, L, k)
-                     - np.einsum("lp,lpk->lk", mean, scaled))
-                V = np.linalg.solve(M, U.transpose(1, 2, 0))       # (L, k, T)
-                out += 0.5 * (np.einsum("tlk,lkt->tl", U, V) - logdet[None, :])
+                out += 0.5 * ((proj * y_mean).sum(axis=-1) - np.linalg.slogdet(M)[1])
         table[:, :, c] = out
     return table
 
@@ -190,18 +186,12 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
     posterior mean, widened by r^2 diag(loadings y_cov loadings^T) with
     r = var/phi.
     """
-    L, k = transforms.L, loadings.shape[1]
-    if not k:
-        z_mean, z_var = _latent_posterior(transforms.padded_dest, mu, phi, psi, x)
-        return np.zeros((L, 0, 0)), np.zeros((L, 0)), z_mean, z_var
-    mean, var, rows = _observed(transforms.padded_source, mu, loadings, phi, psi)
-    scaled, M = _factor_gain(rows, var)
-    y_cov = np.linalg.inv(M)
-    y_mean = np.einsum("lp,lpk,lkj->lj", x - mean, scaled, y_cov)
+    _, y_cov, _, (y_mean,) = _factor_posterior(
+        *_observed(transforms.padded_source, mu, loadings, phi, psi), x[None])
     z_mean, var = _latent_posterior(transforms.padded_dest,
                                     mu + y_mean @ loadings.T, phi, psi, x)
     r = var / phi
-    z_var = var + r * r * np.einsum("pk,lkj,pj->lp", loadings, y_cov, loadings)
+    z_var = var + r * r * _diag_quad(loadings, y_cov)
     return y_cov, y_mean, z_mean, z_var
 
 

@@ -161,7 +161,9 @@ def tmg_resp_quadrature(model, x, z_lo=-4.0, z_hi=6.0, points=41):
 
 
 def joint_zy_conditioning(g, mu, loadings, phi, psi, x):
-    """Posterior of (z, y) given x by dense block-Gaussian conditioning."""
+    """Posterior of (z, y) given x by dense block-Gaussian conditioning.
+    x is one image (n,) or a stack (T, n); the mean has one row per image,
+    and the covariance, which does not depend on x, is shared."""
     n, k = loadings.shape
     mean_joint = np.concatenate([mu, np.zeros(k)])
     cov_zz = loadings @ loadings.T + np.diag(phi)
@@ -171,7 +173,7 @@ def joint_zy_conditioning(g, mu, loadings, phi, psi, x):
     cov_x = a @ cov_joint @ a.T + np.diag(psi)
     cross = cov_joint @ a.T
     gain = cross @ np.linalg.inv(cov_x)
-    mean_post = mean_joint + gain @ (x - a @ mean_joint)
+    mean_post = mean_joint + (x - a @ mean_joint) @ gain.T
     cov_post = cov_joint - gain @ cross.T
     return mean_post, cov_post
 
@@ -217,7 +219,7 @@ def principal_angle_deg(a, b) -> float:
 
 def template_stats_dense(transforms, mu, loadings, phi, psi, X, W):
     """M-step sums of `gaussian_template_stats` by dense joint conditioning
-    of (z, y) on each (datum, op) pair with `joint_zy_conditioning`.
+    of (z, y) on every datum given each op with `joint_zy_conditioning`.
 
     Returns (mass, s_z, s_zz, s_y, s_yy, s_zy, s_psi): the W-weighted sums
     of E[z], E[z]^2 + Var[z], E[y], E[y] E[y]^T + Cov[y], E[z] E[y]^T +
@@ -229,17 +231,18 @@ def template_stats_dense(transforms, mu, loadings, phi, psi, X, W):
     s_y, s_yy, s_zy = np.zeros(k), np.zeros((k, k)), np.zeros((n, k))
     for l, op in enumerate(transforms):
         g = dense_matrix(op)
+        means, cov = joint_zy_conditioning(g, mu, loadings, phi, psi, X)
+        seen_var = np.diag(g @ cov[:n, :n] @ g.T)
         for t, x in enumerate(X):
             w = W[t, l]
-            mean, cov = joint_zy_conditioning(g, mu, loadings, phi, psi, x)
-            z, y = mean[:n], mean[n:]
+            z, y = means[t, :n], means[t, n:]
             mass += w
             s_z += w * z
             s_zz += w * (z ** 2 + np.diag(cov)[:n])
             s_y += w * y
             s_yy += w * (np.outer(y, y) + cov[n:, n:])
             s_zy += w * (np.outer(z, y) + cov[:n, n:])
-            s_psi += w * ((x - g @ z) ** 2 + np.diag(g @ cov[:n, :n] @ g.T))
+            s_psi += w * ((x - g @ z) ** 2 + seen_var)
     return mass, s_z, s_zz, s_y, s_yy, s_zy, s_psi
 
 

@@ -265,7 +265,8 @@ def test_train_mtca_components_tile_each_factor_image(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("restarts", "0"), ("iterations", "-2"),
-                                        ("init.iterations", "-1")])
+                                        ("init.iterations", "-1"), ("clusters", "0"),
+                                        ("factors", "-1")])
 def test_train_refuses_counts_below_their_least_value(key, value, tmp_path):
     man = Manifest.parse(SMALL).override({key: value})
     with pytest.raises(ValueError, match=repr(key)):

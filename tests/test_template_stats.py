@@ -1,15 +1,16 @@
-"""gaussian_template_stats against dense joint conditioning of (z, y) per
-(t, l), with K = 0 (a plain template) and with factors."""
+"""gaussian_template_stats and the factor-posterior kernel against dense
+joint conditioning of (z, y) per (t, l), with K = 0 (a plain template) and
+with factors."""
 
 import numpy as np
 import pytest
 
 from transmix import ImageShape, build_translation_set, identity_set
-from transmix import common
+from transmix import common, tca
 from transmix.common import _STATS_BLOCK, gaussian_template_stats
 from transmix.transforms import build_shear_translation_set
 
-from oracles import template_stats_dense
+from oracles import dense_matrix, joint_zy_conditioning, template_stats_dense
 
 CASES = {
     "wrap-5x5": lambda: build_translation_set(ImageShape(5, 5), 5, 5),
@@ -190,3 +191,38 @@ def test_all_live_ops_go_as_the_slices_of_full_blocks(monkeypatch):
     assert all(isinstance(block, slice) for block in blocks)
     assert [list(range(ts.L)[b]) for b in blocks] == [
         list(range(lo, min(lo + _STATS_BLOCK, ts.L))) for lo in range(0, ts.L, _STATS_BLOCK)]
+
+
+@pytest.mark.parametrize("name, K", [(name, K) for name in ("zero-pad", "shear")
+                                     for K in (1, 3)])
+def test_factor_posterior_matches_dense_conditioning(name, K):
+    """E[y | x, l] per (t, l) and Cov[y | x, l] from `_factor_posterior`.
+    A pixel with no source may read any mean: the emission's, shifted after
+    the gather, reads -shift there, the M-step's 0."""
+    ts = CASES[name]()
+    mu, loadings, phi, psi, X, _ = _inputs(ts, seed=20 + K, K=K, T=4)
+    mean, var, rows = common._observed(ts.padded_source, mu, loadings, phi, psi)
+    _, y_cov, _, y_mean = common._factor_posterior(mean, var, rows, X)
+    n = ts.shape.n
+    assert y_mean.shape == (4, ts.L, K) and y_cov.shape == (ts.L, K, K)
+    for l, op in enumerate(ts):
+        want, cov = joint_zy_conditioning(dense_matrix(op), mu, loadings, phi, psi, X)
+        np.testing.assert_allclose(y_mean[:, l], want[:, n:], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(y_cov[l], cov[n:, n:], rtol=1e-10, atol=0)
+    void = ts.padded_source == n
+    assert void.any()
+    shifted = np.where(void, -float(X.mean()), mean)
+    _, cov_shifted, _, mean_shifted = common._factor_posterior(shifted, var, rows, X)
+    np.testing.assert_array_equal(mean_shifted, y_mean)
+    np.testing.assert_array_equal(cov_shifted, y_cov)
+
+
+@pytest.mark.parametrize("name", ["zero-pad", "shear"])
+def test_op_posterior_without_factors_is_the_latent_posterior(name):
+    ts = CASES[name]()
+    mu, loadings, phi, psi, X, _ = _inputs(ts, seed=len(name), K=0, T=1)
+    y_cov, y_mean, z_mean, z_var = tca._op_posterior(ts, mu, loadings, phi, psi, X[0])
+    assert y_cov.shape == (ts.L, 0, 0) and y_mean.shape == (ts.L, 0)
+    want_mean, want_var = common._latent_posterior(ts.padded_dest, mu, phi, psi, X[0])
+    np.testing.assert_array_equal(z_mean, want_mean)
+    np.testing.assert_array_equal(z_var, want_var)
