@@ -155,7 +155,6 @@ def _em_options(man: Manifest) -> EmOptions:
         freeze_rho=man.get_bool("options.freeze_rho", False),
         tie_psi=man.get_bool("options.tie_psi", False),
         seed=man.get_int("seed", 0),
-        joint_pi=man.get_bool("options.joint_pi", False),
     )
 
 

@@ -68,10 +68,12 @@ def variance_floor(data: np.ndarray, override: float | None = None) -> float:
 
 def _frames(X, n: int) -> np.ndarray:
     """Frames as a (T, n) float array, checked at a public entry point: one
-    frame or a stack of them, n pixels each, every value finite."""
+    frame or a stack of at least one, n pixels each, every value finite."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.ndim != 2 or X.shape[1] != n:
         raise ValueError(f"frames must have {n} pixels each, got shape {X.shape}")
+    if X.shape[0] == 0:
+        raise ValueError("no frames: the batch is empty")
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         raise ValueError(f"frame {int(np.argmax(bad))} has a non-finite pixel value")
@@ -180,8 +182,6 @@ class EmOptions:
                       M-step instead of learned; at most one per factor
     clamp_motion      THMM: fixed motion table (per the model's mode/shape);
                       the M-step leaves it untouched
-    joint_pi          THMM: learn the full initial state table instead of the
-                      factorized class-marginal x uniform-shift default
     """
 
     freeze_rho: bool = False
@@ -190,7 +190,6 @@ class EmOptions:
     seed: int = 0
     tangent_directions: Sequence[str] = ()
     clamp_motion: np.ndarray | None = None
-    joint_pi: bool = False
 
 
 @dataclass(eq=False)

@@ -54,9 +54,9 @@ class MtcaModel(_GaussianModel):
 def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
               data, seed: int = 0, mean_noise: float = 0.05,
               fast_likelihood: bool = False) -> MtcaModel:
-    X = np.atleast_2d(np.asarray(data, dtype=np.float64))
     rng = np.random.default_rng(seed)
     n = transforms.shape.n
+    X = _frames(data, n)
     mu, var = _starting_templates(rng, X, n_clusters, mean_noise)
     loadings = np.zeros((n_clusters, n, n_factors))
     for c in range(n_clusters):

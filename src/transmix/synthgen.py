@@ -5,6 +5,11 @@ as (T, n) float arrays, and returns a GroundTruth whose (class, shift)
 records re-render the noiseless frames exactly.  That makes the generators
 usable as oracles: tests compare model output against what was actually
 drawn.
+
+Each generator renders all of its frames with one gather through the
+library's shift tables (`transforms._shift_table` or a set's
+`padded_source`); `render_pacman_frame` renders one frame through a
+`shift_op`, the independent re-render that the tests check them against.
 """
 
 from __future__ import annotations
@@ -13,15 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transforms import ImageShape, TransformationSet, apply, build_translation_set, shift_op
+from .common import _padded
+from .transforms import (WRAP, ZERO, ImageShape, TransformationSet, _shift_table, apply,
+                         build_shear_translation_set, shift_op)
 
 # 3x3 sprites, one per mouth/motion direction: all pixels lit except the
 # corner facing the way the sprite moves.  Each sprite is the previous one
-# rotated a quarter turn counterclockwise, so a "left turn" is a rotation.
+# rotated a quarter turn counterclockwise, so a "left turn" is a rotation,
+# one place on in DIRECTIONS.
 DIRECTIONS = ("right", "up", "left", "down")
 _MOUTH_CORNER = {"right": (0, 2), "up": (0, 0), "left": (2, 0), "down": (2, 2)}
-LEFT_TURN = {"right": "up", "up": "left", "left": "down", "down": "right"}
-_STEP = {"right": (0, 1), "up": (-1, 0), "left": (0, -1), "down": (1, 0)}
+LEFT_TURN = {d: DIRECTIONS[(i + 1) % 4] for i, d in enumerate(DIRECTIONS)}
+# one-pixel (di, dj) step of each direction, in DIRECTIONS order
+_STEPS = np.array([(0, 1), (-1, 0), (0, -1), (1, 0)])
 
 
 def sprite(direction: str) -> np.ndarray:
@@ -47,6 +56,21 @@ class GroundTruth:
     params: dict = field(default_factory=dict)
 
 
+def _check_params(counts=None, probabilities=None, nonnegative=None):
+    """Refuse a bad generator parameter by name: counts below 1,
+    probabilities outside [0, 1], negative noise levels and ranges (or any
+    of them NaN)."""
+    for name, v in (counts or {}).items():
+        if not v >= 1:
+            raise ValueError(f"{name} must be >= 1, got {v}")
+    for name, v in (probabilities or {}).items():
+        if not 0 <= v <= 1:
+            raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    for name, v in (nonnegative or {}).items():
+        if not np.all(np.asarray(v) >= 0):
+            raise ValueError(f"{name} must be nonnegative, got {v}")
+
+
 def render_pacman_frame(shape: ImageShape, direction_idx: int, di: int, dj: int,
                         background: np.ndarray) -> np.ndarray:
     """Noiseless pac-man frame: background texture plus the sprite shifted
@@ -55,7 +79,7 @@ def render_pacman_frame(shape: ImageShape, direction_idx: int, di: int, dj: int,
     canvas = np.zeros((h, w))
     r0, c0 = h // 2 - 1, w // 2 - 1
     canvas[r0:r0 + 3, c0:c0 + 3] = sprite(DIRECTIONS[direction_idx])
-    moved = apply(shift_op(shape, di, dj, "wrap"), canvas.reshape(-1))
+    moved = apply(shift_op(shape, di, dj, WRAP), canvas.reshape(-1))
     return np.maximum(moved, background.reshape(-1))
 
 
@@ -67,27 +91,26 @@ def gen_pacman(seed, T: int = 200, grid: int = 11, p_stay: float = 0.2,
     with p_turn; static background clutter plus per-frame sensor noise."""
     if grid < 3:
         raise ValueError("grid must fit the 3x3 sprite")
+    _check_params(counts={"T": T}, probabilities={"p_stay": p_stay, "p_turn": p_turn},
+                  nonnegative={"bg_noise": bg_noise, "sensor_noise": sensor_noise})
     rng = np.random.default_rng(seed)
     shape = ImageShape(grid, grid)
     background = np.abs(bg_noise * rng.standard_normal((grid, grid)))
+    first = int(rng.integers(len(DIRECTIONS)))
+    # step t > 0 draws the move's uniform, then the turn's; it moves the way
+    # the sprite faced before the turn
+    u = rng.random(2 * (T - 1)).reshape(T - 1, 2)
+    turns = np.concatenate([[0], np.cumsum(u[:, 1] < p_turn)])
+    classes = (first + turns) % len(DIRECTIONS)
+    steps = (u[:, :1] >= p_stay) * _STEPS[classes[:-1]]
+    pos = np.concatenate([np.zeros((1, 2), dtype=np.int64), np.cumsum(steps, axis=0)])
     half = grid // 2
-    direction = int(rng.integers(len(DIRECTIONS)))
-    pos = np.array([0, 0])
-    classes = np.empty(T, dtype=np.int64)
-    shifts = np.empty((T, 2), dtype=np.int64)
-    clean = np.empty((T, shape.n))
-    for t in range(T):
-        if t > 0:
-            if rng.random() >= p_stay:
-                step = _STEP[DIRECTIONS[direction]]
-                pos = pos + step
-            if rng.random() < p_turn:
-                direction = DIRECTIONS.index(LEFT_TURN[DIRECTIONS[direction]])
-        di = (pos[0] + half) % grid - half
-        dj = (pos[1] + half) % grid - half
-        classes[t] = direction
-        shifts[t] = (di, dj)
-        clean[t] = render_pacman_frame(shape, direction, di, dj, background)
+    shifts = (pos + half) % grid - half
+    canvases = np.zeros((len(DIRECTIONS), grid, grid))
+    canvases[:, half - 1:half + 2, half - 1:half + 2] = [sprite(d) for d in DIRECTIONS]
+    src = _shift_table(shape, shifts[:, 0], shifts[:, 1], WRAP)
+    clean = np.maximum(canvases.reshape(len(DIRECTIONS), -1)[classes[:, None], src],
+                       background.reshape(-1))
     frames = clean + sensor_noise * rng.standard_normal(clean.shape)
     truth = GroundTruth(clean=clean, classes=classes, shifts=shifts,
                         params={"shape": shape, "background": background,
@@ -102,6 +125,10 @@ def gen_shifted_template(seed, template, T: int, shift_range: int,
                          boundary: str = "wrap"):
     """Shifted copies of one template: i.i.d. uniform shifts in the given
     range, or a random walk with unit steps, plus sensor noise."""
+    _check_params(counts={"T": T},
+                  nonnegative={"shift_range": shift_range, "sensor_noise": sensor_noise})
+    if boundary not in (WRAP, ZERO):
+        raise ValueError(f"boundary must be {WRAP!r} or {ZERO!r}, got {boundary!r}")
     rng = np.random.default_rng(seed)
     template = np.asarray(template, dtype=np.float64)
     if template.ndim != 2:
@@ -118,8 +145,8 @@ def gen_shifted_template(seed, template, T: int, shift_range: int,
                 pos = np.clip(pos + step, -shift_range, shift_range)
         else:
             shifts = rng.integers(-shift_range, shift_range + 1, size=(T, 2))
-    clean = np.stack([apply(shift_op(shape, di, dj, boundary), flat)
-                      for di, dj in shifts])
+    # a zero-pad shift's VOID (-1) reads the appended zero pixel
+    clean = _padded(flat)[_shift_table(shape, shifts[:, 0], shifts[:, 1], boundary)]
     frames = clean + sensor_noise * rng.standard_normal(clean.shape)
     truth = GroundTruth(clean=clean, classes=np.zeros(T, dtype=np.int64),
                         shifts=shifts,
@@ -170,32 +197,29 @@ def gen_sheared_glyphs(seed, prototypes=None, per_class: int = 200,
     (images (N, n), labels (N,), truth) where truth records the op index
     per sample.
     """
-    from .transforms import build_shear_translation_set  # cycle-free local
-
+    _check_params(counts={"per_class": per_class},
+                  nonnegative={"stroke_sigma": stroke_sigma, "noise": noise})
     rng = np.random.default_rng(seed)
     protos = GLYPHS if prototypes is None else np.asarray(prototypes, dtype=np.float64)
     shape = ImageShape(*protos.shape[1:])
     if transform_set is None:
-        transform_set = build_shear_translation_set(shape, boundary="zero")
+        transform_set = build_shear_translation_set(shape, boundary=ZERO)
     n_class = protos.shape[0]
     flat = protos.reshape(n_class, -1)
     # variation images: brightness, and a horizontal position wiggle
-    wiggle = np.stack([apply(shift_op(shape, 0, 1, "zero"), f)
-                       - apply(shift_op(shape, 0, -1, "zero"), f)
-                       for f in flat]) * 0.5
+    moved = _padded(flat, axis=1)[:, _shift_table(shape, [0, 0], [1, -1], ZERO)]
+    wiggle = (moved[:, 0] - moved[:, 1]) * 0.5
     variations = np.stack([flat, wiggle], axis=1)  # (C, 2, n)
     sigmas = np.asarray(stroke_sigma, dtype=np.float64)[: variations.shape[1]]
 
     total = n_class * per_class
-    images = np.empty((total, shape.n))
     labels = np.repeat(np.arange(n_class), per_class)
     ops = rng.integers(transform_set.L, size=total)
     coeffs = rng.standard_normal((total, sigmas.size)) * sigmas
-    clean = np.empty_like(images)
-    for i in range(total):
-        c = labels[i]
-        latent = flat[c] + coeffs[i] @ variations[c, : sigmas.size]
-        clean[i] = apply(transform_set[ops[i]], latent)
+    latent = flat[labels] + np.matmul(coeffs[:, None, :],
+                                      variations[labels, :sigmas.size])[:, 0]
+    clean = np.take_along_axis(_padded(latent, axis=1),
+                               transform_set.padded_source[ops], axis=1)
     images = clean + noise * rng.standard_normal(clean.shape)
     truth = GroundTruth(clean=clean, classes=labels,
                         shifts=np.zeros((total, 2), dtype=np.int64),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .common import (EmOptions, PosteriorSummary, _GaussianModel, _diag_quad,
-                     _factor_posterior, _fft_rows, _fit, _latent_posterior,
+                     _factor_posterior, _fft_rows, _fit, _frames, _latent_posterior,
                      _observed, _record, _spectra, _unspectra)
 from .transforms import ImageShape, TransformationSet, apply
 from . import mtca as _mtca
@@ -66,9 +66,9 @@ def init_tca(transforms: TransformationSet, n_factors: int, data,
              seed: int = 0, fast_likelihood: bool = False) -> TcaModel:
     """Mean from the data average, loadings from orthogonalized random
     directions, variances from the global pixel variance, uniform rho."""
-    X = np.atleast_2d(np.asarray(data, dtype=np.float64))
     rng = np.random.default_rng(seed)
     n = transforms.shape.n
+    X = _frames(data, n)
     var = max(float(np.var(X)), 1e-6)
     loadings = np.zeros((n, n_factors))
     if n_factors:

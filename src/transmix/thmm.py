@@ -201,8 +201,8 @@ def init_thmm(transforms: TransformationSet, n_classes: int, frames,
               seed: int = 0, motion: MotionPrior | None = None,
               mean_noise: float = 0.05) -> ThmmModel:
     """Random-frame templates, uniform dynamics with a diagonal boost."""
-    X = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n, L = transforms.shape.n, transforms.L
+    X = _frames(frames, n)
     mu, var = _starting_templates(np.random.default_rng(seed), X, n_classes,
                                   mean_noise)
     if motion is None:
@@ -285,11 +285,11 @@ class _Dynamics:
 
     def __init__(self, model: ThmmModel):
         mv, mh = model.transforms.grid
-        self.wrap = model.wrap_motion
+        wrap = model.wrap_motion
         self.offsets = model.motion.offsets
         w = model.motion.weights()
         self.weights = w if model.motion.per_class else np.tile(w, (model.C, 1))
-        keys = self.offsets % (mv, mh) if self.wrap else self.offsets
+        keys = self.offsets % (mv, mh) if wrap else self.offsets
         # merge aliasing displacements into moves, in order of first
         # appearance: fold[b] is the move of displacement b
         _, first, inverse = np.unique(keys, axis=0, return_index=True,
@@ -310,7 +310,7 @@ class _Dynamics:
             log_w = np.log(move_w)[:, :, None]
 
         def table(ti, tj):
-            on_grid = self.wrap | ((ti >= 0) & (ti < mv) & (tj >= 0) & (tj < mh))
+            on_grid = wrap | ((ti >= 0) & (ti < mv) & (tj >= 0) & (tj < mh))
             return (ti % mv) * mh + tj % mh, np.where(on_grid, log_w, -np.inf)
 
         self.src, self.log_into = table(i - d[0], j - d[1])
@@ -555,7 +555,10 @@ def viterbi(model: ThmmModel, frames) -> np.ndarray:
 def _seq_list(frames, n: int) -> list[np.ndarray]:
     if isinstance(frames, np.ndarray) and frames.ndim == 2:
         frames = [frames]
-    return [_frames(f, n) for f in frames]
+    seqs = [_frames(f, n) for f in frames]
+    if not seqs:
+        raise ValueError("no sequences: the list is empty")
+    return seqs
 
 
 def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
@@ -579,13 +582,10 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
         model.transforms, model.mu, np.zeros((C, model.n, 0)), model.phi,
         model.psi, all_frames, np.concatenate(gammas, axis=0).transpose(0, 2, 1))
 
-    # dynamics
-    if options.joint_pi:
-        pi_s = gamma_first / gamma_first.sum()
-    else:
-        class_marg = gamma_first.sum(axis=1)
-        class_marg = class_marg / class_marg.sum()
-        pi_s = np.tile(class_marg[:, None], (1, L)) / L
+    # dynamics: initial states are the class marginal times a uniform position
+    class_marg = gamma_first.sum(axis=1)
+    class_marg = class_marg / class_marg.sum()
+    pi_s = np.tile(class_marg[:, None], (1, L)) / L
     phi, psi, pi_s = _mstep_tail(all_frames, options, s_psi, rescued, mu, phi, pi_s)
     tiny = 1e-12
     trans = xi_class + tiny
@@ -688,8 +688,6 @@ def sample_sequence(model: ThmmModel, length: int, seed):
     """Generate frames and their (class, op) states; deterministic per seed."""
     rng = np.random.default_rng(seed)
     dyn = _Dynamics(model)
-    mv, mh = model.transforms.grid
-    di, dj = dyn.offsets.T
     frames = np.empty((length, model.n))
     states = np.empty((length, 2), dtype=np.int64)
     flat_pi = model.pi_s.reshape(-1)
@@ -701,12 +699,9 @@ def sample_sequence(model: ThmmModel, length: int, seed):
         frames[t] = apply(model.transforms[l], z) \
             + np.sqrt(model.psi) * rng.standard_normal(model.n)
         if t + 1 < length:
-            i, j = divmod(l, mh)
-            w = dyn.weights[c]
-            if not dyn.wrap:
-                w = np.where((0 <= i + di) & (i + di < mv) & (0 <= j + dj) & (j + dj < mh),
-                             w, 0.0)
+            # displacement b is feasible where its move leaves l on the grid
+            w = np.where(dyn.log_from[c, dyn.fold, l] > -np.inf, dyn.weights[c], 0.0)
             b = rng.choice(len(w), p=w / w.sum())
             c = rng.choice(model.C, p=model.class_trans[c])
-            l = (i + di[b]) % mv * mh + (j + dj[b]) % mh
+            l = dyn.dst[dyn.fold[b], l]
     return frames, states

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .common import (EmOptions, PosteriorSummary, _GaussianModel, _fit, _record,
-                     _starting_templates)
+from .common import (EmOptions, PosteriorSummary, _GaussianModel, _fit, _frames,
+                     _record, _starting_templates)
 from .transforms import ImageShape, TransformationSet
 from . import mtca as _mtca
 
@@ -59,8 +59,8 @@ def init_tmg(transforms: TransformationSet, n_clusters: int, data,
     variances from the global pixel variance, uniform priors."""
     if init not in ("sample", "mean"):
         raise ValueError("init must be 'sample' or 'mean'")
-    X = np.atleast_2d(np.asarray(data, dtype=np.float64))
     n = transforms.shape.n
+    X = _frames(data, n)
     mu, var = _starting_templates(np.random.default_rng(seed), X, n_clusters,
                                   mean_noise, pick=init == "sample")
     return TmgModel(

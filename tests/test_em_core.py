@@ -96,12 +96,14 @@ def _entry_points(family, model):
                 lambda F: thmm.viterbi(model, F),
                 lambda F: thmm.emission_table(model, F),
                 lambda F: thmm.em_step(model, F),
-                lambda F: thmm.fit(model, [F], 1)]
+                lambda F: thmm.fit(model, [F], 1),
+                lambda F: _fresh_model(family, F)]
     return [lambda F: family.loglik(model, F),
             lambda F: family.loglik_table(model, F),
             lambda F: family.posterior(model, F[-1]),
             lambda F: family.em_step(model, F),
-            lambda F: family.fit(model, F, 1)]
+            lambda F: family.fit(model, F, 1),
+            lambda F: _fresh_model(family, F)]
 
 
 @pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
@@ -124,6 +126,36 @@ def test_frames_are_checked_at_the_boundary(family):
     score = thmm.score_sequence if family is thmm else family.em_step
     with pytest.raises(UnderflowError), np.errstate(all="ignore"):
         score(model, huge)
+
+
+@pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
+                         ids=["tmg", "tca", "mtca", "thmm"])
+def test_empty_batches_are_refused(family):
+    X, _ = _two_image_data()
+    model = _fresh_model(family, X)
+    if family is thmm:
+        calls = [lambda F: thmm.score_sequence(model, F),
+                 lambda F: thmm.forward_backward(model, F),
+                 lambda F: thmm.viterbi(model, F),
+                 lambda F: thmm.track(model, F),
+                 lambda F: thmm.emission_table(model, F),
+                 lambda F: thmm.em_step(model, F),
+                 lambda F: thmm.em_step(model, [X, F]),
+                 lambda F: thmm.fit(model, [F], 1)]
+    else:
+        calls = [lambda F: family.loglik(model, F),
+                 lambda F: family.loglik_table(model, F),
+                 lambda F: family.em_step(model, F),
+                 lambda F: family.fit(model, F, 1)]
+    calls.append(lambda F: _fresh_model(family, F))
+    for call in calls:
+        call(X)
+        with pytest.raises(ValueError, match="no frames: the batch is empty"):
+            call(X[:0])
+    if family is thmm:
+        for call in (thmm.em_step, lambda m, seqs: thmm.fit(m, seqs, 1)):
+            with pytest.raises(ValueError, match="no sequences: the list is empty"):
+                call(model, [])
 
 
 SINGLE_FRAME_CALLS = {
