@@ -40,8 +40,15 @@ class UnderflowError(ArithmeticError):
 
 def _cutexp(d: np.ndarray) -> np.ndarray:
     """exp(d) for shifted log terms d, with terms at or below `CUT` (and
-    -inf) exactly 0.  NaN stays NaN."""
-    return np.exp(np.maximum(d, CUT)) * (d > CUT)
+    -inf) exactly 0.  NaN stays NaN.  Works in place: the caller hands over
+    a fresh float array that it does not read again, and gets it back
+    holding the exponentials, with the bits of
+    `np.exp(np.maximum(d, CUT)) * (d > CUT)`."""
+    keep = d > CUT
+    np.maximum(d, CUT, out=d)
+    np.exp(d, out=d)
+    d *= keep
+    return d
 
 
 def logsumexp(a: np.ndarray, axis) -> np.ndarray:
@@ -311,15 +318,19 @@ def _latent_posterior(dst, mu, phi, psi, X):
     return (mu * (1.0 / phi) + seen) * var, var
 
 
-def _observed(padded, mu, loadings, phi, psi):
+def _observed(padded, mu, loadings, phi, psi, out=None):
     """N(mu + loadings y, diag phi) seen through the op(s) with padded source
     rows `padded` (n,) or (L, n) (`TransformationSet.padded_source`), plus
     noise psi: per observed pixel the mean, the variance phi[src] + psi and
     the loading rows (psi and 0s with no source).  One gather fills mean
-    and var, as two halves of one fresh block that the caller may
-    overwrite; another the rows (`np.take` walks every index even when the
-    rows are zero-width, so K = 0 skips it)."""
-    mean, var = np.take(np.stack([_padded(mu), _padded(phi)]), padded, axis=-1)
+    and var, as two halves of one block that the caller may overwrite:
+    `out` (2, ...) when given, else a fresh one; another the rows (`np.take`
+    walks every index even when the rows are zero-width, so K = 0 skips
+    it).  The index is in range, so mode "clip" changes no value; it lets
+    `np.take` fill `out` without a buffer, and with a writeable `padded` it
+    copies nothing."""
+    mean, var = np.take(np.stack([_padded(mu), _padded(phi)]), padded, axis=-1,
+                        out=out, mode="clip")
     var += psi
     rows = (np.take(_padded(loadings), padded, axis=0) if loadings.shape[-1]
             else np.empty(padded.shape + (0,)))

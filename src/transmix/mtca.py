@@ -85,9 +85,13 @@ def cond_loglik(model: MtcaModel, x, l: int, c: int) -> float:
 
 
 def _log_joint(model: MtcaModel, X) -> np.ndarray:
+    """log p(x_t, l, c): the emission table, with log rho and then log pi
+    added in place."""
+    table = loglik_table(model, X)
     with np.errstate(divide="ignore"):
-        return (loglik_table(model, X) + np.log(model.rho)[None, :, :]
-                + np.log(model.pi)[None, None, :])
+        table += np.log(model.rho)
+        table += np.log(model.pi)
+    return table
 
 
 def loglik(model: MtcaModel, X) -> np.ndarray:
@@ -152,8 +156,11 @@ def _em_step_full(model: MtcaModel, X, options: EmOptions):
         options.tangent_directions)
     rho = model.rho.copy()
     if not options.freeze_rho:
-        live = [c for c in range(model.C) if c not in rescued]
-        rho[:, live] = resp[:, :, live].sum(axis=0) / mass[live]
+        # column by column, which copies nothing; on a one-op set a column
+        # then adds its frames in the order `mass` does, so rho stays exactly 1
+        for c in range(model.C):
+            if c not in rescued:
+                rho[:, c] = resp[:, :, c].sum(axis=0) / mass[c]
     phi, psi, pi = _mstep_tail(X, options, s_psi, rescued, mu, phi, mass / T, rho)
     new = _record(MtcaModel, **{**vars(model), "pi": pi, "mu": mu, "loadings": loadings,
                                 "phi": phi, "rho": rho, "psi": psi})

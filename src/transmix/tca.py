@@ -115,30 +115,42 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
     wrap = _fft_rows(transforms, loadings, psi)
     if wrap is not None:
         return _fft_loglik(transforms.shape, wrap, mu - shift, phi + psi[0], X, X2)
-    (C, n, k), L = loadings.shape, transforms.L
-    table = np.empty((X.shape[0], L, C))
+    (C, n, k), L, T = loadings.shape, transforms.L, X.shape[0]
+    table = np.empty((T, L, C))
+    # (L, n) tables are megabytes at large L * n, and paging in fresh memory
+    # costs more than the arithmetic on it, so the work blocks are allocated
+    # once per call and every cluster reuses them: the gathered mean and var
+    # (var then takes mean/var, then mean^2/var), log(var) then 1/var, and
+    # the two (T, L) products, which stay contiguous for BLAS.  The three
+    # (L, n) blocks are one allocation: glibc gives back freed heap beyond
+    # twice its largest freed block, so as three they would be paged in
+    # afresh on every call at 23x23.  The index is made writeable once, or
+    # `np.take` would copy it for every cluster
+    index = transforms.padded_source.copy()
+    work = np.empty((3, L, n))
+    inv = work[2]
+    quad, cross = np.empty((T, L)), np.empty((T, L))
     for c in range(C):
-        mean, var, rows = _observed(transforms.padded_source, mu[c], loadings[c],
-                                    phi[c], psi)
+        mean, var, rows = _observed(index, mu[c], loadings[c], phi[c], psi, out=work[:2])
         mean -= shift
         if k:
             M, _, proj, y_mean = _factor_posterior(mean, var, rows, X)   # det M >= 1
-        # (L, n) tables are megabytes at large L * n, and paging in fresh memory
-        # costs more than the arithmetic on it, so two blocks are worked in
-        # place: mean and var (var takes mean/var, then mean^2/var), log(var), 1/var
-        inv = np.log(var)
+        np.log(var, out=inv)
         const = -0.5 * (inv.sum(axis=1) + n * _LOG2PI)
         np.divide(1.0, var, out=inv)
         with np.errstate(over="ignore"):
             mean_inv = np.multiply(mean, inv, out=var)
-            quad = X2 @ inv.T - 2.0 * (X @ mean_inv.T)
+            np.matmul(X2, inv.T, out=quad)
+            np.matmul(X, mean_inv.T, out=cross)
+            cross *= 2.0
+            quad -= cross
             np.multiply(mean, mean, out=mean_inv)
             mean_inv *= inv
             quad += mean_inv.sum(axis=1)
-            out = const[None, :] - 0.5 * quad
+            quad *= 0.5
+            out = np.subtract(const, quad, out=table[:, :, c])
             if k:
                 out += 0.5 * ((proj * y_mean).sum(axis=-1) - np.linalg.slogdet(M)[1])
-        table[:, :, c] = out
     return table
 
 

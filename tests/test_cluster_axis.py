@@ -5,9 +5,10 @@ frames are prepared once per call, not once per cluster."""
 import numpy as np
 import pytest
 
-from transmix import ImageShape, build_translation_set
+from transmix import ImageShape, build_translation_set, transforms
 from transmix import common, mtca, tca, thmm, tmg
-from transmix.common import EmOptions, gaussian_template_stats
+from transmix.common import (EmOptions, _factor_posterior, _observed,
+                             gaussian_template_stats)
 
 SETS = {
     "zero-pad": lambda: build_translation_set(ImageShape(6, 7), 3, 5, "zero"),
@@ -69,6 +70,45 @@ def test_each_cluster_is_its_own_one_cluster_result(name, K):
         if emission is not None:
             alone = thmm.emission_table(_thmm(ts, arrays, one), X)
             assert np.array_equal(emission[:, c], alone[:, 0])
+
+
+def _dense_reference(ts, mu, loadings, phi, psi, X):
+    """One cluster's dense emission column with a fresh array for every
+    intermediate: the reference for the kernel's reused work blocks."""
+    shift = X.mean()
+    X = X - shift
+    mean, var, rows = _observed(ts.padded_source, mu, loadings, phi, psi)
+    mean = mean - shift
+    const = -0.5 * (np.log(var).sum(axis=1) + ts.shape.n * np.log(2.0 * np.pi))
+    inv = 1.0 / var
+    quad = (X * X) @ inv.T - 2.0 * (X @ (mean * inv).T)
+    quad += (mean * mean * inv).sum(axis=1)
+    out = const[None, :] - 0.5 * quad
+    if rows.shape[-1]:
+        M, _, proj, y_mean = _factor_posterior(mean, var, rows, X)
+        out += 0.5 * ((proj * y_mean).sum(axis=-1) - np.linalg.slogdet(M)[1])
+    return out
+
+
+DENSE_SETS = {
+    "zero-pad": SETS["zero-pad"],
+    "shear": lambda: transforms.build_shear_translation_set(ImageShape(8, 8),
+                                                             boundary="zero"),
+    # a full wrap grid, but untied psi keeps it off the FFT path
+    "wrap-15x15": SETS["wrap-15x15"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_SETS))
+@pytest.mark.parametrize("K", [0, 2])
+def test_dense_columns_have_the_bits_of_the_out_of_place_kernel(name, K):
+    ts = DENSE_SETS[name]()
+    mu, loadings, phi, _, _, X, _ = _arrays(ts, K=K)
+    psi = np.random.default_rng(1).uniform(0.02, 0.06, ts.shape.n)
+    table = tca.cluster_loglik(ts, mu, loadings, phi, psi, X)
+    for c in range(mu.shape[0]):
+        want = _dense_reference(ts, mu[c], loadings[c], phi[c], psi, X)
+        assert np.array_equal(table[:, :, c], want)
 
 
 def _count(monkeypatch, module, name, counts, where=(), test=None):

@@ -1,12 +1,14 @@
 """The EM core shared by every family: cluster rescue, the psi tail, the
 log-domain sums and the boundary checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from transmix import (EmOptions, ImageShape, TransformationSet, UnderflowError,
-                      build_translation_set)
+                      build_translation_set, identity_set)
 from transmix import common, mtca, tca, thmm, tmg
 from transmix.common import CUT, _cutexp, _latent_posterior, _normalise, logsumexp
 
@@ -319,6 +321,93 @@ def test_logsumexp_matches_scipy_on_deep_terms(axis):
     want = scipy_logsumexp(a, axis=axis)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def _deep_table(shape=(300, 29, 10), seed=11):
+    """A log-joint table whose terms span thousands of nats, with -inf."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-3000.0, 50.0, shape)
+    a[rng.uniform(size=shape) < 0.1] = -np.inf
+    return a
+
+
+def test_cutexp_works_in_place_with_the_bits_of_the_formula():
+    d = np.concatenate([_deep_table((4, 50, 3)).ravel() / 4.0,
+                        [np.nan, -np.inf, np.inf, CUT, np.nextafter(CUT, 0.0), 0.0]])
+    want = np.exp(np.maximum(d, CUT)) * (d > CUT)
+    got = _cutexp(d)
+    assert got is d
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_logsumexp_and_normalise_leave_their_input_alone():
+    a = _deep_table()
+    before = a.copy()
+    logsumexp(a, (1, 2))
+    assert np.array_equal(a, before)
+    _normalise(a, "configuration")
+    assert np.array_equal(a, before)
+
+
+def test_normalise_has_the_bits_of_the_out_of_place_formula():
+    for seed in range(3):
+        log_joint = _deep_table(seed=seed)
+        per_datum, resp = _normalise(log_joint, "configuration")
+        d = log_joint - per_datum[:, None, None]
+        assert np.array_equal(resp, np.exp(np.maximum(d, CUT)) * (d > CUT))
+
+
+def _peak_tables(call, table):
+    """Peak traced memory of `call(table)`, in sizes of `table`."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(table)
+        return (tracemalloc.get_traced_memory()[1] - base) / table.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_logsumexp_and_normalise_hold_one_table_at_a_time():
+    """The exponential works in place on the shifted table, so neither call
+    holds more than one full-size float table (plus a boolean mask); the
+    out-of-place formula peaked near three."""
+    table = _deep_table()
+    assert _peak_tables(lambda a: logsumexp(a, (1, 2)), table) <= 1.5
+    assert _peak_tables(lambda a: _normalise(a, "configuration"), table) <= 1.5
+
+
+def _mtca_case(ts, C=3, K=1, T=8, seed=5):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, (T, ts.shape.n))
+    return mtca.init_mtca(ts, C, K, X, seed=seed), X
+
+
+def test_log_joint_adds_the_priors_to_the_emission_table():
+    model, X = _mtca_case(build_translation_set(SHAPE, 3, 3, "wrap"))
+    model.rho[[0, 4], 1] = 0.0
+    model.rho[:, 1] /= model.rho[:, 1].sum()
+    with np.errstate(divide="ignore"):
+        want = mtca.loglik_table(model, X) + np.log(model.rho) + np.log(model.pi)
+    got = mtca._log_joint(model, X)
+    assert np.isneginf(got[:, [0, 4], 1]).all()
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("one_op", [False, True], ids=["wrap-3x3", "identity"])
+def test_rho_update_sums_each_cluster_over_the_frames(one_op):
+    """rho is each cluster's responsibilities summed over the frames, over
+    its mass, with the bits of the gathered form; on a one-op set that is
+    exactly 1."""
+    ts = identity_set(SHAPE) if one_op else build_translation_set(SHAPE, 3, 3, "wrap")
+    model, X = _mtca_case(ts, T=300)
+    _, resp = _normalise(mtca._log_joint(model, X), "configuration")
+    live = list(range(model.C))
+    mass = np.array([resp[:, :, c].sum() for c in live])
+    new, _ = mtca.em_step(model, X)
+    assert np.array_equal(new.rho, resp[:, :, live].sum(axis=0) / mass)
+    if one_op:
+        assert np.array_equal(new.rho, np.ones((1, model.C)))
 
 
 @pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
