@@ -22,9 +22,7 @@ ts = build_translation_set(shape, 11, 11, "wrap")
 print("training: TMG for appearances, then THMM refinement...")
 pre = tmg.init_tmg(ts, 6, frames, seed=seed)
 pre, _ = tmg.fit(pre, frames, 40, tol=1e-7)
-model = thmm.from_tmg(pre, motion=thmm.uniform_motion(3.0, "vector",
-                                                      per_class=True,
-                                                      n_classes=6))
+model = thmm.from_tmg(pre, motion=thmm.uniform_motion(3.0, "vector", n_classes=6))
 model, reports = thmm.fit(model, frames, 14, tol=0.0)
 print(f"final log-likelihood: {reports[-1].loglik:.1f}")
 

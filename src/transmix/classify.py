@@ -33,15 +33,13 @@ def bayes_classify(models, x, priors=None) -> int:
     """argmax over classes of log p(x | class) + log prior.
 
     Ties break toward the lowest class index.  Priors default to uniform and
-    may be unnormalized.
+    may be unnormalized.  The rule is `classify_batch`'s, on a batch of one.
     """
-    log_priors = _log_priors(models, priors)
-    scores = np.array([marginal_loglik(m, x) for m in models]) + log_priors
-    return int(np.argmax(scores))
+    return int(classify_batch(models, np.asarray(x)[None], priors)[0])
 
 
 def classify_batch(models, X, priors=None) -> np.ndarray:
-    """bayes_classify for each image of a batch.  A TMG, TCA or MTCA model
+    """The Bayes rule for each image of a batch.  A TMG, TCA or MTCA model
     scores the whole batch in one call; other objects go image by image."""
     log_priors = _log_priors(models, priors)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))

@@ -188,11 +188,11 @@ def _train_once(man: Manifest, data, transforms, seed: int, callback=None):
         return model, float(np.sum(module.loglik(model, frames))), reports
     if family != "thmm":
         raise ValueError(f"unknown family {family!r}")
+    per_class = man.get_bool("motion.per_class", True)
     motion = thmm.uniform_motion(
         man.get_float("motion.threshold", 3.0),
         man.get("motion.mode", "vector"),
-        per_class=man.get_bool("motion.per_class", True),
-        n_classes=man.get_int("clusters", 1))
+        n_classes=man.get_int("clusters", 1) if per_class else None)
     if "options.clamp_motion" in man:
         flat = np.array([float(v) for v in
                          man.get("options.clamp_motion").split(",")])
@@ -270,11 +270,10 @@ def _write_montages(model, out: Path) -> None:
         comps = core.loadings.transpose(0, 2, 1).reshape(-1, shape.n)
         model_io.write_pgm(out / "components.pgm", model_io.montage(comps, shape))
     if isinstance(model, thmm.ThmmModel) and model.motion.mode == "vector":
-        tables = model.motion.table if model.motion.per_class \
-            else model.motion.table[None]
-        side = tables.shape[-1]
+        # one tile per class's table, or one for a shared table
+        side = model.motion.table.shape[-1]
         model_io.write_pgm(out / "motion.pgm",
-                           model_io.montage(tables.reshape(-1, side * side),
+                           model_io.montage(model.motion.table.reshape(-1, side * side),
                                             ImageShape(side, side)))
 
 

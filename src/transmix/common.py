@@ -123,14 +123,15 @@ class _GaussianModel:
     """Base of the model classes (TMG, TCA, MTCA and THMM).  Each lists its
     array fields with the fields' axes in `_AXES`, in the order of its
     model file's blocks, and in `_SUMS` the fields that are distributions,
-    each with the axis it sums to one over (None: the whole array)."""
+    each with the axis it sums to one over (None: the whole array).  The
+    image shape is not a field: it is the transformation set's."""
 
     _AXES: dict = {}
     _SUMS: dict = {}
 
     def __post_init__(self):
         """The one constructor check.  Each field becomes float64 of exactly
-        its axes' shape: n and L come from the image shape and the ops, C
+        its axes' shape: n and L come from the transformation set, C
         and K from the first field that has them.  The distributions must
         sum to one, the variances be positive, the factors be fewer than the
         pixels, and a fast likelihood run only over void-free ops.  The
@@ -164,6 +165,11 @@ class _GaussianModel:
     def K(self) -> int:
         """Factor count; 0 for a class that declares no loadings."""
         return self.loadings.shape[-1] if "loadings" in self._AXES else 0
+
+    @property
+    def shape(self):
+        """The image shape, the transformation set's own."""
+        return self.transforms.shape
 
     @property
     def L(self) -> int:

@@ -187,18 +187,17 @@ def _parse(payload: bytes, family: str | None):
     if file_family == "thmm":
         mode = fields["motion_mode"]
         threshold = float(fields["motion_threshold"])
-        per_class = bool(int(fields["motion_per_class"]))
         # the table's shape, from its radius alone: nothing is built before
-        # `_take` has checked that the file holds the table
+        # `_take` has checked that the file holds the table.  A per-class
+        # table has a leading class axis, and its rank is what says so
         table_shape = _table_shape(mode, threshold)
-        if per_class:
+        if int(fields["motion_per_class"]):
             table_shape = (size["C"],) + table_shape
         table, body = _take(body, table_shape)
-        extra["motion"] = MotionPrior(mode=mode, threshold=threshold, table=table,
-                                      per_class=per_class)
+        extra["motion"] = MotionPrior(mode=mode, threshold=threshold, table=table)
     if len(body):
         raise ModelIOError(f"{len(body)} bytes follow the last parameter block")
-    return cls(shape=shape, transforms=ts, **arrays, **extra)
+    return cls(transforms=ts, **arrays, **extra)
 
 
 def write_pgm(path, image, shape: ImageShape | None = None, maxval: int = 255) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from .common import (EmOptions, PosteriorSummary, _GaussianModel, _fit, _frame,
                      _frames, _mstep_tail, _normalise, _record, _starting_templates,
                      _starved, gaussian_template_stats, logsumexp)
-from .transforms import ImageShape, TransformationSet, apply
+from .transforms import TransformationSet, apply
 from . import tca as _tca
 
 
@@ -32,7 +32,6 @@ class MtcaModel(_GaussianModel):
     psi (n,) shared sensor variances.
     """
 
-    shape: ImageShape
     transforms: TransformationSet
     pi: np.ndarray
     mu: np.ndarray
@@ -64,7 +63,7 @@ def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
             q, _ = np.linalg.qr(rng.standard_normal((n, n_factors)))
             loadings[c] = 0.5 * np.sqrt(var) * q
     return MtcaModel(
-        shape=transforms.shape, transforms=transforms,
+        transforms=transforms,
         pi=np.full(n_clusters, 1.0 / n_clusters), mu=mu, loadings=loadings,
         phi=np.full((n_clusters, n), var),
         rho=np.full((transforms.L, n_clusters), 1.0 / transforms.L),

@@ -23,7 +23,7 @@ import numpy as np
 from .common import (EmOptions, PosteriorSummary, _GaussianModel, _diag_quad,
                      _factor_posterior, _fft_rows, _fit, _frames, _latent_posterior,
                      _observed, _record, _spectra, _unspectra)
-from .transforms import ImageShape, TransformationSet, apply
+from .transforms import TransformationSet, apply
 from . import mtca as _mtca
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -42,7 +42,6 @@ class TcaModel(_GaussianModel):
                       latent variances (requires void-free ops)
     """
 
-    shape: ImageShape
     transforms: TransformationSet
     mu: np.ndarray
     loadings: np.ndarray
@@ -56,8 +55,8 @@ class TcaModel(_GaussianModel):
 
     def as_mtca(self) -> _mtca.MtcaModel:
         """This model as an MTCA with one cluster, sharing its arrays."""
-        return _record(_mtca.MtcaModel, shape=self.shape, transforms=self.transforms,
-                       pi=np.ones(1), mu=self.mu[None], loadings=self.loadings[None],
+        return _record(_mtca.MtcaModel, transforms=self.transforms, pi=np.ones(1),
+                       mu=self.mu[None], loadings=self.loadings[None],
                        phi=self.phi[None], rho=self.rho[:, None], psi=self.psi,
                        fast_likelihood=self.fast_likelihood)
 
@@ -75,7 +74,6 @@ def init_tca(transforms: TransformationSet, n_factors: int, data,
         q, _ = np.linalg.qr(rng.standard_normal((n, n_factors)))
         loadings = 0.5 * np.sqrt(var) * q
     return TcaModel(
-        shape=transforms.shape,
         transforms=transforms,
         mu=X.mean(axis=0),
         loadings=loadings,

@@ -54,7 +54,7 @@ from .common import (CUT, EmOptions, SequencePosterior, UnderflowError,
                      _GaussianModel, _cutexp, _fit, _frame, _frames, _latent_posterior,
                      _mstep_tail, _padded, _starting_templates, logsumexp)
 from .mtca import _cluster_mstep
-from .transforms import ImageShape, TransformationSet, apply, wrap_shift_index
+from .transforms import TransformationSet, apply, wrap_shift_index
 from .tmg import TmgModel
 
 # a class-step position whose linear sum falls below this is recomputed in
@@ -101,16 +101,16 @@ class MotionPrior:
     mode "vector" bins on the displacement (di, dj) itself; "magnitude" bins
     on the rounded Euclidean norm, splitting each bin's mass uniformly over
     the displacements that realize it.  Entries beyond the threshold are
-    zero.  With per_class=True the table carries a leading class axis and
-    conditions on the previous frame's class.  `offsets` holds the
-    displacements within the threshold (`motion_offsets`), `bins` the flat
-    index of each one's bin in one class's table.
+    zero.  The table's rank says whether it is shared: one class's table
+    (`_table_shape`) serves every class, and a table with one more, leading
+    axis holds one row per previous frame's class (`per_class`).  `offsets`
+    holds the displacements within the threshold (`motion_offsets`), `bins`
+    the flat index of each one's bin in one class's table.
     """
 
     mode: str
     threshold: float
     table: np.ndarray
-    per_class: bool = False
     offsets: np.ndarray = field(init=False, repr=False)
     bins: np.ndarray = field(init=False, repr=False)
 
@@ -134,10 +134,14 @@ class MotionPrior:
         if np.any(flat[..., beyond] > 0):
             raise ValueError("motion table has mass beyond the threshold")
 
+    @property
+    def per_class(self) -> bool:
+        """Whether the table has a leading class axis, one row per class."""
+        return self.table.ndim > len(_table_shape(self.mode, self.threshold))
+
     def _flat(self) -> np.ndarray:
         """The table with one flat bin axis: (C?, bins)."""
-        return self.table.reshape(len(self.table), -1) if self.per_class \
-            else self.table.reshape(-1)
+        return self.table.reshape((len(self.table), -1) if self.per_class else -1)
 
     @property
     def radius(self) -> int:
@@ -153,15 +157,16 @@ class MotionPrior:
 
 
 def uniform_motion(threshold: float = 3.0, mode: str = "vector",
-                   per_class: bool = False, n_classes: int = 1) -> MotionPrior:
-    """Uniform-over-bins motion prior within the threshold."""
+                   n_classes: int | None = None) -> MotionPrior:
+    """Uniform-over-bins motion prior within the threshold: one table shared
+    by every class (n_classes None), or n_classes copies of it stacked on a
+    leading class axis, conditioned on the previous frame's class."""
     table = np.zeros(_table_shape(mode, threshold))
     table.reshape(-1)[_bins(mode, threshold, motion_offsets(threshold))] = 1.0
     table = table / table.sum()
-    if per_class:
+    if n_classes is not None:
         table = np.tile(table, (n_classes,) + (1,) * table.ndim)
-    return MotionPrior(mode=mode, threshold=threshold, table=table,
-                       per_class=per_class)
+    return MotionPrior(mode=mode, threshold=threshold, table=table)
 
 
 @dataclass(eq=False)
@@ -173,7 +178,6 @@ class ThmmModel(_GaussianModel):
     shifts.  The transformation set must be grid-structured.
     """
 
-    shape: ImageShape
     transforms: TransformationSet
     mu: np.ndarray
     phi: np.ndarray
@@ -206,11 +210,11 @@ def init_thmm(transforms: TransformationSet, n_classes: int, frames,
     mu, var = _starting_templates(np.random.default_rng(seed), X, n_classes,
                                   mean_noise)
     if motion is None:
-        motion = uniform_motion(per_class=True, n_classes=n_classes)
+        motion = uniform_motion(n_classes=n_classes)
     trans = np.full((n_classes, n_classes), 1.0 / n_classes)
     trans = trans + np.eye(n_classes)
     trans = trans / trans.sum(axis=1, keepdims=True)
-    return ThmmModel(shape=transforms.shape, transforms=transforms, mu=mu,
+    return ThmmModel(transforms=transforms, mu=mu,
                      phi=np.full((n_classes, n), var), psi=np.full(n, var),
                      pi_s=np.full((n_classes, L), 1.0 / (n_classes * L)),
                      class_trans=trans, motion=motion)
@@ -230,7 +234,7 @@ def from_tmg(model: TmgModel, motion: MotionPrior | None = None,
     """
     C, L = model.C, model.L
     if motion is None:
-        motion = uniform_motion(per_class=True, n_classes=C)
+        motion = uniform_motion(n_classes=C)
     mu, phi = model.mu.copy(), model.phi.copy()
     if align_gauge and model.transforms.grid is not None \
             and model.transforms.boundary == "wrap" and C > 1:
@@ -246,8 +250,7 @@ def from_tmg(model: TmgModel, motion: MotionPrior | None = None,
     trans = np.tile(model.pi, (C, 1)) + np.eye(C)
     trans = trans / trans.sum(axis=1, keepdims=True)
     pi_s = np.tile(model.pi[:, None], (1, L)) / L
-    return ThmmModel(shape=model.shape, transforms=model.transforms,
-                     mu=mu, phi=phi,
+    return ThmmModel(transforms=model.transforms, mu=mu, phi=phi,
                      psi=model.psi.copy(), pi_s=pi_s, class_trans=trans,
                      motion=motion)
 
@@ -288,7 +291,7 @@ class _Dynamics:
         wrap = model.wrap_motion
         self.offsets = model.motion.offsets
         w = model.motion.weights()
-        self.weights = w if model.motion.per_class else np.tile(w, (model.C, 1))
+        self.weights = np.broadcast_to(w, (model.C, w.shape[-1]))
         keys = self.offsets % (mv, mh) if wrap else self.offsets
         # merge aliasing displacements into moves, in order of first
         # appearance: fold[b] is the move of displacement b
@@ -596,19 +599,16 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
 
     motion = model.motion
     if options.clamp_motion is not None:
-        motion = replace(model.motion, table=np.asarray(options.clamp_motion,
-                                                        dtype=np.float64))
+        motion = replace(motion, table=np.asarray(options.clamp_motion, dtype=np.float64))
     else:
-        # smoothing mass only inside the threshold support
-        support = uniform_motion(model.motion.threshold, model.motion.mode).table > 0
-        pooled = xi_motion + tiny * support
-        if model.motion.per_class:
-            sums = pooled.reshape(C, -1).sum(axis=1).reshape((C,) + (1,) * (pooled.ndim - 1))
-            motion = replace(model.motion, table=pooled / sums)
-        else:
-            motion = replace(model.motion, table=pooled / pooled.sum())
+        # smoothing mass only on the bins within the threshold, then each
+        # class's row (or the shared table) normalised over its bins
+        pooled = xi_motion.reshape(motion._flat().shape)
+        pooled = pooled + tiny * (np.bincount(motion.bins, minlength=pooled.shape[-1]) > 0)
+        table = pooled / pooled.sum(axis=-1, keepdims=True)
+        motion = replace(motion, table=table.reshape(motion.table.shape))
 
-    new = ThmmModel(shape=model.shape, transforms=model.transforms, mu=mu,
+    new = ThmmModel(transforms=model.transforms, mu=mu,
                     phi=phi, psi=psi, pi_s=pi_s, class_trans=class_trans,
                     motion=motion)
     return new, total, tuple(mass), rescued

@@ -17,7 +17,7 @@ import numpy as np
 
 from .common import (EmOptions, PosteriorSummary, _GaussianModel, _fit, _frames,
                      _record, _starting_templates)
-from .transforms import ImageShape, TransformationSet
+from .transforms import TransformationSet
 from . import mtca as _mtca
 
 
@@ -32,7 +32,6 @@ class TmgModel(_GaussianModel):
     psi   (n,)   diagonal sensor variances, shared
     """
 
-    shape: ImageShape
     transforms: TransformationSet
     pi: np.ndarray
     mu: np.ndarray
@@ -45,8 +44,8 @@ class TmgModel(_GaussianModel):
 
     def as_mtca(self) -> _mtca.MtcaModel:
         """This model as an MTCA with zero factors, sharing its arrays."""
-        return _record(_mtca.MtcaModel, shape=self.shape, transforms=self.transforms,
-                       pi=self.pi, mu=self.mu, loadings=np.zeros((self.C, self.n, 0)),
+        return _record(_mtca.MtcaModel, transforms=self.transforms, pi=self.pi,
+                       mu=self.mu, loadings=np.zeros((self.C, self.n, 0)),
                        phi=self.phi, rho=self.rho, psi=self.psi, fast_likelihood=False)
 
 
@@ -64,7 +63,6 @@ def init_tmg(transforms: TransformationSet, n_clusters: int, data,
     mu, var = _starting_templates(np.random.default_rng(seed), X, n_clusters,
                                   mean_noise, pick=init == "sample")
     return TmgModel(
-        shape=transforms.shape,
         transforms=transforms,
         pi=np.full(n_clusters, 1.0 / n_clusters),
         mu=mu,

@@ -65,13 +65,13 @@ def random_instance(rng, family: str, wrap_only: bool):
     phi = rng.uniform(0.3, 1.2, (C, n))
     psi = rng.uniform(0.3, 1.0, n)
     if family == "tmg":
-        return TmgModel(shape=shape, transforms=ts, pi=pi, mu=mu, phi=phi,
+        return TmgModel(transforms=ts, pi=pi, mu=mu, phi=phi,
                         rho=rho_lc, psi=psi)
     if family == "tca":
-        return tca_mod.TcaModel(shape=shape, transforms=ts, mu=mu[0],
+        return tca_mod.TcaModel(transforms=ts, mu=mu[0],
                                 loadings=rng.uniform(-1, 1, (n, K)),
                                 phi=phi[0], rho=rho_lc[:, 0], psi=psi)
-    return mtca_mod.MtcaModel(shape=shape, transforms=ts, pi=pi, mu=mu,
+    return mtca_mod.MtcaModel(transforms=ts, pi=pi, mu=mu,
                               loadings=rng.uniform(-1, 1, (C, n, K)),
                               phi=phi, rho=rho_lc, psi=psi)
 
@@ -90,7 +90,7 @@ def test_acceptance_1_static_oracle_equivalence():
         x = rng.uniform(-2, 2, tca.n)
         exact = float(tca_mod.loglik(tca, x[None])[0])
         worst_exact = max(worst_exact, abs(exact - tca_loglik_dense(tca, x, fast=False)))
-        fast = tca_mod.TcaModel(shape=tca.shape, transforms=tca.transforms,
+        fast = tca_mod.TcaModel(transforms=tca.transforms,
                                 mu=tca.mu, loadings=tca.loadings, phi=tca.phi,
                                 rho=tca.rho, psi=tca.psi, fast_likelihood=True)
         got = float(tca_mod.loglik(fast, x[None])[0])
@@ -98,7 +98,7 @@ def test_acceptance_1_static_oracle_equivalence():
 
         mtca = random_instance(rng, "mtca", wrap_only=True)
         x = rng.uniform(-2, 2, mtca.n)
-        fast_m = mtca_mod.MtcaModel(shape=mtca.shape, transforms=mtca.transforms,
+        fast_m = mtca_mod.MtcaModel(transforms=mtca.transforms,
                                     pi=mtca.pi, mu=mtca.mu, loadings=mtca.loadings,
                                     phi=mtca.phi, rho=mtca.rho, psi=mtca.psi,
                                     fast_likelihood=True)
@@ -170,8 +170,7 @@ def test_acceptance_3_em_monotonicity():
                         per_class=True)
     frames, _ = sample_sequence(gen_h, 40, seed=11)
     model_h = thmm_mod.init_thmm(ts, 2, frames, seed=12,
-                                 motion=uniform_motion(1.0, per_class=True,
-                                                       n_classes=2))
+                                 motion=uniform_motion(1.0, n_classes=2))
     check("thmm", thmm_mod.em_step, model_h, frames)
 
     ok = all(v <= 1e-9 for v in drops.values())
@@ -207,20 +206,20 @@ def test_acceptance_4_reduction_lattice():
         x = rng.uniform(-2, 2, n)
 
         # MTCA(K=0) == TMG
-        m0 = mtca_mod.MtcaModel(shape=shape, transforms=ts, pi=pi, mu=mu,
+        m0 = mtca_mod.MtcaModel(transforms=ts, pi=pi, mu=mu,
                                 loadings=np.zeros((C, n, 0)), phi=phi,
                                 rho=rho, psi=psi)
-        t0 = TmgModel(shape=shape, transforms=ts, pi=pi, mu=mu, phi=phi,
+        t0 = TmgModel(transforms=ts, pi=pi, mu=mu, phi=phi,
                       rho=rho, psi=psi)
         worst = max(worst, abs(float(mtca_mod.loglik(m0, x[None])[0])
                                - float(tmg_mod.loglik(t0, x[None])[0])))
 
         # MTCA(C=1) == TCA
-        m1 = mtca_mod.MtcaModel(shape=shape, transforms=ts, pi=np.ones(1),
+        m1 = mtca_mod.MtcaModel(transforms=ts, pi=np.ones(1),
                                 mu=mu[:1], loadings=loadings[:1], phi=phi[:1],
                                 rho=rho[:, :1] / rho[:, :1].sum(axis=0),
                                 psi=psi)
-        t1 = tca_mod.TcaModel(shape=shape, transforms=ts, mu=mu[0],
+        t1 = tca_mod.TcaModel(transforms=ts, mu=mu[0],
                               loadings=loadings[0], phi=phi[0],
                               rho=m1.rho[:, 0], psi=psi)
         worst = max(worst, abs(float(mtca_mod.loglik(m1, x[None])[0])
@@ -244,7 +243,7 @@ def test_acceptance_4_reduction_lattice():
         worst = max([worst] + [_gap(u, v) for u, v in pairs])
 
         # TMG(L=1 identity) == mixture of Gaussians
-        t2 = TmgModel(shape=shape, transforms=ident, pi=pi, mu=mu, phi=phi,
+        t2 = TmgModel(transforms=ident, pi=pi, mu=mu, phi=phi,
                       rho=np.ones((1, C)), psi=psi)
         mog = logsumexp([np.log(pi[c])
                          - 0.5 * np.sum(np.log(2 * np.pi * (phi[c] + psi)))
@@ -253,7 +252,7 @@ def test_acceptance_4_reduction_lattice():
         worst = max(worst, abs(float(tmg_mod.loglik(t2, x[None])[0]) - float(mog)))
 
         # TCA(L=1 identity, fast off) == factor analysis
-        t3 = tca_mod.TcaModel(shape=shape, transforms=ident, mu=mu[0],
+        t3 = tca_mod.TcaModel(transforms=ident, mu=mu[0],
                               loadings=loadings[0], phi=phi[0],
                               rho=np.ones(1), psi=psi)
         cov = loadings[0] @ loadings[0].T + np.diag(phi[0] + psi)
@@ -472,7 +471,7 @@ def test_acceptance_9_property_suites():
 
     for case in range(100):
         a = random_instance(rng, "tmg", wrap_only=False)
-        b = TmgModel(shape=a.shape, transforms=a.transforms, pi=a.pi,
+        b = TmgModel(transforms=a.transforms, pi=a.pi,
                      mu=a.mu + rng.uniform(-1, 1, a.mu.shape), phi=a.phi,
                      rho=a.rho, psi=a.psi)
         x = rng.uniform(-1, 1, a.n)

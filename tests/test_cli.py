@@ -252,6 +252,60 @@ def test_bundled_manifests_parse():
         assert "family" in man and "generator" in man
 
 
+MANIFESTS = sorted((Path(__file__).resolve().parents[1] / "manifests").glob("*.txt"))
+# tiny sizes for every generator; keys a manifest does not read are ignored
+TINY = ("gen.frames=12", "gen.per_class=4", "iterations=2", "init.iterations=2",
+        "restarts=1")
+
+
+def _tiny(*more):
+    return [arg for kv in TINY + more for arg in ("--set", kv)]
+
+
+@pytest.mark.parametrize("path", MANIFESTS, ids=lambda p: p.stem)
+def test_every_shipped_manifest_trains_through_main(path, tmp_path):
+    assert main(["train", "--manifest", str(path), "--out", str(tmp_path)] + _tiny()) == 0
+    man = Manifest.load(path)
+    model = model_io.load_model(tmp_path / "model.txm", family=man.get("family"))
+    assert np.array_equal(model.transforms.source_matrix,
+                          build_transforms(man, model.shape).source_matrix)
+
+
+def test_train_with_shear_levels_builds_their_cross_product(tmp_path):
+    path = MANIFESTS[0].parent / "glyphs-tmg.txt"
+    argv = ["train", "--manifest", str(path), "--out", str(tmp_path)]
+    assert main(argv + _tiny("transform.shear_levels=-0.5,0,0.5")) == 0
+    model = model_io.load_model(tmp_path / "model.txm", family="tmg")
+    assert model.transforms.params == tuple((s, t) for s in (-0.5, 0.0, 0.5)
+                                            for t in (-1, 0, 1))
+
+
+def test_eval_through_main_on_a_pacman_track(tmp_path, capsys):
+    man = str(MANIFESTS[0].parent / "pacman-small.txt")
+    gen, train, inf = (str(tmp_path / d) for d in ("gen", "train", "inf"))
+    assert main(["gen", "--manifest", man, "--out", gen] + _tiny()) == 0
+    assert main(["train", "--manifest", man, "--out", train] + _tiny()) == 0
+    assert main(["infer", "--model", f"{train}/model.txm", "--frames", f"{gen}/frames",
+                 "--task", "track", "--out", inf]) == 0
+    pred, truth = f"{inf}/track.csv", f"{gen}/truth.csv"
+    want = cmd_eval(pred, truth, "tracking", wrap=7, align_offset=True)["agreement"]
+    capsys.readouterr()
+    assert main(["eval", "--pred", pred, "--truth", truth, "--mode", "tracking",
+                 "--wrap", "7", "--align-offset"]) == 0
+    assert capsys.readouterr().out == f"agreement {want:.6g}\n"
+
+
+def test_verbose_train_prints_one_line_per_step_row(tmp_path, capsys):
+    cmd_train(Manifest.parse(SMALL), tmp_path, verbose=True)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1].startswith("trained thmm model")
+    with open(tmp_path / "steps.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert printed[:-1] == [
+        f"{r['iteration']} {r['loglik']} [{r['cluster_mass']}] "
+        f"{r['rescued'].replace(' ', ',') or '-'}" for r in rows]
+
+
 def test_train_mtca_components_tile_each_factor_image(tmp_path):
     man = Manifest.parse(SMALL).override({
         "family": "mtca", "clusters": "2", "factors": "2", "iterations": "2"})

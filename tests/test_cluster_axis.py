@@ -32,7 +32,7 @@ def _model(ts, arrays, keep=slice(None)):
     """A TMG (K = 0) or an MTCA over the clusters `keep` of `arrays`."""
     mu, loadings, phi, psi, rho = arrays[:5]
     C = mu[keep].shape[0]
-    fields = dict(shape=ts.shape, transforms=ts, pi=np.full(C, 1 / C), mu=mu[keep],
+    fields = dict(transforms=ts, pi=np.full(C, 1 / C), mu=mu[keep],
                   phi=phi[keep], rho=rho[:, keep], psi=psi)
     if loadings.shape[-1]:
         return mtca.MtcaModel(loadings=loadings[keep], **fields)
@@ -42,7 +42,7 @@ def _model(ts, arrays, keep=slice(None)):
 def _thmm(ts, arrays, keep=slice(None)):
     mu, _, phi, psi = arrays[:4]
     C, L = mu[keep].shape[0], ts.L
-    return thmm.ThmmModel(shape=ts.shape, transforms=ts, mu=mu[keep], phi=phi[keep],
+    return thmm.ThmmModel(transforms=ts, mu=mu[keep], phi=phi[keep],
                           psi=psi, pi_s=np.full((C, L), 1 / (C * L)),
                           class_trans=np.full((C, C), 1 / C),
                           motion=thmm.uniform_motion(1.0))

@@ -1,8 +1,4 @@
-"""The demo scripts run to completion against the library in `src/`.
-
-Demos 03 (glyph clustering) and 05 (video tracking) take longer; acceptance
-tests 5 and 6 cover the same paths.
-"""
+"""The demo scripts run to completion against the library in `src/`."""
 
 import os
 import subprocess
@@ -13,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_transform_operators.py", "02_template_registration.py",
-         "04_component_analysis.py", "06_occlusion_suppression.py")
+         "03_glyph_clustering.py", "04_component_analysis.py",
+         "05_video_tracking.py", "06_occlusion_suppression.py")
 
 
 @pytest.mark.parametrize("name", DEMOS)

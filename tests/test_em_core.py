@@ -1,6 +1,7 @@
 """The EM core shared by every family: cluster rescue, the psi tail, the
 log-domain sums and the boundary checks."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from transmix import (EmOptions, ImageShape, TransformationSet, UnderflowError,
                       build_translation_set, identity_set)
-from transmix import common, mtca, tca, thmm, tmg
+from transmix import common, model_io, mtca, tca, thmm, tmg
 from transmix.common import CUT, _cutexp, _latent_posterior, _normalise, logsumexp
 
 SHAPE = ImageShape(3, 3)
@@ -35,16 +36,16 @@ def _starving_model(family, templates):
     phi = np.full((C, SHAPE.n), 1e-3)
     psi = np.full(SHAPE.n, 1e-3)
     if family is tmg:
-        return tmg.TmgModel(shape=SHAPE, transforms=ts, pi=np.full(C, 1 / C),
+        return tmg.TmgModel(transforms=ts, pi=np.full(C, 1 / C),
                             mu=mu, phi=phi, rho=np.full((ts.L, C), 1 / ts.L), psi=psi)
     if family is mtca:
-        return mtca.MtcaModel(shape=SHAPE, transforms=ts, pi=np.full(C, 1 / C),
+        return mtca.MtcaModel(transforms=ts, pi=np.full(C, 1 / C),
                               mu=mu, loadings=np.full((C, SHAPE.n, 1), 1e-2),
                               phi=phi, rho=np.full((ts.L, C), 1 / ts.L), psi=psi)
-    return thmm.ThmmModel(shape=SHAPE, transforms=ts, mu=mu, phi=phi, psi=psi,
+    return thmm.ThmmModel(transforms=ts, mu=mu, phi=phi, psi=psi,
                           pi_s=np.full((C, ts.L), 1 / (C * ts.L)),
                           class_trans=np.full((C, C), 1 / C),
-                          motion=thmm.uniform_motion(1.0, per_class=True, n_classes=C))
+                          motion=thmm.uniform_motion(1.0, n_classes=C))
 
 
 def _prior_of(model, c):
@@ -213,20 +214,19 @@ def _offset_case(family, offset, side=5, tied=False):
     loadings = rng.uniform(-0.1, 0.1, (C, n, 2))
     pi = np.array([0.4, 0.6])
     if family is tmg:
-        model = tmg.TmgModel(shape=shape, transforms=ts, pi=pi, mu=mu, phi=phi,
+        model = tmg.TmgModel(transforms=ts, pi=pi, mu=mu, phi=phi,
                              rho=rho, psi=psi)
     elif family is tca:
-        model = tca.TcaModel(shape=shape, transforms=ts, mu=mu[0],
+        model = tca.TcaModel(transforms=ts, mu=mu[0],
                              loadings=loadings[0], phi=phi[0], rho=rho[:, 0], psi=psi)
     elif family is mtca:
-        model = mtca.MtcaModel(shape=shape, transforms=ts, pi=pi, mu=mu,
+        model = mtca.MtcaModel(transforms=ts, pi=pi, mu=mu,
                                loadings=loadings, phi=phi, rho=rho, psi=psi)
     else:
-        model = thmm.ThmmModel(shape=shape, transforms=ts, mu=mu, phi=phi, psi=psi,
+        model = thmm.ThmmModel(transforms=ts, mu=mu, phi=phi, psi=psi,
                                pi_s=np.full((C, ts.L), 1 / (C * ts.L)),
                                class_trans=np.array([[0.7, 0.3], [0.4, 0.6]]),
-                               motion=thmm.uniform_motion(1.5, per_class=True,
-                                                          n_classes=C))
+                               motion=thmm.uniform_motion(1.5, n_classes=C))
     return model, X
 
 
@@ -443,6 +443,58 @@ def test_non_injective_op_is_refused_at_construction(family):
                                grid=(1, 2) if family is thmm else None))
 
 
+@pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
+                         ids=["tmg", "tca", "mtca", "thmm"])
+def test_the_image_shape_is_the_sets(family, tmp_path):
+    """A model has no shape of its own to disagree with its set: arrays of
+    another image size are refused against the set's."""
+    X = np.random.default_rng(5).uniform(0, 1, (6, SHAPE.n))
+    model = _fresh_model(family, X)
+    model_io.save_model(model, tmp_path / "m.txm")
+    for m in (model, model_io.load_model(tmp_path / "m.txm")):
+        assert m.shape is m.transforms.shape
+    with pytest.raises(TypeError):
+        dataclasses.replace(model, shape=SHAPE)
+    with pytest.raises(ValueError, match=r"must have shape \(.*16"):
+        dataclasses.replace(model, transforms=build_translation_set(ImageShape(4, 4), 3, 3))
+
+
+GAUSSIAN_REFUSALS = {  # family, field, how it is broken, message
+    "tmg-pi": (tmg, "pi", lambda a: 2 * a, r"^pi must sum to 1$"),
+    "tca-rho": (tca, "rho", lambda a: 2 * a, r"^rho must sum to 1$"),
+    "mtca-rho": (mtca, "rho", lambda a: 2 * a, "^rho must sum to 1 along axis 0$"),
+    "thmm-pi_s": (thmm, "pi_s", lambda a: 2 * a, "^pi_s must sum to 1$"),
+    "thmm-class_trans": (thmm, "class_trans", lambda a: 2 * a,
+                         "^class_trans must sum to 1 along axis 1$"),
+    "tmg-phi": (tmg, "phi", lambda a: -a, "^variances must be positive$"),
+    "tca-psi": (tca, "psi", np.zeros_like, "^variances must be positive$"),
+    "mtca-phi": (mtca, "phi", np.zeros_like, "^variances must be positive$"),
+    "thmm-psi": (thmm, "psi", lambda a: -a, "^variances must be positive$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAUSSIAN_REFUSALS))
+def test_constructor_refuses_an_unnormalised_distribution_or_a_bad_variance(case):
+    family, name, broken, match = GAUSSIAN_REFUSALS[case]
+    model = _fresh_model(family, np.random.default_rng(6).uniform(0, 1, (6, SHAPE.n)))
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(model, **{name: broken(getattr(model, name))})
+
+
+@pytest.mark.parametrize("family", [tmg, tca, mtca, thmm],
+                         ids=["tmg", "tca", "mtca", "thmm"])
+def test_fit_stops_early_and_streams_its_reports(family):
+    X, _ = _two_image_data()
+    model = _fresh_model(family, X)
+    seen = []
+    _, early = family.fit(model, X, 5, tol=1e9, callback=seen.append)
+    _, full = family.fit(model, X, 5, tol=0.0)
+    assert not any(rep.rescued for rep in early + full)
+    assert len(early) == 2 and len(full) == 5
+    assert seen == early
+    assert [rep.iteration for rep in full] == list(range(5))
+
+
 @pytest.mark.parametrize("boundary", ["wrap", "zero"])
 def test_latent_posterior_forms_agree(boundary):
     """Every op for one image, and one op per image row, give the same
@@ -484,13 +536,13 @@ def _moment_case(family, K, boundary):
     phi, psi = rng.uniform(0.05, 0.2, (C, n)), rng.uniform(0.05, 0.2, n)
     rho, pi = rng.dirichlet(np.ones(ts.L), size=C).T, np.array([0.4, 0.6])
     if family is tmg:
-        model = tmg.TmgModel(shape=shape, transforms=ts, pi=pi, mu=mu, phi=phi,
+        model = tmg.TmgModel(transforms=ts, pi=pi, mu=mu, phi=phi,
                              rho=rho, psi=psi)
     elif family is tca:
-        model = tca.TcaModel(shape=shape, transforms=ts, mu=mu[0], loadings=loadings[0],
+        model = tca.TcaModel(transforms=ts, mu=mu[0], loadings=loadings[0],
                              phi=phi[0], rho=rho[:, 0], psi=psi)
     else:
-        model = mtca.MtcaModel(shape=shape, transforms=ts, pi=pi, mu=mu,
+        model = mtca.MtcaModel(transforms=ts, pi=pi, mu=mu,
                                loadings=loadings, phi=phi, rho=rho, psi=psi)
     return model, rng.uniform(0, 1, n)
 

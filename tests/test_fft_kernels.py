@@ -117,7 +117,7 @@ def test_fft_path_matches_the_dense_oracles(monkeypatch):
     ts = _full_grid(3, 3, shuffle=2)
     mu, phi, psi, X, W = _inputs(ts, seed=11, T=3)
     rng = np.random.default_rng(12)
-    model = tmg.TmgModel(shape=ts.shape, transforms=ts, pi=np.array([0.3, 0.7]),
+    model = tmg.TmgModel(transforms=ts, pi=np.array([0.3, 0.7]),
                          mu=np.stack([mu, mu[::-1]]), phi=np.stack([phi, phi[::-1]]),
                          rho=rng.dirichlet(np.ones(ts.L), size=2).T, psi=psi)
     _forbid(monkeypatch, common, "_block_stats")
@@ -145,16 +145,16 @@ def _model(family, transforms, tied=True, K=0, seed=0):
     X = rng.uniform(0.0, 1.0, (6, n))
     rho = rng.dirichlet(np.ones(L), size=C).T
     if family is thmm:
-        model = thmm.ThmmModel(shape=shape, transforms=transforms, mu=mu, phi=phi,
+        model = thmm.ThmmModel(transforms=transforms, mu=mu, phi=phi,
                                psi=psi, pi_s=np.full((C, L), 1 / (C * L)),
                                class_trans=np.array([[0.8, 0.2], [0.3, 0.7]]),
                                motion=thmm.uniform_motion(1.0))
         return model, X
     if K:
-        return mtca.MtcaModel(shape=shape, transforms=transforms, pi=np.full(C, 0.5),
+        return mtca.MtcaModel(transforms=transforms, pi=np.full(C, 0.5),
                               mu=mu, loadings=rng.uniform(-0.1, 0.1, (C, n, K)),
                               phi=phi, rho=rho, psi=psi), X
-    return tmg.TmgModel(shape=shape, transforms=transforms, pi=np.full(C, 0.5), mu=mu,
+    return tmg.TmgModel(transforms=transforms, pi=np.full(C, 0.5), mu=mu,
                         phi=phi, rho=rho, psi=psi), X
 
 

@@ -39,8 +39,7 @@ def make_models():
         "tca": init_tca(grid, 2, X, seed=2, fast_likelihood=True),
         "mtca": init_mtca(shear, 2, 1, X, seed=3),
         "thmm": init_thmm(grid, 2, X, seed=4,
-                          motion=uniform_motion(1.5, "magnitude",
-                                                per_class=True, n_classes=2)),
+                          motion=uniform_motion(1.5, "magnitude", n_classes=2)),
     }
 
 
@@ -229,18 +228,18 @@ def _pinned_model(case):
     mu, phi, psi = _ramp((C, n), -1, 1), _ramp((C, n), 0.5, 1.5), _ramp(n, 0.25, 0.75)
     family, _, variant = case.partition("-")
     if family == "tmg":
-        return TmgModel(shape=shape, transforms=shear, pi=_dist((C,), 0), mu=mu,
+        return TmgModel(transforms=shear, pi=_dist((C,), 0), mu=mu,
                         phi=phi, rho=_dist((shear.L, C), 0), psi=psi)
     if family == "tca":
         ts = grid if variant == "fast" else shear
-        return TcaModel(shape=shape, transforms=ts, mu=mu[0],
+        return TcaModel(transforms=ts, mu=mu[0],
                         loadings=_ramp((n, K), -0.5, 0.5), phi=phi[0],
                         rho=_dist((ts.L,), 0), psi=psi,
                         fast_likelihood=variant == "fast")
     if family == "mtca":
         K = int(variant[1:])
         ts = shear if K else grid
-        return MtcaModel(shape=shape, transforms=ts, pi=_dist((C,), 0), mu=mu,
+        return MtcaModel(transforms=ts, pi=_dist((C,), 0), mu=mu,
                          loadings=_ramp((C, n, K), -0.5, 0.5), phi=phi,
                          rho=_dist((ts.L, C), 0), psi=psi)
     mode, sharing = variant.split("-")
@@ -248,10 +247,10 @@ def _pinned_model(case):
     bins = (3, 3) if mode == "vector" else (2,)
     table = _dist((C if per_class else 1, int(np.prod(bins))), 1)
     table = table.reshape(((C,) if per_class else ()) + bins)
-    return ThmmModel(shape=shape, transforms=grid, mu=mu, phi=phi, psi=psi,
+    return ThmmModel(transforms=grid, mu=mu, phi=phi, psi=psi,
                      pi_s=_dist((C * grid.L,), 0).reshape(C, grid.L),
                      class_trans=_dist((C, C), 1),
-                     motion=MotionPrior(mode, 1.5, table, per_class))
+                     motion=MotionPrior(mode, 1.5, table))
 
 
 _GRID = ("boundary wrap", "grid 3 3", "kind translate", "ops 9", "param_width 2")

@@ -25,7 +25,7 @@ def random_mtca(seed, shape=ImageShape(2, 2), offsets=((0, 0), (0, 1)), C=2,
     rng = np.random.default_rng(seed)
     ts = small_set(shape, offsets, boundary)
     n, L = shape.n, len(offsets)
-    return MtcaModel(shape=shape, transforms=ts,
+    return MtcaModel(transforms=ts,
                      pi=rng.dirichlet(np.ones(C) * 5),
                      mu=rng.uniform(-1, 1, (C, n)),
                      loadings=rng.uniform(-1, 1, (C, n, K)),
@@ -37,7 +37,7 @@ def random_mtca(seed, shape=ImageShape(2, 2), offsets=((0, 0), (0, 1)), C=2,
 
 def test_k0_reduces_to_tmg():
     model = random_mtca(0, K=0, C=3)
-    as_tmg = tmg_mod.TmgModel(shape=model.shape, transforms=model.transforms,
+    as_tmg = tmg_mod.TmgModel(transforms=model.transforms,
                               pi=model.pi, mu=model.mu, phi=model.phi,
                               rho=model.rho, psi=model.psi)
     rng = np.random.default_rng(1)
@@ -49,7 +49,7 @@ def test_k0_reduces_to_tmg():
 
 def test_c1_reduces_to_tca():
     model = random_mtca(2, C=1, K=2)
-    as_tca = tca_mod.TcaModel(shape=model.shape, transforms=model.transforms,
+    as_tca = tca_mod.TcaModel(transforms=model.transforms,
                               mu=model.mu[0], loadings=model.loadings[0],
                               phi=model.phi[0], rho=model.rho[:, 0],
                               psi=model.psi)
@@ -117,7 +117,7 @@ def test_bayes_classify_recovers_generator():
         mu = np.zeros(9)
         mu[c * 4] = 3.0  # well separated means
         models.append(tca_mod.TcaModel(
-            shape=shape, transforms=ts, mu=mu,
+            transforms=ts, mu=mu,
             loadings=0.1 * rng.standard_normal((9, 1)),
             phi=np.full(9, 0.05), rho=np.array([0.6, 0.4]),
             psi=np.full(9, 0.05)))
@@ -207,20 +207,20 @@ def _malformed(case):
     shape, C, K = ImageShape(2, 3), 2, 2
     ts = small_set(shape, ((0, 0), (0, 1)))
     n = shape.n
-    fields = dict(shape=shape, transforms=ts, pi=np.full(C, 1 / C),
+    fields = dict(transforms=ts, pi=np.full(C, 1 / C),
                   mu=rng.uniform(-1, 1, (C, n)), loadings=rng.uniform(-1, 1, (C, n, K)),
                   phi=np.full((C, n), 0.5), rho=np.full((ts.L, C), 1 / ts.L),
                   psi=np.full(n, 0.5))
     if case == "tca-loadings-K-by-n":
         return lambda: tca_mod.TcaModel(
-            shape=shape, transforms=ts, mu=fields["mu"][0],
+            transforms=ts, mu=fields["mu"][0],
             loadings=fields["loadings"][0].T, phi=fields["phi"][0],
             rho=fields["rho"][:, 0], psi=fields["psi"])
     if case.startswith("thmm"):
         grid = build_translation_set(shape, 1, 3)
         mu = fields["mu"][0] if case == "thmm-mu-flat" else np.zeros((C, n + 1))
         return lambda: thmm_mod.ThmmModel(
-            shape=shape, transforms=grid, mu=mu, phi=fields["phi"], psi=fields["psi"],
+            transforms=grid, mu=mu, phi=fields["phi"], psi=fields["psi"],
             pi_s=np.full((C, grid.L), 1 / (C * grid.L)),
             class_trans=np.full((C, C), 1 / C), motion=thmm_mod.uniform_motion(1.0))
     if case == "mtca-loadings-C-K-n":

@@ -27,7 +27,7 @@ def random_tca(seed, shape=ImageShape(2, 2), offsets=((0, 0), (0, 1)), K=1,
     rng = np.random.default_rng(seed)
     ts = small_set(shape, offsets, boundary)
     n, L = shape.n, len(offsets)
-    return TcaModel(shape=shape, transforms=ts,
+    return TcaModel(transforms=ts,
                     mu=rng.uniform(-1, 1, n),
                     loadings=rng.uniform(-1, 1, (n, K)),
                     phi=rng.uniform(0.3, 1.5, n),
@@ -38,7 +38,7 @@ def random_tca(seed, shape=ImageShape(2, 2), offsets=((0, 0), (0, 1)), K=1,
 
 def test_k0_reduces_to_tmg():
     model = random_tca(0, K=0)
-    as_tmg = tmg_mod.TmgModel(shape=model.shape, transforms=model.transforms,
+    as_tmg = tmg_mod.TmgModel(transforms=model.transforms,
                               pi=np.ones(1), mu=model.mu[None, :],
                               phi=model.phi[None, :],
                               rho=model.rho[:, None], psi=model.psi)
@@ -79,10 +79,10 @@ def test_fast_path_matches_dense_and_approximates_exact():
 
     # with psi = 1e-6 * phi, the fast approximation is within 1e-3
     model = random_tca(50, K=1, fast=False)
-    tiny = TcaModel(shape=model.shape, transforms=model.transforms,
+    tiny = TcaModel(transforms=model.transforms,
                     mu=model.mu, loadings=model.loadings, phi=model.phi,
                     rho=model.rho, psi=1e-6 * model.phi, fast_likelihood=False)
-    fast = TcaModel(shape=model.shape, transforms=model.transforms,
+    fast = TcaModel(transforms=model.transforms,
                     mu=model.mu, loadings=model.loadings, phi=model.phi,
                     rho=model.rho, psi=1e-6 * model.phi, fast_likelihood=True)
     x = np.random.default_rng(6).uniform(-2, 2, model.n)
@@ -107,7 +107,7 @@ def test_posterior_single_op_and_zero_loadings():
     assert post.resp.shape == (1,)
     assert post.resp[0] == pytest.approx(1.0)
 
-    zero = TcaModel(shape=model.shape, transforms=model.transforms,
+    zero = TcaModel(transforms=model.transforms,
                     mu=model.mu, loadings=np.zeros((model.n, 2)),
                     phi=model.phi, rho=model.rho, psi=model.psi)
     for x in np.random.default_rng(5).uniform(-2, 2, (5, model.n)):
@@ -135,7 +135,7 @@ def test_posterior_moments_match_dense_conditioning():
 
 def test_em_k0_matches_tmg_trajectory():
     model = random_tca(9, K=0, offsets=((0, 0), (0, 1)))
-    as_tmg = tmg_mod.TmgModel(shape=model.shape, transforms=model.transforms,
+    as_tmg = tmg_mod.TmgModel(transforms=model.transforms,
                               pi=np.ones(1), mu=model.mu[None, :],
                               phi=model.phi[None, :], rho=model.rho[:, None],
                               psi=model.psi)
@@ -172,7 +172,7 @@ def test_em_recovers_component_subspace():
     lam_true = np.zeros((n, 2))
     lam_true[:, 0] = mu_true * 0.8                      # brightness factor
     lam_true[np.arange(0, n, 2), 1] = 0.6               # stripe factor
-    gen = TcaModel(shape=shape, transforms=ts, mu=mu_true, loadings=lam_true,
+    gen = TcaModel(transforms=ts, mu=mu_true, loadings=lam_true,
                    phi=np.full(n, 0.01), rho=np.full(ts.L, 1.0 / ts.L),
                    psi=np.full(n, 0.01))
     X = sample(gen, seed=15, size=300)
@@ -235,6 +235,16 @@ def test_tangent_columns_examples():
         tangent_columns(const, identity_set(shape), ("h",))
     with pytest.raises(ValueError):
         tangent_columns(const, ts, ("sideways",))
+
+    # on the default shear family, "shift" is "h", and "shear" is the central
+    # difference of the +/-0.25 shears, the smallest level
+    shear = build_shear_translation_set(ImageShape(8, 8), boundary="zero")
+    mu = np.random.default_rng(21).uniform(0, 1, 64)
+    cols = tangent_columns(mu, shear, ("shift", "h", "shear"))
+    assert np.array_equal(cols[:, 0], cols[:, 1])
+    plus, minus = shear.params.index((0.25, 0)), shear.params.index((-0.25, 0))
+    want = 0.5 * (apply(shear[plus], mu) - apply(shear[minus], mu))
+    assert np.array_equal(cols[:, 2], want)
 
 
 def test_sampling_deterministic():

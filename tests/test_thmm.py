@@ -33,13 +33,12 @@ def make_grid_set(shape, mv, mh, boundary="wrap"):
 
 
 def random_motion(rng, threshold, mode, per_class, C):
-    prior = uniform_motion(threshold, mode, per_class, C)
+    prior = uniform_motion(threshold, mode, C if per_class else None)
     table = np.where(prior.table > 0, rng.uniform(0.2, 1.0, prior.table.shape), 0.0)
     flat = table.reshape(C, -1) if per_class else table.reshape(1, -1)
     flat /= flat.sum(axis=1, keepdims=True)
     return MotionPrior(mode=mode, threshold=threshold,
-                       table=table if per_class else flat.reshape(prior.table.shape),
-                       per_class=per_class)
+                       table=table if per_class else flat.reshape(prior.table.shape))
 
 
 def random_thmm(seed, shape=ImageShape(2, 2), grid=(2, 2), C=2,
@@ -52,7 +51,7 @@ def random_thmm(seed, shape=ImageShape(2, 2), grid=(2, 2), C=2,
         else rng.dirichlet(np.ones(C * L)).reshape(C, L)
     psi = np.full(n, rng.uniform(0.3, 0.8)) if scalar_psi \
         else rng.uniform(0.3, 1.0, n)
-    return ThmmModel(shape=shape, transforms=ts,
+    return ThmmModel(transforms=ts,
                      mu=rng.uniform(-1, 1, (C, n)),
                      phi=rng.uniform(0.3, 1.5, (C, n)),
                      psi=psi, pi_s=pi_s,
@@ -149,11 +148,11 @@ def test_emission_reduces_to_tmg():
     shape = ImageShape(2, 2)
     ts = make_grid_set(shape, 1, 1)
     rng = np.random.default_rng(0)
-    model = ThmmModel(shape=shape, transforms=ts, mu=rng.uniform(-1, 1, (1, 4)),
+    model = ThmmModel(transforms=ts, mu=rng.uniform(-1, 1, (1, 4)),
                       phi=rng.uniform(0.3, 1.0, (1, 4)), psi=rng.uniform(0.3, 1.0, 4),
                       pi_s=np.ones((1, 1)), class_trans=np.ones((1, 1)),
                       motion=uniform_motion(1.0))
-    as_tmg = tmg_mod.TmgModel(shape=shape, transforms=ts, pi=np.ones(1),
+    as_tmg = tmg_mod.TmgModel(transforms=ts, pi=np.ones(1),
                               mu=model.mu, phi=model.phi, rho=np.ones((1, 1)),
                               psi=model.psi)
     x = rng.uniform(-1, 1, 4)
@@ -175,7 +174,7 @@ def test_emission_argmax_recovers_construction():
     mu = np.zeros((2, 9))
     mu[0, 4] = 1.0
     mu[1, [0, 5]] = 1.0, 0.6
-    model = ThmmModel(shape=shape, transforms=ts, mu=mu,
+    model = ThmmModel(transforms=ts, mu=mu,
                       phi=np.full((2, 9), 1e-4), psi=np.full(9, 1e-4),
                       pi_s=np.full((2, 9), 1.0 / 18),
                       class_trans=np.full((2, 2), 0.5),
@@ -237,7 +236,7 @@ def test_uniform_emissions_give_prior_chain():
     rng = np.random.default_rng(20)
     mu = np.tile(np.full(4, 0.4), (2, 1))       # shift-invariant templates
     phi = np.tile(np.full(4, 0.7), (2, 1))
-    model = ThmmModel(shape=shape, transforms=ts, mu=mu, phi=phi,
+    model = ThmmModel(transforms=ts, mu=mu, phi=phi,
                       psi=np.full(4, 0.5),
                       pi_s=rng.dirichlet(np.ones(8)).reshape(2, 4),
                       class_trans=rng.dirichlet(np.ones(2), size=2),
@@ -267,7 +266,7 @@ def test_viterbi_t1_and_deterministic_chain():
     motion = MotionPrior(mode="vector", threshold=1.0, table=table)
     pi_s = np.zeros((2, 3))
     pi_s[0, 0] = 1.0
-    model = ThmmModel(shape=shape, transforms=ts,
+    model = ThmmModel(transforms=ts,
                       mu=np.tile(np.full(4, 0.2), (2, 1)),
                       phi=np.full((2, 4), 0.5), psi=np.full(4, 0.5),
                       pi_s=pi_s, class_trans=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -380,7 +379,7 @@ def test_motion_offsets_and_bins_match_the_hypot_definition(mode):
             with pytest.raises(ValueError, match="past the magnitude table"):
                 uniform_motion(threshold, mode)
             continue
-        prior = uniform_motion(threshold, mode, per_class=True, n_classes=2)
+        prior = uniform_motion(threshold, mode, n_classes=2)
         assert prior.offsets.tolist() == [list(d) for d in want]
         assert prior.bins.tolist() == bins
         for c in range(2):
@@ -394,11 +393,11 @@ def test_em_reduces_to_tmg_for_single_state_dynamics():
     ts = make_grid_set(shape, 1, 1)
     rng = np.random.default_rng(41)
     X = rng.uniform(0, 1, (15, 4))
-    thmm = ThmmModel(shape=shape, transforms=ts, mu=rng.uniform(0, 1, (1, 4)),
+    thmm = ThmmModel(transforms=ts, mu=rng.uniform(0, 1, (1, 4)),
                      phi=np.full((1, 4), 0.5), psi=np.full(4, 0.5),
                      pi_s=np.ones((1, 1)), class_trans=np.ones((1, 1)),
                      motion=uniform_motion(0.0))
-    tmg = tmg_mod.TmgModel(shape=shape, transforms=ts, pi=np.ones(1),
+    tmg = tmg_mod.TmgModel(transforms=ts, pi=np.ones(1),
                            mu=thmm.mu, phi=thmm.phi, rho=np.ones((1, 1)),
                            psi=thmm.psi)
     new_thmm, ll_thmm = em_step(thmm, X)
@@ -414,7 +413,7 @@ def test_em_monotone_on_sampled_sequences():
                       threshold=1.0, per_class=True)
     frames, _ = sample_sequence(gen, 40, seed=43)
     model = init_thmm(gen.transforms, 2, frames, seed=44,
-                      motion=uniform_motion(1.0, per_class=True, n_classes=2))
+                      motion=uniform_motion(1.0, n_classes=2))
     previous = -np.inf
     for _ in range(30):
         model, total = em_step(model, frames)
@@ -438,7 +437,7 @@ def test_denoise_limits():
     rng = np.random.default_rng(47)
     mu = rng.uniform(0, 1, (1, 9))
     frames = rng.uniform(0, 1, (4, 9))
-    common = dict(shape=shape, transforms=ts, mu=mu, phi=np.full((1, 9), 0.2),
+    common = dict(transforms=ts, mu=mu, phi=np.full((1, 9), 0.2),
                   pi_s=np.full((1, 9), 1.0 / 9),
                   class_trans=np.ones((1, 1)),
                   motion=uniform_motion(1.0))
@@ -456,7 +455,7 @@ def test_stabilize_identity_set_equals_soft_denoise():
     shape = ImageShape(2, 2)
     ts = make_grid_set(shape, 1, 1)
     rng = np.random.default_rng(48)
-    model = ThmmModel(shape=shape, transforms=ts, mu=rng.uniform(0, 1, (2, 4)),
+    model = ThmmModel(transforms=ts, mu=rng.uniform(0, 1, (2, 4)),
                       phi=np.full((2, 4), 0.3), psi=np.full(4, 0.2),
                       pi_s=np.full((2, 1), 0.5),
                       class_trans=np.full((2, 2), 0.5),
@@ -475,7 +474,7 @@ def test_stabilize_registers_moving_scene():
     frames = np.stack([apply(ts[ts.grid_index(di, dj)], scene)
                        for di, dj in walk])
     frames += 0.02 * rng.standard_normal(frames.shape)
-    model = ThmmModel(shape=shape, transforms=ts,
+    model = ThmmModel(transforms=ts,
                       mu=scene[None, :] + 0.01,
                       phi=np.full((1, 25), 0.02), psi=np.full(25, 0.02 ** 2),
                       pi_s=np.full((1, 25), 1.0 / 25),
@@ -495,7 +494,7 @@ def test_stabilize_t1_matches_static_posterior_mean():
     x = np.random.default_rng(51).uniform(-1, 1, model.n)
     out = stabilize(model, x[None])
     class_marg = model.pi_s.sum(axis=1)
-    as_tmg = tmg_mod.TmgModel(shape=model.shape, transforms=model.transforms,
+    as_tmg = tmg_mod.TmgModel(transforms=model.transforms,
                               pi=class_marg, mu=model.mu, phi=model.phi,
                               rho=(model.pi_s / class_marg[:, None]).T,
                               psi=model.psi)
@@ -521,7 +520,7 @@ def test_decoding_on_a_zero_padded_grid_matches_per_frame_posteriors(task):
         states = np.stack(np.divmod(best, model.L), axis=1)
         got = (stabilize(model, frames) if task == "stabilize"
                else denoise(model, frames, mode="soft"))
-    as_tmg = tmg_mod.TmgModel(shape=model.shape, transforms=model.transforms,
+    as_tmg = tmg_mod.TmgModel(transforms=model.transforms,
                               pi=np.full(2, 0.5), mu=model.mu, phi=model.phi,
                               rho=np.full((model.L, 2), 1.0 / model.L), psi=model.psi)
     assert len({tuple(s) for s in states}) > 1
@@ -539,7 +538,7 @@ def test_track_static_and_t1():
     rng = np.random.default_rng(52)
     mu = np.zeros((1, 9))
     mu[0, 4] = 1.0
-    model = ThmmModel(shape=shape, transforms=ts, mu=mu,
+    model = ThmmModel(transforms=ts, mu=mu,
                       phi=np.full((1, 9), 0.01), psi=np.full(9, 0.01),
                       pi_s=np.full((1, 9), 1.0 / 9),
                       class_trans=np.ones((1, 1)),
@@ -580,7 +579,7 @@ def test_score_paired_models():
         table = np.zeros((3, 3))
         table[r, r] = 0.3
         table[r + step[0], r + step[1]] = 0.7
-        return ThmmModel(shape=shape, transforms=ts, mu=mu,
+        return ThmmModel(transforms=ts, mu=mu,
                          phi=np.full((1, 9), 0.02), psi=np.full(9, 0.02),
                          pi_s=np.full((1, 9), 1.0 / 9),
                          class_trans=np.ones((1, 1)),
@@ -625,7 +624,7 @@ def test_unreachable_best_state_scores_exactly():
     mu = rng.uniform(0.0, 1.0, (C, n))
     pi_s = np.zeros((C, L))
     pi_s[:, ts.grid_index(0, 0)] = (0.7, 0.3)
-    model = ThmmModel(shape=shape, transforms=ts, mu=mu,
+    model = ThmmModel(transforms=ts, mu=mu,
                       phi=np.full((C, n), 5e-4), psi=np.full(n, 5e-4),
                       pi_s=pi_s, class_trans=np.array([[0.9, 0.1], [0.2, 0.8]]),
                       motion=uniform_motion(1.0))
@@ -651,7 +650,7 @@ def _far_start_case(boundary="wrap", motion=None):
     rng = np.random.default_rng(68)
     C, n, L = 2, shape.n, ts.L
     mu = rng.uniform(0.0, 1.0, (C, n))
-    model = ThmmModel(shape=shape, transforms=ts, mu=mu,
+    model = ThmmModel(transforms=ts, mu=mu,
                       phi=np.full((C, n), 1e-4), psi=np.full(n, 1e-4),
                       pi_s=np.full((C, L), 1.0 / (C * L)),
                       class_trans=np.array([[0.9, 0.1], [0.2, 0.8]]),
@@ -705,7 +704,7 @@ def _class_switch_case(class_trans, boundary):
     rng = np.random.default_rng(72)
     C, n, L = 2, shape.n, ts.L
     mu = rng.uniform(0.0, 1.0, (C, n))
-    model = ThmmModel(shape=shape, transforms=ts, mu=mu,
+    model = ThmmModel(transforms=ts, mu=mu,
                       phi=np.full((C, n), 1e-4), psi=np.full(n, 1e-4),
                       pi_s=np.full((C, L), 1.0 / (C * L)),
                       class_trans=np.array(class_trans), motion=uniform_motion(1.0))
@@ -817,7 +816,7 @@ def test_from_tmg_promotion():
     shape = ImageShape(3, 3)
     ts = make_grid_set(shape, 3, 3)
     rng = np.random.default_rng(66)
-    tmg = tmg_mod.TmgModel(shape=shape, transforms=ts,
+    tmg = tmg_mod.TmgModel(transforms=ts,
                            pi=np.array([0.7, 0.3]),
                            mu=rng.uniform(0, 1, (2, 9)),
                            phi=np.full((2, 9), 0.4),
@@ -837,7 +836,7 @@ def test_from_tmg_gauge_alignment():
     rng = np.random.default_rng(67)
     base = rng.uniform(0, 1, 16)
     rolled = apply(shift_op(shape, 1, 2, "wrap"), base)
-    tmg = tmg_mod.TmgModel(shape=shape, transforms=ts,
+    tmg = tmg_mod.TmgModel(transforms=ts,
                            pi=np.array([0.6, 0.4]),
                            mu=np.stack([base, rolled]),
                            phi=np.full((2, 16), 0.4),
@@ -865,7 +864,7 @@ def test_from_tmg_ties_go_to_the_first_shift():
     ref = np.arange(16.0)
     periodic = np.tile([[0.0, 2.0], [1.0, 5.0]], (2, 2)).reshape(-1)
     phi = np.stack([np.ones(16), np.arange(1.0, 17.0)])
-    tmg = tmg_mod.TmgModel(shape=shape, transforms=make_grid_set(shape, 3, 3),
+    tmg = tmg_mod.TmgModel(transforms=make_grid_set(shape, 3, 3),
                            pi=np.array([0.6, 0.4]), mu=np.stack([ref, periodic]),
                            phi=phi, rho=np.full((9, 2), 1.0 / 9), psi=np.full(16, 0.3))
     first, scores = _loop_gauge_shift(ref, periodic, shape)
@@ -880,7 +879,7 @@ def test_from_tmg_ties_go_to_the_first_shift():
 def test_from_tmg_picks_the_shift_of_the_per_shift_loop(seed):
     rng = np.random.default_rng(80 + seed)
     shape, C = ImageShape(5, 6), 3
-    tmg = tmg_mod.TmgModel(shape=shape, transforms=make_grid_set(shape, 3, 3),
+    tmg = tmg_mod.TmgModel(transforms=make_grid_set(shape, 3, 3),
                            pi=rng.dirichlet(np.ones(C)), mu=rng.uniform(0, 1, (C, 30)),
                            phi=rng.uniform(0.1, 1.0, (C, 30)),
                            rho=np.full((9, C), 1.0 / 9), psi=np.full(30, 0.3))
@@ -889,3 +888,91 @@ def test_from_tmg_picks_the_shift_of_the_per_shift_loop(seed):
         best, _ = _loop_gauge_shift(tmg.mu[np.argmax(tmg.pi)], tmg.mu[c], shape)
         assert np.array_equal(model.mu[c], apply(best, tmg.mu[c]))
         assert np.array_equal(model.phi[c], apply(best, tmg.phi[c]))
+
+
+def _broken_motion_table(mode, case):
+    """A threshold-1 motion table of `mode` ((3, 3) for "vector", (2,) for
+    "magnitude"), broken as `case` says."""
+    good = uniform_motion(1.0, mode).table
+    if case == "rank-below":
+        return good[0]
+    if case == "rank-above":
+        return good[None, None]
+    if case == "per-class-bins":
+        return np.ones((2,) + good.shape[:-1] + (good.shape[-1] + 1,))
+    if case == "negative":
+        return -good
+    if case == "sum":
+        return 2 * good
+    if case == "per-class-sum":
+        return np.stack([good, 2 * good])
+    beyond = good.copy()
+    beyond[0, 0] = beyond[1, 1]  # the corner (-1, -1) lies beyond radius 1
+    return beyond / beyond.sum()
+
+
+MOTION_REFUSALS = {
+    "rank-below": r"table shape \(.*\) does not match mode/threshold",
+    "rank-above": r"table shape \(.*\) does not match mode/threshold",
+    "per-class-bins": r"table shape \(.*\) does not match mode/threshold",
+    "negative": "entries must be nonnegative",
+    "sum": r"must sum to 1 \(per class\)",
+    "per-class-sum": r"must sum to 1 \(per class\)",
+    "beyond": "mass beyond the threshold",
+}
+# every magnitude bin holds some displacement within the threshold, so only
+# a vector table can put mass beyond it
+MOTION_CASES = [f"{mode}-{case}" for mode in ("vector", "magnitude")
+                for case in MOTION_REFUSALS if (mode, case) != ("magnitude", "beyond")]
+
+
+@pytest.mark.parametrize("name", MOTION_CASES)
+def test_motion_prior_refuses_a_bad_table(name):
+    mode, case = name.split("-", 1)
+    with pytest.raises(ValueError, match=MOTION_REFUSALS[case]):
+        MotionPrior(mode=mode, threshold=1.0, table=_broken_motion_table(mode, case))
+
+
+@pytest.mark.parametrize("mode", ["vector", "magnitude"])
+def test_motion_sharing_is_read_from_the_table_rank(mode):
+    shared = uniform_motion(1.0, mode)
+    per_class = uniform_motion(1.0, mode, n_classes=3)
+    assert not shared.per_class and per_class.per_class
+    assert per_class.table.shape == (3,) + shared.table.shape
+    assert all(np.array_equal(row, shared.table) for row in per_class.table)
+    assert uniform_motion(1.0, mode, n_classes=1).per_class
+
+
+@pytest.mark.parametrize("case, match", [
+    ("no-grid", "needs a grid-structured transformation set"),
+    ("per-class-rows", "per-class motion table does not match C"),
+], ids=["no-grid", "per-class-rows"])
+def test_thmm_model_refuses_a_set_without_grid_or_a_table_of_other_classes(case, match):
+    shape = ImageShape(2, 2)
+    ts = make_grid_set(shape, 2, 2)
+    if case == "no-grid":
+        ts = TransformationSet(ts.source_matrix, shape, "wrap")
+    rows = 3 if case == "per-class-rows" else 2
+    with pytest.raises(ValueError, match=match):
+        ThmmModel(transforms=ts, mu=np.zeros((2, 4)), phi=np.ones((2, 4)),
+                  psi=np.ones(4), pi_s=np.full((2, 4), 1 / 8),
+                  class_trans=np.full((2, 2), 0.5),
+                  motion=uniform_motion(1.0, n_classes=rows))
+
+
+def test_viterbi_track_and_the_one_state_margin():
+    model = random_thmm(55, grid=(3, 3), shape=ImageShape(3, 3), threshold=1.0,
+                        per_class=True)
+    frames, _ = sample_sequence(model, 12, seed=56)
+    path = viterbi(model, frames)
+    out = track(model, frames, use_viterbi=True)
+    assert np.array_equal(out[:, 0], path[:, 0])
+    assert np.array_equal(out[:, 1:3], model.transforms.grid_offsets()[path[:, 1]])
+
+    one = ThmmModel(transforms=make_grid_set(ImageShape(2, 2), 1, 1),
+                    mu=np.zeros((1, 4)), phi=np.ones((1, 4)), psi=np.ones(4),
+                    pi_s=np.ones((1, 1)), class_trans=np.ones((1, 1)),
+                    motion=uniform_motion(0.0))
+    for use_viterbi in (False, True):
+        margin = track(one, frames[:4, :4], use_viterbi=use_viterbi)[:, 3]
+        assert np.all(margin == np.inf)

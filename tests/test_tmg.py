@@ -26,7 +26,7 @@ def random_tmg(seed, shape=ImageShape(2, 2), offsets=((0, 0), (0, 1)), C=2,
     n, L = shape.n, len(offsets)
     pi = rng.dirichlet(np.ones(C) * 5)
     rho = rng.dirichlet(np.ones(L) * 5, size=C).T
-    return TmgModel(shape=shape, transforms=ts, pi=pi,
+    return TmgModel(transforms=ts, pi=pi,
                     mu=rng.uniform(-1, 1, (C, n)),
                     phi=rng.uniform(0.3, 1.5, (C, n)),
                     rho=rho,
@@ -48,7 +48,7 @@ def test_cond_loglik_mode():
     shape = ImageShape(2, 2)
     ts = identity_set(shape)
     floor = 1e-4
-    model = TmgModel(shape=shape, transforms=ts, pi=np.ones(1),
+    model = TmgModel(transforms=ts, pi=np.ones(1),
                      mu=np.array([[0.2, 0.4, 0.6, 0.8]]),
                      phi=np.full((1, 4), floor),
                      rho=np.ones((1, 1)), psi=np.full(4, 0.3))
@@ -84,7 +84,7 @@ def test_posterior_argmax_recovers_construction():
     mu = np.zeros((2, 9))
     mu[0, 4] = 1.0              # single lit pixel
     mu[1, [0, 5]] = 1.0, 0.7    # asymmetric two-pixel pattern
-    model = TmgModel(shape=shape, transforms=ts, pi=np.array([0.5, 0.5]),
+    model = TmgModel(transforms=ts, pi=np.array([0.5, 0.5]),
                      mu=mu, phi=np.full((2, 9), 1e-4),
                      rho=np.full((9, 2), 1.0 / 9),
                      psi=np.full(9, 1e-4))
@@ -148,7 +148,7 @@ def test_em_single_datum_mean_converges():
     shape = ImageShape(2, 2)
     ts = identity_set(shape)
     x = np.array([[0.1, 0.9, -0.4, 0.3]])
-    model = TmgModel(shape=shape, transforms=ts, pi=np.ones(1),
+    model = TmgModel(transforms=ts, pi=np.ones(1),
                      mu=np.zeros((1, 4)), phi=np.full((1, 4), 1.0),
                      rho=np.ones((1, 1)), psi=np.full(4, 1.0))
     opts = EmOptions(floor=1e-9)
@@ -191,7 +191,7 @@ def test_em_rescues_starved_cluster():
     ts = identity_set(shape)
     X = np.random.default_rng(0).normal(0.0, 0.1, (20, 4))
     # cluster 1 sits impossibly far away with minuscule prior mass
-    model = TmgModel(shape=shape, transforms=ts, pi=np.array([1 - 1e-12, 1e-12]),
+    model = TmgModel(transforms=ts, pi=np.array([1 - 1e-12, 1e-12]),
                      mu=np.stack([np.zeros(4), np.full(4, 500.0)]),
                      phi=np.full((2, 4), 1e-4), rho=np.ones((1, 2)),
                      psi=np.full(4, 1e-4))
@@ -239,7 +239,7 @@ def test_sampling_statistics_and_determinism():
     assert np.all(np.abs(draws.mean(axis=0) - mean_true) <= 3 * stderr)
 
     floor = 1e-8
-    near_det = TmgModel(shape=model.shape, transforms=identity_set(model.shape),
+    near_det = TmgModel(transforms=identity_set(model.shape),
                         pi=np.ones(1), mu=model.mu[:1],
                         phi=np.full((1, 4), floor), rho=np.ones((1, 1)),
                         psi=np.full(4, floor))

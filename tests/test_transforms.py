@@ -232,6 +232,24 @@ def test_validation_errors():
         TransformationSet(np.arange(15)[None], shape, "wrap")
 
 
+SET_REFUSALS = {  # keyword arguments beside a 4-op 2x2 table, message
+    "boundary": ({"boundary": "mirror"}, "boundary must be one of"),
+    "grid-size": ({"grid": (3, 3)}, "grid dims inconsistent with op count"),
+    "params-length": ({"params": ((0.0, 0.0),) * 3},
+                      "params length must match op count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SET_REFUSALS))
+def test_set_refuses_a_bad_boundary_grid_or_params(case):
+    shape = ImageShape(2, 2)
+    table = np.stack([shift_op(shape, di, dj).source_index
+                      for di in (0, 1) for dj in (0, 1)])
+    kwargs, match = SET_REFUSALS[case]
+    with pytest.raises(ValueError, match=match):
+        TransformationSet(table, shape, **{"boundary": "wrap", **kwargs})
+
+
 def test_batched_apply():
     op = shift_op(ImageShape(3, 3), 1, 2, "zero")
     rng = np.random.default_rng(3)
