@@ -380,16 +380,37 @@ def _fft_rows(transforms, loadings, psi):
     return None if rows is None or psi.min() != psi.max() else rows
 
 
-def _spectra(shape, *images):
-    """2-D real spectra of (..., n) pixel arrays, one per argument."""
-    stack = np.stack(images)
-    return np.fft.rfft2(stack.reshape(stack.shape[:-1] + (shape.height, shape.width)))
-
-
-def _unspectra(shape, spec):
-    """Pixel arrays (..., n) from `_spectra`-style 2-D spectra."""
+def _spectra(shape, *images, out=None):
+    """2-D real spectra of (..., n) pixel arrays, one per argument, with the
+    bits of `np.fft.rfft2`, written to `out` (a fresh complex block when it
+    is not given): each image is transformed along its rows, then the block
+    in place along its columns."""
     h, w = shape.height, shape.width
-    return np.fft.irfft2(spec, s=(h, w)).reshape(spec.shape[:-2] + (h * w,))
+    if out is None:
+        out = np.empty((len(images),) + images[0].shape[:-1] + (h, w // 2 + 1), dtype=complex)
+    for image, spec in zip(images, out):
+        np.fft.rfft(image.reshape(image.shape[:-1] + (h, w)), axis=-1, out=spec)
+    return np.fft.fft(out, axis=-2, out=out)
+
+
+def _unspectra(shape, spec, out=None):
+    """Pixel arrays (..., n) from `_spectra`-style 2-D spectra, with the bits
+    of `np.fft.irfft2`, written to `out` when it is given.  `spec` is spent:
+    the transform along the columns runs in place, then the one along the
+    rows writes the pixels."""
+    h, w = shape.height, shape.width
+    if out is None:
+        out = np.empty(spec.shape[:-2] + (h * w,))
+    np.fft.ifft(spec, axis=-2, out=spec)
+    np.fft.irfft(spec, n=w, axis=-1, out=out.reshape(spec.shape[:-2] + (h, w)))
+    return out
+
+
+def _floats(block, shape):
+    """A float array of `shape` over the memory of the contiguous complex
+    work array `block`, whose contents are spent and which holds at least
+    as many bytes."""
+    return block.view(np.float64).reshape(-1)[:int(np.prod(shape))].reshape(shape)
 
 
 def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
@@ -481,26 +502,36 @@ def _fft_stats(shape, rows, W, Xc, Xc2, mu_c, phi, psi):
     wrap grid with one sensor variance psi, op l the shift d_l = rows[l]
     (`TransformationSet.wrap_rows`), by the correlation identities there.
     A correlation with W_t multiplies spectra by conj(F W_t), a convolution
-    by F W_t."""
+    by F W_t.  The full-size work is one complex block (the frames'
+    spectra, then per cluster two products and the weights' spectra) and
+    one float block (the weights laid out over the shifts, then the two
+    convolutions), written in place."""
     b = 1.0 / psi
-    fx, fx2 = _spectra(shape, Xc, Xc2)
+    T, n = Xc.shape
     sums = np.empty((3,) + mu_c.shape)
-    Wd = np.empty_like(Xc)
+    spectra = np.empty((5, T, shape.height, shape.width // 2 + 1), dtype=complex)
+    pixels = np.empty((2, T, n))
+    fx, fx2 = _spectra(shape, Xc, Xc2, out=spectra[:2])
+    prod, fw = spectra[2:4], spectra[4]
     for c in range(mu_c.shape[0]):
         var = 1.0 / (1.0 / phi[c] + b)
         a, r2 = mu_c[c] / phi[c], (var / phi[c]) ** 2
-        Wd[:, rows] = W[:, :, c]            # rows is a permutation of the shifts
+        pixels[0][:, rows] = W[:, :, c]         # rows is a permutation of the shifts
         tot = float(W[:, :, c].sum())
-        fw = _spectra(shape, Wd)[0]
-        fw_conj = np.conj(fw)
-        A, Q = _unspectra(shape, np.stack([(fx * fw_conj).sum(axis=0),
-                                           (fx2 * fw_conj).sum(axis=0)]))
+        _spectra(shape, pixels[0], out=spectra[4:])
+        np.conjugate(fw, out=prod[1])
+        np.multiply(fx, prod[1], out=prod[0])
+        np.multiply(fx2, prod[1], out=prod[1])
+        A, Q = _unspectra(shape, prod.sum(axis=1))
         sums[0, c] = var * (tot * a + b * A)
         sums[1, c] = var * var * (tot * a * a + 2.0 * a * b * A + b * b * Q) + tot * var
         g = _spectra(shape, r2, r2 * mu_c[c], r2 * mu_c[c] * mu_c[c] + var)
-        conv = _unspectra(shape, fw * g[:2, None])
+        np.multiply(fw, g[:2, None], out=prod)
         spread = _unspectra(shape, fw.sum(axis=0) * g[2])
-        sums[2, c] = (Xc2 * conv[0]).sum(axis=0) - 2.0 * (Xc * conv[1]).sum(axis=0) + spread
+        conv = _unspectra(shape, prod, out=pixels)
+        conv[0] *= Xc2
+        conv[1] *= Xc
+        sums[2, c] = conv[0].sum(axis=0) - 2.0 * conv[1].sum(axis=0) + spread
     return sums
 
 

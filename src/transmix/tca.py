@@ -22,7 +22,7 @@ import numpy as np
 
 from .common import (EmOptions, PosteriorSummary, _GaussianModel, _diag_quad,
                      _factor_posterior, _fft_rows, _fit, _frames, _latent_posterior,
-                     _observed, _record, _spectra, _unspectra)
+                     _floats, _observed, _record, _spectra, _unspectra)
 from .transforms import TransformationSet, apply
 from . import mtca as _mtca
 
@@ -158,17 +158,34 @@ def _fft_loglik(shape, rows, mu, v, X, X2):
     The table is (L, T, C) in memory, the gather's order: sums over it add
     in memory order, so the layout fixes their rounding.  Every cluster goes
     through one forward and one inverse transform call, and each column has
-    the bits of a one-cluster call."""
-    T, C = X.shape[0], mu.shape[0]
-    table = np.empty((len(rows), T, C)).transpose(1, 0, 2)
-    fx, fx2 = _spectra(shape, X, X2)
+    the bits of a one-cluster call.  The full-size work, written in place,
+    is one complex block (the frames' spectra, then the clusters' (C, T)
+    spectra) and the table's own memory, which holds the second spectra
+    product and then the transform's pixels before the table itself."""
+    T, C, n = X.shape[0], mu.shape[0], shape.n
     inv = 1.0 / v
     mean_inv = mu * inv
-    const = -0.5 * (np.log(v).sum(axis=1) + shape.n * _LOG2PI + (mu * mean_inv).sum(axis=1))
+    const = -0.5 * (np.log(v).sum(axis=1) + n * _LOG2PI + (mu * mean_inv).sum(axis=1))
     f_inv, f_mean = np.conj(_spectra(shape, inv, mean_inv))[:, :, None]
-    quad = _unspectra(shape, fx2 * f_inv - 2.0 * fx * f_mean)      # (C, T, n)
-    table[...] = const - 0.5 * quad[:, :, rows].transpose(1, 2, 0)
-    return table
+    work = np.empty((C + 2, T, shape.height, shape.width // 2 + 1), dtype=complex)
+    prod = np.empty((C,) + work.shape[1:], dtype=complex)     # the table's memory
+    fx, fx2 = _spectra(shape, X, X2, out=work[:2])
+    spec = work[2:]
+    fx *= 2.0
+    np.multiply(fx2, f_inv, out=spec)
+    np.multiply(fx, f_mean, out=prod)
+    spec -= prod
+    quad = _unspectra(shape, spec, out=_floats(prod, (C, T, n)))
+    quad *= -0.5
+    quad += const[:, None, None]          # const - quad / 2, with the same bits
+    # op l's entries sit at pixel rows[l]: the pixels go to (n, T, C) order
+    # in the spent spectra, then each op's row is gathered into the table
+    by_pixel = _floats(work, (n, T, C))
+    np.copyto(by_pixel, quad.transpose(2, 1, 0))
+    # rows are in range: "clip" skips the check, and the buffered output
+    # that np.take's default "raise" writes through
+    table = np.take(by_pixel, rows, axis=0, out=_floats(prod, (len(rows), T, C)), mode="clip")
+    return table.transpose(1, 0, 2)
 
 
 def loglik_table(model: TcaModel, X) -> np.ndarray:

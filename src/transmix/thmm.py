@@ -75,6 +75,13 @@ def motion_offsets(threshold: float) -> np.ndarray:
     return np.stack([di[keep], dj[keep]], axis=1)
 
 
+def _check_threshold(threshold: float) -> None:
+    """Refuse a motion threshold that is negative, NaN or infinite; 0 keeps
+    only the stay-put displacement."""
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"motion threshold must be finite and >= 0, got {threshold}")
+
+
 def _table_shape(mode: str, threshold: float) -> tuple[int, ...]:
     """Shape of one class's motion table."""
     r = int(math.floor(threshold))
@@ -117,11 +124,14 @@ class MotionPrior:
     def __post_init__(self):
         if self.mode not in ("vector", "magnitude"):
             raise ValueError("mode must be 'vector' or 'magnitude'")
+        _check_threshold(self.threshold)
         self.table = np.asarray(self.table, dtype=np.float64)
         want = _table_shape(self.mode, self.threshold)
         got = self.table.shape[1:] if self.per_class else self.table.shape
         if got != want:
             raise ValueError(f"table shape {got} does not match mode/threshold {want}")
+        if self.per_class and not len(self.table):
+            raise ValueError("n_classes must be >= 1: the per-class motion table has no rows")
         if np.any(self.table < 0):
             raise ValueError("motion table entries must be nonnegative")
         flat = self._flat()
@@ -161,6 +171,9 @@ def uniform_motion(threshold: float = 3.0, mode: str = "vector",
     """Uniform-over-bins motion prior within the threshold: one table shared
     by every class (n_classes None), or n_classes copies of it stacked on a
     leading class axis, conditioned on the previous frame's class."""
+    _check_threshold(threshold)
+    if n_classes is not None and n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1 (or None), got {n_classes}")
     table = np.zeros(_table_shape(mode, threshold))
     table.reshape(-1)[_bins(mode, threshold, motion_offsets(threshold))] = 1.0
     table = table / table.sum()
@@ -496,8 +509,11 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
     keeps its exact tiny values.
     """
     X = _frames(frames, model.n)
-    emis = emission_table(model, X)
-    dyn = _Dynamics(model)
+    return _smoothed(model, emission_table(model, X), _Dynamics(model))
+
+
+def _smoothed(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics) -> SequencePosterior:
+    """`forward_backward` over a sequence's emission table and dynamics."""
     fwd = _forward(model, emis, dyn)
     gamma, xi_class, xi_moves = _backward(model, emis, dyn, fwd)
     xi_bins = _pool_motion(model.motion, xi_moves[:, dyn.fold] * dyn.share)
@@ -528,8 +544,11 @@ def viterbi(model: ThmmModel, frames) -> np.ndarray:
     """MAP state path as (T, 2) (class, op) indices; among tied candidates
     the smallest lumped index c * L + l wins."""
     X = _frames(frames, model.n)
-    emis = emission_table(model, X)
-    dyn = _Dynamics(model)
+    return _viterbi(model, emission_table(model, X), _Dynamics(model))
+
+
+def _viterbi(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics) -> np.ndarray:
+    """`viterbi` over a sequence's emission table and dynamics."""
     T, C, L = emis.shape
     with np.errstate(divide="ignore"):
         log_trans = np.log(model.class_trans)[:, :, None]
@@ -627,11 +646,16 @@ def fit(model: ThmmModel, sequences, iterations: int,
     return _fit(_em_step_full, model, sequences, iterations, options, tol, callback)
 
 
-def _map_states(model: ThmmModel, frames, use_viterbi: bool):
+def _map_states(model: ThmmModel, frames, use_viterbi: bool, smoothed: bool = False):
+    """(X, states, post): each frame's (class, op) from the Viterbi path or
+    the smoothed marginals, and the smoothed posterior when it was formed
+    (always, with `smoothed`), else None.  The emission table and the
+    dynamics are built once for both."""
     X = _frames(frames, model.n)
+    emis, dyn = emission_table(model, X), _Dynamics(model)
+    post = _smoothed(model, emis, dyn) if smoothed or not use_viterbi else None
     if use_viterbi:
-        return X, viterbi(model, X), None
-    post = forward_backward(model, X)
+        return X, _viterbi(model, emis, dyn), post
     best = post.gamma.reshape(X.shape[0], -1).argmax(axis=1)
     return X, np.stack(np.divmod(best, model.L), axis=1), post
 
@@ -671,9 +695,7 @@ def _latent_means(model: ThmmModel, X, c, l) -> np.ndarray:
 def track(model: ThmmModel, frames, use_viterbi: bool = False):
     """Per-frame (class, di, dj, log-margin) from the smoothed-MAP states
     (or the Viterbi path), decoded through the shift grid."""
-    X, states, post = _map_states(model, frames, use_viterbi)
-    if post is None:
-        post = forward_backward(model, X)
+    X, states, post = _map_states(model, frames, use_viterbi, smoothed=True)
     T = X.shape[0]
     flat = post.gamma.reshape(T, -1)
     order = np.sort(flat, axis=1)

@@ -15,6 +15,16 @@ pixel appended: a gather yields 0 where a pixel has no counterpart, with no
 mask.  `TransformationSet.padded_source` maps each observed pixel to the
 latent pixel it reads, `TransformationSet.padded_dest` each latent pixel to
 the observed pixel it lands on.
+
+Which tables exist when.  A set made from a table (a caller's, a `.txm`
+file's, or that of any builder but the one below) holds `source_matrix`,
+`padded_source` and `padded_dest` from construction, after one validation.
+A full wrap grid from `build_translation_set` (every shift of the image
+once, a 1x1 identity set included) holds only its (L,) `wrap_rows`, which
+is all the FFT kernels read; the first read of any of its three (L, n)
+tables builds all three, unvalidated, since such a grid is injective by
+construction.  With no VOID pixel, its `padded_source` is its `source_matrix`
+itself: at 63x63 the tables hold 240 MiB.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ ZERO = "zero"
 _BOUNDARIES = (WRAP, ZERO)
 # rows of the (L, n) table compared at a time by `TransformationSet.wrap_rows`
 _COMPARE_BLOCK = 256
+# the (L, n) tables of a `TransformationSet`, in the order `_hold` takes them
+_TABLES = ("source_matrix", "padded_source", "padded_dest")
 
 # Default shear+translate family: 7 shear slopes (quarter-pixel-per-row
 # steps) crossed with horizontal shifts {-2, 0, 2}, plus 8 small combined
@@ -76,7 +88,10 @@ class TransformationSet:
     pixel copied to output pixel p, or ``VOID`` when p has no source (a zero
     row of G).  Every op must be injective, no input pixel copied twice,
     which the constructor checks once over the whole table as it builds
-    `padded_source` and `padded_dest`.
+    `padded_source` and `padded_dest`.  A full wrap grid from
+    `build_translation_set` is made without its tables: it holds `L` and
+    `wrap_rows`, and the first read of ``source_matrix``, `padded_source` or
+    `padded_dest` builds all three (see the module docstring).
 
     ``grid``, when present, is ``(M_v, M_h)`` and op ``l = i * M_h + j`` is
     the integer shift by ``(i - M_v // 2, j - M_h // 2)``.  ``params`` keeps
@@ -122,10 +137,35 @@ class TransformationSet:
             l = int(np.nonzero(clash)[0][0])
             raise ValueError(f"op {l} is not injective: it copies one "
                              "source pixel to several output pixels")
-        object.__setattr__(self, "source_matrix", _read_only(src))
-        object.__setattr__(self, "padded_source", _read_only(padded))
-        object.__setattr__(self, "padded_dest",
-                           _read_only(dest.reshape(L, n + 1)[:, :n].copy()))
+        self._hold(src, padded, dest.reshape(L, n + 1)[:, :n].copy())
+
+    @classmethod
+    def _full_wrap_grid(cls, shape: ImageShape, di, dj, params) -> TransformationSet:
+        """The grid of every wrap shift (di[l], dj[l]) of `shape` once,
+        without its (L, n) tables: op l lands latent pixel 0 on observed
+        pixel (di mod h) w + dj mod w, its `wrap_rows` entry."""
+        ts = object.__new__(cls)
+        ts.__dict__.update(
+            shape=shape, boundary=WRAP, grid=(shape.height, shape.width),
+            params=params, kind="translate", L=len(di), has_void=False,
+            wrap_rows=_read_only(di % shape.height * shape.width + dj % shape.width))
+        return ts
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the tables of a
+        # full wrap grid, built all three together on the first read of one
+        if name not in _TABLES or "wrap_rows" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        di, dj = np.divmod(self.wrap_rows, self.shape.width)
+        src = _shift_table(self.shape, di, dj, WRAP)
+        # no pixel is VOID, so the padded table is the table itself; op l
+        # reads pixel p - d_l, so it lands latent pixel q on q + d_l
+        self._hold(src, src, _shift_table(self.shape, -di, -dj, WRAP))
+        return self.__dict__[name]
+
+    def _hold(self, *tables: np.ndarray) -> None:
+        for name, table in zip(_TABLES, tables):
+            object.__setattr__(self, name, _read_only(table))
 
     def __len__(self) -> int:
         return self.L
@@ -136,11 +176,11 @@ class TransformationSet:
     def __iter__(self):
         return (TransformOp(self, l) for l in range(self.L))
 
-    @property
+    @cached_property
     def L(self) -> int:
         return self.source_matrix.shape[0]
 
-    @property
+    @cached_property
     def has_void(self) -> bool:
         return bool((self.source_matrix < 0).any())
 
@@ -153,6 +193,7 @@ class TransformationSet:
         pixel d_l, so its candidate row is ``padded_dest[l, 0]``.  The cheap
         tests (boundary, L == n, one op per row) come first; the whole table
         is compared once per set, in blocks of rows to bound the temporaries.
+        A builder-made full wrap grid holds its rows from the build.
         """
         n = self.shape.n
         if self.boundary != WRAP or self.L != n:
@@ -303,6 +344,8 @@ def build_translation_set(shape: ImageShape, shifts_v: int, shifts_h: int,
     i, j = np.divmod(np.arange(shifts_v * shifts_h), shifts_h)
     di, dj = i - shifts_v // 2, j - shifts_h // 2
     params = tuple(zip(di.astype(float).tolist(), dj.astype(float).tolist()))
+    if boundary == WRAP and (shifts_v, shifts_h) == (shape.height, shape.width):
+        return TransformationSet._full_wrap_grid(shape, di, dj, params)
     return TransformationSet(_shift_table(shape, di, dj, boundary), shape, boundary,
                              grid=(shifts_v, shifts_h), params=params,
                              kind="translate")

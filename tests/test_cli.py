@@ -328,6 +328,16 @@ def test_train_refuses_counts_below_their_least_value(key, value, tmp_path):
     assert not (tmp_path / "out" / "model.txm").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_train_through_main_refuses_a_bad_motion_threshold(value, tmp_path):
+    man_path = tmp_path / "man.txt"
+    man_path.write_text(SMALL)
+    with pytest.raises(ValueError, match="motion threshold must be finite and >= 0"):
+        main(["train", "--manifest", str(man_path), "--out", str(tmp_path / "out"),
+              "--set", f"motion.threshold={value}"])
+    assert not (tmp_path / "out" / "model.txm").exists()
+
+
 def test_eval_names_the_file_and_column_of_a_bad_csv(tmp_path):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     good.write_text("t,class,i,j\n0,1,2,3\n")

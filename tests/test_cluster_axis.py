@@ -116,9 +116,9 @@ def _count(monkeypatch, module, name, counts, where=(), test=None):
     modules `where` as well; with `test`, only the calls it accepts."""
     real = getattr(module, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         counts[name] = counts.get(name, 0) + (test is None or test(*args))
-        return real(*args)
+        return real(*args, **kwargs)
 
     for m in (module, *where):
         monkeypatch.setattr(m, name, spy)

@@ -10,7 +10,7 @@ import pytest
 from transmix import EmOptions, ImageShape, TransformationSet, build_translation_set
 from transmix import common, mtca, tca, thmm, tmg
 from transmix.common import _fft_stats, gaussian_template_stats
-from transmix.transforms import wrap_shift_index
+from transmix.transforms import _TABLES, wrap_shift_index
 
 from oracles import template_stats_dense, tmg_loglik_dense
 
@@ -206,3 +206,64 @@ def test_posterior_resp_on_a_large_tied_grid_holds_no_op_by_pixel_block():
     finally:
         tracemalloc.stop()
     assert peak < block
+
+
+def _peak(call):
+    """Peak traced memory of `call()` in bytes, after one untraced call has
+    filled numpy's FFT plan caches."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_fft_kernels_write_their_work_in_place():
+    """At 23 x 23, T = 32, C = 4 and tied psi, in sizes of the (T, L, C)
+    table: the emission peaks at 3.54 (the table's memory, one block of
+    spectra and the centred frames), the statistics at 2.84.  The chains of
+    fresh temporaries they replaced peaked at 5.34 and 4.14."""
+    side, T, C = 23, 32, 4
+    ts = build_translation_set(ImageShape(side, side), side, side, "wrap")
+    mu, phi, psi, X, W = _stacked(ts, seed=4, C=C, T=T)
+    no_factors = np.zeros((C, ts.shape.n, 0))
+    table = T * ts.L * C * 8
+    assert _peak(lambda: tca.cluster_loglik(ts, mu, no_factors, phi, psi, X)) < 4.0 * table
+    assert _peak(lambda: gaussian_template_stats(
+        ts, mu, no_factors, phi, psi, X, W)) < 3.25 * table
+
+
+def _holds_no_table(ts):
+    return not any(name in vars(ts) for name in _TABLES)
+
+
+def test_a_63x63_wrap_grid_trains_in_bounded_memory_without_its_tables():
+    """The grid holds its (L,) rows, not three (L, n) tables of 126 MB
+    each, and one tied-psi EM step on it stays under 100 MB."""
+    side = 63
+    tracemalloc.start()
+    try:
+        ts = build_translation_set(ImageShape(side, side), side, side, "wrap")
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    model, X = _model(tmg, ts, seed=3)
+    X = X[:3]
+    tracemalloc.start()
+    try:
+        tmg.em_step(model, X, EmOptions(tie_psi=True))
+        assert tracemalloc.get_traced_memory()[1] < 100e6
+    finally:
+        tracemalloc.stop()
+    assert _holds_no_table(ts)
+
+
+def test_the_fft_path_reads_no_table():
+    ts = build_translation_set(ImageShape(FFT_SIDE, FFT_SIDE), FFT_SIDE, FFT_SIDE, "wrap")
+    model, X = _model(tmg, ts)
+    tmg.loglik(model, X)
+    tmg.posterior(model, X[0]).resp
+    assert _holds_no_table(ts) and ts.wrap_rows is not None

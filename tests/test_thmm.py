@@ -906,6 +906,10 @@ def _broken_motion_table(mode, case):
         return 2 * good
     if case == "per-class-sum":
         return np.stack([good, 2 * good])
+    if case == "no-classes":
+        return good[None][:0]
+    if case in BAD_THRESHOLDS:
+        return good
     beyond = good.copy()
     beyond[0, 0] = beyond[1, 1]  # the corner (-1, -1) lies beyond radius 1
     return beyond / beyond.sum()
@@ -919,7 +923,14 @@ MOTION_REFUSALS = {
     "sum": r"must sum to 1 \(per class\)",
     "per-class-sum": r"must sum to 1 \(per class\)",
     "beyond": "mass beyond the threshold",
+    "no-classes": "n_classes must be >= 1",
+    "negative-threshold": r"threshold must be finite and >= 0, got -1\.0",
+    "nan-threshold": "threshold must be finite and >= 0, got nan",
+    "inf-threshold": "threshold must be finite and >= 0, got inf",
 }
+# a good table under each of these thresholds
+BAD_THRESHOLDS = {"negative-threshold": -1.0, "nan-threshold": np.nan,
+                  "inf-threshold": np.inf}
 # every magnitude bin holds some displacement within the threshold, so only
 # a vector table can put mass beyond it
 MOTION_CASES = [f"{mode}-{case}" for mode in ("vector", "magnitude")
@@ -928,9 +939,17 @@ MOTION_CASES = [f"{mode}-{case}" for mode in ("vector", "magnitude")
 
 @pytest.mark.parametrize("name", MOTION_CASES)
 def test_motion_prior_refuses_a_bad_table(name):
+    """...or a bad threshold or class count, in `MotionPrior` and in
+    `uniform_motion` alike; threshold 0, the stay-put prior, is valid."""
     mode, case = name.split("-", 1)
+    threshold = BAD_THRESHOLDS.get(case, 1.0)
     with pytest.raises(ValueError, match=MOTION_REFUSALS[case]):
-        MotionPrior(mode=mode, threshold=1.0, table=_broken_motion_table(mode, case))
+        MotionPrior(mode=mode, threshold=threshold, table=_broken_motion_table(mode, case))
+    if case in BAD_THRESHOLDS or case == "no-classes":
+        with pytest.raises(ValueError, match=MOTION_REFUSALS[case]):
+            uniform_motion(threshold, mode, n_classes=0 if case == "no-classes" else None)
+    stay = uniform_motion(0.0, mode, n_classes=2)
+    assert stay.offsets.tolist() == [[0, 0]] and stay.weights().tolist() == [[1.0], [1.0]]
 
 
 @pytest.mark.parametrize("mode", ["vector", "magnitude"])
@@ -976,3 +995,36 @@ def test_viterbi_track_and_the_one_state_margin():
     for use_viterbi in (False, True):
         margin = track(one, frames[:4, :4], use_viterbi=use_viterbi)[:, 3]
         assert np.all(margin == np.inf)
+
+
+@pytest.mark.parametrize("task", ["track", "track-viterbi", "denoise-soft", "denoise-hard",
+                                  "stabilize-viterbi"])
+def test_each_decoding_builds_the_emission_table_and_dynamics_once(task, monkeypatch):
+    """Viterbi tracking reads the smoothed margins too, from the same
+    emission table and dynamics; its path and margins keep their bits."""
+    model = random_thmm(57, grid=(3, 3), shape=ImageShape(3, 3), C=2)
+    frames, _ = sample_sequence(model, 10, seed=58)
+    path, post = viterbi(model, frames), forward_backward(model, frames)
+    smoothed_margin = track(model, frames)[:, 3]
+    counts = {"emission_table": 0, "_Dynamics": 0}
+    for name in counts:
+        real = getattr(thmm_mod, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(thmm_mod, name, counted)
+    kind, _, how = task.partition("-")
+    if kind == "track":
+        out = track(model, frames, use_viterbi=how == "viterbi")
+    elif kind == "denoise":
+        out = denoise(model, frames, mode=how)
+    else:
+        out = stabilize(model, frames, use_viterbi=True)
+    assert counts == {"emission_table": 1, "_Dynamics": 1}
+    if task == "track-viterbi":
+        assert np.array_equal(out[:, 0], path[:, 0])
+        assert np.array_equal(out[:, 3], smoothed_margin)
+    if task == "track":
+        best = post.gamma.reshape(len(frames), -1).argmax(axis=1)
+        assert np.array_equal(out[:, 0], best // model.L)

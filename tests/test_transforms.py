@@ -8,7 +8,7 @@ from transmix import (DEFAULT_SHEAR_FAMILY, ImageShape, TransformOp,
                       build_shear_translation_set, build_translation_set,
                       identity_set, shear_translate_op, shift_op,
                       transform_diag_cov)
-from transmix.transforms import wrap_shift_index
+from transmix.transforms import _TABLES, wrap_shift_index
 
 from oracles import dense_matrix, padded_tables, shear_index, shift_index
 
@@ -302,6 +302,37 @@ def test_wrap_rows_maps_a_full_wrap_grid_onto_wrap_shift_index():
         assert not rows.flags.writeable
         assert s.wrap_rows is rows
     assert shuffled.wrap_rows.tolist() == order.tolist()
+
+
+def _lazy_grid(h, w):
+    """A full wrap grid as `build_translation_set` makes one, with its
+    centred shifts; for even sides too, which the builder's odd counts
+    leave out."""
+    shape = ImageShape(h, w)
+    if h % 2 and w % 2:
+        return build_translation_set(shape, h, w, "wrap")
+    i, j = np.divmod(np.arange(shape.n), w)
+    di, dj = i - h // 2, j - w // 2
+    params = tuple(zip(di.astype(float).tolist(), dj.astype(float).tolist()))
+    return TransformationSet._full_wrap_grid(shape, di, dj, params)
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (2, 5), (4, 6), (7, 7), (23, 23)])
+def test_a_full_wrap_grid_builds_the_tables_of_its_source_matrix_on_first_read(h, w):
+    ts = _lazy_grid(h, w)
+    assert not set(_TABLES) & set(vars(ts))
+    assert (ts.L, ts.has_void, ts.grid, ts.kind) == (h * w, False, (h, w), "translate")
+    rows = ts.wrap_rows
+    assert ts.padded_dest is ts.padded_dest
+    want = TransformationSet(ts.source_matrix, ts.shape, "wrap", grid=ts.grid,
+                             params=ts.params, kind=ts.kind)
+    for name in _TABLES:
+        got = getattr(ts, name)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, getattr(want, name))
+    assert np.array_equal(want.wrap_rows, rows) and not rows.flags.writeable
+    with pytest.raises(AttributeError):
+        ts.missing
 
 
 def _one_row_permuted(shape):
