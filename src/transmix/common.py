@@ -291,12 +291,13 @@ def _padded(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.concatenate([a, np.zeros_like(np.take(a, [0], axis=axis))], axis=axis)
 
 
-def _padded_product(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
-    """a @ b padded along `axis` like `_padded`.  The product is written
-    into the padded block, so its bits are those of a @ b: a product with
-    padded data can take another BLAS kernel and round differently."""
-    out = np.zeros((a.shape[0] + (axis == 0), b.shape[1] + (axis == 1)))
-    np.matmul(a, b, out=out[:a.shape[0], :b.shape[1]])
+def _padded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with one zero column appended, like `_padded`.  The product is
+    written into the padded block, so its bits are those of a @ b: a
+    product with padded data can take another BLAS kernel and round
+    differently."""
+    out = np.zeros((a.shape[0], b.shape[1] + 1))
+    np.matmul(a, b, out=out[:, :-1])
     return out
 
 
@@ -413,7 +414,7 @@ def _floats(block, shape):
     return block.view(np.float64).reshape(-1)[:int(np.prod(shape))].reshape(shape)
 
 
-def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
+def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W, posterior=None):
     """Weighted posterior-moment sums of C latent component analyzers.
 
     Cluster c's latent image z = mu[c] + loadings[c] y + N(0, diag phi[c]),
@@ -433,13 +434,23 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     pixels that land in the image and 0 elsewhere, does not depend on the
     datum, and E[z | y] = var * (mu/phi + b * x[dst]) + r * loadings y with
     r = var/phi.  So at K = 0 the data enter only through A = W.T @ X,
-    Q = W.T @ (X*X) and w = W.sum(0), then O(L n) gathers at the padded
-    indices (see the `transforms` module docstring).  An observed pixel's
-    residual is r * (x - mu - loadings y) at its source pixel, r^2 (Q -
-    2 mu A + mu^2 w) summed at K = 0; a pixel with no source keeps its
-    whole x^2, Q.  With factors, U = E[y] per (t, l) of `_factor_posterior`
-    is affine in x too, and the factor terms read only sum_t w U U^T,
-    X^T (w U) (gathered at dst) and w y_cov.
+    Q = W.T @ (X*X) and w = W.sum(0), each gathered once at the padded
+    destinations (see the `transforms` module docstring), and the sums
+    over ops are products: sum_l w var = w @ var, and so on.  An observed
+    pixel's residual is r * (x - mu - loadings y) at its source pixel.  It
+    is formed per op at the latent pixel that lands there, R^2 (Q - 2 mu A
+    + mu^2 w)[dst] + w var at K = 0, and one `np.bincount` over dst
+    scatters every op's residual to the observed pixels (a latent pixel
+    that lands on none falls into a dropped bin n); a pixel with no source
+    keeps its whole x^2.  With factors, U = E[y] per (t, l) is affine in x
+    too, and the factor terms read only sum_t w U U^T, (w U)^T X (in
+    (op, K, n) layout, gathered at dst) and w y_cov, summed over ops as
+    (n, K) and (n, K^2) products with r, r var and r^2.  U and y_cov are
+    the factor posterior of `_factor_posterior`: the one an exact EM step's
+    emission formed, handed over as `posterior` (per cluster, y_cov (L, K,
+    K) and U (T, L, K), of which each block reads its ops), or else formed
+    here for the block's ops.  The fast likelihood's emission drops psi, so
+    its posterior is not this one and is never handed over.
 
     Those expanded squares cancel when the data sit far from zero, so X
     (once for all clusters) and mu are first centred on the batch's mean
@@ -453,8 +464,9 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
     a cluster with no live op gets mass 0, which the M-step rescues.  The
     zeros are the E-step's own (`_normalise` cuts at e^CUT; THMM's gamma is
     0 below e^-746); no further cut is made.  The live ops go in blocks of
-    `_STATS_BLOCK` (a slice where they are consecutive), so the temporaries
-    stay (block, n) and (block, n, K) however large L is.
+    `_STATS_BLOCK` (a slice where they are consecutive), one cluster at a
+    time, so the temporaries stay (block, n) and (block, K, n) however
+    large L and C are.
 
     At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`),
     b, var and r are the same for every op, op l carries latent pixel q to
@@ -486,10 +498,14 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W):
                 # consecutive ops as a slice: a view, where an index copies
                 if ops[-1] - ops[0] == ops.size - 1:
                     ops = slice(ops[0], ops[-1] + 1)
+                post = None
+                if posterior is not None:
+                    y_cov, y_mean = posterior[c]
+                    post = y_cov[ops], y_mean[:, ops]
                 # without factors a block yields three sums and zip stops there
                 for total, part in zip(sums, _block_stats(
                         transforms, ops, W[:, :, c], Xc, Xc2,
-                        mu_c[c], loadings[c], phi[c], psi, m)):
+                        mu_c[c], loadings[c], phi[c], psi, m, post)):
                     total[c] += part
     s_z, s_zz, s_psi, s_y, s_yy, s_zy = sums
     # one sum per cluster: W.sum(axis=(0, 1)) adds in another order
@@ -535,55 +551,78 @@ def _fft_stats(shape, rows, W, Xc, Xc2, mu_c, phi, psi):
     return sums
 
 
-def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m):
+def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m,
+                 posterior=None):
     """(s_z, s_zz, s_psi) of `gaussian_template_stats` over one block of ops,
     for data Xc (squared: Xc2) and template mu_c centred on m; with factors,
-    followed by (s_y, s_yy, s_zy).  Gathers read padded arrays: the data
-    sums at `padded_dest`, and var, r = var/phi and mu_c at `padded_source`."""
-    Wb = W[:, block]
-    w = Wb.sum(axis=0)[:, None]
-    A, Q = _padded_product(Wb.T, Xc, 1), _padded_product(Wb.T, Xc2, 1)
+    followed by (s_y, s_yy, s_zy), from the factor posterior (y_cov, E[y])
+    of the block's ops when it is given, else formed here.  The data sums
+    are gathered at `padded_dest`, once each; the sums over ops are products
+    with the (block, n) latent terms, and the residual, formed per op in
+    latent coordinates, reaches the observed pixels in one scatter."""
+    # the block's weights op by op, contiguous: W is a strided column
+    Wb = np.ascontiguousarray(W[:, block].T)
+    w = Wb.sum(axis=1)
+    A, Q = _padded_product(Wb, Xc), _padded_product(Wb, Xc2)
     nb, n = A.shape[0], Xc.shape[1]
-    rows = np.arange(nb)[:, None]
     dst, src = transforms.padded_dest[block], transforms.padded_source[block]
     # flat positions in a padded (nb, n + 1) block: one 1-D gather per array
-    at_dst, at_src = rows * (n + 1) + dst, rows * (n + 1) + src
+    at_dst = np.arange(nb)[:, None] * (n + 1) + dst
+    A_dst, Q_dst = A.ravel()[at_dst], Q.ravel()[at_dst]
     a = mu_c / phi
     b, var = _latent_var(dst, phi, psi)
-    A_dst, Q_dst = A.ravel()[at_dst], Q.ravel()[at_dst]
-    s_z = (var * (w * a + b * A_dst)).sum(axis=0)
-    s_zz = (var * var * (w * a * a + 2.0 * a * b * A_dst + b * b * Q_dst)
-            + w * var).sum(axis=0)
+    vb = var * b
     R = var / phi
-    var_src, r = (_padded(v, axis=1).ravel()[at_src] for v in (var, R))
-    mu_src = _padded(mu_c)[src]
-    A, Q = A[:, :n], Q[:, :n]
-    resid = r * r * (Q - 2.0 * mu_src * A + mu_src * mu_src * w) + w * var_src
-    # a pixel with no source keeps its whole x^2: no padding value gives that
-    s_psi = np.where(src < n, resid, Q + m * (2.0 * A + m * w)).sum(axis=0)
-    if not loadings.shape[1]:
+    seen = vb * A_dst                                   # sum_t w var b x[dst]
+    s_z = a * (w @ var) + seen.sum(axis=0)
+    seen *= var
+    s_zz = a * a * (w @ (var * var)) + 2.0 * a * seen.sum(axis=0) + w @ var
+    seen = np.multiply(vb, vb, out=seen)
+    seen *= Q_dst
+    s_zz += seen.sum(axis=0)
+    # the residual of latent pixel q at the observed pixel it lands on:
+    # R^2 (Q - 2 mu A + mu^2 w)[dst] + w var, plus the factor terms below
+    resid = np.multiply(mu_c, w[:, None], out=seen)
+    resid -= 2.0 * A_dst
+    resid *= mu_c
+    resid += Q_dst
+    k = loadings.shape[1]
+    if k:
+        T = Xc.shape[0]
+        y_cov, U = (posterior if posterior is not None else
+                    _factor_posterior(*_observed(src, mu_c, loadings, phi, psi), Xc)[1::2])
+        # U: E[y] per (t, l); w u per (l, k, t), which the sums read along t
+        WU = np.multiply(Wb[:, None, :], U.transpose(1, 2, 0), order="C")
+        s_y = WU.sum(axis=2)
+        s_yy = WU @ U.transpose(1, 0, 2) + w[:, None, None] * y_cov
+        flat = s_yy.reshape(nb, k * k)
+        outer = (loadings[:, :, None] * loadings[:, None, :]).reshape(n, k * k)
+        # P[l, j] = sum_t w x u_j, (block, K, n + 1), gathered at dst
+        P = _padded_product(WU.reshape(nb * k, T), Xc)
+        P_dst = P.ravel()[np.arange(nb * k).reshape(nb, k, 1) * (n + 1) + dst[:, None, :]]
+        xu = (P_dst * loadings.T).sum(axis=1)                   # sum_t w x[dst] (L u)
+        lam_y = s_y @ loadings.T                                # sum_t w (L u)
+        # latent coordinates: E[z] gains R loadings E[y]
+        s_z += (loadings * (R.T @ s_y)).sum(axis=1)
+        s_zz += (2.0 * a * (loadings * ((R * var).T @ s_y)).sum(axis=1)
+                 + 2.0 * (R * vb * xu).sum(axis=0) + (outer * ((R * R).T @ flat)).sum(axis=1))
+        s_zy = (a[:, None] * (var.T @ s_y) + (vb[:, None, :] * P_dst).sum(axis=0).T
+                + (loadings[:, :, None] * (R.T @ flat).reshape(n, k, k)).sum(axis=1))
+        # observed coordinates: the residual gains -R (L u)
+        resid += flat @ outer.T                                 # diag(L s_yy L^T)
+        resid -= 2.0 * xu
+        lam_y *= mu_c
+        resid += 2.0 * lam_y
+    resid *= R * R
+    resid += w[:, None] * var
+    # a latent pixel that lands on no observed one goes to bin n, dropped
+    s_psi = np.bincount(dst.ravel(), weights=resid.ravel(), minlength=n + 1)[:n]
+    if transforms.has_void and (void := src == n).any():
+        # a pixel with no source keeps its whole x^2
+        A, Q = A[:, :n], Q[:, :n]
+        s_psi += np.where(void, Q + m * (2.0 * A + m * w[:, None]), 0.0).sum(axis=0)
+    if not k:
         return s_z, s_zz, s_psi
-
-    T, k = Xc.shape[0], loadings.shape[1]
-    _, y_cov, _, U = _factor_posterior(*_observed(src, mu_c, loadings, phi, psi), Xc)
-    WU = Wb[:, :, None] * U                                     # U: E[y] per (t, l)
-    s_y = WU.sum(axis=0)
-    s_yy = WU.transpose(1, 2, 0) @ U.transpose(1, 0, 2) + w[:, :, None] * y_cov
-    P = _padded_product(Xc.T, WU.reshape(T, nb * k), 0)         # sum_t w x u^T
-    P_dst = P.reshape(n + 1, nb, k).transpose(1, 0, 2)[rows, dst]
-    # latent coordinates: E[z] gains R loadings E[y]
-    lam_y = s_y @ loadings.T                                    # sum_t w (L u)
-    lam_syy = loadings @ s_yy
-    quad = _diag_quad(loadings, s_yy)                           # diag(L s_yy L^T)
-    xu = (P_dst * loadings).sum(axis=-1)                        # sum_t w x[dst] (L u)
-    s_z += (R * lam_y).sum(axis=0)
-    s_zz += (2.0 * R * var * (a * lam_y + b * xu) + R * R * quad).sum(axis=0)
-    s_zy = (var[:, :, None] * (a[:, None] * s_y[:, None, :] + b[:, :, None] * P_dst)
-            + R[:, :, None] * lam_syy).sum(axis=0)
-    # observed coordinates: the residual gains -r (L u) at the source pixel;
-    # r reads 0 where there is none
-    extra = _padded(quad - 2.0 * (xu - mu_c * lam_y), axis=1).ravel()[at_src]
-    s_psi += (r * r * extra).sum(axis=0)
     return s_z, s_zz, s_psi, s_y.sum(axis=0), s_yy.sum(axis=0), s_zy
 
 

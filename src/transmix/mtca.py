@@ -70,12 +70,13 @@ def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
         psi=np.full(n, var), fast_likelihood=fast_likelihood)
 
 
-def loglik_table(model: MtcaModel, X) -> np.ndarray:
+def loglik_table(model: MtcaModel, X, *, posterior=None) -> np.ndarray:
     """(T, L, C) table of log p(x_t | l, c); the fast likelihood drops the
-    sensor noise (see `tca`)."""
+    sensor noise (see `tca`).  A list given as `posterior` receives each
+    cluster's factor posterior (`tca.cluster_loglik`)."""
     psi = np.zeros_like(model.psi) if model.fast_likelihood else model.psi
     return _tca.cluster_loglik(model.transforms, model.mu, model.loadings, model.phi,
-                               psi, _frames(X, model.n))
+                               psi, _frames(X, model.n), posterior=posterior)
 
 
 def cond_loglik(model: MtcaModel, x, l: int, c: int) -> float:
@@ -83,10 +84,10 @@ def cond_loglik(model: MtcaModel, x, l: int, c: int) -> float:
     return float(loglik_table(model, x[None, :])[0, l, c])
 
 
-def _log_joint(model: MtcaModel, X) -> np.ndarray:
+def _log_joint(model: MtcaModel, X, posterior=None) -> np.ndarray:
     """log p(x_t, l, c): the emission table, with log rho and then log pi
     added in place."""
-    table = loglik_table(model, X)
+    table = loglik_table(model, X, posterior=posterior)
     with np.errstate(divide="ignore"):
         table += np.log(model.rho)
         table += np.log(model.pi)
@@ -122,15 +123,17 @@ def _latent_moments(transforms, mu, loadings, phi, psi, x):
     return z_mean, z_var, y_mean, y_cov
 
 
-def _cluster_mstep(transforms, mu, loadings, phi, psi, X, W, directions=()):
-    """The per-cluster M-step of every Gaussian family, from weights W[t, l, c].
+def _cluster_mstep(transforms, mu, loadings, phi, psi, X, W, directions=(),
+                   posterior=None):
+    """The per-cluster M-step of every Gaussian family, from weights W[t, l, c]
+    and, when given, the E-step's factor posterior per cluster.
 
     Returns the clusters' s_psi (C, n), masses and starved clusters, and the
     new (mu, loadings, phi), where a starved cluster keeps its old values for
     `_mstep_tail` to reseed.  The first loading columns follow the template
     derivatives along `directions` instead of being learned.
     """
-    stats = gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W)
+    stats = gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W, posterior)
     rescued = _starved(stats[0], X.shape[0])
     mu, loadings, phi = mu.copy(), loadings.copy(), phi.copy()
     for c in range(mu.shape[0]):
@@ -149,10 +152,13 @@ def _em_step_full(model: MtcaModel, X, options: EmOptions):
                          f"need as many factors, but the model has {model.K}")
     X = _frames(X, model.n)
     T = X.shape[0]
-    per_datum, resp = _normalise(_log_joint(model, X), "(l, c) configuration")
+    # the exact emission forms the factor posterior that the M-step reads;
+    # the fast one drops psi, so the M-step forms its own
+    posterior = [] if model.K and not model.fast_likelihood else None
+    per_datum, resp = _normalise(_log_joint(model, X, posterior), "(l, c) configuration")
     s_psi, mass, rescued, mu, loadings, phi = _cluster_mstep(
         model.transforms, model.mu, model.loadings, model.phi, model.psi, X, resp,
-        options.tangent_directions)
+        options.tangent_directions, posterior)
     rho = model.rho.copy()
     if not options.freeze_rho:
         # column by column, which copies nothing; on a one-op set a column

@@ -10,13 +10,16 @@ permuted copy of one matrix.  The emission table here and the M-step
 statistics (`common.gaussian_template_stats`) take a model's whole cluster
 stack, and a frame's posterior one cluster, in one call over all ops; all
 three get the factors' posterior from one kernel, `common._factor_posterior`.
+An exact EM step forms it once: the emission keeps it per cluster and the
+M-step statistics read it.  The fast likelihood's emission drops psi, so
+there the statistics form their own.
 A TCA is a view of an MTCA with one cluster: each model function below runs
 the `mtca` one on `as_mtca()`, which shares the model's arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +87,7 @@ def init_tca(transforms: TransformationSet, n_factors: int, data,
     )
 
 
-def cluster_loglik(transforms, mu, loadings, phi, psi, X):
+def cluster_loglik(transforms, mu, loadings, phi, psi, X, *, posterior=None):
     """(T, L, C) table of log p(x | l, c) for the latent component analyzers
     mu (C, n), loadings (C, n, K), phi (C, n) with sensor noise psi.
 
@@ -92,6 +95,9 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
     diagonal, a_l the loading rows in observed coordinates).  The diagonal
     part takes two matrix products over all ops; K > 0 factors add log det
     M_l and the Woodbury term proj . y_mean per (t, l) of `_factor_posterior`.
+    Given a list as `posterior`, each cluster's factor posterior (y_cov (L,
+    K, K), y_mean (T, L, K)) is appended to it, for an exact EM step's
+    M-step; nothing is kept or stacked otherwise.
 
     At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`), op
     l reads latent pixel p - d_l at observed pixel p, so with v = phi + psi
@@ -132,7 +138,9 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X):
         mean, var, rows = _observed(index, mu[c], loadings[c], phi[c], psi, out=work[:2])
         mean -= shift
         if k:
-            M, _, proj, y_mean = _factor_posterior(mean, var, rows, X)   # det M >= 1
+            M, y_cov, proj, y_mean = _factor_posterior(mean, var, rows, X)   # det M >= 1
+            if posterior is not None:
+                posterior.append((y_cov, y_mean))
         np.log(var, out=inv)
         const = -0.5 * (inv.sum(axis=1) + n * _LOG2PI)
         np.divide(1.0, var, out=inv)
@@ -211,8 +219,12 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
     z_var (L, n).  Given y the latent prior is N(mu + loadings y, diag phi),
     so z is the diagonal posterior of `_latent_posterior` at the factors'
     posterior mean, widened by r^2 diag(loadings y_cov loadings^T) with
-    r = var/phi.
+    r = var/phi.  Without factors it is that posterior itself, and the
+    factor moments are zero-width.
     """
+    if not loadings.shape[1]:
+        z_mean, z_var = _latent_posterior(transforms.padded_dest, mu, phi, psi, x)
+        return np.empty((transforms.L, 0, 0)), np.empty((transforms.L, 0)), z_mean, z_var
     _, y_cov, _, (y_mean,) = _factor_posterior(
         *_observed(transforms.padded_source, mu, loadings, phi, psi), x[None])
     z_mean, var = _latent_posterior(transforms.padded_dest,
@@ -304,8 +316,9 @@ def tangent_columns(mu, transforms: TransformationSet, directions) -> np.ndarray
 
 def _em_step_full(model: TcaModel, X, options: EmOptions):
     new, total, mass, rescued = _mtca._em_step_full(model.as_mtca(), X, options)
-    return (replace(model, mu=new.mu[0], loadings=new.loadings[0], phi=new.phi[0],
-                    rho=new.rho[:, 0], psi=new.psi), total, mass, rescued)
+    return (_record(TcaModel, **{**vars(model), "mu": new.mu[0], "loadings": new.loadings[0],
+                                 "phi": new.phi[0], "rho": new.rho[:, 0], "psi": new.psi}),
+            total, mass, rescued)
 
 
 def em_step(model: TcaModel, X, options: EmOptions | None = None):

@@ -11,7 +11,7 @@ a TMG is a view of an MTCA with zero factors: each function below runs the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,8 +97,8 @@ def posterior(model: TmgModel, x) -> PosteriorSummary:
 
 def _em_step_full(model: TmgModel, X, options: EmOptions):
     new, total, mass, rescued = _mtca._em_step_full(model.as_mtca(), X, options)
-    return (replace(model, pi=new.pi, mu=new.mu, phi=new.phi, rho=new.rho, psi=new.psi),
-            total, mass, rescued)
+    return (_record(TmgModel, **{**vars(model), "pi": new.pi, "mu": new.mu, "phi": new.phi,
+                                 "rho": new.rho, "psi": new.psi}), total, mass, rescued)
 
 
 def em_step(model: TmgModel, X, options: EmOptions | None = None):

@@ -495,6 +495,27 @@ def test_fit_stops_early_and_streams_its_reports(family):
     assert [rep.iteration for rep in full] == list(range(5))
 
 
+@pytest.mark.parametrize("family", [tmg, tca, mtca], ids=["tmg", "tca", "mtca"])
+def test_em_steps_skip_the_constructor_check(family, monkeypatch):
+    """An EM step's result is a record of arrays that are valid already: a
+    3-iteration fit runs the constructor check no more often than the init
+    does, and its model passes the check when rebuilt through it."""
+    X, _ = _two_image_data()
+    checks = []
+    real = common._GaussianModel.__post_init__
+    monkeypatch.setattr(common._GaussianModel, "__post_init__",
+                        lambda self: checks.append(self) or real(self))
+    model = _fresh_model(family, X)
+    at_init = len(checks)
+    fitted, reports = family.fit(model, X, 3, tol=0.0)
+    assert len(reports) == 3 and at_init >= 1
+    assert len(checks) == at_init
+    fields = {f.name: getattr(fitted, f.name) for f in dataclasses.fields(fitted)}
+    rebuilt = type(fitted)(**fields)
+    for name in type(fitted)._AXES:
+        assert np.array_equal(getattr(rebuilt, name), getattr(fitted, name))
+
+
 @pytest.mark.parametrize("boundary", ["wrap", "zero"])
 def test_latent_posterior_forms_agree(boundary):
     """Every op for one image, and one op per image row, give the same

@@ -2,11 +2,13 @@
 joint conditioning of (z, y) per (t, l), with K = 0 (a plain template) and
 with factors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from transmix import ImageShape, build_translation_set, identity_set
-from transmix import common, tca
+from transmix import common, mtca, tca
 from transmix.common import _STATS_BLOCK, gaussian_template_stats
 from transmix.transforms import build_shear_translation_set
 
@@ -226,3 +228,125 @@ def test_op_posterior_without_factors_is_the_latent_posterior(name):
     want_mean, want_var = common._latent_posterior(ts.padded_dest, mu, phi, psi, X[0])
     np.testing.assert_array_equal(z_mean, want_mean)
     np.testing.assert_array_equal(z_var, want_var)
+
+
+@pytest.mark.parametrize("name", ["zero-pad", "shear"])
+def test_op_posterior_without_factors_runs_no_factor_kernel(name, monkeypatch):
+    ts = CASES[name]()
+    mu, loadings, phi, psi, X, _ = _inputs(ts, seed=len(name), K=0, T=1)
+    for module in (common, tca):
+        monkeypatch.setattr(module, "_factor_posterior", None)
+        monkeypatch.setattr(module, "_observed", None)
+    tca._op_posterior(ts, mu, loadings, phi, psi, X[0])
+
+
+def _factor_model(ts, C, K, seed, fast=False):
+    """A TCA (C = 1) or an MTCA with C clusters over `ts`, and its frames.
+    Every third op of cluster 0 has probability 0, so its live ops go as
+    an index array, not a slice."""
+    mu, loadings, phi, psi, X, _ = _inputs(ts, seed=seed, K=K, T=8)
+    rng = np.random.default_rng(seed + 1)
+    rho = rng.dirichlet(np.ones(ts.L), size=C).T
+    rho[1::3, 0] = 0.0
+    rho[:, 0] /= rho[:, 0].sum()
+    if C == 1:
+        return tca.TcaModel(transforms=ts, mu=mu, loadings=loadings, phi=phi,
+                            rho=rho[:, 0], psi=psi, fast_likelihood=fast), X
+    # cluster c rolls the pixels of cluster 0 by c
+    mu, loadings, phi = (np.stack([np.roll(a, c, axis=0) for c in range(C)])
+                         for a in (mu, loadings, phi))
+    return mtca.MtcaModel(transforms=ts, pi=np.full(C, 1.0 / C), mu=mu, loadings=loadings,
+                          phi=phi, rho=rho, psi=psi, fast_likelihood=fast), X
+
+
+def _spy_stats(monkeypatch):
+    """Record the arguments and result of the M-step's statistics call."""
+    calls = []
+    real = mtca.gaussian_template_stats
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(mtca, "gaussian_template_stats", spy)
+    return calls, real
+
+
+HANDOVER = [pytest.param(name, C, K, id=f"{name}-C{C}-K{K}")
+            for name in ("zero-pad", "shear") for C in (1, 2) for K in (1, 3)]
+
+
+@pytest.mark.parametrize("name, C, K", HANDOVER)
+def test_exact_em_step_forms_the_factor_posterior_once(name, C, K, monkeypatch):
+    """The exact emission's factor posterior is the M-step's: one
+    `_factor_posterior` per cluster in a step, and the statistics have the
+    bits of a call that forms the posterior itself."""
+    ts = CASES[name]()
+    model, X = _factor_model(ts, C, K, seed=30 + K)
+    kernel, seen = common._factor_posterior, []
+    for module in (common, tca):
+        monkeypatch.setattr(module, "_factor_posterior",
+                            lambda *a: seen.append(a) or kernel(*a))
+    calls, real = _spy_stats(monkeypatch)
+    (tca if C == 1 else mtca).em_step(model, X)
+    assert len(seen) == C
+    ((args, got),) = calls
+    posterior = args[7]
+    assert len(posterior) == C
+    monkeypatch.setattr(common, "_factor_posterior", kernel)
+    want = real(*args[:7])
+    assert len(got) == len(want) == 8
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("C, K", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_fast_likelihood_m_step_forms_its_own_factor_posterior(C, K, monkeypatch):
+    """The fast emission runs with psi = 0, so its posterior is not the
+    M-step's: the step's statistics are those of the model's psi, not
+    those fed the emission's posterior.  Fast needs void-free ops."""
+    ts = CASES["wrap-5x5"]()
+    model, X = _factor_model(ts, C, K, seed=40 + K, fast=True)
+    calls, real = _spy_stats(monkeypatch)
+    (tca if C == 1 else mtca).em_step(model, X)
+    ((args, got),) = calls
+    assert args[7] is None
+    want = real(*args[:7])
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    core = model.as_mtca()
+    fast = []
+    tca.cluster_loglik(ts, core.mu, core.loadings, core.phi, np.zeros(ts.shape.n),
+                       args[5], posterior=fast)
+    fed = real(*args[:7], fast)
+    assert not np.allclose(fed[6], got[6], rtol=1e-6, atol=0)    # s_psi
+    assert not np.allclose(fed[5], got[5], rtol=1e-6, atol=0)    # s_zy
+
+
+def _peak_weights(ts, C, K, T, seed=0):
+    """Traced peak of one `gaussian_template_stats` call with untied psi,
+    in sizes of its (T, L, C) weights."""
+    rng = np.random.default_rng(seed)
+    n, L = ts.shape.n, ts.L
+    ts.padded_source, ts.padded_dest     # a lazy grid builds its tables now
+    W = rng.dirichlet(np.ones(L * C), size=T).reshape(T, L, C)
+    args = (rng.uniform(0.2, 1.0, (C, n)), rng.uniform(-0.3, 0.3, (C, n, K)),
+            rng.uniform(0.1, 1.0, (C, n)), rng.uniform(0.05, 0.5, n),
+            rng.uniform(0.0, 1.0, (T, n)), W)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gaussian_template_stats(ts, *args)
+        return (tracemalloc.get_traced_memory()[1] - base) / W.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_statistics_hold_per_cluster_blocks():
+    """Each cluster's live ops go in blocks of their own, so the work stays
+    (block, n) and (block, K, n) at pac-man's and glyph MTCA's sizes; one
+    block over every cluster's ops would not fit."""
+    pacman = build_translation_set(ImageShape(11, 11), 11, 11, "wrap")
+    assert _peak_weights(pacman, C=6, K=0, T=100) <= 1.35
+    glyphs = build_shear_translation_set(ImageShape(8, 8), boundary="zero")
+    assert _peak_weights(glyphs, C=10, K=2, T=300) <= 1.75
