@@ -327,36 +327,52 @@ def _latent_posterior(dst, mu, phi, psi, X):
 
 def _observed(padded, mu, loadings, phi, psi, out=None):
     """N(mu + loadings y, diag phi) seen through the op(s) with padded source
-    rows `padded` (n,) or (L, n) (`TransformationSet.padded_source`), plus
-    noise psi: per observed pixel the mean, the variance phi[src] + psi and
-    the loading rows (psi and 0s with no source).  One gather fills mean
-    and var, as two halves of one block that the caller may overwrite:
-    `out` (2, ...) when given, else a fresh one; another the rows (`np.take`
-    walks every index even when the rows are zero-width, so K = 0 skips
-    it).  The index is in range, so mode "clip" changes no value; it lets
-    `np.take` fill `out` without a buffer, and with a writeable `padded` it
-    copies nothing."""
-    mean, var = np.take(np.stack([_padded(mu), _padded(phi)]), padded, axis=-1,
-                        out=out, mode="clip")
-    var += psi
-    rows = (np.take(_padded(loadings), padded, axis=0) if loadings.shape[-1]
-            else np.empty(padded.shape + (0,)))
-    return mean, var, rows
+    rows `padded` (`TransformationSet.padded_source`), plus noise psi: per
+    observed pixel the mean, the variance phi[src] + psi and the loading
+    rows (psi and 0s with no source).  One analyzer (mu (n,), loadings (n,
+    K), phi (n,)) is read at `padded` (n,) or (L, n) directly; a stack of C
+    (mu (C, n), loadings (C, n, K), phi (C, n)) is read flat, each cluster's
+    pixels followed by its zero pixel, so index c (n + 1) + q reads cluster
+    c's pixel q.  psi broadcasts against the rows: (n,), or one row per
+    index row.  One gather fills the (2 + K,) + padded.shape block `out`
+    (a fresh one when it is not given), which the caller may overwrite:
+    mean, var and the loading rows, K-first.  The index is in range, so
+    mode "clip" changes no value; it lets `np.take` fill `out` without a
+    buffer, and with a writeable `padded` it copies nothing."""
+    n, k = mu.shape[-1], loadings.shape[-1]
+    source = np.zeros((2 + k,) + mu.shape[:-1] + (n + 1,))
+    source[0, ..., :n] = mu
+    source[1, ..., :n] = phi
+    source[2:, ..., :n] = np.moveaxis(loadings, -1, 0)
+    gathered = np.take(source.reshape(2 + k, -1), padded, axis=-1, out=out, mode="clip")
+    gathered[1] += psi
+    return gathered[0], gathered[1], gathered[2:]
 
 
-def _factor_posterior(mean, var, rows, X):
-    """The factors' posterior per op l of `_observed`'s arrays, given frames
-    X (T, n): x | y ~ N(mean[l] + a y, D) with a = rows[l], D = diag var[l]
-    and y ~ N(0, I_K).  Returns M = I + a^T D^-1 a (l, K, K), the determinant
-    lemma's factor; y_cov = M^-1; proj = a^T D^-1 (x - mean[l]) and y_mean =
-    E[y | x, l] = y_cov proj, both (T, l, K).  Zero-width at K = 0."""
-    (l, n, k), T = rows.shape, len(X)
-    scaled = rows / var[..., None]
-    M = np.eye(k) + np.swapaxes(rows, -1, -2) @ scaled
+def _factor_posterior(mean, var, rows, X, out=None):
+    """The factors' posterior per row l of `_observed`'s arrays (an op, or a
+    (cluster, op) pair of a stacked gather), given frames X (T, n): x | y ~
+    N(mean[l] + a y, D) with a = rows[:, l].T, D = diag var[l] and y ~ N(0,
+    I_K).  Returns M = I + a^T D^-1 a (l, K, K), the determinant lemma's
+    factor; y_cov = M^-1 (l, K, K); proj = a^T D^-1 (x - mean[l]) and
+    y_mean = E[y | x, l] = y_cov proj, both (K, l, T), y_mean written to
+    `out` when given.  K leads the rows, the scaled loadings and the
+    posterior, so no elementwise op or sum runs over a trailing K axis and
+    no transposing copy precedes a product: M, proj and y_mean take one
+    small BLAS product per row, over strided views.  So every result of a
+    row depends on that row alone, bit for bit: a block of the M-step that
+    forms its ops' posterior again gets the bits of the emission's.
+    Zero-width at K = 0."""
+    (k, l, n), T = rows.shape, len(X)
+    scaled = rows / var
+    M = np.matmul(rows.transpose(1, 0, 2), scaled.transpose(1, 2, 0))
+    M += np.eye(k)
     y_cov = np.linalg.inv(M)
-    proj = ((X @ scaled.transpose(1, 0, 2).reshape(n, l * k)).reshape(T, l, k)
-            - (mean[:, None, :] @ scaled)[:, 0])
-    y_mean = (proj.transpose(1, 0, 2) @ y_cov).transpose(1, 0, 2)
+    proj = np.empty((k, l, T))
+    y_mean = np.empty_like(proj) if out is None else out
+    np.matmul(scaled.transpose(1, 0, 2), X.T, out=proj.transpose(1, 0, 2))
+    proj -= np.vecdot(scaled, mean)[..., None]
+    np.matmul(y_cov, proj.transpose(1, 0, 2), out=y_mean.transpose(1, 0, 2))
     return M, y_cov, proj, y_mean
 
 
@@ -444,11 +460,11 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W, posterior=
     that lands on none falls into a dropped bin n); a pixel with no source
     keeps its whole x^2.  With factors, U = E[y] per (t, l) is affine in x
     too, and the factor terms read only sum_t w U U^T, (w U)^T X (in
-    (op, K, n) layout, gathered at dst) and w y_cov, summed over ops as
+    (K, op, n) layout, gathered at dst) and w y_cov, summed over ops as
     (n, K) and (n, K^2) products with r, r var and r^2.  U and y_cov are
     the factor posterior of `_factor_posterior`: the one an exact EM step's
     emission formed, handed over as `posterior` (per cluster, y_cov (L, K,
-    K) and U (T, L, K), of which each block reads its ops), or else formed
+    K) and U (K, L, T), of which each block reads its ops), or else formed
     here for the block's ops.  The fast likelihood's emission drops psi, so
     its posterior is not this one and is never handed over.
 
@@ -591,22 +607,23 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m,
         T = Xc.shape[0]
         y_cov, U = (posterior if posterior is not None else
                     _factor_posterior(*_observed(src, mu_c, loadings, phi, psi), Xc)[1::2])
-        # U: E[y] per (t, l); w u per (l, k, t), which the sums read along t
-        WU = np.multiply(Wb[:, None, :], U.transpose(1, 2, 0), order="C")
+        # U: E[y] per (k, l, t), K-first; w u likewise, read along t
+        WU = np.multiply(U, Wb, order="C")
         s_y = WU.sum(axis=2)
-        s_yy = WU @ U.transpose(1, 0, 2) + w[:, None, None] * y_cov
+        s_yy = WU.transpose(1, 0, 2) @ U.transpose(1, 2, 0) + w[:, None, None] * y_cov
         flat = s_yy.reshape(nb, k * k)
         outer = (loadings[:, :, None] * loadings[:, None, :]).reshape(n, k * k)
-        # P[l, j] = sum_t w x u_j, (block, K, n + 1), gathered at dst
-        P = _padded_product(WU.reshape(nb * k, T), Xc)
-        P_dst = P.ravel()[np.arange(nb * k).reshape(nb, k, 1) * (n + 1) + dst[:, None, :]]
-        xu = (P_dst * loadings.T).sum(axis=1)                   # sum_t w x[dst] (L u)
+        # P[j, l] = sum_t w x u_j, (K, block, n + 1), gathered at dst
+        P = _padded_product(WU.reshape(k * nb, T), Xc)
+        P_dst = P.ravel()[np.arange(k * nb).reshape(k, nb, 1) * (n + 1) + dst]
+        xu = (P_dst * loadings.T[:, None, :]).sum(axis=0)      # sum_t w x[dst] (L u)
+        s_y = s_y.T                                             # (block, K)
         lam_y = s_y @ loadings.T                                # sum_t w (L u)
         # latent coordinates: E[z] gains R loadings E[y]
         s_z += (loadings * (R.T @ s_y)).sum(axis=1)
         s_zz += (2.0 * a * (loadings * ((R * var).T @ s_y)).sum(axis=1)
                  + 2.0 * (R * vb * xu).sum(axis=0) + (outer * ((R * R).T @ flat)).sum(axis=1))
-        s_zy = (a[:, None] * (var.T @ s_y) + (vb[:, None, :] * P_dst).sum(axis=0).T
+        s_zy = (a[:, None] * (var.T @ s_y) + (vb * P_dst).sum(axis=1).T
                 + (loadings[:, :, None] * (R.T @ flat).reshape(n, k, k)).sum(axis=1))
         # observed coordinates: the residual gains -R (L u)
         resid += flat @ outer.T                                 # diag(L s_yy L^T)

@@ -12,6 +12,8 @@ Frames are binary PGM (P5), 8- or 16-bit, mapped linearly to [0, 1].
 from __future__ import annotations
 
 import math
+import os
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -200,47 +202,52 @@ def _parse(payload: bytes, family: str | None):
     return cls(transforms=ts, **arrays, **extra)
 
 
-def write_pgm(path, image, shape: ImageShape | None = None, maxval: int = 255) -> None:
-    """Binary PGM (P5); intensities map linearly from [0, 1], clipped."""
+def _quantised(images, maxval: int) -> np.ndarray:
+    """PGM pixel values of images in [0, 1], clipped, as the file's dtype."""
     if maxval not in (255, 65535):
         raise ValueError("maxval must be 255 or 65535")
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 1:
+    data = np.clip(np.rint(np.asarray(images, dtype=np.float64) * maxval), 0, maxval)
+    return data.astype(">u2" if maxval == 65535 else "u1")
+
+
+def _header(height: int, width: int, maxval: int) -> bytes:
+    return f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+
+
+def write_pgm(path, image, shape: ImageShape | None = None, maxval: int = 255) -> None:
+    """Binary PGM (P5); intensities map linearly from [0, 1], clipped."""
+    data = _quantised(image, maxval)
+    if data.ndim == 1:
         if shape is None:
             raise ValueError("flat pixel vector needs an explicit shape")
-        img = img.reshape(shape.height, shape.width)
-    data = np.clip(np.rint(img * maxval), 0, maxval)
-    dtype = ">u2" if maxval == 65535 else "u1"
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + data.astype(dtype).tobytes())
+        data = data.reshape(shape.height, shape.width)
+    Path(path).write_bytes(_header(*data.shape, maxval) + data.tobytes())
 
 
-def read_pgm(path):
-    """Read a binary PGM; returns (image in [0, 1], maxval)."""
-    raw = Path(path).read_bytes()
+# a header token, after the whitespace and `#` comments (each up to its
+# newline) before it; a `#` inside a token belongs to the token
+_SKIP = re.compile(rb"(?:\s|#[^\n]*\n)*")
+_TOKEN = re.compile(rb"\S+")
+
+
+def _pgm_pixels(raw: bytes, path):
+    """(height, width, maxval, pixels) of a binary PGM's bytes: the pixels
+    as a flat integer view of `raw`.  Malformed input raises ValueError
+    naming `path`."""
 
     def fail(msg):
         raise ValueError(f"{path}: {msg}")
 
-    pos = 0
-    tokens = []
+    pos, tokens = 0, []
     while len(tokens) < 4:
+        pos = _SKIP.match(raw, pos).end()
         if pos >= len(raw):
             fail("truncated header")
-        ch = raw[pos:pos + 1]
-        if ch == b"#":
-            pos = raw.find(b"\n", pos)
-            if pos < 0:
-                fail("unterminated comment")
-            pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end:end + 1].isspace():
-                end += 1
-            tokens.append(raw[pos:end])
-            pos = end
+        if raw[pos] == ord("#"):
+            fail("unterminated comment")
+        end = _TOKEN.match(raw, pos).end()
+        tokens.append(raw[pos:end])
+        pos = end
     pos += 1  # single whitespace after maxval
     if tokens[0] != b"P5":
         fail("not a binary PGM (P5)")
@@ -250,41 +257,51 @@ def read_pgm(path):
         fail("malformed header numbers")
     if maxval not in (255, 65535):
         fail(f"unsupported maxval {maxval}")
-    dtype = ">u2" if maxval == 65535 else "u1"
+    dtype = np.dtype(">u2" if maxval == 65535 else "u1")
     count = width * height
-    need = count * np.dtype(dtype).itemsize
-    if len(raw) - pos < need:
+    if len(raw) - pos < count * dtype.itemsize:
         fail("truncated pixel data")
-    data = np.frombuffer(raw[pos:pos + need], dtype=dtype).astype(np.float64)
-    return data.reshape(height, width) / maxval, maxval
+    return height, width, maxval, np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
+
+
+def read_pgm(path):
+    """Read a binary PGM; returns (image in [0, 1], maxval)."""
+    height, width, maxval, pixels = _pgm_pixels(Path(path).read_bytes(), path)
+    return pixels.reshape(height, width) / maxval, maxval
 
 
 def write_frames(frames, shape: ImageShape, directory, maxval: int = 255) -> None:
-    """Frames as zero-padded frame_XXXX.pgm files."""
+    """Frames as zero-padded frame_XXXX.pgm files.  The whole stack is
+    quantised at once, then each frame's bytes are written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    for t, frame in enumerate(frames):
-        write_pgm(directory / f"frame_{t:04d}.pgm", frame, shape, maxval)
+    data = np.atleast_2d(_quantised(frames, maxval))
+    if data.ndim == 2:
+        data = data.reshape(len(data), shape.height, shape.width)
+    header = _header(*data.shape[1:], maxval)
+    for t, frame in enumerate(data):
+        (directory / f"frame_{t:04d}.pgm").write_bytes(header + frame.tobytes())
 
 
 def read_frames(directory):
-    """Read every .pgm in a directory, ordered by filename.
-    Returns (frames (T, n), ImageShape)."""
+    """Read every .pgm in a directory, ordered by filename, into one (T, n)
+    array.  Returns (frames (T, n), ImageShape)."""
     directory = Path(directory)
-    paths = sorted(directory.glob("*.pgm"))
-    if not paths:
+    names = sorted(name for name in (os.listdir(directory) if directory.is_dir() else ())
+                   if name.endswith(".pgm") and not name.startswith("."))
+    if not names:
         raise ValueError(f"{directory}: no .pgm frames found")
-    images = []
-    shape = None
-    for p in paths:
-        img, _ = read_pgm(p)
+    frames = shape = None
+    for t, name in enumerate(names):
+        path = directory / name
+        height, width, maxval, pixels = _pgm_pixels(path.read_bytes(), path)
         if shape is None:
-            shape = img.shape
-        elif img.shape != shape:
-            raise ValueError(f"{p}: frame shape {img.shape} != first frame {shape}")
-        images.append(img.reshape(-1))
-    return np.stack(images), ImageShape(*shape)
+            shape = (height, width)
+            frames = np.empty((len(names), height * width))
+        elif (height, width) != shape:
+            raise ValueError(f"{path}: frame shape {(height, width)} != first frame {shape}")
+        np.divide(pixels, maxval, out=frames[t])
+    return frames, ImageShape(*shape)
 
 
 def montage(images, shape: ImageShape, cols: int | None = None,

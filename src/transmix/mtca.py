@@ -7,7 +7,10 @@ factors per cluster this is exactly a TMG; with one cluster, exactly a TCA.
 So `tmg` and `tca` are views: their functions call the ones here on the
 model's `as_mtca()`, a record sharing its arrays, and reshape the result.
 The emission table and the M-step statistics are one kernel call each over
-all clusters; one frame's latent moments are computed per cluster.
+all clusters; the dense emission takes every (cluster, op) row in one
+stacked pass (see `tca.cluster_loglik`), and with factors hands the
+M-step each cluster's view of the factor posterior it formed.  One frame's
+latent moments are computed per cluster.
 """
 
 from __future__ import annotations
@@ -72,8 +75,10 @@ def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
 
 def loglik_table(model: MtcaModel, X, *, posterior=None) -> np.ndarray:
     """(T, L, C) table of log p(x_t | l, c); the fast likelihood drops the
-    sensor noise (see `tca`).  A list given as `posterior` receives each
-    cluster's factor posterior (`tca.cluster_loglik`)."""
+    sensor noise (see `tca`).  The dense table is a view of (T, C, L)
+    memory (the FFT path's of (L, T, C)), so sums over it add in that
+    order.  A list given as `posterior` receives each cluster's factor
+    posterior (`tca.cluster_loglik`)."""
     psi = np.zeros_like(model.psi) if model.fast_likelihood else model.psi
     return _tca.cluster_loglik(model.transforms, model.mu, model.loadings, model.phi,
                                psi, _frames(X, model.n), posterior=posterior)

@@ -8,11 +8,16 @@ the same kernel with the sensor noise dropped (psi = 0): the latent variances
 absorb it, and with void-free ops each transformation's covariance is then a
 permuted copy of one matrix.  The emission table here and the M-step
 statistics (`common.gaussian_template_stats`) take a model's whole cluster
-stack, and a frame's posterior one cluster, in one call over all ops; all
-three get the factors' posterior from one kernel, `common._factor_posterior`.
-An exact EM step forms it once: the emission keeps it per cluster and the
-M-step statistics read it.  The fast likelihood's emission drops psi, so
-there the statistics form their own.
+stack, and a frame's posterior one cluster, in one call over all ops.  The
+dense emission stacks every cluster's ops into (cluster, op) rows, gathered
+through one index and evaluated in row blocks of at most `_EMISSION_BLOCK`
+values (`_block_rows`), with one sensor-noise row shared by all clusters or
+one per cluster; so `classify.classify_batch` scores many models in one
+call.  All three get the factors' posterior from one kernel,
+`common._factor_posterior`, whose arrays lay K out first.  An exact EM step
+forms it once: the emission keeps it and the M-step statistics read each
+cluster's view of it.  The fast likelihood's emission drops psi, so there
+the statistics form their own.
 A TCA is a view of an MTCA with one cluster: each model function below runs
 the `mtca` one on `as_mtca()`, which shares the model's arrays.
 """
@@ -30,6 +35,17 @@ from .transforms import TransformationSet, apply
 from . import mtca as _mtca
 
 _LOG2PI = np.log(2.0 * np.pi)
+# values per row block of the dense emission, whose rows are the (cluster,
+# op) pairs of every cluster in one stacked gather; a row counts its n pixels
+# and its factors' K T posterior values (`_block_rows`).  Measured on one CPU
+# with one BLAS thread, min of 150 calls: the glyph mixture's 290 rows (n =
+# 64, T = 300) took 0.83-1.24 ms as one block against 1.39-2.06 ms as two,
+# and ten glyph TCA models (K = 3, T = 5) 1.43-1.96 ms as one block against
+# 2.65-2.81 ms as five.  Pac-man's 121-op clusters (n = 121) go one per
+# block, which holds a call's traced peak at 2.3 emission tables, below the
+# 2.6 of the per-cluster kernel it replaced; one block over all six clusters
+# held 6.3
+_EMISSION_BLOCK = 24576
 
 
 @dataclass(eq=False)
@@ -89,17 +105,26 @@ def init_tca(transforms: TransformationSet, n_factors: int, data,
 
 def cluster_loglik(transforms, mu, loadings, phi, psi, X, *, posterior=None):
     """(T, L, C) table of log p(x | l, c) for the latent component analyzers
-    mu (C, n), loadings (C, n, K), phi (C, n) with sensor noise psi.
+    mu (C, n), loadings (C, n, K), phi (C, n) with sensor noise psi, shared
+    (n,) or one row per cluster (C, n).  The table's memory is (T, C, L), so
+    sums over it add in that order.
 
     Given op l the image is Gaussian with covariance D_l + a_l a_l^T (D_l
-    diagonal, a_l the loading rows in observed coordinates).  The diagonal
-    part takes two matrix products over all ops; K > 0 factors add log det
-    M_l and the Woodbury term proj . y_mean per (t, l) of `_factor_posterior`.
-    Given a list as `posterior`, each cluster's factor posterior (y_cov (L,
-    K, K), y_mean (T, L, K)) is appended to it, for an exact EM step's
-    M-step; nothing is kept or stacked otherwise.
+    diagonal, a_l the loading rows in observed coordinates).  The dense
+    kernel makes one pass over the C L (cluster, op) rows: row c L + l
+    gathers cluster c's latent arrays through op l, from one stacked index
+    (`_observed`), in blocks of `_block_rows` rows, whole clusters when one
+    fits the `_EMISSION_BLOCK` budget.  The diagonal part of a block is one
+    matrix product of the frames [x^2 | x | 1] with the block's weights
+    [-1/(2 var) | mean/var | -c/2], written into the table; K > 0 factors
+    add log det M_l and the Woodbury term proj . y_mean per (t, row) of
+    `_factor_posterior`.  Given a list as `posterior`, each cluster's factor
+    posterior (y_cov (L, K, K), y_mean (K, L, T)) is appended to it, as
+    views of one array for all rows, for an exact EM step's M-step; nothing
+    is kept otherwise.
 
-    At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`), op
+    At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`; a
+    per-cluster psi counts when every entry is one value), op
     l reads latent pixel p - d_l at observed pixel p, so with v = phi + psi
     in latent coordinates the log-determinant and sum mu^2/v are the same
     for every op, and the rest of the quadratic term is
@@ -109,55 +134,94 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X, *, posterior=None):
     FFT per cluster and datum, all in one call, with the frames' spectra
     shared (`_fft_loglik`).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    # the squares expanded below cancel when the data sit far from zero;
-    # x - mean is unchanged by a common shift, so shift all by the batch mean
-    shift = X.mean()
-    X = X - shift
-    with np.errstate(over="ignore"):
-        X2 = X * X
+    data = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    (C, n, k), L, T = loadings.shape, transforms.L, data.shape[0]
     wrap = _fft_rows(transforms, loadings, psi)
+    count = C * L
+    size = 0 if wrap is not None else _block_rows(count, L, n, k, T)
+    # (rows, n) blocks are megabytes at large L * n, and paging in fresh
+    # memory costs more than the arithmetic on it, so the call's work is one
+    # allocation that every row block reuses (glibc gives back freed heap
+    # beyond twice its largest freed block, so as several blocks it would be
+    # paged in afresh on every call): the frames, the gathered mean, var
+    # (which then takes log(var)) and loading rows, and the block's weights,
+    # whose memory holds the writeable stacked index until the block is
+    # gathered
+    width = 2 * n + 1
+    work = np.empty(T * width + size * ((2 + k) * n + width))
+    # the squares expanded below cancel when the data sit far from zero;
+    # x - mean is unchanged by a common shift, so shift all by the batch
+    # mean.  Each frame is laid out [x^2 | x | 1], so that one product with a
+    # row block's weights [-1/(2 var) | mean/var | -c/2] forms the whole
+    # log-density -(sum x^2/var - 2 x mean/var + c)/2, with c = sum log var
+    # + sum mean^2/var + n log 2 pi, in the table itself
+    frames = work[:T * width].reshape(T, width)
+    X2, X = frames[:, :n], frames[:, n:2 * n]
+    shift = data.mean()
+    np.subtract(data, shift, out=X)
+    with np.errstate(over="ignore"):
+        np.multiply(X, X, out=X2)
     if wrap is not None:
-        return _fft_loglik(transforms.shape, wrap, mu - shift, phi + psi[0], X, X2)
-    (C, n, k), L, T = loadings.shape, transforms.L, X.shape[0]
-    table = np.empty((T, L, C))
-    # (L, n) tables are megabytes at large L * n, and paging in fresh memory
-    # costs more than the arithmetic on it, so the work blocks are allocated
-    # once per call and every cluster reuses them: the gathered mean and var
-    # (var then takes mean/var, then mean^2/var), log(var) then 1/var, and
-    # the two (T, L) products, which stay contiguous for BLAS.  The three
-    # (L, n) blocks are one allocation: glibc gives back freed heap beyond
-    # twice its largest freed block, so as three they would be paged in
-    # afresh on every call at 23x23.  The index is made writeable once, or
-    # `np.take` would copy it for every cluster
-    index = transforms.padded_source.copy()
-    work = np.empty((3, L, n))
-    inv = work[2]
-    quad, cross = np.empty((T, L)), np.empty((T, L))
-    for c in range(C):
-        mean, var, rows = _observed(index, mu[c], loadings[c], phi[c], psi, out=work[:2])
+        return _fft_loglik(transforms.shape, wrap, mu - shift, phi + psi.flat[0], X, X2)
+    frames[:, 2 * n] = 1.0
+    gathered = work[T * width:T * width + (2 + k) * size * n]
+    weights = work[T * width + (2 + k) * size * n:]
+    index = weights[:size * n].view(np.intp).reshape(size, n)
+    table = np.empty((T, C, L))
+    by_row = table.reshape(T, count)
+    y_covs = np.empty((count, k, k)) if posterior is not None and k else None
+    y_means = np.empty((k, count, T)) if y_covs is not None else None
+    for lo in range(0, count, size):
+        rows = min(size, count - lo)
+        block = slice(lo, lo + rows)
+        at = index[:rows]
+        # the block's rows run over whole clusters or part of one or two:
+        # each cluster's share is a run of its ops
+        for c in range(lo // L, (lo + rows - 1) // L + 1):
+            first, last = max(lo, c * L), min(lo + rows, (c + 1) * L)
+            np.add(transforms.padded_source[first - c * L:last - c * L], c * (n + 1),
+                   out=at[first - lo:last - lo])
+        mean, var, loads = _observed(at, mu, loadings, phi,
+                                     psi if psi.ndim == 1 else psi[np.arange(lo, lo + rows) // L],
+                                     out=gathered[:(2 + k) * rows * n].reshape(2 + k, rows, n))
         mean -= shift
         if k:
-            M, y_cov, proj, y_mean = _factor_posterior(mean, var, rows, X)   # det M >= 1
-            if posterior is not None:
-                posterior.append((y_cov, y_mean))
-        np.log(var, out=inv)
-        const = -0.5 * (inv.sum(axis=1) + n * _LOG2PI)
-        np.divide(1.0, var, out=inv)
+            M, y_cov, proj, y_mean = _factor_posterior(   # det M >= 1
+                mean, var, loads, X, None if y_means is None else y_means[:, block])
+            if y_covs is not None:
+                y_covs[block] = y_cov
+        block_weights = weights[:rows * width].reshape(rows, width)
+        np.divide(-0.5, var, out=block_weights[:, :n])
         with np.errstate(over="ignore"):
-            mean_inv = np.multiply(mean, inv, out=var)
-            np.matmul(X2, inv.T, out=quad)
-            np.matmul(X, mean_inv.T, out=cross)
-            cross *= 2.0
-            quad -= cross
-            np.multiply(mean, mean, out=mean_inv)
-            mean_inv *= inv
-            quad += mean_inv.sum(axis=1)
-            quad *= 0.5
-            out = np.subtract(const, quad, out=table[:, :, c])
+            mean_inv = np.divide(mean, var, out=block_weights[:, n:2 * n])
+            np.log(var, out=var)
+            const = var.sum(axis=1)
+            const += np.vecdot(mean, mean_inv)
+            const += n * _LOG2PI
+            np.multiply(const, -0.5, out=block_weights[:, 2 * n])
+            out = np.matmul(frames, block_weights.T, out=by_row[:, block])
             if k:
-                out += 0.5 * ((proj * y_mean).sum(axis=-1) - np.linalg.slogdet(M)[1])
-    return table
+                # the Woodbury term proj . y_mean, summed over the leading K
+                proj *= y_mean
+                woodbury = proj[0]
+                for term in proj[1:]:
+                    woodbury += term
+                woodbury -= np.linalg.slogdet(M)[1][:, None]
+                woodbury *= 0.5
+                out += woodbury.T
+    if y_covs is not None:
+        posterior.extend((y_covs[c * L:(c + 1) * L], y_means[:, c * L:(c + 1) * L])
+                         for c in range(C))
+    return table.transpose(0, 2, 1)
+
+
+def _block_rows(count, L, n, k, T):
+    """Rows per block of the dense emission over `count` (cluster, op) rows
+    of L ops each: as many as `_EMISSION_BLOCK` holds at n + k T values a
+    row (its pixels, and its factors' posterior over T frames), rounded
+    down to whole clusters when one fits."""
+    size = min(count, max(1, _EMISSION_BLOCK // (n + k * T)))
+    return size - size % L if size >= L else size
 
 
 def _fft_loglik(shape, rows, mu, v, X, X2):
@@ -225,8 +289,9 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
     if not loadings.shape[1]:
         z_mean, z_var = _latent_posterior(transforms.padded_dest, mu, phi, psi, x)
         return np.empty((transforms.L, 0, 0)), np.empty((transforms.L, 0)), z_mean, z_var
-    _, y_cov, _, (y_mean,) = _factor_posterior(
+    _, y_cov, _, y_mean = _factor_posterior(
         *_observed(transforms.padded_source, mu, loadings, phi, psi), x[None])
+    y_mean = y_mean[:, :, 0].T
     z_mean, var = _latent_posterior(transforms.padded_dest,
                                     mu + y_mean @ loadings.T, phi, psi, x)
     r = var / phi

@@ -6,8 +6,8 @@ shift difference between consecutive transformations, optionally conditioned
 on the previous class.  Truncating the motion prior at a threshold makes every
 pass (forward, backward with its transition statistics, and Viterbi) cost
 O(C^2 L + C L B) per step for B in-range moves instead of O((C L)^2), while
-staying exact.  All of them, and `dense_transition`, read one set of gather
-tables built by `_Dynamics`.
+staying exact.  All of them read one set of gather tables built by
+`_Dynamics`.
 
 The passes run in the log domain, one frame at a time, and each frame takes
 two steps per direction:
@@ -52,7 +52,7 @@ import numpy as np
 from . import tca as _tca
 from .common import (CUT, EmOptions, SequencePosterior, UnderflowError,
                      _GaussianModel, _cutexp, _fit, _frame, _frames, _latent_posterior,
-                     _mstep_tail, _padded, _starting_templates, logsumexp)
+                     _mstep_tail, _padded, _record, _starting_templates, logsumexp)
 from .mtca import _cluster_mstep
 from .transforms import TransformationSet, apply, wrap_shift_index
 from .tmg import TmgModel
@@ -182,6 +182,12 @@ def uniform_motion(threshold: float = 3.0, mode: str = "vector",
     return MotionPrior(mode=mode, threshold=threshold, table=table)
 
 
+def _check_classes(motion: MotionPrior, C: int) -> None:
+    """Refuse a per-class motion table without one row per class."""
+    if motion.per_class and motion.table.shape[0] != C:
+        raise ValueError("per-class motion table does not match C")
+
+
 @dataclass(eq=False)
 class ThmmModel(_GaussianModel):
     """Class templates with variances, sensor noise, and factorized dynamics.
@@ -206,8 +212,7 @@ class ThmmModel(_GaussianModel):
         if self.transforms.grid is None:
             raise ValueError("THMM needs a grid-structured transformation set")
         super().__post_init__()
-        if self.motion.per_class and self.motion.table.shape[0] != self.C:
-            raise ValueError("per-class motion table does not match C")
+        _check_classes(self.motion, self.C)
 
     @property
     def wrap_motion(self) -> bool:
@@ -276,7 +281,9 @@ def emission_loglik(model: ThmmModel, x) -> np.ndarray:
 
 def emission_table(model: ThmmModel, frames) -> np.ndarray:
     """(T, C, L) emission log-likelihood tables, C-contiguous: the component
-    analyzers' emission kernel with no factors, over every class at once."""
+    analyzers' emission kernel with no factors, over every class at once.
+    The dense kernel's table is (T, C, L) in memory already, so only the
+    FFT path's is copied."""
     table = _tca.cluster_loglik(model.transforms, model.mu, np.zeros((model.C, model.n, 0)),
                                 model.phi, model.psi, _frames(frames, model.n))
     return np.ascontiguousarray(table.transpose(0, 2, 1))
@@ -335,18 +342,6 @@ class _Dynamics:
         if np.any(z <= 0):
             raise ValueError("motion prior leaves some state with no move")
         self.log_z = np.log(z)
-
-
-def dense_transition(model: ThmmModel) -> np.ndarray:
-    """(C*L, C*L) transition matrix materialized from the factorization.
-    Row/column order is the lumped index c * L + l."""
-    dyn = _Dynamics(model)
-    C, L = model.C, model.L
-    motion = np.zeros((C, L, L))
-    np.add.at(motion, (np.arange(C)[:, None, None], np.arange(L), dyn.dst),
-              np.exp(dyn.log_from - dyn.log_z[:, None, :]))
-    out = model.class_trans[:, None, :, None] * motion[:, :, None, :]
-    return out.reshape(C * L, C * L)
 
 
 class _Forward(NamedTuple):
@@ -619,6 +614,7 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
     motion = model.motion
     if options.clamp_motion is not None:
         motion = replace(motion, table=np.asarray(options.clamp_motion, dtype=np.float64))
+        _check_classes(motion, C)
     else:
         # smoothing mass only on the bins within the threshold, then each
         # class's row (or the shared table) normalised over its bins
@@ -627,9 +623,8 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
         table = pooled / pooled.sum(axis=-1, keepdims=True)
         motion = replace(motion, table=table.reshape(motion.table.shape))
 
-    new = ThmmModel(transforms=model.transforms, mu=mu,
-                    phi=phi, psi=psi, pi_s=pi_s, class_trans=class_trans,
-                    motion=motion)
+    new = _record(ThmmModel, transforms=model.transforms, mu=mu, phi=phi, psi=psi,
+                  pi_s=pi_s, class_trans=class_trans, motion=motion)
     return new, total, tuple(mass), rescued
 
 

@@ -268,6 +268,21 @@ def hmm_viterbi_dense(pi_s, trans, log_emit) -> float:
     return float(v.max())
 
 
+def dense_transition(model) -> np.ndarray:
+    """(C*L, C*L) transition matrix of a THMM materialized from its
+    factorization, through the motion step's gather tables
+    (`thmm._Dynamics`).  Row/column order is the lumped index c * L + l."""
+    from transmix.thmm import _Dynamics
+
+    dyn = _Dynamics(model)
+    C, L = model.C, model.L
+    motion = np.zeros((C, L, L))
+    np.add.at(motion, (np.arange(C)[:, None, None], np.arange(L), dyn.dst),
+              np.exp(dyn.log_from - dyn.log_z[:, None, :]))
+    out = model.class_trans[:, None, :, None] * motion[:, :, None, :]
+    return out.reshape(C * L, C * L)
+
+
 def thmm_forward_reference(pi_s, class_trans, dyn, emis):
     """The THMM forward pass frame by frame in the log domain, every sum an
     uncut log-sum-exp.  dyn holds the motion step's gather tables

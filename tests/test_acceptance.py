@@ -25,13 +25,13 @@ from transmix.metrics import (best_template_assignment, classification_error,
 from transmix.synthgen import (DIRECTIONS, gen_occluded, gen_pacman,
                                gen_sheared_glyphs, gen_shifted_template,
                                render_pacman_frame)
-from transmix.thmm import (MotionPrior, ThmmModel, dense_transition,
-                           forward_backward, sample_sequence, score_sequence,
-                           uniform_motion, viterbi)
+from transmix.thmm import (MotionPrior, ThmmModel, forward_backward,
+                           sample_sequence, score_sequence, uniform_motion,
+                           viterbi)
 from transmix.tmg import TmgModel
 
-from oracles import (hmm_enumerate, mtca_loglik_dense, tca_loglik_dense,
-                     tmg_loglik_dense)
+from oracles import (dense_transition, hmm_enumerate, mtca_loglik_dense,
+                     tca_loglik_dense, tmg_loglik_dense)
 from test_thmm import make_grid_set, oracle_emissions, oracle_transition, random_motion
 
 

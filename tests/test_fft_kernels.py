@@ -192,6 +192,33 @@ def test_other_models_never_run_the_fft_kernels(case, monkeypatch):
 
 
 
+def test_psi_rows_take_the_fft_path_only_when_every_entry_is_one_value(monkeypatch):
+    """One sensor-noise row per cluster, as `classify_batch` stacks them:
+    rows that all hold one value keep the FFT path, with the bits of a
+    shared psi; rows of two values take the dense kernel and agree with
+    one-cluster FFT calls to 1e-12 of the table's scale."""
+    side = FFT_SIDE
+    ts = build_translation_set(ImageShape(side, side), side, side, "wrap")
+    rng = np.random.default_rng(70)
+    C, n = 3, ts.shape.n
+    mu, phi = rng.uniform(0.2, 0.8, (C, n)), rng.uniform(0.05, 0.1, (C, n))
+    no_factors, X = np.zeros((C, n, 0)), rng.uniform(0.0, 1.0, (4, n))
+    with monkeypatch.context() as patch:
+        _forbid(patch, tca, "_observed")
+        rows = tca.cluster_loglik(ts, mu, no_factors, phi, np.full((C, n), 0.04), X)
+        assert np.array_equal(rows, tca.cluster_loglik(ts, mu, no_factors, phi,
+                                                       np.full(n, 0.04), X))
+    psi = np.repeat([[0.04], [0.04], [0.05]], n, axis=1)
+    with monkeypatch.context() as patch:
+        _forbid(patch, tca, "_fft_loglik")
+        dense = tca.cluster_loglik(ts, mu, no_factors, phi, psi, X)
+    for c in range(C):
+        one = slice(c, c + 1)
+        alone = tca.cluster_loglik(ts, mu[one], no_factors[one], phi[one], psi[c], X)
+        np.testing.assert_allclose(dense[:, :, c], alone[:, :, 0], rtol=0,
+                                   atol=1e-12 * np.abs(dense).max())
+
+
 def test_posterior_resp_on_a_large_tied_grid_holds_no_op_by_pixel_block():
     """At 31 x 31 the responsibilities of one frame peak below one (L, n)
     float64 block, the set's first wrap-grid check included."""

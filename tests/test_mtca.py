@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from transmix import ImageShape, TransformationSet, build_translation_set, shift_op
+from transmix import classify
 from transmix import mtca as mtca_mod
 from transmix import tca as tca_mod
 from transmix import thmm as thmm_mod
@@ -11,7 +12,7 @@ from transmix import tmg as tmg_mod
 from transmix.classify import bayes_classify, classify_batch, marginal_loglik
 from transmix.mtca import MtcaModel, init_mtca
 
-from oracles import dense_matrix, joint_zy_conditioning, mtca_loglik_dense
+from oracles import dense_matrix, joint_zy_conditioning, mtca_loglik_dense, tca_loglik_dense
 
 
 def small_set(shape, offsets, boundary="wrap"):
@@ -168,18 +169,19 @@ def test_classify_batch_matches_per_image_rule(monkeypatch):
         assert 0 in want and 1 in want and 2 not in want
         calls = []
 
-        def counted(score):
-            def wrapped(model, X):
-                calls.append(len(X))
-                return score(model, X)
+        def counted(kernel):
+            def wrapped(transforms, mu, loadings, phi, psi, X):
+                calls.append((len(X), loadings.shape[-1], len(mu)))
+                return kernel(transforms, mu, loadings, phi, psi, X)
             return wrapped
 
-        # TMG and TCA models are scored as their MTCA view
-        monkeypatch.setattr(mtca_mod, "loglik", counted(mtca_mod.loglik))
+        # TMG and TCA models are scored as their MTCA view, one batched
+        # emission call per K over every cluster of the models on the set
+        monkeypatch.setattr(tca_mod, "cluster_loglik", counted(tca_mod.cluster_loglik))
         got = classify_batch(models, X, priors)
         monkeypatch.undo()
         assert got.tolist() == want
-        assert calls == [len(X)] * len(models)  # one batched call per model
+        assert sorted(calls) == [(len(X), 0, 4), (len(X), 1, 1)]
 
 
 def test_classify_batch_scores_plain_objects_per_image():
@@ -239,3 +241,98 @@ def test_constructors_reject_malformed_shapes(case):
     field = case.split("-")[1]
     with pytest.raises(ValueError, match=f"^{field} must have shape"):
         _malformed(case)()
+
+
+def _class_models(ts, count, K, seed, fast=()):
+    """`count` TCA models on `ts`, each fitted to noisy shifts of its own
+    random template, with its own perturbed sensor noise; the models whose
+    index is in `fast` use the fast likelihood."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for c in range(count):
+        template = rng.uniform(0.0, 1.0, ts.shape.n)
+        data = template + 0.1 * rng.standard_normal((12, ts.shape.n))
+        model = tca_mod.init_tca(ts, K, data, seed=c, fast_likelihood=c in fast)
+        model = tca_mod.fit(model, data, 2, tol=0.0)[0]
+        model.psi = model.psi * rng.uniform(0.5, 1.5, ts.shape.n)
+        models.append(model)
+    return models
+
+
+def _per_model_rule(models, X, priors):
+    """The Bayes rule with each model scored on its own: `mtca.loglik` on
+    its MTCA view, or its own `loglik` image by image."""
+    scores = np.stack([mtca_mod.loglik(m.as_mtca(), X) if hasattr(m, "as_mtca")
+                       else np.array([m.loglik(x) for x in X]) for m in models], axis=1)
+    return np.argmax(scores + np.log(priors), axis=1)
+
+
+def _count_emissions(monkeypatch):
+    calls = []
+    real = tca_mod.cluster_loglik
+
+    def spy(transforms, mu, loadings, phi, psi, X, **kwargs):
+        calls.append((id(transforms), loadings.shape[-1], len(mu)))
+        return real(transforms, mu, loadings, phi, psi, X, **kwargs)
+
+    monkeypatch.setattr(tca_mod, "cluster_loglik", spy)
+    return calls
+
+
+def test_classify_batch_scores_models_on_one_set_in_one_emission(monkeypatch):
+    """Ten TCA models on one set, half under the fast likelihood, take one
+    emission call; each model's score is its `mtca.loglik` to rounding,
+    and the rule picks what per-model scoring and dense Gaussians pick."""
+    ts = build_translation_set(ImageShape(4, 5), 3, 3, "wrap")
+    models = _class_models(ts, 10, 2, seed=50, fast=(1, 3, 5, 7, 9))
+    X = np.random.default_rng(51).uniform(0.0, 1.0, (15, ts.shape.n))
+    X[:10] = [m.mu + 0.05 * np.random.default_rng(c).standard_normal(ts.shape.n)
+              for c, m in enumerate(models)]
+    priors = np.linspace(1.0, 2.0, 10)
+    calls = _count_emissions(monkeypatch)
+    got = classify_batch(models, X, priors)
+    assert calls == [(id(ts), 2, 10)]
+    assert got.tolist() == _per_model_rule(models, X, priors).tolist()
+    assert got[:10].tolist() == list(range(10))
+    dense = np.array([[tca_loglik_dense(m, x) for m in models] for x in X])
+    assert got.tolist() == np.argmax(dense + np.log(priors), axis=1).tolist()
+    stacked = classify._stacked_loglik([m.as_mtca() for m in models], X)
+    each = np.stack([tca_mod.loglik(m, X) for m in models], axis=1)
+    np.testing.assert_allclose(stacked, each, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(stacked, dense, rtol=1e-10, atol=0)
+
+
+def test_classify_batch_groups_a_mixed_list(monkeypatch):
+    """Models on two sets, with two factor counts, a TMG beside TCAs and an
+    object with only `loglik`: one emission call per (set, K) group, the
+    per-model rule's predictions, and frames checked at the boundary."""
+    shape = ImageShape(4, 5)
+    ts_a = build_translation_set(shape, 3, 3, "wrap")
+    ts_b = build_translation_set(shape, 3, 3, "zero")
+    rng = np.random.default_rng(60)
+    data = rng.uniform(0.0, 1.0, (20, shape.n))
+
+    class OnlyLoglik:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def loglik(self, x):
+            return tca_loglik_dense(self.inner, x) + 0.3
+
+    one, two = _class_models(ts_a, 2, 1, seed=61), _class_models(ts_a, 2, 2, seed=62)
+    models = [one[0], tmg_mod.init_tmg(ts_a, 3, data, seed=63), two[0], one[1],
+              _class_models(ts_b, 1, 1, seed=64)[0], OnlyLoglik(two[1]), two[1]]
+    X = np.concatenate([[m.mu for m in one + two], rng.uniform(0.0, 1.0, (6, shape.n))])
+    priors = rng.uniform(0.5, 2.0, len(models))
+    calls = _count_emissions(monkeypatch)
+    got = classify_batch(models, X, priors)
+    assert sorted(calls) == sorted([(id(ts_a), 1, 2), (id(ts_a), 0, 3), (id(ts_a), 2, 2),
+                                    (id(ts_b), 1, 1)])
+    want = _per_model_rule(models, X, priors)
+    assert got.tolist() == want.tolist() and len(set(want.tolist())) > 2
+    bad = X.copy()
+    bad[2, 3] = np.nan
+    with pytest.raises(ValueError, match="frame 2 has a non-finite pixel value"):
+        classify_batch(models, bad)
+    with pytest.raises(ValueError, match=f"frames must have {shape.n} pixels each"):
+        classify_batch(models, X[:, :-1])

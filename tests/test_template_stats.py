@@ -206,10 +206,10 @@ def test_factor_posterior_matches_dense_conditioning(name, K):
     mean, var, rows = common._observed(ts.padded_source, mu, loadings, phi, psi)
     _, y_cov, _, y_mean = common._factor_posterior(mean, var, rows, X)
     n = ts.shape.n
-    assert y_mean.shape == (4, ts.L, K) and y_cov.shape == (ts.L, K, K)
+    assert y_mean.shape == (K, ts.L, 4) and y_cov.shape == (ts.L, K, K)
     for l, op in enumerate(ts):
         want, cov = joint_zy_conditioning(dense_matrix(op), mu, loadings, phi, psi, X)
-        np.testing.assert_allclose(y_mean[:, l], want[:, n:], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(y_mean[:, l].T, want[:, n:], rtol=1e-10, atol=0)
         np.testing.assert_allclose(y_cov[l], cov[n:, n:], rtol=1e-10, atol=0)
     void = ts.padded_source == n
     assert void.any()
@@ -279,8 +279,9 @@ HANDOVER = [pytest.param(name, C, K, id=f"{name}-C{C}-K{K}")
 @pytest.mark.parametrize("name, C, K", HANDOVER)
 def test_exact_em_step_forms_the_factor_posterior_once(name, C, K, monkeypatch):
     """The exact emission's factor posterior is the M-step's: one
-    `_factor_posterior` per cluster in a step, and the statistics have the
-    bits of a call that forms the posterior itself."""
+    `_factor_posterior` per row block of the emission in a step, none in
+    the M-step, and the statistics have the bits of a call that forms the
+    posterior itself."""
     ts = CASES[name]()
     model, X = _factor_model(ts, C, K, seed=30 + K)
     kernel, seen = common._factor_posterior, []
@@ -289,7 +290,8 @@ def test_exact_em_step_forms_the_factor_posterior_once(name, C, K, monkeypatch):
                             lambda *a: seen.append(a) or kernel(*a))
     calls, real = _spy_stats(monkeypatch)
     (tca if C == 1 else mtca).em_step(model, X)
-    assert len(seen) == C
+    count = C * ts.L
+    assert len(seen) == -(-count // tca._block_rows(count, ts.L, ts.shape.n, K, len(X))) == 1
     ((args, got),) = calls
     posterior = args[7]
     assert len(posterior) == C

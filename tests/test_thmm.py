@@ -8,14 +8,13 @@ from transmix import apply, build_translation_set, identity_set, shift_op
 from transmix import thmm as thmm_mod
 from transmix import tmg as tmg_mod
 from transmix.common import CUT
-from transmix.thmm import (MotionPrior, ThmmModel, dense_transition, denoise,
-                           emission_loglik, emission_table, forward_backward,
-                           from_tmg, em_step, fit, init_thmm, sample_sequence,
-                           score_sequence, stabilize, track, uniform_motion,
-                           viterbi)
+from transmix.thmm import (MotionPrior, ThmmModel, denoise, emission_loglik,
+                           emission_table, forward_backward, from_tmg, em_step,
+                           fit, init_thmm, sample_sequence, score_sequence,
+                           stabilize, track, uniform_motion, viterbi)
 
-from oracles import (dense_matrix, gauss_logpdf, hmm_enumerate,
-                     hmm_forward_logdomain, hmm_viterbi_dense,
+from oracles import (dense_matrix, dense_transition, gauss_logpdf,
+                     hmm_enumerate, hmm_forward_logdomain, hmm_viterbi_dense,
                      thmm_backward_reference, thmm_forward_reference)
 
 
