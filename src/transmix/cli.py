@@ -68,8 +68,8 @@ def _template_from(man: Manifest):
 
 
 def generate_data(man: Manifest):
-    """Run the manifest's generator.  Returns a dict with frames, shape,
-    truth, labels (when supervised) and whether frames form a sequence."""
+    """Run the manifest's generator.  Returns a dict with its frames, their
+    shape and the ground truth."""
     generator = man.get("generator")
     seed = man.get_int("seed", 0)
     if generator == "pacman":
@@ -80,8 +80,7 @@ def generate_data(man: Manifest):
             p_turn=man.get_float("gen.p_turn", 0.75),
             bg_noise=man.get_float("gen.bg_noise", 0.1),
             sensor_noise=man.get_float("gen.sensor_noise", 0.05))
-        return {"frames": frames, "truth": truth, "labels": None,
-                "shape": truth.params["shape"], "sequence": True}
+        return {"frames": frames, "truth": truth, "shape": truth.params["shape"]}
     if generator in ("shifted", "occluded"):
         template = _template_from(man)
         frames, truth = synthgen.gen_shifted_template(
@@ -92,20 +91,18 @@ def generate_data(man: Manifest):
         shape = truth.params["shape"]
         if generator == "occluded":
             bar = tuple(int(v) for v in man.get("gen.bar").split(","))
-            frames, occ = synthgen.gen_occluded(frames, bar, shape,
-                                                value=man.get_float("gen.bar_value", 0.0))
+            frames, _ = synthgen.gen_occluded(frames, bar, shape,
+                                              value=man.get_float("gen.bar_value", 0.0))
             truth.params["bar"] = bar
-        return {"frames": frames, "truth": truth, "labels": None,
-                "shape": shape, "sequence": True}
+        return {"frames": frames, "truth": truth, "shape": shape}
     if generator == "glyphs":
         shape = ImageShape(8, 8)
         ts = build_transforms(man, shape) if "transform" in man else None
-        images, labels, truth = synthgen.gen_sheared_glyphs(
+        images, _, truth = synthgen.gen_sheared_glyphs(
             seed, per_class=man.get_int("gen.per_class", 200),
             transform_set=ts,
             noise=man.get_float("gen.noise", 0.05))
-        return {"frames": images, "truth": truth, "labels": labels,
-                "shape": truth.params["shape"], "sequence": False}
+        return {"frames": images, "truth": truth, "shape": truth.params["shape"]}
     raise ValueError(f"unknown generator {generator!r}")
 
 
@@ -113,8 +110,7 @@ def _load_data(man: Manifest):
     if "generator" in man:
         return generate_data(man)
     frames, shape = model_io.read_frames(man.get("data"))
-    return {"frames": frames, "truth": None, "labels": None, "shape": shape,
-            "sequence": True}
+    return {"frames": frames, "truth": None, "shape": shape}
 
 
 def write_truth_csv(truth: synthgen.GroundTruth, path) -> None:

@@ -287,7 +287,7 @@ class SequencePosterior:
 
 def _padded(a: np.ndarray, axis: int = 0) -> np.ndarray:
     """`a` with one zero pixel appended along its pixel `axis`: the entry
-    that a padded index's n reads (see the `transforms` module docstring)."""
+    that ``VOID`` = -1 reads (see the `transforms` module docstring)."""
     return np.concatenate([a, np.zeros_like(np.take(a, [0], axis=axis))], axis=axis)
 
 
@@ -302,10 +302,10 @@ def _padded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _latent_var(dst, phi, psi):
-    """(b, var) of the latent posterior through the op(s) with padded
-    destinations `dst` (`TransformationSet.padded_dest`): b = 1/psi at the
-    observed pixel each latent pixel lands on, 0 where it lands on none, and
-    the posterior variance var = 1/(1/phi + b)."""
+    """(b, var) of the latent posterior through the op(s) with destinations
+    `dst` (rows of `TransformationSet.dest_matrix`): b = 1/psi at the
+    observed pixel each latent pixel lands on, 0 where it lands on none
+    (``VOID`` reads the pad), and the posterior variance var = 1/(1/phi + b)."""
     b = _padded(1.0 / psi)[dst]
     return b, 1.0 / (1.0 / phi + b)
 
@@ -313,7 +313,7 @@ def _latent_var(dst, phi, psi):
 def _latent_posterior(dst, mu, phi, psi, X):
     """Posterior mean and variance of the latent image given data and op(s).
 
-    The latent prior is N(mu, diag(phi)); `dst` is `padded_dest` of every op
+    The latent prior is N(mu, diag(phi)); `dst` is `dest_matrix` of every op
     for one image X (n,), or one row per image X (T, n), with mu and phi
     (n,) or one row per row.  The posterior is diagonal: the variance of
     `_latent_var`, the mean var * (mu/phi + (x/psi)[dst]).  Both have the
@@ -325,26 +325,27 @@ def _latent_posterior(dst, mu, phi, psi, X):
     return (mu * (1.0 / phi) + seen) * var, var
 
 
-def _observed(padded, mu, loadings, phi, psi, out=None):
-    """N(mu + loadings y, diag phi) seen through the op(s) with padded source
-    rows `padded` (`TransformationSet.padded_source`), plus noise psi: per
+def _observed(src, mu, loadings, phi, psi, out=None):
+    """N(mu + loadings y, diag phi) seen through the op(s) with source rows
+    `src` (rows of `TransformationSet.source_matrix`), plus noise psi: per
     observed pixel the mean, the variance phi[src] + psi and the loading
     rows (psi and 0s with no source).  One analyzer (mu (n,), loadings (n,
-    K), phi (n,)) is read at `padded` (n,) or (L, n) directly; a stack of C
+    K), phi (n,)) is read at `src` (n,) or (L, n) directly; a stack of C
     (mu (C, n), loadings (C, n, K), phi (C, n)) is read flat, each cluster's
     pixels followed by its zero pixel, so index c (n + 1) + q reads cluster
     c's pixel q.  psi broadcasts against the rows: (n,), or one row per
-    index row.  One gather fills the (2 + K,) + padded.shape block `out`
-    (a fresh one when it is not given), which the caller may overwrite:
-    mean, var and the loading rows, K-first.  The index is in range, so
-    mode "clip" changes no value; it lets `np.take` fill `out` without a
-    buffer, and with a writeable `padded` it copies nothing."""
+    index row.  One gather fills the (2 + K,) + src.shape block `out` (a
+    fresh one when it is not given), which the caller may overwrite: mean,
+    var and the loading rows, K-first.  Mode "wrap" reads ``VOID`` = -1 at
+    a zero pad, the previous cluster's (cluster 0: the last), so every pad
+    must stay zero; it fills `out` without the buffer of mode "raise" ("clip"
+    would read pixel 0), and with a writeable `src` it copies nothing."""
     n, k = mu.shape[-1], loadings.shape[-1]
     source = np.zeros((2 + k,) + mu.shape[:-1] + (n + 1,))
     source[0, ..., :n] = mu
     source[1, ..., :n] = phi
     source[2:, ..., :n] = np.moveaxis(loadings, -1, 0)
-    gathered = np.take(source.reshape(2 + k, -1), padded, axis=-1, out=out, mode="clip")
+    gathered = np.take(source.reshape(2 + k, -1), src, axis=-1, out=out, mode="wrap")
     gathered[1] += psi
     return gathered[0], gathered[1], gathered[2:]
 
@@ -450,18 +451,18 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W, posterior=
     pixels that land in the image and 0 elsewhere, does not depend on the
     datum, and E[z | y] = var * (mu/phi + b * x[dst]) + r * loadings y with
     r = var/phi.  So at K = 0 the data enter only through A = W.T @ X,
-    Q = W.T @ (X*X) and w = W.sum(0), each gathered once at the padded
-    destinations (see the `transforms` module docstring), and the sums
+    Q = W.T @ (X*X) and w = W.sum(0), each gathered once at dst (see the
+    `transforms` module docstring), and the sums
     over ops are products: sum_l w var = w @ var, and so on.  An observed
     pixel's residual is r * (x - mu - loadings y) at its source pixel.  It
     is formed per op at the latent pixel that lands there, R^2 (Q - 2 mu A
-    + mu^2 w)[dst] + w var at K = 0, and one `np.bincount` over dst
+    + mu^2 w)[dst] + w var at K = 0, and one `np.bincount` over dst + 1
     scatters every op's residual to the observed pixels (a latent pixel
-    that lands on none falls into a dropped bin n); a pixel with no source
-    keeps its whole x^2.  With factors, U = E[y] per (t, l) is affine in x
-    too, and the factor terms read only sum_t w U U^T, (w U)^T X (in
-    (K, op, n) layout, gathered at dst) and w y_cov, summed over ops as
-    (n, K) and (n, K^2) products with r, r var and r^2.  U and y_cov are
+    that lands on none, ``VOID``, falls into a dropped bin 0); a pixel
+    with no source keeps its whole x^2.  With factors, U = E[y] per (t, l)
+    is affine in x too, and the factor terms read only sum_t w U U^T,
+    (w U)^T X (in (K, op, n) layout, gathered at dst) and w y_cov, summed
+    over ops as (n, K) and (n, K^2) products with r, r var and r^2.  U and y_cov are
     the factor posterior of `_factor_posterior`: the one an exact EM step's
     emission formed, handed over as `posterior` (per cluster, y_cov (L, K,
     K) and U (K, L, T), of which each block reads its ops), or else formed
@@ -573,15 +574,16 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m,
     for data Xc (squared: Xc2) and template mu_c centred on m; with factors,
     followed by (s_y, s_yy, s_zy), from the factor posterior (y_cov, E[y])
     of the block's ops when it is given, else formed here.  The data sums
-    are gathered at `padded_dest`, once each; the sums over ops are products
-    with the (block, n) latent terms, and the residual, formed per op in
-    latent coordinates, reaches the observed pixels in one scatter."""
+    are gathered at `dest_matrix`, once each (``VOID`` reads the zero pad
+    before op l's row); the sums over ops are products with the (block, n)
+    latent terms, and the residual, formed per op in latent coordinates,
+    reaches the observed pixels in one scatter."""
     # the block's weights op by op, contiguous: W is a strided column
     Wb = np.ascontiguousarray(W[:, block].T)
     w = Wb.sum(axis=1)
     A, Q = _padded_product(Wb, Xc), _padded_product(Wb, Xc2)
     nb, n = A.shape[0], Xc.shape[1]
-    dst, src = transforms.padded_dest[block], transforms.padded_source[block]
+    dst, src = transforms.dest_matrix[block], transforms.source_matrix[block]
     # flat positions in a padded (nb, n + 1) block: one 1-D gather per array
     at_dst = np.arange(nb)[:, None] * (n + 1) + dst
     A_dst, Q_dst = A.ravel()[at_dst], Q.ravel()[at_dst]
@@ -632,9 +634,9 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m,
         resid += 2.0 * lam_y
     resid *= R * R
     resid += w[:, None] * var
-    # a latent pixel that lands on no observed one goes to bin n, dropped
-    s_psi = np.bincount(dst.ravel(), weights=resid.ravel(), minlength=n + 1)[:n]
-    if transforms.has_void and (void := src == n).any():
+    # a latent pixel that lands on no observed one goes to bin 0, dropped
+    s_psi = np.bincount(dst.ravel() + 1, weights=resid.ravel(), minlength=n + 1)[1:]
+    if transforms.has_void and (void := src < 0).any():
         # a pixel with no source keeps its whole x^2
         A, Q = A[:, :n], Q[:, :n]
         s_psi += np.where(void, Q + m * (2.0 * A + m * w[:, None]), 0.0).sum(axis=0)
@@ -661,7 +663,7 @@ def _starved(mass, T: int) -> tuple[int, ...]:
     return tuple(c for c, m in enumerate(mass) if m < RESCUE_THRESHOLD * T)
 
 
-def _mstep_tail(X, options: EmOptions, s_psi, rescued, mu, phi, pi=None, rho=None):
+def _mstep_tail(X, options: EmOptions, s_psi, rescued, mu, phi, pi, rho=None):
     """The end of every family's M-step.
 
     Reseeds each rescued cluster from a random datum (template, latent

@@ -54,18 +54,16 @@ class FamilyMismatchError(ModelIOError):
 _CLASSES = {"tmg": TmgModel, "tca": TcaModel, "mtca": MtcaModel, "thmm": ThmmModel}
 
 
-def _f64(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def _i64(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<i8").tobytes()
+def _le(arr, dtype: str) -> np.ndarray:
+    """`arr` as a contiguous little-endian block; no copy if it is one."""
+    return np.ascontiguousarray(arr, dtype=dtype)
 
 
 def save_model(model, path) -> None:
     """Write a model file; the byte stream is canonical for a given model.
     The parameter blocks follow the class's `_AXES`; a THMM's motion table
-    comes last."""
+    comes last.  Blocks go to the file as they stand, under a running
+    checksum: a save copies no table."""
     family = next((f for f, cls in _CLASSES.items() if type(model) is cls), None)
     if family is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -91,16 +89,18 @@ def save_model(model, path) -> None:
         lines.append(f"motion_per_class {int(m.per_class)}")
     lines.append("END")
 
-    payload = bytearray(("\n".join(lines) + "\n").encode("ascii"))
-    payload += _i64(ts.source_matrix)
+    blocks = [("\n".join(lines) + "\n").encode("ascii"), _le(ts.source_matrix, "<i8")]
     if param_width:
-        payload += _f64(np.array(ts.params))
-    for name in model._AXES:
-        payload += _f64(getattr(model, name))
+        blocks.append(_le(ts.params, "<f8"))
+    blocks += [_le(getattr(model, name), "<f8") for name in model._AXES]
     if family == "thmm":
-        payload += _f64(model.motion.table)
-    payload += struct.pack("<I", zlib.crc32(bytes(payload)))
-    Path(path).write_bytes(bytes(payload))
+        blocks.append(_le(model.motion.table, "<f8"))
+    crc = 0
+    with open(path, "wb") as fh:
+        for block in blocks:
+            fh.write(block)
+            crc = zlib.crc32(block, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def _take(buf: memoryview, shape, dtype: str = "<f8") -> tuple[np.ndarray, memoryview]:

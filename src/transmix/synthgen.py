@@ -8,8 +8,9 @@ drawn.
 
 Each generator renders all of its frames with one gather through the
 library's shift tables (`transforms._shift_table` or a set's
-`padded_source`); `render_pacman_frame` renders one frame through a
-`shift_op`, the independent re-render that the tests check them against.
+`source_matrix`), whose ``VOID`` = -1 reads the zero pixel `_padded`
+appends; `render_pacman_frame` renders one frame through a `shift_op`, the
+independent re-render that the tests check them against.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def gen_sheared_glyphs(seed, prototypes=None, per_class: int = 200,
     latent = flat[labels] + np.matmul(coeffs[:, None, :],
                                       variations[labels, :sigmas.size])[:, 0]
     clean = np.take_along_axis(_padded(latent, axis=1),
-                               transform_set.padded_source[ops], axis=1)
+                               transform_set.source_matrix[ops], axis=1)
     images = clean + noise * rng.standard_normal(clean.shape)
     truth = GroundTruth(clean=clean, classes=labels,
                         shifts=np.zeros((total, 2), dtype=np.int64),

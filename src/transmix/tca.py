@@ -179,7 +179,7 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X, *, posterior=None):
         # each cluster's share is a run of its ops
         for c in range(lo // L, (lo + rows - 1) // L + 1):
             first, last = max(lo, c * L), min(lo + rows, (c + 1) * L)
-            np.add(transforms.padded_source[first - c * L:last - c * L], c * (n + 1),
+            np.add(transforms.source_matrix[first - c * L:last - c * L], c * (n + 1),
                    out=at[first - lo:last - lo])
         mean, var, loads = _observed(at, mu, loadings, phi,
                                      psi if psi.ndim == 1 else psi[np.arange(lo, lo + rows) // L],
@@ -287,12 +287,12 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
     factor moments are zero-width.
     """
     if not loadings.shape[1]:
-        z_mean, z_var = _latent_posterior(transforms.padded_dest, mu, phi, psi, x)
+        z_mean, z_var = _latent_posterior(transforms.dest_matrix, mu, phi, psi, x)
         return np.empty((transforms.L, 0, 0)), np.empty((transforms.L, 0)), z_mean, z_var
     _, y_cov, _, y_mean = _factor_posterior(
-        *_observed(transforms.padded_source, mu, loadings, phi, psi), x[None])
+        *_observed(transforms.source_matrix, mu, loadings, phi, psi), x[None])
     y_mean = y_mean[:, :, 0].T
-    z_mean, var = _latent_posterior(transforms.padded_dest,
+    z_mean, var = _latent_posterior(transforms.dest_matrix,
                                     mu + y_mean @ loadings.T, phi, psi, x)
     r = var / phi
     z_var = var + r * r * _diag_quad(loadings, y_cov)

@@ -671,7 +671,7 @@ def denoise(model: ThmmModel, frames, mode: str = "soft",
     c, l = states.T
     latent = model.mu[c] if mode == "hard" else _latent_means(model, X, c, l)
     return np.take_along_axis(_padded(latent, axis=1),
-                              model.transforms.padded_source[l], axis=1)
+                              model.transforms.source_matrix[l], axis=1)
 
 
 def stabilize(model: ThmmModel, frames, use_viterbi: bool = False) -> np.ndarray:
@@ -683,7 +683,7 @@ def stabilize(model: ThmmModel, frames, use_viterbi: bool = False) -> np.ndarray
 
 def _latent_means(model: ThmmModel, X, c, l) -> np.ndarray:
     """(T, n) posterior-mean latent images, frame t given state (c[t], l[t])."""
-    return _latent_posterior(model.transforms.padded_dest[l], model.mu[c],
+    return _latent_posterior(model.transforms.dest_matrix[l], model.mu[c],
                              model.phi[c], model.psi, X)[0]
 
 

@@ -9,22 +9,21 @@ by two output pixels: then G has at most one unit entry per column too, and
 ``G diag(v) G^T`` stays diagonal, which is what makes the model likelihoods
 in this package exact and cheap.
 
-Padded indices.  The model kernels read through a set by plain gathers,
-with n (the pixel count) in place of ``VOID``, from arrays with one zero
-pixel appended: a gather yields 0 where a pixel has no counterpart, with no
-mask.  `TransformationSet.padded_source` maps each observed pixel to the
-latent pixel it reads, `TransformationSet.padded_dest` each latent pixel to
-the observed pixel it lands on.
+Encoding.  `TransformationSet.source_matrix` maps each observed pixel
+to the latent pixel it reads, `TransformationSet.dest_matrix` each latent
+pixel to the observed pixel it lands on, both with ``VOID`` = -1 where
+there is none.  The model kernels read through them by plain gathers from
+arrays that end in one zero pixel (`common._padded`): index -1 reads that
+zero, so a gather yields 0 where a pixel has no counterpart, with no mask.
 
 Which tables exist when.  A set made from a table (a caller's, a `.txm`
-file's, or that of any builder but the one below) holds `source_matrix`,
-`padded_source` and `padded_dest` from construction, after one validation.
-A full wrap grid from `build_translation_set` (every shift of the image
-once, a 1x1 identity set included) holds only its (L,) `wrap_rows`, which
-is all the FFT kernels read; the first read of any of its three (L, n)
-tables builds all three, unvalidated, since such a grid is injective by
-construction.  With no VOID pixel, its `padded_source` is its `source_matrix`
-itself: at 63x63 the tables hold 240 MiB.
+file's, or that of any builder but the one below) holds `source_matrix`
+and `dest_matrix` from construction, after one validation.  A full wrap
+grid from `build_translation_set` (every shift of the image once, a 1x1
+identity set included) holds only its (L,) `wrap_rows`, which is all the
+FFT kernels read; the first read of either (L, n) table builds that table
+alone, unvalidated, since such a grid is injective by construction.  At
+63x63 each table holds 120 MiB.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ ZERO = "zero"
 _BOUNDARIES = (WRAP, ZERO)
 # rows of the (L, n) table compared at a time by `TransformationSet.wrap_rows`
 _COMPARE_BLOCK = 256
-# the (L, n) tables of a `TransformationSet`, in the order `_hold` takes them
-_TABLES = ("source_matrix", "padded_source", "padded_dest")
 
 # Default shear+translate family: 7 shear slopes (quarter-pixel-per-row
 # steps) crossed with horizontal shifts {-2, 0, 2}, plus 8 small combined
@@ -86,12 +83,13 @@ class TransformationSet:
 
     Row l of ``source_matrix`` is op l: ``source_matrix[l, p]`` is the input
     pixel copied to output pixel p, or ``VOID`` when p has no source (a zero
-    row of G).  Every op must be injective, no input pixel copied twice,
-    which the constructor checks once over the whole table as it builds
-    `padded_source` and `padded_dest`.  A full wrap grid from
-    `build_translation_set` is made without its tables: it holds `L` and
-    `wrap_rows`, and the first read of ``source_matrix``, `padded_source` or
-    `padded_dest` builds all three (see the module docstring).
+    row of G).  Row l of ``dest_matrix`` inverts it: ``dest_matrix[l, q]``
+    is the output pixel that input pixel q is copied to, or ``VOID``.  Every
+    op must be injective, no input pixel copied twice, which the constructor
+    checks once over the whole table as it builds ``dest_matrix``.  A full
+    wrap grid from `build_translation_set` is made without its tables: it
+    holds `L` and `wrap_rows`, and the first read of either table builds
+    that one (see the module docstring).
 
     ``grid``, when present, is ``(M_v, M_h)`` and op ``l = i * M_h + j`` is
     the integer shift by ``(i - M_v // 2, j - M_h // 2)``.  ``params`` keeps
@@ -105,8 +103,7 @@ class TransformationSet:
     grid: tuple[int, int] | None = None
     params: tuple[tuple[float, ...], ...] | None = None
     kind: str = "custom"
-    padded_source: np.ndarray = field(init=False, repr=False)
-    padded_dest: np.ndarray = field(init=False, repr=False)
+    dest_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         src = np.array(self.source_matrix, dtype=np.int64)
@@ -123,21 +120,22 @@ class TransformationSet:
             raise ValueError("params length must match op count")
         if src.min() < VOID or src.max() >= n:
             raise ValueError("source indices out of range")
-        # padded_dest inverts padded_source row by row: scatter each output
-        # pixel p to the input pixel it reads, in a table with one spare
-        # column for VOID, then read back.  An op is injective exactly when
-        # every p reads back its own index: of two outputs sharing a source,
-        # one scatter overwrites the other.
-        padded = np.where(src >= 0, src, n)
-        at = padded + (n + 1) * np.arange(L)[:, None]
-        dest = np.full(L * (n + 1), n)
+        # dest_matrix inverts source_matrix row by row: scatter each output
+        # pixel p to the input pixel it reads, in a table whose spare first
+        # column takes every VOID, then read back.  An op is injective
+        # exactly when every p reads back its own index: of two outputs
+        # sharing a source, one scatter overwrites the other.
+        at = src + 1 + (n + 1) * np.arange(L)[:, None]
+        dest = np.full(L * (n + 1), VOID)
         dest[at] = np.arange(n)
         clash = (dest[at] != np.arange(n)) & (src >= 0)
         if clash.any():
             l = int(np.nonzero(clash)[0][0])
             raise ValueError(f"op {l} is not injective: it copies one "
                              "source pixel to several output pixels")
-        self._hold(src, padded, dest.reshape(L, n + 1)[:, :n].copy())
+        object.__setattr__(self, "source_matrix", _read_only(src))
+        object.__setattr__(self, "dest_matrix",
+                           _read_only(dest.reshape(L, n + 1)[:, 1:].copy()))
 
     @classmethod
     def _full_wrap_grid(cls, shape: ImageShape, di, dj, params) -> TransformationSet:
@@ -152,20 +150,16 @@ class TransformationSet:
         return ts
 
     def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: the tables of a
-        # full wrap grid, built all three together on the first read of one
-        if name not in _TABLES or "wrap_rows" not in self.__dict__:
+        # reached only for an attribute the instance lacks: a table of a full
+        # wrap grid, built alone on its first read.  Op l reads pixel p - d_l,
+        # so it lands latent pixel q on q + d_l
+        sign = {"source_matrix": 1, "dest_matrix": -1}.get(name)
+        if sign is None or "wrap_rows" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         di, dj = np.divmod(self.wrap_rows, self.shape.width)
-        src = _shift_table(self.shape, di, dj, WRAP)
-        # no pixel is VOID, so the padded table is the table itself; op l
-        # reads pixel p - d_l, so it lands latent pixel q on q + d_l
-        self._hold(src, src, _shift_table(self.shape, -di, -dj, WRAP))
-        return self.__dict__[name]
-
-    def _hold(self, *tables: np.ndarray) -> None:
-        for name, table in zip(_TABLES, tables):
-            object.__setattr__(self, name, _read_only(table))
+        table = _read_only(_shift_table(self.shape, sign * di, sign * dj, WRAP))
+        object.__setattr__(self, name, table)
+        return table
 
     def __len__(self) -> int:
         return self.L
@@ -190,16 +184,17 @@ class TransformationSet:
         the set holds every wrap shift exactly once, in any order; else None.
 
         Op l is then the shift d_l, which carries latent pixel 0 to observed
-        pixel d_l, so its candidate row is ``padded_dest[l, 0]``.  The cheap
-        tests (boundary, L == n, one op per row) come first; the whole table
-        is compared once per set, in blocks of rows to bound the temporaries.
-        A builder-made full wrap grid holds its rows from the build.
+        pixel d_l, so its candidate row is ``dest_matrix[l, 0]``.  The cheap
+        tests (boundary, L == n, no VOID, one op per row) come first; the
+        whole table is compared once per set, in blocks of rows to bound the
+        temporaries.  A builder-made full wrap grid holds its rows from the
+        build.
         """
         n = self.shape.n
-        if self.boundary != WRAP or self.L != n:
+        if self.boundary != WRAP or self.L != n or self.has_void:
             return None
-        rows = self.padded_dest[:, 0]
-        if not (np.bincount(rows, minlength=n + 1)[:n] == 1).all():
+        rows = self.dest_matrix[:, 0]
+        if not (np.bincount(rows, minlength=n) == 1).all():
             return None
         for lo in range(0, n, _COMPARE_BLOCK):
             block = rows[lo:lo + _COMPARE_BLOCK]
@@ -233,7 +228,8 @@ class TransformOp:
 
     ``source_index[p]`` is the input pixel copied to output pixel ``p``, or
     ``VOID`` when output pixel ``p`` has no source (zero row of G);
-    ``padded_source`` and ``padded_dest`` are the op's padded rows.
+    ``dest_index[q]`` is the output pixel that input pixel ``q`` is copied
+    to, or ``VOID`` when it is copied to none (zero column of G).
     """
 
     transforms: TransformationSet
@@ -244,12 +240,8 @@ class TransformOp:
         return self.transforms.source_matrix[self.l]
 
     @property
-    def padded_source(self) -> np.ndarray:
-        return self.transforms.padded_source[self.l]
-
-    @property
-    def padded_dest(self) -> np.ndarray:
-        return self.transforms.padded_dest[self.l]
+    def dest_index(self) -> np.ndarray:
+        return self.transforms.dest_matrix[self.l]
 
     @property
     def shape(self) -> ImageShape:
@@ -270,13 +262,13 @@ def _check_vector(x, n: int) -> np.ndarray:
 def apply(op: TransformOp, image) -> np.ndarray:
     """Apply G to a pixel vector (or a batch stacked on leading axes)."""
     x = _check_vector(image, op.n)
-    return _padded(x, axis=-1)[..., op.padded_source]
+    return _padded(x, axis=-1)[..., op.source_index]
 
 
 def apply_adjoint(op: TransformOp, image) -> np.ndarray:
     """Apply G^T (scatter).  Inverts `apply` exactly for wrap permutations."""
     x = _check_vector(image, op.n)
-    return _padded(x, axis=-1)[..., op.padded_dest]
+    return _padded(x, axis=-1)[..., op.dest_index]
 
 
 def transform_diag_cov(op: TransformOp, phi, psi) -> np.ndarray:
@@ -291,7 +283,7 @@ def transform_diag_cov(op: TransformOp, phi, psi) -> np.ndarray:
         raise ValueError("phi entries must be positive")
     if np.any(psi < 0):
         raise ValueError("psi entries must be nonnegative")
-    return _padded(phi)[op.padded_source] + psi
+    return _padded(phi)[op.source_index] + psi
 
 
 def _shift_table(shape: ImageShape, di, dj, boundary: str) -> np.ndarray:

@@ -59,19 +59,17 @@ def shear_index(h, w, factor, t, wrap) -> list[int]:
     return out
 
 
-def padded_tables(rows, n):
-    """(padded source, padded destination) tables of index rows: -1 becomes
-    n, and each destination row sends input pixel q to the output pixel
-    that reads it, n when none does."""
-    src = [[n if q < 0 else q for q in row] for row in rows]
+def dest_table(rows, n):
+    """The destination table of index rows: each row sends input pixel q to
+    the output pixel that reads it, -1 when none does."""
     dest = []
     for row in rows:
-        inverse = [n] * n
+        inverse = [-1] * n
         for p, q in enumerate(row):
             if q >= 0:
                 inverse[q] = p
         dest.append(inverse)
-    return src, dest
+    return dest
 
 
 def gauss_logpdf(x, mean, cov) -> float:

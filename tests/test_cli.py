@@ -1,13 +1,14 @@
 import csv
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from transmix import ImageShape, Manifest, build_translation_set, thmm
+from transmix import EmOptions, ImageShape, Manifest, build_translation_set, thmm, tmg
 from transmix.cli import (build_transforms, cmd_eval, cmd_gen, cmd_infer,
-                          cmd_train, main)
+                          cmd_train, generate_data, main)
 from transmix.metrics import (best_template_assignment, classification_error,
                               clustering_purity_error, normalized_correlation,
                               shift_max_correlation, tracking_agreement)
@@ -366,3 +367,110 @@ def test_eval_refuses_a_fractional_cell(tmp_path):
     pred.write_text("t,class,i,j\n0,1.0,2,3\n1,1,0.0,4.0\n")
     cmd_eval(pred, truth, "classification")
     cmd_eval(pred, truth, "tracking")
+
+
+def test_occluded_generator_paints_its_bar_over_the_shifted_frames():
+    man = Manifest.parse(SMALL).override({"generator": "occluded", "gen.bar": "1,3,0,4",
+                                          "gen.bar_value": "0.7"})
+    data = generate_data(man)
+    plain = generate_data(Manifest.parse(SMALL))
+    bar = np.zeros((5, 5), dtype=bool)
+    bar[1:3, 0:4] = True
+    bar = bar.reshape(-1)
+    assert set(data) == {"frames", "truth", "shape"}
+    assert np.all(data["frames"][:, bar] == 0.7)
+    assert np.array_equal(data["frames"][:, ~bar], plain["frames"][:, ~bar])
+    assert np.array_equal(data["truth"].clean, plain["truth"].clean)
+    assert data["truth"].params["bar"] == (1, 3, 0, 4)
+
+
+def test_train_reads_a_frames_directory_named_by_data(tmp_path):
+    gen_dir = cmd_gen(Manifest.parse(SMALL), tmp_path / "gen")
+    text = SMALL.replace("generator = shifted\n", f"data = {gen_dir / 'frames'}\n")
+    man = Manifest.parse(text).override({"family": "tmg", "iterations": "2"})
+    assert "generator" not in man
+    path = cmd_train(man, tmp_path / "train")
+    frames, shape = model_io.read_frames(gen_dir / "frames")
+    want = tmg.fit(tmg.init_tmg(build_transforms(man, shape), 1, frames, seed=3),
+                   frames, 2, EmOptions(seed=3), tol=0)[0]
+    model_io.save_model(want, tmp_path / "want.txm")
+    assert path.read_bytes() == (tmp_path / "want.txm").read_bytes()
+    assert not (tmp_path / "train" / "truth.csv").exists()
+
+
+def test_train_without_a_tmg_prefit_starts_from_init_thmm(tmp_path):
+    man = Manifest.parse(SMALL).override({"init.from_tmg": "false"})
+    path = cmd_train(man, tmp_path / "train")
+    data = generate_data(man)
+    motion = thmm.uniform_motion(1.5, "vector")
+    start = thmm.init_thmm(build_transforms(man, data["shape"]), 1, data["frames"], seed=3,
+                           motion=motion)
+    want, reports = thmm.fit(start, data["frames"], 4, EmOptions(seed=3), tol=0)
+    model_io.save_model(want, tmp_path / "want.txm")
+    assert path.read_bytes() == (tmp_path / "want.txm").read_bytes()
+    with open(tmp_path / "train" / "steps.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == len(reports) == 4
+
+
+def test_shifted_generator_reads_a_pgm_template(tmp_path):
+    template = np.zeros((4, 6))
+    template[1:3, 2:5] = 1.0
+    model_io.write_pgm(tmp_path / "t.pgm", template)
+    man = Manifest.parse(SMALL).override({"gen.template": str(tmp_path / "t.pgm"),
+                                          "gen.shift_range": "0"})
+    data = generate_data(man)
+    assert data["shape"] == ImageShape(4, 6)
+    assert np.array_equal(data["truth"].clean, np.tile(template.reshape(-1), (24, 1)))
+
+
+def _saved_tmg(tmp_path):
+    """A small TMG model file and a frame directory of its size."""
+    rng = np.random.default_rng(8)
+    ts = build_translation_set(ImageShape(3, 4), 3, 3)
+    model_io.save_model(tmg.init_tmg(ts, 1, rng.uniform(0, 1, (5, 12)), seed=1),
+                        tmp_path / "tmg.txm")
+    model_io.write_frames(rng.uniform(0, 1, (5, 12)), ImageShape(3, 4), tmp_path / "frames")
+    return tmp_path / "tmg.txm", tmp_path / "frames"
+
+
+def test_infer_refuses_an_unknown_task_one_classify_model_and_a_tmg_for_thmm_tasks(tmp_path):
+    model, frames = _saved_tmg(tmp_path)
+    with pytest.raises(ValueError, match="unknown task 'bogus'"):
+        cmd_infer([model], frames, "bogus")
+    with pytest.raises(ValueError, match="classify needs two or more --model files"):
+        cmd_infer([model], frames, "classify")
+    for task in ("denoise", "stabilize", "track", "score"):
+        with pytest.raises(ValueError, match=f"task {task} needs a thmm model"):
+            cmd_infer([model], frames, task, tmp_path / "out")
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("transform", "rotate", "unknown transform kind 'rotate'"),
+    ("generator", "noise", "unknown generator 'noise'"),
+    ("family", "gmm", "unknown family 'gmm'"),
+    ("options.clamp_motion", "0.5,0.5", "options.clamp_motion needs 9 values for this "
+                                        "motion mode, got 2"),
+])
+def test_train_refuses_an_unknown_kind_or_a_wrong_length_clamp(key, value, message, tmp_path):
+    man = Manifest.parse(SMALL).override({key: value, "motion.threshold": "1.0"})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cmd_train(man, tmp_path / "out")
+    assert not (tmp_path / "out" / "model.txm").exists()
+
+
+def test_eval_refuses_an_unknown_mode(tmp_path):
+    csv_path = tmp_path / "p.csv"
+    csv_path.write_text("t,class,i,j\n0,1,2,3\n")
+    with pytest.raises(ValueError, match="unknown eval mode 'ranking'"):
+        cmd_eval(csv_path, csv_path, "ranking")
+
+
+def test_set_without_an_equals_sign_is_refused(tmp_path):
+    man_path = tmp_path / "man.txt"
+    man_path.write_text(SMALL)
+    for command in ("gen", "train"):
+        with pytest.raises(SystemExit, match="--set expects key=value, got 'seed'"):
+            main([command, "--manifest", str(man_path), "--out", str(tmp_path / "out"),
+                  "--set", "seed"])
+    assert not (tmp_path / "out").exists()

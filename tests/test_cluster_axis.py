@@ -88,7 +88,7 @@ def _dense_reference(ts, mu, loadings, phi, psi, X):
     X = X - shift
     (C, n, k), L = loadings.shape, ts.L
     cluster, op = np.divmod(np.arange(C * L), L)
-    index = ts.padded_source[op] + (cluster * (n + 1))[:, None]
+    index = ts.source_matrix[op] + (cluster * (n + 1))[:, None]
     size = tca._block_rows(C * L, L, n, k, len(X))
     blocks = []
     for lo in range(0, C * L, size):
@@ -220,7 +220,7 @@ def test_stacked_emission_matches_one_cluster_calls_and_the_dense_oracle(
 def _emission_peak(model, X):
     """Traced peak of one `thmm.emission_table` call, in sizes of its
     (T, C, L) table."""
-    model.transforms.padded_source     # a lazy grid builds its tables now
+    model.transforms.source_matrix     # a lazy grid builds its tables now
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

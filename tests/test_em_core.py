@@ -524,7 +524,7 @@ def test_latent_posterior_forms_agree(boundary):
     moments; a latent pixel that lands nowhere keeps its prior."""
     rng = np.random.default_rng(41)
     ts = build_translation_set(ImageShape(4, 5), 3, 3, boundary)
-    n, L, dest = ts.shape.n, ts.L, ts.padded_dest
+    n, L, dest = ts.shape.n, ts.L, ts.dest_matrix
     mu, x = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
     phi, psi = rng.uniform(0.05, 0.2, n), rng.uniform(0.05, 0.2, n)
     every_op = _latent_posterior(dest, mu, phi, psi, x)
@@ -533,7 +533,7 @@ def test_latent_posterior_forms_agree(boundary):
     for got, want in zip(per_row, every_op):
         assert got.shape == (L, n)
         np.testing.assert_array_equal(got, want)
-    nowhere = dest == n
+    nowhere = dest < 0
     assert nowhere.any() == (boundary == "zero")
     z_mean, z_var = every_op
     np.testing.assert_allclose(z_mean[nowhere], np.tile(mu, (L, 1))[nowhere], rtol=1e-14)

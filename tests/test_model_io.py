@@ -1,5 +1,7 @@
 import hashlib
+import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -370,3 +372,77 @@ def test_montage_layout():
     out = montage(images, ImageShape(2, 3), cols=2, pad=1)
     assert out.shape == (2 * 2 + 1, 3 * 2 + 1)
     assert out[0, 0] == 0.0 and out[0, 4] == 1.0
+
+
+def test_saving_a_full_wrap_grid_builds_its_source_table_alone(tmp_path):
+    """A save reads the one table it writes: on a builder-made full wrap
+    grid that read builds `source_matrix` and nothing else, and every block
+    goes to the file through the buffer protocol.  So the traced peak is the
+    table itself plus the per-op (L, h) and (L, w) index arrays that build
+    it, 1.15 tables at 31x31; 1.25 leaves room for that and nothing more (a
+    copy of the table's bytes, as a save that joins its blocks would make,
+    takes it past 2)."""
+    side = 31
+    shape = ImageShape(side, side)
+    ts = build_translation_set(shape, side, side, "wrap")
+    model = TmgModel(transforms=ts, mu=np.zeros((1, shape.n)), phi=np.ones((1, shape.n)),
+                     psi=np.ones(shape.n), rho=np.full((ts.L, 1), 1.0 / ts.L), pi=np.ones(1))
+    table = ts.L * shape.n * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_model(model, tmp_path / "grid.txm")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert "source_matrix" in vars(ts) and "dest_matrix" not in vars(ts)
+    assert peak < 1.25 * table
+    loaded = load_model(tmp_path / "grid.txm", family="tmg")
+    assert np.array_equal(loaded.transforms.source_matrix, ts.source_matrix)
+
+
+def _pgm_error(tmp_path, raw, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"P5\n2 2\n", "truncated header"),
+    (b"P5\n2 2 # a comment with no end", "unterminated comment"),
+    (b"P5\n2 x\n255\n" + bytes(4), "malformed header numbers"),
+    (b"P5\n2 2\n1023\n" + bytes(8), "unsupported maxval 1023"),
+    (b"P5\n2 2\n255\n" + bytes(3), "truncated pixel data"),
+    (b"P5\n2 2\n65535\n" + bytes(7), "truncated pixel data"),
+], ids=["truncated-header", "unterminated-comment", "header-numbers", "maxval",
+        "truncated-8-bit", "truncated-16-bit"])
+def test_read_pgm_refuses_a_malformed_file_naming_it(raw, message, tmp_path):
+    _pgm_error(tmp_path, raw, message)
+
+
+def test_pgm_writers_refuse_a_flat_vector_without_shape_and_a_bad_maxval(tmp_path):
+    with pytest.raises(ValueError, match="flat pixel vector needs an explicit shape"):
+        write_pgm(tmp_path / "flat.pgm", np.zeros(6))
+    for maxval in (0, 256, 1023):
+        with pytest.raises(ValueError, match="maxval must be 255 or 65535"):
+            write_pgm(tmp_path / "bad.pgm", np.zeros((2, 3)), maxval=maxval)
+        with pytest.raises(ValueError, match="maxval must be 255 or 65535"):
+            write_frames(np.zeros((2, 6)), ImageShape(2, 3), tmp_path / "seq", maxval=maxval)
+    assert not (tmp_path / "flat.pgm").exists() and not (tmp_path / "bad.pgm").exists()
+
+
+@pytest.mark.parametrize("size", [0, 3])
+def test_load_refuses_a_file_too_short_for_a_checksum(size, tmp_path):
+    path = tmp_path / "short.txm"
+    path.write_bytes(bytes(size))
+    with pytest.raises(ModelIOError, match="file too short to hold a checksum"):
+        load_model(path)
+
+
+def test_load_refuses_a_header_without_its_end_line(tmp_path):
+    save_model(make_models()["tmg"], tmp_path / "m.txm")
+    path = tmp_path / "no-end.txm"
+    path.write_bytes(_rewritten((tmp_path / "m.txm").read_bytes(), b"\nEND\n", b"\nEDN\n"))
+    with pytest.raises(ModelIOError, match="missing header terminator"):
+        load_model(path)

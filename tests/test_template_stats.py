@@ -203,7 +203,7 @@ def test_factor_posterior_matches_dense_conditioning(name, K):
     the gather, reads -shift there, the M-step's 0."""
     ts = CASES[name]()
     mu, loadings, phi, psi, X, _ = _inputs(ts, seed=20 + K, K=K, T=4)
-    mean, var, rows = common._observed(ts.padded_source, mu, loadings, phi, psi)
+    mean, var, rows = common._observed(ts.source_matrix, mu, loadings, phi, psi)
     _, y_cov, _, y_mean = common._factor_posterior(mean, var, rows, X)
     n = ts.shape.n
     assert y_mean.shape == (K, ts.L, 4) and y_cov.shape == (ts.L, K, K)
@@ -211,7 +211,7 @@ def test_factor_posterior_matches_dense_conditioning(name, K):
         want, cov = joint_zy_conditioning(dense_matrix(op), mu, loadings, phi, psi, X)
         np.testing.assert_allclose(y_mean[:, l].T, want[:, n:], rtol=1e-10, atol=0)
         np.testing.assert_allclose(y_cov[l], cov[n:, n:], rtol=1e-10, atol=0)
-    void = ts.padded_source == n
+    void = ts.source_matrix < 0
     assert void.any()
     shifted = np.where(void, -float(X.mean()), mean)
     _, cov_shifted, _, mean_shifted = common._factor_posterior(shifted, var, rows, X)
@@ -225,7 +225,7 @@ def test_op_posterior_without_factors_is_the_latent_posterior(name):
     mu, loadings, phi, psi, X, _ = _inputs(ts, seed=len(name), K=0, T=1)
     y_cov, y_mean, z_mean, z_var = tca._op_posterior(ts, mu, loadings, phi, psi, X[0])
     assert y_cov.shape == (ts.L, 0, 0) and y_mean.shape == (ts.L, 0)
-    want_mean, want_var = common._latent_posterior(ts.padded_dest, mu, phi, psi, X[0])
+    want_mean, want_var = common._latent_posterior(ts.dest_matrix, mu, phi, psi, X[0])
     np.testing.assert_array_equal(z_mean, want_mean)
     np.testing.assert_array_equal(z_var, want_var)
 
@@ -330,7 +330,7 @@ def _peak_weights(ts, C, K, T, seed=0):
     in sizes of its (T, L, C) weights."""
     rng = np.random.default_rng(seed)
     n, L = ts.shape.n, ts.L
-    ts.padded_source, ts.padded_dest     # a lazy grid builds its tables now
+    ts.source_matrix, ts.dest_matrix     # a lazy grid builds its tables now
     W = rng.dirichlet(np.ones(L * C), size=T).reshape(T, L, C)
     args = (rng.uniform(0.2, 1.0, (C, n)), rng.uniform(-0.3, 0.3, (C, n, K)),
             rng.uniform(0.1, 1.0, (C, n)), rng.uniform(0.05, 0.5, n),

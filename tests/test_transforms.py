@@ -1,16 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transmix import (DEFAULT_SHEAR_FAMILY, ImageShape, TransformOp,
+from transmix import (DEFAULT_SHEAR_FAMILY, VOID, ImageShape, TransformOp,
                       TransformationSet, apply, apply_adjoint,
                       build_shear_translation_set, build_translation_set,
                       identity_set, shear_translate_op, shift_op,
                       transform_diag_cov)
-from transmix.transforms import _TABLES, wrap_shift_index
+from transmix.transforms import wrap_shift_index
 
-from oracles import dense_matrix, padded_tables, shear_index, shift_index
+from oracles import dense_matrix, dest_table, shear_index, shift_index
+
+TABLES = ("source_matrix", "dest_matrix")
 
 
 def test_translation_set_counts():
@@ -176,15 +180,14 @@ ORACLE_CASES = (
 def test_set_tables_match_the_index_oracles(build, rows, grid, params, kind):
     """Every builder's tables against per-pixel loops from first principles."""
     ts = build()
-    padded_source, padded_dest = padded_tables(rows, ts.shape.n)
-    assert ts.source_matrix.dtype == np.int64
+    assert ts.source_matrix.dtype == ts.dest_matrix.dtype == np.int64
     assert ts.source_matrix.tolist() == rows
-    assert ts.padded_source.tolist() == padded_source
-    assert ts.padded_dest.tolist() == padded_dest
+    assert ts.dest_matrix.tolist() == dest_table(rows, ts.shape.n)
     assert (ts.grid, ts.params, ts.kind) == (grid, tuple(params), kind)
     assert [op.source_index.tolist() for op in ts] == rows
+    assert [op.dest_index.tolist() for op in ts] == ts.dest_matrix.tolist()
     assert all(isinstance(op, TransformOp) and not op.source_index.flags.writeable
-               for op in ts)
+               and not op.dest_index.flags.writeable for op in ts)
 
 
 @settings(max_examples=120, deadline=None)
@@ -260,22 +263,23 @@ def test_batched_apply():
     assert np.allclose(apply_adjoint(op, batch), stacked_adj)
 
 
-def test_padded_dest_inverts_padded_source_and_maps_void_to_n():
+def test_dest_matrix_inverts_source_matrix_and_maps_void_to_void():
     ts = build_translation_set(ImageShape(4, 5), 3, 3, "zero")
-    n, dest, src = ts.shape.n, ts.padded_dest, ts.padded_source
+    n, dest, src = ts.shape.n, ts.dest_matrix, ts.source_matrix
     assert dest.shape == (ts.L, n) and not dest.flags.writeable
-    assert (dest == n).any() and (src == n).any()
-    assert dest is ts.padded_dest
+    assert (dest == VOID).any() and (src == VOID).any()
+    assert dest.min() == VOID and dest.max() < n
+    assert dest is ts.dest_matrix
     for l, op in enumerate(ts):
-        lands = dest[l] < n
+        lands = dest[l] >= 0
         assert np.array_equal(src[l, dest[l, lands]], np.nonzero(lands)[0])
-        assert np.count_nonzero(lands) == np.count_nonzero(src[l] < n)
+        assert np.count_nonzero(lands) == np.count_nonzero(src[l] >= 0)
 
 
-def test_padded_dest_refuses_a_non_injective_op():
+def test_dest_matrix_refuses_a_non_injective_op():
     """Op 1 copies source pixel 0 to two output pixels: G diag(v) G^T would
     not be diagonal, so the diagonal kernels would score it wrongly.  The
-    pass that builds padded_dest refuses it when the set is constructed."""
+    pass that builds dest_matrix refuses it when the set is constructed."""
     with pytest.raises(ValueError, match="op 1 is not injective"):
         TransformationSet(np.array([[0, 1, 2], [0, 0, 2]]), ImageShape(1, 3), "wrap")
 
@@ -318,15 +322,16 @@ def _lazy_grid(h, w):
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (2, 5), (4, 6), (7, 7), (23, 23)])
-def test_a_full_wrap_grid_builds_the_tables_of_its_source_matrix_on_first_read(h, w):
+def test_a_full_wrap_grid_builds_each_table_alone_on_its_first_read(h, w):
     ts = _lazy_grid(h, w)
-    assert not set(_TABLES) & set(vars(ts))
+    assert not set(TABLES) & set(vars(ts))
     assert (ts.L, ts.has_void, ts.grid, ts.kind) == (h * w, False, (h, w), "translate")
     rows = ts.wrap_rows
-    assert ts.padded_dest is ts.padded_dest
+    assert ts.dest_matrix is ts.dest_matrix
+    assert "source_matrix" not in vars(ts)
     want = TransformationSet(ts.source_matrix, ts.shape, "wrap", grid=ts.grid,
                              params=ts.params, kind=ts.kind)
-    for name in _TABLES:
+    for name in TABLES:
         got = getattr(ts, name)
         assert got.dtype == np.int64 and not got.flags.writeable
         assert np.array_equal(got, getattr(want, name))
@@ -350,6 +355,14 @@ def _one_shift_twice(shape):
     return TransformationSet(table[[0] + list(range(2, shape.n)) + [0]], shape, "wrap")
 
 
+def _one_void_pixel(shape):
+    """Every wrap shift once, with the output pixel that reads latent pixel
+    0 in op 3 made VOID: that op's candidate row is VOID."""
+    table = wrap_shift_index(shape)
+    table[3, table[3] == 0] = VOID
+    return TransformationSet(table, shape, "wrap")
+
+
 @pytest.mark.parametrize("build", [
     lambda s: build_translation_set(s, 5, 5, "zero"),
     lambda s: build_translation_set(s, 3, 5, "wrap"),
@@ -358,8 +371,31 @@ def _one_shift_twice(shape):
     lambda s: identity_set(s),
     _one_row_permuted,
     _one_shift_twice,
+    _one_void_pixel,
 ], ids=["zero-padded", "extent-capped", "wrap-shear", "identity", "one-row-permuted",
-        "one-shift-twice"])
+        "one-shift-twice", "one-void-pixel"])
 def test_wrap_rows_is_none_for_every_other_set(build):
     ts = build(ImageShape(5, 5))
     assert ts.wrap_rows is None
+
+
+SHEAR_REFUSALS = {  # keyword arguments of build_shear_translation_set, message
+    "levels-only": ({"shear_levels": [0.0, 0.5]}, "give both shear_levels and shifts_h, or pairs"),
+    "shifts-only": ({"shifts_h": 3}, "give both shear_levels and shifts_h, or pairs"),
+    "even-shifts": ({"shear_levels": [0.0], "shifts_h": 2},
+                    "horizontal shift count must be odd and >= 1"),
+    "no-shifts": ({"shear_levels": [0.0], "shifts_h": 0},
+                  "horizontal shift count must be odd and >= 1"),
+    "no-pairs": ({"pairs": []}, "a TransformationSet needs at least one op"),
+    "row-without-source": ({"pairs": [(0.0, 0), (0.0, 4)], "boundary": "zero"},
+                           "shear+shift leaves a whole row without source columns"),
+    "sheared-row-without-source": ({"pairs": [(3.0, 0)], "boundary": "zero"},
+                                   "shear+shift leaves a whole row without source columns"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHEAR_REFUSALS))
+def test_shear_set_refuses_bad_levels_shifts_or_pairs(case):
+    kwargs, match = SHEAR_REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(match)):
+        build_shear_translation_set(ImageShape(4, 4), **kwargs)
