@@ -48,6 +48,12 @@ bump[12] = 1.0
 col = tangent_columns(bump, grid, ("h",))
 print("\nhorizontal-shift tangent column of a single-pixel template:")
 print(col[:, 0].reshape(5, 5))
-print("\nEM can keep such columns pinned while learning the rest: pass "
-      "EmOptions(tangent_directions=('h',)) to em_step/fit.")
-_ = EmOptions(tangent_directions=("h",))
+
+# EM keeps such columns pinned to the current template while it learns the
+# rest: a class-9 TCA over shears with its first column along the shear
+X9 = X_tr[y_tr == 9]
+model, _ = fit(init_tca(shear, 3, X9, seed=seed), X9, 10,
+               EmOptions(tangent_directions=("shear",)))
+pinned = np.array_equal(model.loadings[:, :1], tangent_columns(model.mu, shear, ("shear",)))
+print(f"\nafter 10 EM iterations with tangent_directions=('shear',), the first "
+      f"loading column is the template's shear tangent: {pinned}")

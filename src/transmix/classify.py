@@ -53,7 +53,8 @@ def _stacked_loglik(cores, X) -> np.ndarray:
     transformation set and one K, from one emission call over all their
     clusters: cluster rows follow the models' order, each with its model's
     psi (0 under the fast likelihood).  The table's memory is (T, clusters,
-    L), so each model's joint is one run of every frame's row."""
+    L) on either emission path, so the (T, clusters L) joint is a view and
+    each model's is one run of every frame's row."""
     X = _frames(X, cores[0].n)
     counts = [m.C for m in cores]
     mu, loadings, phi = (np.concatenate([getattr(m, name) for m in cores])

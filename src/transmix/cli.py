@@ -220,8 +220,6 @@ def cmd_train(man: Manifest, out_dir, verbose: bool = False) -> Path:
                                 ("factors", 1, 0)):
         if man.get_int(key, default) < least:
             raise ValueError(f"manifest key {key!r} must be >= {least}, got {man.get(key)}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data = _load_data(man)
     transforms = build_transforms(man, data["shape"])
     restarts = man.get_int("restarts", 1)
@@ -237,6 +235,8 @@ def cmd_train(man: Manifest, out_dir, verbose: bool = False) -> Path:
             best = (model, final, reports)
     model, final, reports = best
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.txm"
     model_io.save_model(model, model_path)
     with open(out / "steps.csv", "w", newline="") as fh:
@@ -273,6 +273,9 @@ def _write_montages(model, out: Path) -> None:
                                             ImageShape(side, side)))
 
 
+_TASKS = ("denoise", "stabilize", "track", "score", "classify")
+
+
 def cmd_infer(model_paths, frames_dir, task: str, out_dir=None,
               use_viterbi: bool = False, denoise_mode: str = "soft") -> dict:
     """Run one inference task with a trained model over a frame directory."""
@@ -283,15 +286,18 @@ def cmd_infer(model_paths, frames_dir, task: str, out_dir=None,
             raise ValueError(f"{frames_dir}: frames are {shape.height}x{shape.width} "
                              f"but model {path} is {m.shape.height}x{m.shape.width}")
     model = models[0]
+    if task not in _TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    if task == "classify" and len(models) < 2:
+        raise ValueError("classify needs two or more --model files")
+    if task != "classify" and not isinstance(model, thmm.ThmmModel):
+        raise ValueError(f"task {task} needs a thmm model")
     out = None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     result: dict = {"task": task}
 
-    if task in ("denoise", "stabilize", "track", "score"):
-        if not isinstance(model, thmm.ThmmModel):
-            raise ValueError(f"task {task} needs a thmm model")
     if task == "denoise":
         cleaned = thmm.denoise(model, frames, mode=denoise_mode,
                                use_viterbi=use_viterbi or None)
@@ -318,9 +324,7 @@ def cmd_infer(model_paths, frames_dir, task: str, out_dir=None,
         print(f"log-likelihood {score:.10g}")
         if out:
             (out / "score.txt").write_text(f"{score:.10g}\n")
-    elif task == "classify":
-        if len(models) < 2:
-            raise ValueError("classify needs two or more --model files")
+    else:
         labels = classify_mod.classify_batch(models, frames)
         result["labels"] = labels
         if out:
@@ -329,8 +333,6 @@ def cmd_infer(model_paths, frames_dir, task: str, out_dir=None,
                 writer.writerow(["t", "class"])
                 for t, lab in enumerate(labels):
                     writer.writerow([t, int(lab)])
-    else:
-        raise ValueError(f"unknown task {task!r}")
     return result
 
 
@@ -399,8 +401,7 @@ def main(argv=None) -> int:
     p_infer.add_argument("--model", action="append", required=True)
     p_infer.add_argument("--frames", required=True)
     p_infer.add_argument("--task", required=True,
-                         choices=("denoise", "stabilize", "track", "score",
-                                  "classify"))
+                         choices=_TASKS)
     p_infer.add_argument("--out", default=None)
     p_infer.add_argument("--viterbi", action="store_true",
                          help="decode with the Viterbi path instead of the "

@@ -103,15 +103,17 @@ def save_model(model, path) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-def _take(buf: memoryview, shape, dtype: str = "<f8") -> tuple[np.ndarray, memoryview]:
-    """The next block, of the given shape, and the bytes after it."""
+def _take(buf: memoryview, shape, dtype: str = "<f8",
+          copy: bool = True) -> tuple[np.ndarray, memoryview]:
+    """The next block, of the given shape, and the bytes after it; without
+    `copy`, the block is a read-only view of `buf`."""
     if min(shape) < 0:
         raise ModelIOError(f"header gives a negative block size {shape}")
     need = math.prod(shape) * np.dtype(dtype).itemsize
     if len(buf) < need:
         raise ModelIOError("file truncated inside a parameter block")
-    arr = np.frombuffer(buf[:need], dtype=dtype).reshape(shape).copy()
-    return arr, buf[need:]
+    arr = np.frombuffer(buf[:need], dtype=dtype).reshape(shape)
+    return (arr.copy() if copy else arr), buf[need:]
 
 
 class _Header(dict):
@@ -127,23 +129,23 @@ def load_model(path, family: str | None = None):
     raw = Path(path).read_bytes()
     if len(raw) < 4:
         raise ModelIOError("file too short to hold a checksum")
-    payload, tail = raw[:-4], raw[-4:]
-    if struct.unpack("<I", tail)[0] != zlib.crc32(payload):
+    if struct.unpack("<I", raw[-4:])[0] != zlib.crc32(memoryview(raw)[:-4]):
         raise ChecksumError("trailing checksum does not match the payload")
     try:
-        return _parse(payload, family)
+        return _parse(raw, family)
     except (ValueError, IndexError, OverflowError) as exc:  # and UnicodeDecodeError
         raise ModelIOError(f"malformed model file: {exc}") from exc
 
 
-def _parse(payload: bytes, family: str | None):
-    """The model in a checksummed payload: header, transformation set and
-    parameter blocks."""
-    end = payload.find(b"\nEND\n")
+def _parse(raw: bytes, family: str | None):
+    """The model in a file's bytes whose checksum holds: header,
+    transformation set and parameter blocks, then the 4-byte checksum.  The
+    blocks are read through views of `raw`, not copies of it."""
+    end = raw.find(b"\nEND\n", 0, len(raw) - 4)
     if end < 0:
         raise ModelIOError("missing header terminator")
-    header_text = payload[:end].decode("ascii")
-    body = memoryview(payload[end + len(b"\nEND\n"):])
+    header_text = raw[:end].decode("ascii")
+    body = memoryview(raw)[end + len(b"\nEND\n"):-4]
 
     lines = header_text.splitlines()
     magic = (lines[0] if lines else "").split()
@@ -165,12 +167,13 @@ def _parse(payload: bytes, family: str | None):
     shape = ImageShape(int(fields["height"]), int(fields["width"]))
     n = shape.n
     L = int(fields["ops"])
-    src, body = _take(body, (L, n), "<i8")
+    # the set copies its table to int64 itself
+    src, body = _take(body, (L, n), "<i8", copy=False)
     grid = None if fields["grid"] == "none" else tuple(int(v) for v in fields["grid"].split())
     param_width = int(fields["param_width"])
     params = None
     if param_width:
-        raw_params, body = _take(body, (L, param_width))
+        raw_params, body = _take(body, (L, param_width), copy=False)
         params = tuple(tuple(row) for row in raw_params)
     ts = TransformationSet(src, shape, fields["boundary"], grid=grid, params=params,
                            kind=fields["kind"])

@@ -75,10 +75,9 @@ def init_mtca(transforms: TransformationSet, n_clusters: int, n_factors: int,
 
 def loglik_table(model: MtcaModel, X, *, posterior=None) -> np.ndarray:
     """(T, L, C) table of log p(x_t | l, c); the fast likelihood drops the
-    sensor noise (see `tca`).  The dense table is a view of (T, C, L)
-    memory (the FFT path's of (L, T, C)), so sums over it add in that
-    order.  A list given as `posterior` receives each cluster's factor
-    posterior (`tca.cluster_loglik`)."""
+    sensor noise (see `tca`).  The table is a view of (T, C, L) memory, so
+    sums over it add in that order.  A list given as `posterior` receives
+    each cluster's factor posterior (`tca.cluster_loglik`)."""
     psi = np.zeros_like(model.psi) if model.fast_likelihood else model.psi
     return _tca.cluster_loglik(model.transforms, model.mu, model.loadings, model.phi,
                                psi, _frames(X, model.n), posterior=posterior)

@@ -106,8 +106,8 @@ def init_tca(transforms: TransformationSet, n_factors: int, data,
 def cluster_loglik(transforms, mu, loadings, phi, psi, X, *, posterior=None):
     """(T, L, C) table of log p(x | l, c) for the latent component analyzers
     mu (C, n), loadings (C, n, K), phi (C, n) with sensor noise psi, shared
-    (n,) or one row per cluster (C, n).  The table's memory is (T, C, L), so
-    sums over it add in that order.
+    (n,) or one row per cluster (C, n).  On either path the table's memory
+    is (T, C, L), so sums over it add in that order.
 
     Given op l the image is Gaussian with covariance D_l + a_l a_l^T (D_l
     diagonal, a_l the loading rows in observed coordinates).  The dense
@@ -227,37 +227,33 @@ def _block_rows(count, L, n, k, T):
 def _fft_loglik(shape, rows, mu, v, X, X2):
     """`cluster_loglik` at K = 0 on a full wrap grid, op l the shift d_l =
     rows[l], with v = phi + psi, from centred frames X and their squares X2.
-    The table is (L, T, C) in memory, the gather's order: sums over it add
-    in memory order, so the layout fixes their rounding.  Every cluster goes
-    through one forward and one inverse transform call, and each column has
-    the bits of a one-cluster call.  The full-size work, written in place,
-    is one complex block (the frames' spectra, then the clusters' (C, T)
-    spectra) and the table's own memory, which holds the second spectra
-    product and then the transform's pixels before the table itself."""
+    Every cluster goes through one forward and one inverse transform call,
+    and each column has the bits of a one-cluster call.  The full-size work,
+    written in place, is one complex block (the frames' spectra, then the
+    second spectra product, whose memory takes the inverse transform's
+    (T, C, n) pixels) and the table's own memory, which holds the (T, C)
+    spectra until each op's pixel rows[l] is gathered into it along the
+    last axis."""
     T, C, n = X.shape[0], mu.shape[0], shape.n
     inv = 1.0 / v
     mean_inv = mu * inv
     const = -0.5 * (np.log(v).sum(axis=1) + n * _LOG2PI + (mu * mean_inv).sum(axis=1))
-    f_inv, f_mean = np.conj(_spectra(shape, inv, mean_inv))[:, :, None]
-    work = np.empty((C + 2, T, shape.height, shape.width // 2 + 1), dtype=complex)
-    prod = np.empty((C,) + work.shape[1:], dtype=complex)     # the table's memory
-    fx, fx2 = _spectra(shape, X, X2, out=work[:2])
-    spec = work[2:]
+    f_inv, f_mean = np.conj(_spectra(shape, inv, mean_inv))
+    work = np.empty((2 + C, T, shape.height, shape.width // 2 + 1), dtype=complex)
+    spec = np.empty((T, C) + work.shape[2:], dtype=complex)     # the table's memory
+    fx, fx2 = _spectra(shape, X, X2, out=work[:2])[:, :, None]
+    prod = work[2:].reshape(spec.shape)
     fx *= 2.0
     np.multiply(fx2, f_inv, out=spec)
     np.multiply(fx, f_mean, out=prod)
     spec -= prod
-    quad = _unspectra(shape, spec, out=_floats(prod, (C, T, n)))
+    quad = _unspectra(shape, spec, out=_floats(prod, (T, C, n)))
     quad *= -0.5
-    quad += const[:, None, None]          # const - quad / 2, with the same bits
-    # op l's entries sit at pixel rows[l]: the pixels go to (n, T, C) order
-    # in the spent spectra, then each op's row is gathered into the table
-    by_pixel = _floats(work, (n, T, C))
-    np.copyto(by_pixel, quad.transpose(2, 1, 0))
+    quad += const[:, None]                # const - quad / 2, with the same bits
     # rows are in range: "clip" skips the check, and the buffered output
     # that np.take's default "raise" writes through
-    table = np.take(by_pixel, rows, axis=0, out=_floats(prod, (len(rows), T, C)), mode="clip")
-    return table.transpose(1, 0, 2)
+    table = np.take(quad, rows, axis=2, out=_floats(spec, (T, C, len(rows))), mode="clip")
+    return table.transpose(0, 2, 1)
 
 
 def loglik_table(model: TcaModel, X) -> np.ndarray:

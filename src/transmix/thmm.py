@@ -281,12 +281,11 @@ def emission_loglik(model: ThmmModel, x) -> np.ndarray:
 
 def emission_table(model: ThmmModel, frames) -> np.ndarray:
     """(T, C, L) emission log-likelihood tables, C-contiguous: the component
-    analyzers' emission kernel with no factors, over every class at once.
-    The dense kernel's table is (T, C, L) in memory already, so only the
-    FFT path's is copied."""
+    analyzers' emission kernel with no factors, over every class at once,
+    whose table is (T, C, L) in memory, so this is a view of it."""
     table = _tca.cluster_loglik(model.transforms, model.mu, np.zeros((model.C, model.n, 0)),
                                 model.phi, model.psi, _frames(frames, model.n))
-    return np.ascontiguousarray(table.transpose(0, 2, 1))
+    return table.transpose(0, 2, 1)
 
 
 class _Dynamics:

@@ -326,7 +326,7 @@ def test_train_refuses_counts_below_their_least_value(key, value, tmp_path):
     man = Manifest.parse(SMALL).override({key: value})
     with pytest.raises(ValueError, match=repr(key)):
         cmd_train(man, tmp_path / "out")
-    assert not (tmp_path / "out" / "model.txm").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["-1", "nan"])
@@ -436,13 +436,13 @@ def _saved_tmg(tmp_path):
 def test_infer_refuses_an_unknown_task_one_classify_model_and_a_tmg_for_thmm_tasks(tmp_path):
     model, frames = _saved_tmg(tmp_path)
     with pytest.raises(ValueError, match="unknown task 'bogus'"):
-        cmd_infer([model], frames, "bogus")
+        cmd_infer([model], frames, "bogus", tmp_path / "out")
     with pytest.raises(ValueError, match="classify needs two or more --model files"):
-        cmd_infer([model], frames, "classify")
+        cmd_infer([model], frames, "classify", tmp_path / "out")
     for task in ("denoise", "stabilize", "track", "score"):
         with pytest.raises(ValueError, match=f"task {task} needs a thmm model"):
             cmd_infer([model], frames, task, tmp_path / "out")
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -456,7 +456,7 @@ def test_train_refuses_an_unknown_kind_or_a_wrong_length_clamp(key, value, messa
     man = Manifest.parse(SMALL).override({key: value, "motion.threshold": "1.0"})
     with pytest.raises(ValueError, match=re.escape(message)):
         cmd_train(man, tmp_path / "out")
-    assert not (tmp_path / "out" / "model.txm").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_refuses_an_unknown_mode(tmp_path):

@@ -88,10 +88,38 @@ def test_fft_emission_of_each_cluster_is_that_of_a_one_cluster_call(T):
     Xc = X - X.mean()
     v = phi + psi[0]
     table = tca._fft_loglik(ts.shape, ts.wrap_rows, mu, v, Xc, Xc * Xc)
-    assert table.transpose(1, 0, 2).flags.c_contiguous      # (L, T, C) in memory
+    assert table.transpose(0, 2, 1).flags.c_contiguous      # (T, C, L) in memory
     for c in range(3):
         alone = tca._fft_loglik(ts.shape, ts.wrap_rows, mu[c:c + 1], v[c:c + 1], Xc, Xc * Xc)
         assert np.array_equal(table[:, :, c], alone[:, :, 0])
+
+
+@pytest.mark.parametrize("C", [1, 3])
+@pytest.mark.parametrize("T", [1, 5])
+@pytest.mark.parametrize("path", ["dense", "fft"])
+def test_every_emission_path_returns_t_c_l_memory_that_readers_keep(path, T, C, monkeypatch):
+    """Either kernel's table is (T, C, L) in memory, and
+    `thmm.emission_table` returns that very table, not a copy."""
+    monkeypatch.setattr(common, "FFT_MIN_PIXELS", 0 if path == "fft" else 10 ** 9)
+    _forbid(monkeypatch, tca, "_observed" if path == "fft" else "_fft_loglik")
+    ts = build_translation_set(ImageShape(5, 3), 5, 3, "wrap")
+    mu, phi, psi, X, _ = _stacked(ts, seed=31, C=C, T=T)
+    table = tca.cluster_loglik(ts, mu, np.zeros((C, ts.shape.n, 0)), phi, psi, X)
+    assert table.transpose(0, 2, 1).flags.c_contiguous
+    tables = []
+    kernel = tca.cluster_loglik
+
+    def spy(*args, **kwargs):
+        tables.append(kernel(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(tca, "cluster_loglik", spy)
+    model = thmm.ThmmModel(transforms=ts, mu=mu, phi=phi, psi=psi,
+                           pi_s=np.full((C, ts.L), 1 / (C * ts.L)),
+                           class_trans=np.full((C, C), 1 / C), motion=thmm.uniform_motion(1.0))
+    emission = thmm.emission_table(model, X)
+    assert len(tables) == 1 and np.shares_memory(emission, tables[0])
+    assert np.array_equal(emission, table.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("h, w, shuffle, psi, T, C",
@@ -250,9 +278,11 @@ def _peak(call):
 
 def test_fft_kernels_write_their_work_in_place():
     """At 23 x 23, T = 32, C = 4 and tied psi, in sizes of the (T, L, C)
-    table: the emission peaks at 3.54 (the table's memory, one block of
-    spectra and the centred frames), the statistics at 2.84.  The chains of
-    fresh temporaries they replaced peaked at 5.34 and 4.14."""
+    table: the emission peaks at 3.76 (the table's memory, one block of
+    spectra, the centred frames, and the 0.25 MB of iterator buffers that
+    numpy takes for a broadcast (T, 1) x (C,) spectra product, whatever
+    its size), the statistics at 2.84.  The chains of fresh temporaries they replaced
+    peaked at 5.34 and 4.14."""
     side, T, C = 23, 32, 4
     ts = build_translation_set(ImageShape(side, side), side, side, "wrap")
     mu, phi, psi, X, W = _stacked(ts, seed=4, C=C, T=T)

@@ -401,6 +401,33 @@ def test_saving_a_full_wrap_grid_builds_its_source_table_alone(tmp_path):
     assert np.array_equal(loaded.transforms.source_matrix, ts.source_matrix)
 
 
+def test_loading_a_full_wrap_grid_copies_its_file_once(tmp_path):
+    """A load reads the file's bytes once and takes every block as a view of
+    them; the set's own int64 copy of the table and the scatter that builds
+    its inverse are the rest.  At 31x31 that peaks at 5.16 tables; slicing
+    the payload and the body as bytes and copying the table block before the
+    set copies it again took it to 8.17."""
+    side = 31
+    shape = ImageShape(side, side)
+    ts = build_translation_set(shape, side, side, "wrap")
+    model = TmgModel(transforms=ts, mu=np.zeros((1, shape.n)), phi=np.ones((1, shape.n)),
+                     psi=np.ones(shape.n), rho=np.full((ts.L, 1), 1.0 / ts.L), pi=np.ones(1))
+    save_model(model, tmp_path / "grid.txm")
+    table = ts.L * shape.n * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_model(tmp_path / "grid.txm", family="tmg")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * table
+    assert np.array_equal(loaded.transforms.source_matrix, ts.source_matrix)
+    for name in ("mu", "phi", "psi", "rho", "pi"):
+        array = getattr(loaded, name)
+        assert array.flags.writeable and array.flags.owndata, name
+
+
 def _pgm_error(tmp_path, raw, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(raw)
