@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mtca, tca
-from .common import _frames, logsumexp
+from .common import _cutexp, _frames
 
 
 def marginal_loglik(model, x) -> float:
@@ -66,9 +66,15 @@ def _stacked_loglik(cores, X) -> np.ndarray:
         table += np.log(np.concatenate([m.rho for m in cores], axis=1))
         table += np.log(np.concatenate([m.pi for m in cores]))
     joint = table.transpose(0, 2, 1).reshape(X.shape[0], -1)
-    ends = np.cumsum(counts) * cores[0].L
-    return np.stack([logsumexp(joint[:, end - count * cores[0].L:end], axis=1)
-                     for count, end in zip(counts, ends)], axis=1)
+    # one log-sum-exp per model over its run of columns: segment maxima,
+    # the shifted exponentials in place, segment sums
+    runs = np.multiply(counts, cores[0].L)
+    starts = np.cumsum(runs) - runs
+    top = np.maximum.reduceat(joint, starts, axis=1)
+    top[~np.isfinite(top)] = 0.0
+    joint -= np.repeat(top, runs, axis=1)
+    with np.errstate(divide="ignore"):
+        return np.log(np.add.reduceat(_cutexp(joint), starts, axis=1)) + top
 
 
 def classify_batch(models, X, priors=None) -> np.ndarray:

@@ -9,18 +9,18 @@ O(C^2 L + C L B) per step for B in-range moves instead of O((C L)^2), while
 staying exact.  All of them read one set of gather tables built by
 `_Dynamics`.
 
-The passes run in the log domain, one frame at a time, and each frame takes
-two steps per direction:
+The passes run in the log domain, one frame at a time.  The forward pass
+takes two steps per frame:
 
 - The motion step sums, per class and target position, over the B moves
-  into (forward) or out of (backward) that position: one log-sum-exp over a
-  (C, B, L) buffer filled through a flat gather index.  Each target's terms
-  are shifted by their largest, which becomes exactly 1, clamped at `CUT` =
-  -700 and exponentiated in place.  The clamp counts a term below e^-700
-  (about 1e-304) of its target's best as e^-700 instead of its own value,
-  so the sum, at least 1, moves by at most B e^-700: under its rounding.
-  numpy's exp then never takes its slow path below about -708.  A target
-  with no finite term stays -inf.
+  into that position: one log-sum-exp over a (C, B, L) buffer filled
+  through a flat gather index.  Each target's terms are shifted by their
+  largest, which becomes exactly 1, clamped at `CUT` = -700 and
+  exponentiated in place.  The clamp counts a term below e^-700 (about
+  1e-304) of its target's best as e^-700 instead of its own value, so the
+  sum, at least 1, moves by at most B e^-700: under its rounding.  numpy's
+  exp then never takes its slow path below about -708.  A target with no
+  finite term stays -inf.
 - The class step is a (C, C) matrix product with a per-position shift,
   log(M @ exp(logs - top)) + top, with M the class transitions (transposed
   in the forward pass) and top each position's best class; its
@@ -31,10 +31,25 @@ two steps per direction:
   there.  Elsewhere the clamp moves a sum by less than C e^-100 of itself,
   under its rounding.
 
-The frame's normaliser is a clamped log-sum-exp as well.  Smoothed marginals
-are exponentiated exactly: only log values above -746 go through exp, the
-rest are the 0 that exp rounds them to.  `forward_backward` states how far
-the expected transition counts may be from the exact sums.
+The frame's normaliser is a clamped log-sum-exp as well.
+
+The smoothing pass recurses on gamma from the last frame back, in the
+forward-filtering, backward-smoothing form (Rauch, Tung & Striebel, 1965):
+
+    gamma_t(c, l) = sum over moves m and classes c' of
+        alpha_t(c, l) w_c(m) / z(c, l) A(c, c') gamma_t+1(c', p) / pred_t+1(c', p)
+
+with p = l + d_m and pred the forward pass's one-step prediction.  Each term
+is at most gamma_t+1(c', p) <= 1, so a frame reads only the positions where
+some class's gamma_t+1 is above e^`_SUPPORT_CUT` = e^-800: a few of them on a
+tracked video.  Over those it takes one class step (on gamma / pred) and
+exponentiates its (C, B, positions) move terms without a shift, lifted by
+e^`_LIFT` so that states down to e^-800 sum in normal floats; one bincount
+scatters them onto their source states (a gather through each move's
+targets when every position is in the support).  The same exponentials,
+summed per move and per target, give the expected move and class counts.
+`forward_backward` states how far gamma and the counts may be from the
+exact sums.
 
 Motion differences are taken modulo the shift grid when the transformation
 set wraps (the grid is then a torus and every state has the same moves);
@@ -63,6 +78,13 @@ from .tmg import TmgModel
 _LINEAR_FLOOR = math.exp(CUT + 100.0)
 # np.exp rounds every argument below about -745.13 to exactly 0
 _EXP_ZERO = -746.0
+# the smoothing pass exponentiates its terms lifted by e^_LIFT and drops
+# those at or below e^CUT, so that every state down to e^_SUPPORT_CUT sums
+# in normal floats; it reads only the positions where some class's log gamma
+# is above _SUPPORT_CUT (see `forward_backward` for the bound)
+_LIFT = 100.0
+_SUPPORT_CUT = CUT - _LIFT
+_EXP_CUT = math.exp(CUT)
 
 
 def motion_offsets(threshold: float) -> np.ndarray:
@@ -341,22 +363,24 @@ class _Dynamics:
         if np.any(z <= 0):
             raise ValueError("motion prior leaves some state with no move")
         self.log_z = np.log(z)
+        # flat index c L + src[m, l] of each move's source state
+        self.state_src = self.src + len(i) * np.arange(model.C)[:, None, None]
+        # flat index (c moves + m) L + dst[m, l] of each move out of each
+        # state in a (C, moves, L) table over targets
+        self.move_dst = self.dst + len(i) * np.arange(model.C * len(moves)).reshape(
+            model.C, len(moves), 1)
 
 
 class _Forward(NamedTuple):
     """The forward pass's tables, per frame t: log filtered state
-    probabilities log_alpha (T, C, L); steps[t] = log p(x_t | x_<t); moved,
-    the log mass each class carries into each position before the class
-    step; and that step's exponentials lin = exp(moved - top), clamped at
-    `CUT`, with top (T, L) each position's best class.  moved, lin and top
-    are unused at t = 0."""
+    probabilities log_alpha (T, C, L); steps[t] = log p(x_t | x_<t); and
+    log_pred (T, C, L), the log one-step prediction p(state at t | x_<t),
+    log pi_s at t = 0."""
 
     loglik: float
     log_alpha: np.ndarray
-    moved: np.ndarray
     steps: np.ndarray
-    lin: np.ndarray
-    top: np.ndarray
+    log_pred: np.ndarray
 
 
 def _shifted_exp(buf: np.ndarray, axis) -> np.ndarray:
@@ -371,16 +395,15 @@ def _shifted_exp(buf: np.ndarray, axis) -> np.ndarray:
 
 
 def _motion_step(log_w: np.ndarray, index: np.ndarray, log_move: np.ndarray,
-                 buf: np.ndarray):
+                 buf: np.ndarray) -> np.ndarray:
     """The motion step over (C, moves, L): per class and position, the
     log-sum-exp over moves of log_w gathered at the flat `index` plus
-    `log_move`.  Leaves the clamped exponentials in `buf`; returns (log-sum,
-    largest term), both (C, L)."""
+    `log_move`, (C, L)."""
     # the index is in range; "clip" spares take a checked copy into buf
     np.take(log_w.reshape(-1), index, out=buf, mode="clip")
     buf += log_move
     top = _shifted_exp(buf, 1)[:, 0]
-    return np.log(buf.sum(axis=1)) + top, top
+    return np.log(buf.sum(axis=1)) + top
 
 
 def _class_step(M: np.ndarray, log_M: np.ndarray, logs: np.ndarray, lin: np.ndarray):
@@ -410,71 +433,95 @@ def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics) -> _Forward:
     """
     T, C, L = emis.shape
     A = model.class_trans
+    log_alpha = np.empty((T, C, L))
+    log_pred = np.empty((T, C, L))
     with np.errstate(divide="ignore"):
         log_At = np.log(A.T)
-        log_pred = np.log(model.pi_s)
-    log_alpha = np.empty((T, C, L))
-    moved = np.full((T, C, L), -np.inf)
+        np.log(model.pi_s, out=log_pred[0])
     steps = np.empty(T)
-    lin = np.empty((T, C, L))
-    top = np.full((T, L), -np.inf)
-    index = dyn.src + L * np.arange(C)[:, None, None]
     buf = np.empty(dyn.log_into.shape)
+    lin = np.empty((C, L))
     joint = np.empty((C, L))
     for t in range(T):
         if t > 0:
-            moved[t] = _motion_step(log_alpha[t - 1] - dyn.log_z, index,
-                                    dyn.log_into, buf)[0]
-            log_pred, top[t], _ = _class_step(A.T, log_At, moved[t], lin[t])
-        np.add(log_pred, emis[t], out=log_alpha[t])
+            moved = _motion_step(log_alpha[t - 1] - dyn.log_z, dyn.state_src,
+                                 dyn.log_into, buf)
+            log_pred[t] = _class_step(A.T, log_At, moved, lin)[0]
+        np.add(log_pred[t], emis[t], out=log_alpha[t])
         np.copyto(joint, log_alpha[t])
         best = _shifted_exp(joint, None)[0, 0]
         if not best > -np.inf:
             raise UnderflowError(f"zero total path probability at frame {t}")
         steps[t] = np.log(joint.sum()) + best
         log_alpha[t] -= steps[t]
-    return _Forward(float(steps.sum()), log_alpha, moved, steps, lin, top)
+    return _Forward(float(steps.sum()), log_alpha, steps, log_pred)
 
 
-def _backward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics, fwd: _Forward):
-    """Backward pass in the log domain over the forward pass's tables.
-    Returns (gamma, xi_class, xi_moves), xi_moves (C, moves) per move of
-    `dyn` (see `forward_backward`)."""
-    T, C, L = emis.shape
+def _backward(model: ThmmModel, dyn: _Dynamics, fwd: _Forward):
+    """Smoothing pass over the forward pass's tables: the recursion on
+    gamma from the last frame back, over the positions that hold smoothed
+    mass (see `forward_backward`).  Returns (gamma, xi_class, xi_moves),
+    xi_moves (C, moves) per move of `dyn`."""
+    T, C, L = fwd.log_alpha.shape
     A = model.class_trans
-    with np.errstate(divide="ignore"):
-        log_A = np.log(A)
     gamma = np.zeros((T, C, L))
-    _exp_above_zero(fwd.log_alpha[T - 1], gamma[T - 1])
-    counts = np.zeros((C, C))      # sum over frames of lin @ (G * scale).T
-    xi_low = np.zeros((C, C))      # counts of the log-domain positions
-    xi_moves = np.zeros(dyn.log_from.shape[:2])
-    index = dyn.dst + L * np.arange(C)[:, None, None]
-    buf = np.empty(dyn.log_from.shape)
-    G = np.empty((C, L))
-    log_beta = np.zeros((C, L))
-    for t in range(T - 2, -1, -1):
-        # log p(x_t+1.., state at t+1 | x_..t), per target class, then per
-        # source class before the class step, then per move out of each state
-        ahead = emis[t + 1] + log_beta - fwd.steps[t + 1]
-        back, g_top, low = _class_step(A, log_A, ahead, G)
-        if low is not None:
-            moved = fwd.moved[t + 1][:, None, low]
-            xi_low += _cutexp(log_A[:, :, None] + moved + ahead[None, :, low]).sum(axis=2)
-            g_top[low] = -np.inf
-        # class counts class_trans[c, c'] exp(moved[c, l] + ahead[c', l]),
-        # from both class steps' exponentials and the positions' shifts
-        G *= np.exp(fwd.top[t + 1] + g_top)
-        counts += fwd.lin[t + 1] @ G.T
-        # one exponential serves beta and the move counts: each move's
-        # weight relative to the best move out of its state, scaled by that
-        # best move's log posterior top + leave <= 0
-        log_sum, top = _motion_step(back, index, dyn.log_from, buf)
-        leave = fwd.log_alpha[t] - dyn.log_z
-        xi_moves += np.matmul(buf, _cutexp(top + leave)[..., None])[..., 0]
-        log_beta = log_sum - dyn.log_z
-        _exp_above_zero(fwd.log_alpha[t] + log_beta, gamma[t])
-    return gamma, A * counts + xi_low, xi_moves
+    log_gamma = fwd.log_alpha[T - 1]
+    _exp_above_zero(log_gamma, gamma[T - 1])
+    xi_class = np.zeros((C, C))
+    xi_moves = np.zeros(dyn.log_into.shape[:2])
+    # sums of lifted terms times `drop` are unlifted
+    drop = math.exp(-_LIFT)
+    over_moves = np.full(dyn.log_into.shape[1], drop)
+    ones = np.ones(dyn.log_into.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_A = np.log(A)
+        for t in range(T - 2, -1, -1):
+            # the support: positions where some class's log gamma at t + 1
+            # is above the cut, a slice when they are one run
+            keep = np.flatnonzero(log_gamma.max(axis=0) > _SUPPORT_CUT)
+            cols = slice(keep[0], keep[-1] + 1) if keep[-1] - keep[0] < len(keep) else keep
+            # log gamma / pred of each target state (-inf where both are
+            # -inf), and back = log sum_c' A[c, c'] gamma[c', p] / pred[c', p]
+            ratio = np.fmax(log_gamma[:, cols] - fwd.log_pred[t + 1][:, cols], -np.inf)
+            lin = np.empty(ratio.shape)
+            back, top, low = _class_step(A, log_A, ratio, lin)
+            # the posterior of each move into the support, at most 1: the
+            # source's alpha, the move's weight and the target's back term,
+            # lifted by e^_LIFT; less e^CUT, so that a term at or below it
+            # (and every -inf) is exactly 0
+            src = dyn.state_src[:, :, cols]
+            terms = np.take((fwd.log_alpha[t] - dyn.log_z).reshape(-1), src, mode="clip")
+            terms += dyn.log_into[:, :, cols]
+            terms += (back + _LIFT)[:, None, :]
+            np.maximum(terms, CUT, out=terms)
+            lifted = np.exp(terms, out=terms)
+            lifted -= _EXP_CUT
+            if len(keep) == L:
+                # every position: a gather of each state's moves at their
+                # targets, cheaper than the scatter
+                mass = ones @ np.take(lifted.reshape(-1), dyn.move_dst, mode="clip")
+            else:
+                mass = np.bincount(src.reshape(-1), lifted.reshape(-1),
+                                   minlength=C * L).reshape(C, L)
+            np.multiply(mass, drop, out=gamma[t])
+            log_gamma = np.log(mass) - _LIFT
+            xi_moves += lifted @ np.full(len(keep), drop)
+            # class counts: the mass each (c, p) hands on, split over the
+            # target classes c' in proportion to A[c, c'] lin[c', p] / s[c, p],
+            # s = exp(back - top) the class step's sums; in the log domain at
+            # the positions where it summed in the log domain
+            handed = over_moves @ lifted
+            gap = top - back
+            if low is not None:
+                split = (log_A[:, :, None] + ratio[None, :, low]
+                         - np.where(back[:, low] > -np.inf, back[:, low], 0.0)[:, None])
+                xi_class += np.einsum("cp,cdp->cd", handed[:, low], _cutexp(split))
+                handed[:, low] = 0.0
+                gap[:, low] = 0.0
+            handed *= np.exp(gap)
+            lin[lin <= _EXP_CUT] = 0.0     # the class step's clamped terms
+            xi_class += A * (handed @ lin.T)
+    return gamma, xi_class, xi_moves
 
 
 def _exp_above_zero(d: np.ndarray, out: np.ndarray) -> None:
@@ -488,19 +535,25 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
     """Exact smoothed marginals, transition statistics and sequence
     log-likelihood under the factorized transition.
 
-    Both passes stay in the log domain; per frame and direction they take
-    one fused motion step and one class step (see the module docstring).
-    The backward pass exponentiates each move's log weight relative to the
-    best move out of its state once: summed, it gives beta; scaled by that
-    best move's log posterior, the expected move counts.  The class counts
-    class_trans * (lin @ G.T) come from the two class steps' exponentials,
-    with G the backward step's exponentials scaled by the position's two
-    shifts; positions the class step recomputes in the log domain count in
-    the log domain too.  An expected move count can differ from the exact
-    sum by less than T (L + 1) e^CUT: the clamp, and the posteriors of best
-    moves below e^CUT, which are dropped.  A class count can differ by less
-    than 2 C e^-100 of each position's posterior mass per frame.  `gamma`
-    keeps its exact tiny values.
+    Both passes stay in the log domain (see the module docstring): the
+    forward pass takes one fused motion step and one class step per frame,
+    the smoothing pass recurses on gamma over the positions that hold
+    smoothed mass.  Its exponentiated terms give gamma (scattered onto their
+    source states), the expected move counts (summed per move) and the class
+    counts (each target's mass split over the target classes by the class
+    step's exponentials; positions the class step recomputes in the log
+    domain split in the log domain too).
+
+    Bound: gamma and every expected count can differ from the exact sums by
+    less than T C (B + 1) L e^-800 in absolute terms, B the moves.  A
+    position outside a frame's support holds less than C e^-800 of gamma,
+    and every term is lowered by e^-800 (so that one at or below it is
+    exactly 0); the recursion splits each target's mass over its sources
+    with weights that sum to 1, so it passes such a change on without
+    growing it.  For T C (B + 1) L below 10^24 the bound is below 2^-1074,
+    the least subnormal.  The class counts also carry the class step's
+    clamp: less than C e^-100 of each position's posterior mass per frame,
+    under rounding.
     """
     X = _frames(frames, model.n)
     return _smoothed(model, emission_table(model, X), _Dynamics(model))
@@ -509,7 +562,7 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
 def _smoothed(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics) -> SequencePosterior:
     """`forward_backward` over a sequence's emission table and dynamics."""
     fwd = _forward(model, emis, dyn)
-    gamma, xi_class, xi_moves = _backward(model, emis, dyn, fwd)
+    gamma, xi_class, xi_moves = _backward(model, dyn, fwd)
     xi_bins = _pool_motion(model.motion, xi_moves[:, dyn.fold] * dyn.share)
     return SequencePosterior(gamma=gamma, xi_class=xi_class,
                              xi_motion=xi_bins, loglik=fwd.loglik)

@@ -285,13 +285,15 @@ def thmm_forward_reference(pi_s, class_trans, dyn, emis):
     """The THMM forward pass frame by frame in the log domain, every sum an
     uncut log-sum-exp.  dyn holds the motion step's gather tables
     (`thmm._Dynamics`), emis (T, C, L) the emission table.  Returns
-    (log_alpha, moved, steps): log filtered state probabilities, the log
-    mass each class carries into each position before the class step
-    (moved[0] is -inf) and steps[t] = log p(x_t | x_<t)."""
+    (log_alpha, moved, steps, log_pred): log filtered state probabilities,
+    the log mass each class carries into each position before the class
+    step (moved[0] is -inf), steps[t] = log p(x_t | x_<t) and the log
+    one-step prediction p(state at t | x_<t) (log pi_s at t = 0)."""
     T, C, L = emis.shape
+    log_pred = np.empty((T, C, L))
     with np.errstate(divide="ignore"):
         log_trans = np.log(class_trans)[:, :, None]
-        log_pred = np.log(pi_s)
+        log_pred[0] = np.log(pi_s)
     log_alpha = np.empty((T, C, L))
     moved = np.full((T, C, L), -np.inf)
     steps = np.empty(T)
@@ -300,11 +302,11 @@ def thmm_forward_reference(pi_s, class_trans, dyn, emis):
             with np.errstate(divide="ignore"):  # an all -inf sum logs to -inf
                 moved[t] = logsumexp(np.take(log_alpha[t - 1] - dyn.log_z, dyn.src, axis=1)
                                      + dyn.log_into, axis=1)
-                log_pred = logsumexp(log_trans + moved[t][:, None, :], axis=0)
-        joint = log_pred + emis[t]
+                log_pred[t] = logsumexp(log_trans + moved[t][:, None, :], axis=0)
+        joint = log_pred[t] + emis[t]
         steps[t] = logsumexp(joint)
         log_alpha[t] = joint - steps[t]
-    return log_alpha, moved, steps
+    return log_alpha, moved, steps, log_pred
 
 
 def thmm_backward_reference(class_trans, dyn, emis, log_alpha, moved, steps):

@@ -302,6 +302,18 @@ def test_classify_batch_scores_models_on_one_set_in_one_emission(monkeypatch):
     np.testing.assert_allclose(stacked, dense, rtol=1e-10, atol=0)
 
 
+def test_stacked_scores_models_of_different_cluster_counts():
+    """One emission group whose models hold 1, 3 and 2 clusters: each
+    model's score is its own log-likelihood, so each model's run of columns
+    starts where the one before it ends."""
+    ts = build_translation_set(ImageShape(4, 5), 3, 3, "wrap")
+    data = np.random.default_rng(70).uniform(0.0, 1.0, (12, ts.shape.n))
+    models = [tmg_mod.init_tmg(ts, C, data, seed=70 + C) for C in (1, 3, 2)]
+    stacked = classify._stacked_loglik([m.as_mtca() for m in models], data)
+    each = np.stack([tmg_mod.loglik(m, data) for m in models], axis=1)
+    np.testing.assert_allclose(stacked, each, rtol=1e-12, atol=0)
+
+
 def test_classify_batch_groups_a_mixed_list(monkeypatch):
     """Models on two sets, with two factor counts, a TMG beside TCAs and an
     object with only `loglik`: one emission call per (set, K) group, the

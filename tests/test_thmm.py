@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -763,8 +764,8 @@ def test_passes_match_the_log_domain_reference(grid, boundary, mode, per_class,
                                                threshold):
     """Both passes against the frame-by-frame log-domain recursions, on
     models past what path enumeration can check (L up to 25, C = 3, T = 20).
-    Expected move counts may differ from the reference by less than
-    T (L + 1) e^CUT, the bound `forward_backward` states."""
+    Expected move counts may differ from the reference by the bound
+    `forward_backward` states, far below the atol T (L + 1) e^CUT."""
     seed = 300 + REFERENCE_CASES.index((grid, boundary, mode, per_class, threshold))
     model = random_thmm(seed, shape=ImageShape(5, 5), grid=grid, C=3,
                         boundary=boundary, mode=mode, per_class=per_class,
@@ -775,21 +776,82 @@ def test_passes_match_the_log_domain_reference(grid, boundary, mode, per_class,
     dyn = thmm_mod._Dynamics(model)
     if grid[0] == 2:
         assert len(dyn.log_from[0]) < len(dyn.offsets)
-    log_alpha, moved, steps = thmm_forward_reference(model.pi_s, model.class_trans,
-                                                     dyn, emis)
+    _check_passes(model, emis, dyn, atol_moves=T * (model.L + 1) * math.exp(CUT))
+
+
+def _check_passes(model, emis, dyn, atol_moves=0.0):
+    """`thmm._forward` and `thmm._backward` against the log-domain reference
+    recursions at 1e-12 relative; returns the smoothed marginals."""
+    log_alpha, moved, steps, log_pred = thmm_forward_reference(
+        model.pi_s, model.class_trans, dyn, emis)
     fwd = thmm_mod._forward(model, emis, dyn)
     np.testing.assert_allclose(fwd.log_alpha, log_alpha, rtol=1e-12)
-    np.testing.assert_allclose(fwd.moved, moved, rtol=1e-12)
+    np.testing.assert_allclose(fwd.log_pred, log_pred, rtol=1e-12)
     np.testing.assert_allclose(fwd.steps, steps, rtol=1e-12)
     assert fwd.loglik == pytest.approx(steps.sum(), rel=1e-12)
 
     gamma, xi_class, xi_moves = thmm_backward_reference(
         model.class_trans, dyn, emis, log_alpha, moved, steps)
-    got = thmm_mod._backward(model, emis, dyn, fwd)
+    got = thmm_mod._backward(model, dyn, fwd)
     np.testing.assert_allclose(got[0], gamma, rtol=1e-12)
     np.testing.assert_allclose(got[1], xi_class, rtol=1e-12)
-    np.testing.assert_allclose(got[2], xi_moves, rtol=1e-12,
-                               atol=T * (model.L + 1) * math.exp(CUT))
+    np.testing.assert_allclose(got[2], xi_moves, rtol=1e-12, atol=atol_moves)
+    return got[0]
+
+
+def _pacman_size_case(variance_scale, T=100, seed=310):
+    """A model at pac-man's sizes (C = 6 on an 11x11 wrap grid, per-class
+    vector motion within threshold 3) with its variances scaled, a sequence
+    of T frames sampled from it, its emission table and dynamics."""
+    model = random_thmm(seed, shape=ImageShape(11, 11), grid=(11, 11), C=6,
+                        per_class=True, threshold=3.0)
+    model = ThmmModel(transforms=model.transforms, mu=model.mu,
+                      phi=model.phi * variance_scale, psi=model.psi * variance_scale,
+                      pi_s=model.pi_s, class_trans=model.class_trans, motion=model.motion)
+    frames, _ = sample_sequence(model, T, seed)
+    return model, emission_table(model, frames), thmm_mod._Dynamics(model)
+
+
+def _support_sizes(gamma):
+    """Per frame, the number of positions where some class's gamma is
+    nonzero, a subset of the positions the smoothing pass reads there (those
+    above e^-800)."""
+    return (gamma.max(axis=1) > 0).sum(axis=1)
+
+
+def test_smoothing_matches_the_reference_on_a_concentrated_pacman_size_posterior():
+    """Tight variances: the smoothed mass of most frames sits in a few of the
+    121 positions, so the smoothing pass reads only those."""
+    model, emis, dyn = _pacman_size_case(0.03)
+    gamma = _check_passes(model, emis, dyn)
+    support = _support_sizes(gamma)
+    assert np.median(support) <= 8 and support.max() < model.L
+
+
+def test_smoothing_matches_the_reference_on_a_flat_posterior():
+    """Huge variances: every position holds smoothed mass in every frame,
+    the smoothing pass's widest case."""
+    model, emis, dyn = _pacman_size_case(1e4, T=30)
+    gamma = _check_passes(model, emis, dyn)
+    assert (_support_sizes(gamma) == model.L).all()
+
+
+def test_smoothing_holds_no_motion_block_on_a_concentrated_posterior():
+    """On a concentrated posterior `_backward` works on (C, moves, support)
+    blocks only: its traced peak, less its gamma output, stays below one
+    (C, moves, L) float block.  A term clamped up to e^CUT and left there
+    would give every source of the support more than e^-800, and the
+    support would spread to every position within a few frames."""
+    model, emis, dyn = _pacman_size_case(0.03)
+    fwd = thmm_mod._forward(model, emis, dyn)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gamma = thmm_mod._backward(model, dyn, fwd)[0]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - gamma.nbytes < dyn.log_into.nbytes
 
 
 def test_smoothed_marginals_exponentiate_bit_for_bit():
