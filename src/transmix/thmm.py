@@ -45,8 +45,7 @@ some class's gamma_t+1 is above e^`_SUPPORT_CUT` = e^-800: a few of them on a
 tracked video.  Over those it takes one class step (on gamma / pred) and
 exponentiates its (C, B, positions) move terms without a shift, lifted by
 e^`_LIFT` so that states down to e^-800 sum in normal floats; one bincount
-scatters them onto their source states (a gather through each move's
-targets when every position is in the support).  The same exponentials,
+scatters them onto their source states.  The same exponentials,
 summed per move and per target, give the expected move and class counts.
 `forward_backward` states how far gamma and the counts may be from the
 exact sums.
@@ -76,8 +75,6 @@ from .tmg import TmgModel
 # the log domain; above it, the terms clamped at e^CUT are below e^-100 of
 # the sum, under its rounding
 _LINEAR_FLOOR = math.exp(CUT + 100.0)
-# np.exp rounds every argument below about -745.13 to exactly 0
-_EXP_ZERO = -746.0
 # the smoothing pass exponentiates its terms lifted by e^_LIFT and drops
 # those at or below e^CUT, so that every state down to e^_SUPPORT_CUT sums
 # in normal floats; it reads only the positions where some class's log gamma
@@ -365,10 +362,6 @@ class _Dynamics:
         self.log_z = np.log(z)
         # flat index c L + src[m, l] of each move's source state
         self.state_src = self.src + len(i) * np.arange(model.C)[:, None, None]
-        # flat index (c moves + m) L + dst[m, l] of each move out of each
-        # state in a (C, moves, L) table over targets
-        self.move_dst = self.dst + len(i) * np.arange(model.C * len(moves)).reshape(
-            model.C, len(moves), 1)
 
 
 class _Forward(NamedTuple):
@@ -466,13 +459,12 @@ def _backward(model: ThmmModel, dyn: _Dynamics, fwd: _Forward):
     A = model.class_trans
     gamma = np.zeros((T, C, L))
     log_gamma = fwd.log_alpha[T - 1]
-    _exp_above_zero(log_gamma, gamma[T - 1])
+    np.exp(log_gamma, out=gamma[T - 1])
     xi_class = np.zeros((C, C))
     xi_moves = np.zeros(dyn.log_into.shape[:2])
     # sums of lifted terms times `drop` are unlifted
     drop = math.exp(-_LIFT)
     over_moves = np.full(dyn.log_into.shape[1], drop)
-    ones = np.ones(dyn.log_into.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_A = np.log(A)
         for t in range(T - 2, -1, -1):
@@ -496,13 +488,8 @@ def _backward(model: ThmmModel, dyn: _Dynamics, fwd: _Forward):
             np.maximum(terms, CUT, out=terms)
             lifted = np.exp(terms, out=terms)
             lifted -= _EXP_CUT
-            if len(keep) == L:
-                # every position: a gather of each state's moves at their
-                # targets, cheaper than the scatter
-                mass = ones @ np.take(lifted.reshape(-1), dyn.move_dst, mode="clip")
-            else:
-                mass = np.bincount(src.reshape(-1), lifted.reshape(-1),
-                                   minlength=C * L).reshape(C, L)
+            mass = np.bincount(src.reshape(-1), lifted.reshape(-1),
+                               minlength=C * L).reshape(C, L)
             np.multiply(mass, drop, out=gamma[t])
             log_gamma = np.log(mass) - _LIFT
             xi_moves += lifted @ np.full(len(keep), drop)
@@ -522,13 +509,6 @@ def _backward(model: ThmmModel, dyn: _Dynamics, fwd: _Forward):
             lin[lin <= _EXP_CUT] = 0.0     # the class step's clamped terms
             xi_class += A * (handed @ lin.T)
     return gamma, xi_class, xi_moves
-
-
-def _exp_above_zero(d: np.ndarray, out: np.ndarray) -> None:
-    """out = np.exp(d), bit for bit, for `out` holding zeros: only entries
-    above `_EXP_ZERO` are exponentiated, since np.exp rounds the rest to 0
-    and spends most of its time on them in its slow path."""
-    np.exp(d, out=out, where=d > _EXP_ZERO)
 
 
 def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
