@@ -38,14 +38,14 @@ class UnderflowError(ArithmeticError):
     """All discrete configurations underflowed despite log-domain math."""
 
 
-def _cutexp(d: np.ndarray) -> np.ndarray:
-    """exp(d) for shifted log terms d, with terms at or below `CUT` (and
+def _cutexp(d: np.ndarray, cut: float = CUT) -> np.ndarray:
+    """exp(d) for shifted log terms d, with terms at or below `cut` (and
     -inf) exactly 0.  NaN stays NaN.  Works in place: the caller hands over
     a fresh float array that it does not read again, and gets it back
     holding the exponentials, with the bits of
-    `np.exp(np.maximum(d, CUT)) * (d > CUT)`."""
-    keep = d > CUT
-    np.maximum(d, CUT, out=d)
+    `np.exp(np.maximum(d, cut)) * (d > cut)`."""
+    keep = d > cut
+    np.maximum(d, cut, out=d)
     np.exp(d, out=d)
     d *= keep
     return d

@@ -233,10 +233,10 @@ _SKIP = re.compile(rb"(?:\s|#[^\n]*\n)*")
 _TOKEN = re.compile(rb"\S+")
 
 
-def _pgm_pixels(raw: bytes, path):
-    """(height, width, maxval, pixels) of a binary PGM's bytes: the pixels
-    as a flat integer view of `raw`.  Malformed input raises ValueError
-    naming `path`."""
+def _pgm_header(raw: bytes, path):
+    """(height, width, maxval, dtype, pos) of a binary PGM's bytes, its
+    pixels the height * width values of dtype from byte pos on.  Malformed
+    input raises ValueError naming `path`."""
 
     def fail(msg):
         raise ValueError(f"{path}: {msg}")
@@ -264,7 +264,16 @@ def _pgm_pixels(raw: bytes, path):
     count = width * height
     if len(raw) - pos < count * dtype.itemsize:
         fail("truncated pixel data")
-    return height, width, maxval, np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
+    return height, width, maxval, dtype, pos
+
+
+def _pgm_pixels(raw: bytes, path):
+    """(height, width, maxval, pixels) of a binary PGM's bytes: the pixels
+    as a flat integer view of `raw`.  Malformed input raises ValueError
+    naming `path`."""
+    height, width, maxval, dtype, pos = _pgm_header(raw, path)
+    return height, width, maxval, np.frombuffer(raw, dtype=dtype, count=height * width,
+                                                offset=pos)
 
 
 def read_pgm(path):
@@ -273,35 +282,64 @@ def read_pgm(path):
     return pixels.reshape(height, width) / maxval, maxval
 
 
+def _read_file(path) -> bytes:
+    """A file's bytes through one unbuffered open."""
+    with open(path, "rb", buffering=0) as f:
+        return f.readall()
+
+
+def _write_file(path, data: bytes) -> None:
+    """Write a file's bytes through one unbuffered open."""
+    with open(path, "wb", buffering=0) as f:
+        view = memoryview(data)
+        while view:
+            view = view[f.write(view):]
+
+
 def write_frames(frames, shape: ImageShape, directory, maxval: int = 255) -> None:
-    """Frames as zero-padded frame_XXXX.pgm files.  The whole stack is
-    quantised at once, then each frame's bytes are written."""
+    """Frames as frame_XXXX.pgm files, the index zero-padded to four digits
+    or to the last index's width if wider, so that the names sort in frame
+    order.  The whole stack is quantised at once, then each frame's bytes
+    are written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     data = np.atleast_2d(_quantised(frames, maxval))
     if data.ndim == 2:
         data = data.reshape(len(data), shape.height, shape.width)
     header = _header(*data.shape[1:], maxval)
+    digits = max(4, len(str(len(data) - 1)))
+    base = str(directory)
     for t, frame in enumerate(data):
-        (directory / f"frame_{t:04d}.pgm").write_bytes(header + frame.tobytes())
+        _write_file(os.path.join(base, f"frame_{t:0{digits}d}.pgm"), header + frame.tobytes())
 
 
 def read_frames(directory):
     """Read every .pgm in a directory, ordered by filename, into one (T, n)
-    array.  Returns (frames (T, n), ImageShape)."""
+    array.  Returns (frames (T, n), ImageShape).
+
+    The files that carry the first file's header bytes and length are
+    decoded with one `frombuffer`; any other file is parsed on its own."""
     directory = Path(directory)
     names = sorted(name for name in (os.listdir(directory) if directory.is_dir() else ())
                    if name.endswith(".pgm") and not name.startswith("."))
     if not names:
         raise ValueError(f"{directory}: no .pgm frames found")
-    frames = shape = None
-    for t, name in enumerate(names):
-        path = directory / name
-        height, width, maxval, pixels = _pgm_pixels(path.read_bytes(), path)
-        if shape is None:
-            shape = (height, width)
-            frames = np.empty((len(names), height * width))
-        elif (height, width) != shape:
+    base = str(directory)
+    raws = [_read_file(os.path.join(base, name)) for name in names]
+    height, width, maxval, dtype, pos = _pgm_header(raws[0], directory / names[0])
+    shape, head, end = (height, width), raws[0][:pos], pos + height * width * dtype.itemsize
+    same = np.array([len(raw) == len(raws[0]) and raw.startswith(head) for raw in raws])
+    block = np.frombuffer(b"".join(raw[pos:end] for raw, s in zip(raws, same) if s),
+                          dtype=dtype).reshape(int(same.sum()), height * width)
+    frames = np.empty((len(names), height * width))
+    if same.all():
+        np.divide(block, maxval, out=frames)
+    else:
+        frames[same] = block / maxval
+    for t in np.flatnonzero(~same):
+        path = directory / names[t]
+        height, width, maxval, pixels = _pgm_pixels(raws[t], path)
+        if (height, width) != shape:
             raise ValueError(f"{path}: frame shape {(height, width)} != first frame {shape}")
         np.divide(pixels, maxval, out=frames[t])
     return frames, ImageShape(*shape)

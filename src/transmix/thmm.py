@@ -10,28 +10,31 @@ staying exact.  All of them read one set of gather tables built by
 `_Dynamics`.
 
 The passes run in the log domain, one frame at a time.  The forward pass
-takes two steps per frame:
+keeps one shift per target position, shared by every class there, and sums
+linearly.  With a = log alpha_t-1 - log z (C, L):
 
-- The motion step sums, per class and target position, over the B moves
-  into that position: one log-sum-exp over a (C, B, L) buffer filled
-  through a flat gather index.  Each target's terms are shifted by their
-  largest, which becomes exactly 1, clamped at `CUT` = -700 and
-  exponentiated in place.  The clamp counts a term below e^-700 (about
-  1e-304) of its target's best as e^-700 instead of its own value, so the
-  sum, at least 1, moves by at most B e^-700: under its rounding.  numpy's
-  exp then never takes its slow path below about -708.  A target with no
-  finite term stays -inf.
-- The class step is a (C, C) matrix product with a per-position shift,
-  log(M @ exp(logs - top)) + top, with M the class transitions (transposed
-  in the forward pass) and top each position's best class; its
-  exponentials are clamped the same way.  A row of M sums to at most C, so
-  the clamped terms add at most C e^-700 to a sum.  A position where some
-  sum falls below `_LINEAR_FLOOR` = e^(CUT + 100) is recomputed in the log
-  domain, its class counts too; only a zero or tiny class transition gets
-  there.  Elsewhere the clamp moves a sum by less than C e^-100 of itself,
-  under its rounding.
+- u[j], the best class of source position j, and v = exp(a - u): one
+  exponential per source state.
+- top[l], the best u over the on-grid moves into l, and F[m, l] =
+  exp(u[src_m(l)] - top[l]): one exponential per move and target (a source
+  off a zero-padded grid reads a -inf sentinel, so its F is 0).  v and F
+  are exactly 0 at or below e^`_FORWARD_CUT` = e^-300; a product v F is
+  then e^-600 or more, or 0, and stays a normal float.
+- The prediction is s = A^T (sum over m of w_c(m) v[c, src_m(l)] F[m, l])
+  and log pred = log s + top: one gather and one multiply over (C, B, L),
+  one batched (C, 1, B) @ (C, B, L) product and one (C, C) @ (C, L)
+  product, with no second exponentiation.
 
-The frame's normaliser is a clamped log-sum-exp as well.
+Every dropped term is below e^-300 of e^top[l], so where s is at least
+`_FORWARD_FLOOR` = e^-200 the drops move it by less than C B e^-100 of
+itself, under its rounding.  The best term of each position is exactly 1,
+so s >= A(c*, c') w_c*(m*) for its class c* and move m*: a learned model,
+whose weights the M-step floors at 1e-12, never falls below the floor.  A
+position where some class does (only a zero or tiny transition gets there)
+is recomputed in the log domain.  Every state is shifted by its own
+position's best, so log alpha stays exact for states thousands of nats
+below their frame's best.  The frame's normaliser is a clamped
+log-sum-exp.
 
 The smoothing pass recurses on gamma from the last frame back, in the
 forward-filtering, backward-smoothing form (Rauch, Tung & Striebel, 1965):
@@ -42,11 +45,14 @@ forward-filtering, backward-smoothing form (Rauch, Tung & Striebel, 1965):
 with p = l + d_m and pred the forward pass's one-step prediction.  Each term
 is at most gamma_t+1(c', p) <= 1, so a frame reads only the positions where
 some class's gamma_t+1 is above e^`_SUPPORT_CUT` = e^-800: a few of them on a
-tracked video.  Over those it takes one class step (on gamma / pred) and
-exponentiates its (C, B, positions) move terms without a shift, lifted by
-e^`_LIFT` so that states down to e^-800 sum in normal floats; one bincount
-scatters them onto their source states.  The same exponentials,
-summed per move and per target, give the expected move and class counts.
+tracked video.  Over those it takes one class step (`_class_step`: a (C, C)
+product on gamma / pred with a per-position shift, its exponentials clamped
+at `CUT` = -700, a position whose sum falls below `_LINEAR_FLOOR` = e^-600
+recomputed in the log domain) and exponentiates its (C, B, positions) move
+terms without a shift, lifted by e^`_LIFT` so that states down to e^-800
+sum in normal floats; one bincount scatters them onto their source states.
+The same exponentials, summed per move and per target, give the expected
+move and class counts.
 `forward_backward` states how far gamma and the counts may be from the
 exact sums.
 
@@ -75,6 +81,11 @@ from .tmg import TmgModel
 # the log domain; above it, the terms clamped at e^CUT are below e^-100 of
 # the sum, under its rounding
 _LINEAR_FLOOR = math.exp(CUT + 100.0)
+# the forward pass drops a term at or below e^_FORWARD_CUT of its shift and
+# recomputes in the log domain a position where some class's linear sum
+# falls below _FORWARD_FLOOR (see the module docstring)
+_FORWARD_CUT = -300.0
+_FORWARD_FLOOR = math.exp(_FORWARD_CUT + 100.0)
 # the smoothing pass exponentiates its terms lifted by e^_LIFT and drops
 # those at or below e^CUT, so that every state down to e^_SUPPORT_CUT sums
 # in normal floats; it reads only the positions where some class's log gamma
@@ -316,7 +327,9 @@ class _Dynamics:
     src[m, l] onto l and l onto dst[m, l]; log_into[c, m, l] and
     log_from[c, m, l] are its log weight under source class c, -inf where
     that source or target is off a zero-padded grid.  log_z[c, l] is the log
-    weight of the moves that leave l and stay on the grid.
+    weight of the moves that leave l and stay on the grid.  The forward pass
+    reads move_w (C, 1, moves), each move's weight under source class c,
+    and src_pos, src with L where the source is off the grid.
 
     `offsets`/`weights` keep one entry per raw displacement, since the motion
     M-step counts per displacement: `fold` maps displacement b to its move,
@@ -352,10 +365,15 @@ class _Dynamics:
 
         def table(ti, tj):
             on_grid = wrap | ((ti >= 0) & (ti < mv) & (tj >= 0) & (tj < mh))
-            return (ti % mv) * mh + tj % mh, np.where(on_grid, log_w, -np.inf)
+            return (ti % mv) * mh + tj % mh, on_grid, np.where(on_grid, log_w, -np.inf)
 
-        self.src, self.log_into = table(i - d[0], j - d[1])
-        self.dst, self.log_from = table(i + d[0], j + d[1])
+        self.src, into_grid, self.log_into = table(i - d[0], j - d[1])
+        self.dst, _, self.log_from = table(i + d[0], j + d[1])
+        # the forward pass's tables: each move's weight per source class,
+        # (C, 1, moves), and its source position, len(i) (a -inf sentinel)
+        # where the source is off the grid
+        self.move_w = move_w[:, None, :]
+        self.src_pos = np.where(into_grid, self.src, len(i))
         z = np.exp(self.log_from).sum(axis=1)
         if np.any(z <= 0):
             raise ValueError("motion prior leaves some state with no move")
@@ -387,18 +405,6 @@ def _shifted_exp(buf: np.ndarray, axis) -> np.ndarray:
     return top
 
 
-def _motion_step(log_w: np.ndarray, index: np.ndarray, log_move: np.ndarray,
-                 buf: np.ndarray) -> np.ndarray:
-    """The motion step over (C, moves, L): per class and position, the
-    log-sum-exp over moves of log_w gathered at the flat `index` plus
-    `log_move`, (C, L)."""
-    # the index is in range; "clip" spares take a checked copy into buf
-    np.take(log_w.reshape(-1), index, out=buf, mode="clip")
-    buf += log_move
-    top = _shifted_exp(buf, 1)[:, 0]
-    return np.log(buf.sum(axis=1)) + top
-
-
 def _class_step(M: np.ndarray, log_M: np.ndarray, logs: np.ndarray, lin: np.ndarray):
     """log(M @ exp(logs)) for (C, C) weights M and (C, L) log terms, as a
     product with a per-position shift: lin = exp(logs - top) clamped at
@@ -417,51 +423,72 @@ def _class_step(M: np.ndarray, log_M: np.ndarray, logs: np.ndarray, lin: np.ndar
     return out, top, low
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x with -inf entries 0, a shift that leaves -inf terms -inf."""
+    return np.where(x > -np.inf, x, 0.0)
+
+
 def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics) -> _Forward:
-    """Forward pass in the log domain (see the module docstring).
+    """Forward pass in the log domain, one shift per target position (see
+    the module docstring).
 
     Every state keeps its exact log weight however far below the frame's
     best state it falls, so a later frame that can only be explained through
     it (a jump beyond the motion threshold, say) still scores exactly.
     """
     T, C, L = emis.shape
-    A = model.class_trans
+    At = model.class_trans.T
     log_alpha = np.empty((T, C, L))
     log_pred = np.empty((T, C, L))
-    with np.errstate(divide="ignore"):
-        log_At = np.log(A.T)
-        np.log(model.pi_s, out=log_pred[0])
     steps = np.empty(T)
-    buf = np.empty(dyn.log_into.shape)
-    lin = np.empty((C, L))
+    # each source position's best class, and the sentinel off-grid sources read
+    best_src = np.full(L + 1, -np.inf)
+    terms = np.empty(dyn.state_src.shape)
     joint = np.empty((C, L))
-    for t in range(T):
-        if t > 0:
-            moved = _motion_step(log_alpha[t - 1] - dyn.log_z, dyn.state_src,
-                                 dyn.log_into, buf)
-            log_pred[t] = _class_step(A.T, log_At, moved, lin)[0]
-        np.add(log_pred[t], emis[t], out=log_alpha[t])
-        np.copyto(joint, log_alpha[t])
-        best = _shifted_exp(joint, None)[0, 0]
-        if not best > -np.inf:
-            raise UnderflowError(f"zero total path probability at frame {t}")
-        steps[t] = np.log(joint.sum()) + best
-        log_alpha[t] -= steps[t]
+    with np.errstate(divide="ignore"):  # a zero weight or sum logs to -inf
+        log_At = np.log(At)
+        np.log(model.pi_s, out=log_pred[0])
+        for t in range(T):
+            if t > 0:
+                a = log_alpha[t - 1] - dyn.log_z
+                a.max(axis=0, out=best_src[:L])
+                v = _cutexp(a - _finite(best_src[:L]), _FORWARD_CUT)
+                near = best_src[dyn.src_pos]
+                top = near.max(axis=0)
+                f = _cutexp(near - _finite(top), _FORWARD_CUT)
+                # the index is in range; "clip" spares take a checked copy
+                np.take(v.reshape(-1), dyn.state_src, out=terms, mode="clip")
+                terms *= f
+                s = At @ np.matmul(dyn.move_w, terms)[:, 0]
+                np.add(np.log(s), top, out=log_pred[t])
+                if s.min() < _FORWARD_FLOOR:
+                    low = np.flatnonzero((s.min(axis=0) < _FORWARD_FLOOR) & (top > -np.inf))
+                    moved = logsumexp(np.take(a.reshape(-1), dyn.state_src[:, :, low])
+                                      + dyn.log_into[:, :, low], 1)
+                    log_pred[t][:, low] = logsumexp(log_At[:, :, None] + moved[None], 1)
+            np.add(log_pred[t], emis[t], out=log_alpha[t])
+            np.copyto(joint, log_alpha[t])
+            best = _shifted_exp(joint, None)[0, 0]
+            if not best > -np.inf:
+                raise UnderflowError(f"zero total path probability at frame {t}")
+            steps[t] = np.log(joint.sum()) + best
+            log_alpha[t] -= steps[t]
     return _Forward(float(steps.sum()), log_alpha, steps, log_pred)
 
 
-def _backward(model: ThmmModel, dyn: _Dynamics, fwd: _Forward):
+def _backward(model: ThmmModel, dyn: _Dynamics, fwd: _Forward, counts: bool = True):
     """Smoothing pass over the forward pass's tables: the recursion on
     gamma from the last frame back, over the positions that hold smoothed
     mass (see `forward_backward`).  Returns (gamma, xi_class, xi_moves),
-    xi_moves (C, moves) per move of `dyn`."""
+    xi_moves (C, moves) per move of `dyn`; without `counts`, the two counts
+    are None and are not formed (gamma has the same bits)."""
     T, C, L = fwd.log_alpha.shape
     A = model.class_trans
     gamma = np.zeros((T, C, L))
     log_gamma = fwd.log_alpha[T - 1]
     np.exp(log_gamma, out=gamma[T - 1])
-    xi_class = np.zeros((C, C))
-    xi_moves = np.zeros(dyn.log_into.shape[:2])
+    xi_class = np.zeros((C, C)) if counts else None
+    xi_moves = np.zeros(dyn.log_into.shape[:2]) if counts else None
     # sums of lifted terms times `drop` are unlifted
     drop = math.exp(-_LIFT)
     over_moves = np.full(dyn.log_into.shape[1], drop)
@@ -492,6 +519,8 @@ def _backward(model: ThmmModel, dyn: _Dynamics, fwd: _Forward):
                                minlength=C * L).reshape(C, L)
             np.multiply(mass, drop, out=gamma[t])
             log_gamma = np.log(mass) - _LIFT
+            if not counts:
+                continue
             xi_moves += lifted @ np.full(len(keep), drop)
             # class counts: the mass each (c, p) hands on, split over the
             # target classes c' in proportion to A[c, c'] lin[c', p] / s[c, p],
@@ -516,23 +545,25 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
     log-likelihood under the factorized transition.
 
     Both passes stay in the log domain (see the module docstring): the
-    forward pass takes one fused motion step and one class step per frame,
-    the smoothing pass recurses on gamma over the positions that hold
-    smoothed mass.  Its exponentiated terms give gamma (scattered onto their
-    source states), the expected move counts (summed per move) and the class
-    counts (each target's mass split over the target classes by the class
-    step's exponentials; positions the class step recomputes in the log
-    domain split in the log domain too).
+    forward pass shifts each target position by its best source and sums
+    linearly, the smoothing pass recurses on gamma over the positions that
+    hold smoothed mass.  Its exponentiated terms give gamma (scattered onto
+    their source states), the expected move counts (summed per move) and the
+    class counts (each target's mass split over the target classes by the
+    class step's exponentials; positions the class step recomputes in the
+    log domain split in the log domain too).
 
-    Bound: gamma and every expected count can differ from the exact sums by
-    less than T C (B + 1) L e^-800 in absolute terms, B the moves.  A
-    position outside a frame's support holds less than C e^-800 of gamma,
-    and every term is lowered by e^-800 (so that one at or below it is
-    exactly 0); the recursion splits each target's mass over its sources
-    with weights that sum to 1, so it passes such a change on without
-    growing it.  For T C (B + 1) L below 10^24 the bound is below 2^-1074,
-    the least subnormal.  The class counts also carry the class step's
-    clamp: less than C e^-100 of each position's posterior mass per frame,
+    Bound: the forward pass's log prediction is exact to its rounding (see
+    the module docstring).  Gamma and every expected count can differ from
+    the exact sums by less than T C (B + 1) L e^-800 in absolute terms, B
+    the moves.  A position outside a frame's support holds less than
+    C e^-800 of gamma, and every term is lowered by e^-800 (so that one at
+    or below it is exactly 0); the recursion splits each target's mass over
+    its sources with weights that sum to 1, so it passes such a change on
+    without growing it.  For T C (B + 1) L below 10^24 the bound is below 2^-1074,
+    the least subnormal.  The class counts also carry the smoothing pass's
+    class step, whose exponentials are clamped at e^-700 of each position's
+    best: less than C e^-100 of each position's posterior mass per frame,
     under rounding.
     """
     X = _frames(frames, model.n)
@@ -674,17 +705,19 @@ def fit(model: ThmmModel, sequences, iterations: int,
 
 
 def _map_states(model: ThmmModel, frames, use_viterbi: bool, smoothed: bool = False):
-    """(X, states, post): each frame's (class, op) from the Viterbi path or
-    the smoothed marginals, and the smoothed posterior when it was formed
+    """(X, states, gamma): each frame's (class, op) from the Viterbi path or
+    the smoothed marginals, and those marginals when they were formed
     (always, with `smoothed`), else None.  The emission table and the
-    dynamics are built once for both."""
+    dynamics are built once for both; the transition counts are not formed."""
     X = _frames(frames, model.n)
     emis, dyn = emission_table(model, X), _Dynamics(model)
-    post = _smoothed(model, emis, dyn) if smoothed or not use_viterbi else None
+    gamma = None
+    if smoothed or not use_viterbi:
+        gamma = _backward(model, dyn, _forward(model, emis, dyn), counts=False)[0]
     if use_viterbi:
-        return X, _viterbi(model, emis, dyn), post
-    best = post.gamma.reshape(X.shape[0], -1).argmax(axis=1)
-    return X, np.stack(np.divmod(best, model.L), axis=1), post
+        return X, _viterbi(model, emis, dyn), gamma
+    best = gamma.reshape(X.shape[0], -1).argmax(axis=1)
+    return X, np.stack(np.divmod(best, model.L), axis=1), gamma
 
 
 def denoise(model: ThmmModel, frames, mode: str = "soft",
@@ -722,9 +755,9 @@ def _latent_means(model: ThmmModel, X, c, l) -> np.ndarray:
 def track(model: ThmmModel, frames, use_viterbi: bool = False):
     """Per-frame (class, di, dj, log-margin) from the smoothed-MAP states
     (or the Viterbi path), decoded through the shift grid."""
-    X, states, post = _map_states(model, frames, use_viterbi, smoothed=True)
+    X, states, gamma = _map_states(model, frames, use_viterbi, smoothed=True)
     T = X.shape[0]
-    flat = post.gamma.reshape(T, -1)
+    flat = gamma.reshape(T, -1)
     order = np.sort(flat, axis=1)
     with np.errstate(divide="ignore"):
         margin = np.log(order[:, -1]) - np.log(order[:, -2]) if flat.shape[1] > 1 \

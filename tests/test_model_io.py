@@ -1,4 +1,5 @@
 import hashlib
+import os
 import re
 import struct
 import tracemalloc
@@ -332,10 +333,39 @@ def test_frames_directory_round_trip(tmp_path):
     shape = ImageShape(5, 4)
     frames = rng.uniform(0, 1, (7, 20))
     write_frames(frames, shape, tmp_path / "seq", maxval=65535)
+    assert sorted(os.listdir(tmp_path / "seq")) == [f"frame_000{t}.pgm" for t in range(7)]
     back, got_shape = read_frames(tmp_path / "seq")
     assert got_shape == shape
     assert back.shape == frames.shape
     assert np.abs(back - frames).max() <= 0.5 / 65535 + 1e-12
+
+
+def test_frames_past_ten_thousand_keep_their_order(tmp_path):
+    # 10 001 frames of 2x2 pixels, frame t holding t's base-256 digits: the
+    # names widen to five digits so that frame_10000 sorts last, not between
+    # frame_1000 and frame_1001
+    T = 10001
+    digits = (np.arange(T)[:, None] >> np.array([0, 8, 16, 24])) & 255
+    write_frames(digits / 255, ImageShape(2, 2), tmp_path / "seq")
+    names = sorted(os.listdir(tmp_path / "seq"))
+    assert (names[0], names[-1]) == ("frame_00000.pgm", "frame_10000.pgm")
+    back, _ = read_frames(tmp_path / "seq")
+    assert np.array_equal(np.rint(back * 255), digits)
+
+
+def test_frames_other_headers_parse_on_their_own(tmp_path):
+    # a comment, 16-bit pixels and trailing bytes: the files that do not
+    # share the first file's header and length decode one by one
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    write_pgm(seq / "a.pgm", np.array([[0.0, 1.0]]))
+    (seq / "b.pgm").write_bytes(b"P5\n# c\n2 1\n255\n" + bytes([51, 102]))
+    (seq / "c.pgm").write_bytes(b"P5\n2 1\n65535\n" + bytes([0, 0, 255, 255]))
+    (seq / "d.pgm").write_bytes(b"P5\n2 1\n255\n" + bytes([255, 0, 7]))
+    write_pgm(seq / "e.pgm", np.array([[1.0, 0.0]]))
+    back, shape = read_frames(seq)
+    assert shape == ImageShape(1, 2)
+    assert np.array_equal(back, [[0, 1], [0.2, 0.4], [0, 1], [1, 0], [1, 0]])
 
 
 def test_frames_errors(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -777,35 +778,44 @@ def test_passes_match_the_log_domain_reference(grid, boundary, mode, per_class,
     _check_passes(model, emis, dyn)
 
 
-def _check_passes(model, emis, dyn):
-    """`thmm._forward` and `thmm._backward` against the log-domain reference
-    recursions at 1e-12 relative; returns the smoothed marginals."""
-    log_alpha, moved, steps, log_pred = thmm_forward_reference(
-        model.pi_s, model.class_trans, dyn, emis)
+def _check_forward(model, emis, dyn):
+    """`thmm._forward` against the log-domain reference recursion at 1e-12
+    relative, -inf where the reference has -inf; returns its tables and the
+    reference's (log_alpha, moved, steps, log_pred)."""
+    ref = thmm_forward_reference(model.pi_s, model.class_trans, dyn, emis)
+    log_alpha, _, steps, log_pred = ref
     fwd = thmm_mod._forward(model, emis, dyn)
     np.testing.assert_allclose(fwd.log_alpha, log_alpha, rtol=1e-12)
     np.testing.assert_allclose(fwd.log_pred, log_pred, rtol=1e-12)
     np.testing.assert_allclose(fwd.steps, steps, rtol=1e-12)
     assert fwd.loglik == pytest.approx(steps.sum(), rel=1e-12)
+    return fwd, ref
 
+
+def _check_passes(model, emis, dyn):
+    """`thmm._forward` and `thmm._backward` against the log-domain reference
+    recursions at 1e-12 relative; returns the smoothed marginals."""
+    fwd, (log_alpha, moved, steps, _) = _check_forward(model, emis, dyn)
     gamma, xi_class, xi_moves = thmm_backward_reference(
         model.class_trans, dyn, emis, log_alpha, moved, steps)
     got = thmm_mod._backward(model, dyn, fwd)
     np.testing.assert_allclose(got[0], gamma, rtol=1e-12)
     np.testing.assert_allclose(got[1], xi_class, rtol=1e-12)
     np.testing.assert_allclose(got[2], xi_moves, rtol=1e-12)
+    # decoding skips the counts and keeps gamma's bits
+    assert np.array_equal(thmm_mod._backward(model, dyn, fwd, counts=False)[0], got[0])
     return got[0]
 
 
-def _pacman_size_case(variance_scale, T=100, seed=310):
-    """A model at pac-man's sizes (C = 6 on an 11x11 wrap grid, per-class
-    vector motion within threshold 3) with its variances scaled, a sequence
-    of T frames sampled from it, its emission table and dynamics."""
+def _pacman_size_case(variance_scale, T=100, seed=310, boundary="wrap", **fields):
+    """A model at pac-man's sizes (C = 6 on an 11x11 grid, wrap by default,
+    per-class vector motion within threshold 3) with its variances scaled
+    and any other `fields` replaced, a sequence of T frames sampled from
+    it, its emission table and dynamics."""
     model = random_thmm(seed, shape=ImageShape(11, 11), grid=(11, 11), C=6,
-                        per_class=True, threshold=3.0)
-    model = ThmmModel(transforms=model.transforms, mu=model.mu,
-                      phi=model.phi * variance_scale, psi=model.psi * variance_scale,
-                      pi_s=model.pi_s, class_trans=model.class_trans, motion=model.motion)
+                        boundary=boundary, per_class=True, threshold=3.0)
+    model = replace(model, phi=model.phi * variance_scale,
+                    psi=model.psi * variance_scale, **fields)
     frames, _ = sample_sequence(model, T, seed)
     return model, emission_table(model, frames), thmm_mod._Dynamics(model)
 
@@ -832,6 +842,45 @@ def test_smoothing_matches_the_reference_on_a_flat_posterior():
     model, emis, dyn = _pacman_size_case(1e4, T=30)
     gamma = _check_passes(model, emis, dyn)
     assert (_support_sizes(gamma) == model.L).all()
+
+
+def _never_to_the_next_class(C=6, L=121, seed=311):
+    """Class transitions under which no class switches to the next one
+    (mod C), and a start in class 0 at the grid's centre only."""
+    trans = np.random.default_rng(seed).dirichlet(np.ones(C) * 3, size=C)
+    trans[np.arange(C), (np.arange(C) + 1) % C] = 0.0
+    pi_s = np.zeros((C, L))
+    pi_s[0, L // 2] = 1.0
+    return {"class_trans": trans / trans.sum(axis=1, keepdims=True), "pi_s": pi_s}
+
+
+@pytest.mark.parametrize("case", ["concentrated", "scrambled", "zero-padded",
+                                  "zero-transition"])
+def test_forward_matches_the_reference_far_below_each_frames_best(case, monkeypatch):
+    """The forward pass shifts each target position by its best source and
+    sums linearly; at pac-man's sizes with tight variances (and on a
+    scrambled copy of the frames) most states lie more than 700 nats below
+    their frame's best, and each keeps its exact log weight.  On a
+    zero-padded grid the edge states renormalise (log z != 0).  Where the
+    dominant class never switches to some class, that class's linear sums
+    fall below the floor and those positions are summed in the log domain,
+    -inf where no path reaches them."""
+    fields = _never_to_the_next_class() if case == "zero-transition" else {}
+    model, emis, dyn = _pacman_size_case(
+        0.03, boundary="zero" if case == "zero-padded" else "wrap", **fields)
+    if case == "scrambled":
+        emis = emis[np.random.default_rng(312).permutation(len(emis))]
+    calls = []
+    real = thmm_mod.logsumexp
+    monkeypatch.setattr(thmm_mod, "logsumexp",
+                        lambda *args: calls.append(1) or real(*args))
+    log_alpha = _check_forward(model, emis, dyn)[1][0]
+    finite = np.isfinite(log_alpha)
+    below = log_alpha.max(axis=(1, 2), keepdims=True) - log_alpha
+    assert (below[finite] > 700.0).any()
+    assert (np.abs(dyn.log_z).max() > 1e-3) == (case == "zero-padded")
+    assert bool(calls) == (case == "zero-transition")
+    assert (not finite.all()) == (case == "zero-transition")
 
 
 def test_smoothing_holds_no_motion_block_on_a_concentrated_posterior():
