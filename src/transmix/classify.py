@@ -1,12 +1,14 @@
 """Bayes-rule classification with per-class generative models.
 
 `classify_batch` scores the TMG, TCA and MTCA models of a list in as few
-emission calls as it can: the models that share one `TransformationSet`
-object and one factor count K go into one `tca.cluster_loglik` call over all
-their clusters, each model with its own sensor-variance rows (zeros under
-the fast likelihood), and each model's score is the log-sum-exp of its own
-columns of that table plus its log rho and log pi.  Any other object is
-scored image by image through its `loglik` method.
+emission calls as it can: the models whose transformation sets hold equal
+tables (`TransformationSet.same_tables`, so models loaded from separate
+model files count) and which have one factor count K go into one
+`tca.cluster_loglik` call over all their clusters, each model with its own
+sensor-variance rows (zeros under the fast likelihood), and each model's
+score is the log-sum-exp of its own columns of that table plus its log rho
+and log pi.  Any other object is scored image by image through its `loglik`
+method.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def bayes_classify(models, x, priors=None) -> int:
 
 
 def _stacked_loglik(cores, X) -> np.ndarray:
-    """(T, models) log p(x_t) under MTCA models that share one
-    transformation set and one K, from one emission call over all their
+    """(T, models) log p(x_t) under MTCA models whose sets hold equal
+    tables and which have one K, from one emission call over all their
     clusters: cluster rows follow the models' order, each with its model's
     psi (0 under the fast likelihood).  The table's memory is (T, clusters,
     L) on either emission path, so the (T, clusters L) joint is a view and
@@ -79,20 +81,26 @@ def _stacked_loglik(cores, X) -> np.ndarray:
 
 def classify_batch(models, X, priors=None) -> np.ndarray:
     """The Bayes rule for each image of a batch.  TMG, TCA and MTCA models
-    that share one `TransformationSet` object and one K are scored in one
-    emission call over all their clusters (see the module docstring); any
-    other object goes image by image."""
+    whose sets hold equal tables and which have one K are scored in one
+    emission call over all their clusters, on the first one's set (see the
+    module docstring); any other object goes image by image."""
     log_priors = _log_priors(models, priors)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     scores = np.empty((X.shape[0], len(models)))
-    groups, plain = {}, []
+    groups, plain = [], []
     for k, model in enumerate(models):
-        if hasattr(model, "as_mtca"):
-            core = model.as_mtca()
-            groups.setdefault((id(core.transforms), core.K), []).append((k, core))
-        else:
+        if not hasattr(model, "as_mtca"):
             plain.append(k)
-    for members in groups.values():
+            continue
+        core = model.as_mtca()
+        for members in groups:
+            first = members[0][1]
+            if first.K == core.K and first.transforms.same_tables(core.transforms):
+                members.append((k, core))
+                break
+        else:
+            groups.append([(k, core)])
+    for members in groups:
         columns, cores = zip(*members)
         scores[:, list(columns)] = _stacked_loglik(cores, X)
     for k in plain:

@@ -285,6 +285,22 @@ class SequencePosterior:
     loglik: float
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of the contiguous array `a`, which stays writeable
+    beneath it for `_index`."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+def _index(table: np.ndarray) -> np.ndarray:
+    """A writeable view of the index `table`, a `_read_only` view (as every
+    table of a `TransformationSet` is), for `np.take`: it copies a read-only
+    index on every call, though it only reads it.  At 63x63 that is a
+    120 MiB copy.  Nothing writes through the view."""
+    return table if table.flags.writeable else table.base.reshape(table.shape)
+
+
 def _padded(a: np.ndarray, axis: int = 0) -> np.ndarray:
     """`a` with one zero pixel appended along its pixel `axis`: the entry
     that ``VOID`` = -1 reads (see the `transforms` module docstring)."""
@@ -354,27 +370,60 @@ def _factor_posterior(mean, var, rows, X, out=None):
     """The factors' posterior per row l of `_observed`'s arrays (an op, or a
     (cluster, op) pair of a stacked gather), given frames X (T, n): x | y ~
     N(mean[l] + a y, D) with a = rows[:, l].T, D = diag var[l] and y ~ N(0,
-    I_K).  Returns M = I + a^T D^-1 a (l, K, K), the determinant lemma's
-    factor; y_cov = M^-1 (l, K, K); proj = a^T D^-1 (x - mean[l]) and
-    y_mean = E[y | x, l] = y_cov proj, both (K, l, T), y_mean written to
-    `out` when given.  K leads the rows, the scaled loadings and the
-    posterior, so no elementwise op or sum runs over a trailing K axis and
-    no transposing copy precedes a product: M, proj and y_mean take one
-    small BLAS product per row, over strided views.  So every result of a
-    row depends on that row alone, bit for bit: a block of the M-step that
-    forms its ops' posterior again gets the bits of the emission's.
-    Zero-width at K = 0."""
+    I_K), K >= 1 (Ghahramani & Hinton 1996).  M = I + a^T D^-1 a is
+    symmetric with every eigenvalue at least 1, so one batched Cholesky
+    factor M = chol chol^T gives the rest.  Returns log det M = 2 sum log
+    diag chol (l,), the Woodbury term proj^T M^-1 proj = |chol^-1 proj|^2
+    (l, T), with proj = a^T D^-1 (x - mean[l]), and the pair (chol^-1,
+    proj) from which `_factor_moments` forms the posterior moments.
+    chol^-1 comes from a column-oriented forward substitution on the
+    identity, and chol^-1 proj is one small product per row, squared and
+    summed over K in place, in `out` (K, l, T) when it is given: the
+    Woodbury term is a view of that memory, so a caller that hands the same
+    `out` to `_factor_moments` reads the term first, and the kernel holds no
+    (K, l, T) array beyond proj and `out`.  K leads the scaled loadings,
+    proj and chol^-1, so no elementwise op or sum runs over a trailing K
+    axis, no transposing copy precedes a product, and each substitution step
+    is one elementwise op over every row at once.  So every result of a row
+    depends on that row alone, bit for bit: a block of the M-step that forms
+    its ops' posterior again gets the bits of the emission's."""
     (k, l, n), T = rows.shape, len(X)
     scaled = rows / var
     M = np.matmul(rows.transpose(1, 0, 2), scaled.transpose(1, 2, 0))
-    M += np.eye(k)
-    y_cov = np.linalg.inv(M)
+    M.reshape(l, k * k)[:, ::k + 1] += 1.0
+    chol = np.linalg.cholesky(M)
+    logdet = np.log(chol.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    logdet *= 2.0
     proj = np.empty((k, l, T))
-    y_mean = np.empty_like(proj) if out is None else out
     np.matmul(scaled.transpose(1, 0, 2), X.T, out=proj.transpose(1, 0, 2))
     proj -= np.vecdot(scaled, mean)[..., None]
+    # chol_inv[i, l] is row i of chol[l]^-1: per column j of chol, row j is
+    # divided by its diagonal and removed from every later row
+    chol_inv = np.zeros((k, l, k))
+    for i in range(k):
+        chol_inv[i, :, i] = 1.0
+    cols = chol.transpose(2, 1, 0)[..., None]           # cols[j, i] = chol[:, i, j]
+    for j in range(k):
+        chol_inv[j] /= cols[j, j]
+        chol_inv[j + 1:] -= cols[j, j + 1:] * chol_inv[j]
+    white = np.empty_like(proj) if out is None else out
+    np.matmul(chol_inv.transpose(1, 0, 2), proj.transpose(1, 0, 2),
+              out=white.transpose(1, 0, 2))
+    np.square(white, out=white)
+    for term in white[1:]:
+        white[0] += term
+    return logdet, white[0], (chol_inv, proj)
+
+
+def _factor_moments(chol_inv, proj, out=None):
+    """The factors' posterior covariance y_cov = M^-1 = chol^-T chol^-1
+    (l, K, K) and mean y_mean = M^-1 proj (K, l, T), written to `out` when
+    it is given, from `_factor_posterior`'s (chol^-1, proj): one small
+    product per row for each."""
+    y_cov = np.matmul(chol_inv.transpose(1, 2, 0), chol_inv.transpose(1, 0, 2))
+    y_mean = np.empty_like(proj) if out is None else out
     np.matmul(y_cov, proj.transpose(1, 0, 2), out=y_mean.transpose(1, 0, 2))
-    return M, y_cov, proj, y_mean
+    return y_cov, y_mean
 
 
 def _diag_quad(loadings, S):
@@ -463,7 +512,7 @@ def gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W, posterior=
     is affine in x too, and the factor terms read only sum_t w U U^T,
     (w U)^T X (in (K, op, n) layout, gathered at dst) and w y_cov, summed
     over ops as (n, K) and (n, K^2) products with r, r var and r^2.  U and y_cov are
-    the factor posterior of `_factor_posterior`: the one an exact EM step's
+    the factor posterior of `_factor_moments`: the one an exact EM step's
     emission formed, handed over as `posterior` (per cluster, y_cov (L, K,
     K) and U (K, L, T), of which each block reads its ops), or else formed
     here for the block's ops.  The fast likelihood's emission drops psi, so
@@ -583,7 +632,7 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m,
     w = Wb.sum(axis=1)
     A, Q = _padded_product(Wb, Xc), _padded_product(Wb, Xc2)
     nb, n = A.shape[0], Xc.shape[1]
-    dst, src = transforms.dest_matrix[block], transforms.source_matrix[block]
+    dst, src = transforms.dest_matrix[block], _index(transforms.source_matrix)[block]
     # flat positions in a padded (nb, n + 1) block: one 1-D gather per array
     at_dst = np.arange(nb)[:, None] * (n + 1) + dst
     A_dst, Q_dst = A.ravel()[at_dst], Q.ravel()[at_dst]
@@ -607,8 +656,10 @@ def _block_stats(transforms, block, W, Xc, Xc2, mu_c, loadings, phi, psi, m,
     k = loadings.shape[1]
     if k:
         T = Xc.shape[0]
-        y_cov, U = (posterior if posterior is not None else
-                    _factor_posterior(*_observed(src, mu_c, loadings, phi, psi), Xc)[1::2])
+        if posterior is None:
+            moments = _factor_posterior(*_observed(src, mu_c, loadings, phi, psi), Xc)[2]
+            posterior = _factor_moments(*moments)
+        y_cov, U = posterior
         # U: E[y] per (k, l, t), K-first; w u likewise, read along t
         WU = np.multiply(U, Wb, order="C")
         s_y = WU.sum(axis=2)

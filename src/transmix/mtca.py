@@ -134,19 +134,20 @@ def _cluster_mstep(transforms, mu, loadings, phi, psi, X, W, directions=(),
 
     Returns the clusters' s_psi (C, n), masses and starved clusters, and the
     new (mu, loadings, phi), where a starved cluster keeps its old values for
-    `_mstep_tail` to reseed.  The first loading columns follow the template
-    derivatives along `directions` instead of being learned.
+    `_mstep_tail` to reseed.  The other clusters' regressions are one
+    batched solve (`tca.solve_mstep`).  The first loading columns follow the
+    template derivatives along `directions` instead of being learned.
     """
     stats = gaussian_template_stats(transforms, mu, loadings, phi, psi, X, W, posterior)
     rescued = _starved(stats[0], X.shape[0])
     mu, loadings, phi = mu.copy(), loadings.copy(), phi.copy()
-    for c in range(mu.shape[0]):
-        if c in rescued:
-            continue
-        loadings[c], mu[c], phi[c] = _tca.solve_mstep(stats, c, loadings[c], len(directions))
-        if directions:
-            loadings[c, :, :len(directions)] = _tca.tangent_columns(
-                mu[c], transforms, directions)
+    live = [c for c in range(mu.shape[0]) if c not in rescued]
+    loadings[live], mu[live], phi[live] = _tca.solve_mstep(stats, live, loadings,
+                                                           len(directions))
+    if directions:
+        for c in live:
+            loadings[c, :, :len(directions)] = _tca.tangent_columns(mu[c], transforms,
+                                                                    directions)
     return stats[6], stats[0], rescued, mu, loadings, phi
 
 

@@ -3,10 +3,12 @@
 A factor analyzer on the latent image — mean plus a low-rank loading matrix
 plus diagonal noise — observed through a discrete transformation and sensor
 noise.  Likelihoods use rank-K determinant/inverse identities, so evaluation
-costs O(n K^2) per transformation instead of O(n^3).  The fast likelihood is
-the same kernel with the sensor noise dropped (psi = 0): the latent variances
-absorb it, and with void-free ops each transformation's covariance is then a
-permuted copy of one matrix.  The emission table here and the M-step
+costs O(n K^2) per transformation instead of O(n^3), with one Cholesky factor
+of the K x K matrix M = I + a^T D^-1 a per transformation in place of any
+inverse or determinant.  The fast likelihood is the same kernel with the
+sensor noise dropped (psi = 0): the latent variances absorb it, and with
+void-free ops each transformation's covariance is then a permuted copy of
+one matrix.  The emission table here and the M-step
 statistics (`common.gaussian_template_stats`) take a model's whole cluster
 stack, and a frame's posterior one cluster, in one call over all ops.  The
 dense emission stacks every cluster's ops into (cluster, op) rows, gathered
@@ -14,10 +16,13 @@ through one index and evaluated in row blocks of at most `_EMISSION_BLOCK`
 values (`_block_rows`), with one sensor-noise row shared by all clusters or
 one per cluster; so `classify.classify_batch` scores many models in one
 call.  All three get the factors' posterior from one kernel,
-`common._factor_posterior`, whose arrays lay K out first.  An exact EM step
-forms it once: the emission keeps it and the M-step statistics read each
-cluster's view of it.  The fast likelihood's emission drops psi, so there
-the statistics form their own.
+`common._factor_posterior`, whose arrays lay K out first: scoring reads
+log det M and the Woodbury term, and only the callers that read the
+posterior moments form them (`common._factor_moments`).  An exact EM step
+forms them once: the emission keeps them and the M-step statistics read
+each cluster's view.  The fast likelihood's emission drops psi, so there
+the statistics form their own.  The M-step solves every cluster's
+regression in one batched call (`solve_mstep`).
 A TCA is a view of an MTCA with one cluster: each model function below runs
 the `mtca` one on `as_mtca()`, which shares the model's arrays.
 """
@@ -29,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import (EmOptions, PosteriorSummary, _GaussianModel, _diag_quad,
-                     _factor_posterior, _fft_rows, _fit, _frames, _latent_posterior,
-                     _floats, _observed, _record, _spectra, _unspectra)
+                     _factor_moments, _factor_posterior, _fft_rows, _fit, _frames,
+                     _latent_posterior, _floats, _index, _observed, _record, _spectra,
+                     _unspectra)
 from .transforms import TransformationSet, apply
 from . import mtca as _mtca
 
@@ -117,11 +123,13 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X, *, posterior=None):
     fits the `_EMISSION_BLOCK` budget.  The diagonal part of a block is one
     matrix product of the frames [x^2 | x | 1] with the block's weights
     [-1/(2 var) | mean/var | -c/2], written into the table; K > 0 factors
-    add log det M_l and the Woodbury term proj . y_mean per (t, row) of
-    `_factor_posterior`.  Given a list as `posterior`, each cluster's factor
-    posterior (y_cov (L, K, K), y_mean (K, L, T)) is appended to it, as
-    views of one array for all rows, for an exact EM step's M-step; nothing
-    is kept otherwise.
+    add (proj^T M_l^-1 proj - log det M_l) / 2 per (t, row), both from one
+    Cholesky factor of M_l (`_factor_posterior`), with no inverse or
+    determinant call.  Given a list as `posterior`, each cluster's factor
+    posterior (y_cov (L, K, K), y_mean (K, L, T), `_factor_moments`) is
+    appended to it, as views of one array for all rows, for an exact EM
+    step's M-step; nothing is formed or kept otherwise, and the table has
+    the same bits either way.
 
     At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`; a
     per-cluster psi counts when every entry is one value), op
@@ -186,10 +194,12 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X, *, posterior=None):
                                      out=gathered[:(2 + k) * rows * n].reshape(2 + k, rows, n))
         mean -= shift
         if k:
-            M, y_cov, proj, y_mean = _factor_posterior(   # det M >= 1
-                mean, var, loads, X, None if y_means is None else y_means[:, block])
-            if y_covs is not None:
-                y_covs[block] = y_cov
+            # the posterior's memory takes the Woodbury term until the
+            # moments overwrite it, below
+            kept = None if y_covs is None else y_means[:, block]
+            logdet, woodbury, moments = _factor_posterior(mean, var, loads, X, kept)
+            woodbury -= logdet[:, None]
+            woodbury *= 0.5
         block_weights = weights[:rows * width].reshape(rows, width)
         np.divide(-0.5, var, out=block_weights[:, :n])
         with np.errstate(over="ignore"):
@@ -201,14 +211,9 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X, *, posterior=None):
             np.multiply(const, -0.5, out=block_weights[:, 2 * n])
             out = np.matmul(frames, block_weights.T, out=by_row[:, block])
             if k:
-                # the Woodbury term proj . y_mean, summed over the leading K
-                proj *= y_mean
-                woodbury = proj[0]
-                for term in proj[1:]:
-                    woodbury += term
-                woodbury -= np.linalg.slogdet(M)[1][:, None]
-                woodbury *= 0.5
                 out += woodbury.T
+                if kept is not None:
+                    y_covs[block] = _factor_moments(*moments, out=kept)[0]
     if y_covs is not None:
         posterior.extend((y_covs[c * L:(c + 1) * L], y_means[:, c * L:(c + 1) * L])
                          for c in range(C))
@@ -285,8 +290,8 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
     if not loadings.shape[1]:
         z_mean, z_var = _latent_posterior(transforms.dest_matrix, mu, phi, psi, x)
         return np.empty((transforms.L, 0, 0)), np.empty((transforms.L, 0)), z_mean, z_var
-    _, y_cov, _, y_mean = _factor_posterior(
-        *_observed(transforms.source_matrix, mu, loadings, phi, psi), x[None])
+    y_cov, y_mean = _factor_moments(*_factor_posterior(
+        *_observed(_index(transforms.source_matrix), mu, loadings, phi, psi), x[None])[2])
     y_mean = y_mean[:, :, 0].T
     z_mean, var = _latent_posterior(transforms.dest_matrix,
                                     mu + y_mean @ loadings.T, phi, psi, x)
@@ -303,39 +308,34 @@ def posterior(model: TcaModel, x) -> PosteriorSummary:
                             _compute=lambda: tuple(m[:, 0] for m in post._moments))
 
 
-def solve_mstep(stats, c: int, loadings_old, tangent_cols: int):
-    """Maximize the expected complete log-likelihood for cluster c's
-    (loadings, mu, phi) from the sums of `gaussian_template_stats`, those of
-    z' = z - m for the centre m that ends the tuple.  Regressing z' on
-    (y, 1), the mean is the extra column and comes out as mu - m; phi is
-    formed from residuals at the centred scale, so it does not cancel when
-    the data sit far from zero.  The first `tangent_cols` loading columns
-    are held fixed (their values come from template derivatives, not
-    learning).
+def solve_mstep(stats, clusters, loadings_old, tangent_cols: int):
+    """Maximize the expected complete log-likelihood for the (loadings, mu,
+    phi) of the clusters that `clusters` (an index list or a slice) picks,
+    one batched (K + 1)^2 solve over all of them, from the sums of
+    `gaussian_template_stats`, those of z' = z - m for the centre m that
+    ends the tuple.  Regressing z' on (y, 1), the mean is the extra column
+    and comes out as mu - m; phi is formed from residuals at the centred
+    scale, so it does not cancel when the data sit far from zero.  The first
+    `tangent_cols` loading columns are held fixed at loadings_old[clusters]
+    (their values come from template derivatives, not learning).
     """
-    (mass, s_z, s_zz, s_y, s_yy, s_zy), centre = (s[c] for s in stats[:6]), stats[7]
-    n, k = loadings_old.shape
-    syy_aug = np.empty((k + 1, k + 1))
-    syy_aug[:k, :k] = s_yy
-    syy_aug[:k, k] = s_y
-    syy_aug[k, :k] = s_y
-    syy_aug[k, k] = mass
-    szy_aug = np.concatenate([s_zy, s_z[:, None]], axis=1)
+    (mass, s_z, s_zz, s_y, s_yy, s_zy), centre = (s[clusters] for s in stats[:6]), stats[7]
+    C, (n, k) = len(mass), loadings_old.shape[1:]
+    syy_aug = np.empty((C, k + 1, k + 1))
+    syy_aug[:, :k, :k] = s_yy
+    syy_aug[:, :k, k] = s_y
+    syy_aug[:, k, :k] = s_y
+    syy_aug[:, k, k] = mass
+    szy_aug = np.concatenate([s_zy, s_z[:, :, None]], axis=2)
 
-    free = list(range(tangent_cols, k + 1))
-    fixed = list(range(tangent_cols))
-    w_full = np.concatenate([loadings_old, np.zeros((n, 1))], axis=1)
-    target = szy_aug[:, free]
-    if fixed:
-        target = target - w_full[:, fixed] @ syy_aug[np.ix_(fixed, free)]
-    sol = np.linalg.solve(syy_aug[np.ix_(free, free)], target.T).T
-    w_full[:, free] = sol
-    loadings_new = w_full[:, :k]
-    mu_new = w_full[:, k] + centre
-    resid = (s_zz - 2.0 * np.einsum("pk,pk->p", w_full, szy_aug)
-             + np.einsum("pk,kj,pj->p", w_full, syy_aug, w_full))
-    phi_new = resid / mass
-    return loadings_new, mu_new, phi_new
+    free, fixed = slice(tangent_cols, k + 1), slice(tangent_cols)
+    w_full = np.concatenate([loadings_old[clusters], np.zeros((C, n, 1))], axis=2)
+    target = szy_aug[:, :, free] - w_full[:, :, fixed] @ syy_aug[:, fixed, free]
+    w_full[:, :, free] = np.linalg.solve(syy_aug[:, free, free],
+                                         target.transpose(0, 2, 1)).transpose(0, 2, 1)
+    resid = (s_zz - 2.0 * np.einsum("cpk,cpk->cp", w_full, szy_aug)
+             + np.einsum("cpk,ckj,cpj->cp", w_full, syy_aug, w_full))
+    return w_full[:, :, :k], w_full[:, :, k] + centre, resid / mass[:, None]
 
 
 def tangent_columns(mu, transforms: TransformationSet, directions) -> np.ndarray:

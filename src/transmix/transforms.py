@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .common import _padded
+from .common import _padded, _read_only
 
 VOID = -1
 
@@ -52,11 +52,6 @@ DEFAULT_SHEAR_FAMILY: tuple[tuple[float, int], ...] = tuple(
     + [(0.0, -1), (0.0, 1), (-0.25, -1), (-0.25, 1),
        (0.25, -1), (0.25, 1), (0.0, -3), (0.0, 3)]
 )
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -202,6 +197,23 @@ class TransformationSet:
             if not np.array_equal(self.source_matrix[lo:lo + _COMPARE_BLOCK], want):
                 return None
         return _read_only(rows.copy())
+
+    def same_tables(self, other: TransformationSet) -> bool:
+        """Whether `other` holds the same ops in the same order: the same
+        shape, boundary and L, and equal `wrap_rows` or `source_matrix`.
+        A full wrap grid that has not built its (L, n) tables is compared by
+        its rows, so the comparison builds none; two held tables are
+        compared in blocks of rows, like `wrap_rows`."""
+        if self is other:
+            return True
+        if (self.shape, self.boundary, self.L) != (other.shape, other.boundary, other.L):
+            return False
+        if "source_matrix" not in self.__dict__ or "source_matrix" not in other.__dict__:
+            rows, others = self.wrap_rows, other.wrap_rows
+            return rows is not None and others is not None and np.array_equal(rows, others)
+        return all(np.array_equal(self.source_matrix[lo:lo + _COMPARE_BLOCK],
+                                  other.source_matrix[lo:lo + _COMPARE_BLOCK])
+                   for lo in range(0, self.L, _COMPARE_BLOCK))
 
     def grid_offsets(self) -> np.ndarray:
         """(L, 2) signed (di, dj) shift offsets for grid-structured sets."""

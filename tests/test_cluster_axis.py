@@ -100,8 +100,8 @@ def _dense_reference(ts, mu, loadings, phi, psi, X):
         weights = np.concatenate([-0.5 / var, mean / var, -0.5 * const[:, None]], axis=1)
         out = np.concatenate([X * X, X, np.ones((len(X), 1))], axis=1) @ weights.T
         if k:
-            M, _, proj, y_mean = _factor_posterior(mean, var, rows, X)
-            out += (0.5 * ((proj * y_mean).sum(axis=0) - np.linalg.slogdet(M)[1][:, None])).T
+            logdet, woodbury, _ = _factor_posterior(mean, var, rows, X)
+            out += (0.5 * (woodbury - logdet[:, None])).T
         blocks.append(out)
     return np.concatenate(blocks, axis=1).reshape(len(X), C, L).transpose(0, 2, 1)
 

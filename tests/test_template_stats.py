@@ -195,6 +195,11 @@ def test_all_live_ops_go_as_the_slices_of_full_blocks(monkeypatch):
         list(range(lo, min(lo + _STATS_BLOCK, ts.L))) for lo in range(0, ts.L, _STATS_BLOCK)]
 
 
+def _moments(mean, var, rows, X):
+    """(y_cov, y_mean) of `_factor_moments` from `_factor_posterior`."""
+    return common._factor_moments(*common._factor_posterior(mean, var, rows, X)[2])
+
+
 @pytest.mark.parametrize("name, K", [(name, K) for name in ("zero-pad", "shear")
                                      for K in (1, 3)])
 def test_factor_posterior_matches_dense_conditioning(name, K):
@@ -204,7 +209,7 @@ def test_factor_posterior_matches_dense_conditioning(name, K):
     ts = CASES[name]()
     mu, loadings, phi, psi, X, _ = _inputs(ts, seed=20 + K, K=K, T=4)
     mean, var, rows = common._observed(ts.source_matrix, mu, loadings, phi, psi)
-    _, y_cov, _, y_mean = common._factor_posterior(mean, var, rows, X)
+    y_cov, y_mean = _moments(mean, var, rows, X)
     n = ts.shape.n
     assert y_mean.shape == (K, ts.L, 4) and y_cov.shape == (ts.L, K, K)
     for l, op in enumerate(ts):
@@ -214,7 +219,7 @@ def test_factor_posterior_matches_dense_conditioning(name, K):
     void = ts.source_matrix < 0
     assert void.any()
     shifted = np.where(void, -float(X.mean()), mean)
-    _, cov_shifted, _, mean_shifted = common._factor_posterior(shifted, var, rows, X)
+    cov_shifted, mean_shifted = _moments(shifted, var, rows, X)
     np.testing.assert_array_equal(mean_shifted, y_mean)
     np.testing.assert_array_equal(cov_shifted, y_cov)
 
