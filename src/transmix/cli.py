@@ -113,13 +113,18 @@ def _load_data(man: Manifest):
     return {"frames": frames, "truth": None, "shape": shape}
 
 
-def write_truth_csv(truth: synthgen.GroundTruth, path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """A CSV file of one header row and then `rows`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "class", "i", "j"])
-        for t in range(truth.classes.shape[0]):
-            writer.writerow([t, truth.classes[t], truth.shifts[t, 0],
-                             truth.shifts[t, 1]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_truth_csv(truth: synthgen.GroundTruth, path) -> None:
+    _write_csv(path, ["t", "class", "i", "j"],
+               ([t, truth.classes[t], truth.shifts[t, 0], truth.shifts[t, 1]]
+                for t in range(truth.classes.shape[0])))
 
 
 def read_csv_columns(path, *columns: str) -> np.ndarray:
@@ -239,13 +244,10 @@ def cmd_train(man: Manifest, out_dir, verbose: bool = False) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.txm"
     model_io.save_model(model, model_path)
-    with open(out / "steps.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "loglik", "cluster_mass", "rescued"])
-        for rep in reports:
-            writer.writerow([rep.iteration, f"{rep.loglik:.10g}",
-                             " ".join(f"{m:.6g}" for m in rep.cluster_mass),
-                             " ".join(str(i) for i in rep.rescued)])
+    _write_csv(out / "steps.csv", ["iteration", "loglik", "cluster_mass", "rescued"],
+               ([rep.iteration, f"{rep.loglik:.10g}",
+                 " ".join(f"{m:.6g}" for m in rep.cluster_mass),
+                 " ".join(str(i) for i in rep.rescued)] for rep in reports))
     _write_montages(model, out)
     man.save(out / "manifest.txt")
     if data["truth"] is not None:
@@ -313,11 +315,9 @@ def cmd_infer(model_paths, frames_dir, task: str, out_dir=None,
         rows = thmm.track(model, frames, use_viterbi=use_viterbi)
         result["track"] = rows
         if out:
-            with open(out / "track.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "class", "i", "j", "log_margin"])
-                for t, (c, i, j, margin) in enumerate(rows):
-                    writer.writerow([t, int(c), int(i), int(j), f"{margin:.6g}"])
+            _write_csv(out / "track.csv", ["t", "class", "i", "j", "log_margin"],
+                       ([t, int(c), int(i), int(j), f"{margin:.6g}"]
+                        for t, (c, i, j, margin) in enumerate(rows)))
     elif task == "score":
         score = thmm.score_sequence(model, frames)
         result["score"] = score
@@ -328,11 +328,8 @@ def cmd_infer(model_paths, frames_dir, task: str, out_dir=None,
         labels = classify_mod.classify_batch(models, frames)
         result["labels"] = labels
         if out:
-            with open(out / "pred.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "class"])
-                for t, lab in enumerate(labels):
-                    writer.writerow([t, int(lab)])
+            _write_csv(out / "pred.csv", ["t", "class"],
+                       ([t, int(lab)] for t, lab in enumerate(labels)))
     return result
 
 

@@ -5,7 +5,10 @@ model: each cluster owns a template, loading matrix and latent variances;
 cluster and transformation index are lumped for exact inference.  With zero
 factors per cluster this is exactly a TMG; with one cluster, exactly a TCA.
 So `tmg` and `tca` are views: their functions call the ones here on the
-model's `as_mtca()`, a record sharing its arrays, and reshape the result.
+model's `as_mtca()`, a record sharing its arrays.  The EM step and the
+posterior take a TMG, TCA or MTCA model itself and answer in its shapes:
+the step returns a model of its class, and the posterior's responsibilities
+have the shape of its rho.
 The emission table and the M-step statistics are one kernel call each over
 all clusters; the dense emission takes every (cluster, op) row in one
 stacked pass (see `tca.cluster_loglik`), and with factors hands the
@@ -104,27 +107,33 @@ def loglik(model: MtcaModel, X) -> np.ndarray:
     return logsumexp(_log_joint(model, X), axis=(1, 2))
 
 
-def posterior(model: MtcaModel, x) -> PosteriorSummary:
-    """Responsibilities P(l, c | x) plus per-(l, c) latent moments.  The
-    moments are computed on first read, from copies of x and the parameters
-    taken now (see `PosteriorSummary`)."""
-    x = _frame(x, model.n)
-    per_datum, resp = _normalise(_log_joint(model, x[None, :]), "(l, c) configuration")
-    return PosteriorSummary(resp=resp[0], loglik=float(per_datum[0]), _compute=partial(
-        _latent_moments, model.transforms, model.mu.copy(), model.loadings.copy(),
-        model.phi.copy(), model.psi.copy(), x.copy()))
+def posterior(model, x) -> PosteriorSummary:
+    """Responsibilities P(l, c | x) plus per-(l, c) latent moments, for a
+    TMG, TCA or MTCA model.  `resp` has the shape of the model's rho: (L, C),
+    or (L,) for a TCA, and the moments that leading shape followed by their
+    own axes.  The moments are computed on first read, from copies of x and
+    the parameters taken now (see `PosteriorSummary`)."""
+    view = model.as_mtca()
+    x = _frame(x, view.n)
+    per_datum, resp = _normalise(_log_joint(view, x[None, :]), "(l, c) configuration")
+    lead = model.rho.shape
+    return PosteriorSummary(resp=resp[0].reshape(lead), loglik=float(per_datum[0]),
+                            _compute=partial(_latent_moments, lead, view.transforms,
+                                             view.mu.copy(), view.loadings.copy(),
+                                             view.phi.copy(), view.psi.copy(), x.copy()))
 
 
-def _latent_moments(transforms, mu, loadings, phi, psi, x):
+def _latent_moments(lead, transforms, mu, loadings, phi, psi, x):
     """(z_mean, z_var_diag, y_mean, y_cov) of `posterior`: the exact latent
-    moments per (l, c), from `tca._op_posterior` per cluster."""
+    moments per (l, c), from `tca._op_posterior` per cluster, each with the
+    leading shape `lead` of the model's rho."""
     L, (C, n, K) = transforms.L, loadings.shape
     z_mean, z_var = np.empty((L, C, n)), np.empty((L, C, n))
     y_mean, y_cov = np.empty((L, C, K)), np.empty((L, C, K, K))
     for c in range(C):
         y_cov[:, c], y_mean[:, c], z_mean[:, c], z_var[:, c] = _tca._op_posterior(
             transforms, mu[c], loadings[c], phi[c], psi, x)
-    return z_mean, z_var, y_mean, y_cov
+    return tuple(m.reshape(lead + m.shape[2:]) for m in (z_mean, z_var, y_mean, y_cov))
 
 
 def _cluster_mstep(transforms, mu, loadings, phi, psi, X, W, directions=(),
@@ -151,30 +160,36 @@ def _cluster_mstep(transforms, mu, loadings, phi, psi, X, W, directions=(),
     return stats[6], stats[0], rescued, mu, loadings, phi
 
 
-def _em_step_full(model: MtcaModel, X, options: EmOptions):
-    if len(options.tangent_directions) > model.K:
+def _em_step_full(model, X, options: EmOptions):
+    """One EM step of a TMG, TCA or MTCA model, run on its MTCA view.
+    Returns (model of the input's class, each field in the shape its
+    `_AXES` give, log-likelihood under the input, cluster masses, rescued
+    clusters)."""
+    view = model.as_mtca()
+    if len(options.tangent_directions) > view.K:
         raise ValueError(f"{len(options.tangent_directions)} tangent directions "
-                         f"need as many factors, but the model has {model.K}")
-    X = _frames(X, model.n)
+                         f"need as many factors, but the model has {view.K}")
+    X = _frames(X, view.n)
     T = X.shape[0]
     # the exact emission forms the factor posterior that the M-step reads;
     # the fast one drops psi, so the M-step forms its own
-    posterior = [] if model.K and not model.fast_likelihood else None
-    per_datum, resp = _normalise(_log_joint(model, X, posterior), "(l, c) configuration")
+    posterior = [] if view.K and not view.fast_likelihood else None
+    per_datum, resp = _normalise(_log_joint(view, X, posterior), "(l, c) configuration")
     s_psi, mass, rescued, mu, loadings, phi = _cluster_mstep(
-        model.transforms, model.mu, model.loadings, model.phi, model.psi, X, resp,
+        view.transforms, view.mu, view.loadings, view.phi, view.psi, X, resp,
         options.tangent_directions, posterior)
-    rho = model.rho.copy()
+    rho = view.rho.copy()
     if not options.freeze_rho:
         # column by column, which copies nothing; on a one-op set a column
         # then adds its frames in the order `mass` does, so rho stays exactly 1
-        for c in range(model.C):
+        for c in range(view.C):
             if c not in rescued:
                 rho[:, c] = resp[:, :, c].sum(axis=0) / mass[c]
     phi, psi, pi = _mstep_tail(X, options, s_psi, rescued, mu, phi, mass / T, rho)
-    new = _record(MtcaModel, **{**vars(model), "pi": pi, "mu": mu, "loadings": loadings,
-                                "phi": phi, "rho": rho, "psi": psi})
-    return new, float(per_datum.sum()), tuple(mass), rescued
+    new = {"pi": pi, "mu": mu, "loadings": loadings, "phi": phi, "rho": rho, "psi": psi}
+    fields = {name: new[name].reshape(getattr(model, name).shape) for name in model._AXES}
+    return (_record(type(model), **{**vars(model), **fields}), float(per_datum.sum()),
+            tuple(mass), rescued)
 
 
 def em_step(model: MtcaModel, X, options: EmOptions | None = None):

@@ -24,7 +24,9 @@ each cluster's view.  The fast likelihood's emission drops psi, so there
 the statistics form their own.  The M-step solves every cluster's
 regression in one batched call (`solve_mstep`).
 A TCA is a view of an MTCA with one cluster: each model function below runs
-the `mtca` one on `as_mtca()`, which shares the model's arrays.
+the `mtca` one on `as_mtca()`, which shares the model's arrays.  The EM step
+and the posterior are MTCA's own and take the TCA itself: the step returns
+a TCA, and the responsibilities are (L,) like rho, the moments (L, ...).
 """
 
 from __future__ import annotations
@@ -129,7 +131,10 @@ def cluster_loglik(transforms, mu, loadings, phi, psi, X, *, posterior=None):
     posterior (y_cov (L, K, K), y_mean (K, L, T), `_factor_moments`) is
     appended to it, as views of one array for all rows, for an exact EM
     step's M-step; nothing is formed or kept otherwise, and the table has
-    the same bits either way.
+    the same bits either way.  The diagonal part's product runs over a
+    whole row block, so a table's last bits depend on the blocking
+    (`_block_rows`): tables made under different block sizes agree to
+    rounding, not bit for bit.
 
     At K = 0 on a full wrap grid with one sensor variance (`_fft_rows`; a
     per-cluster psi counts when every entry is one value), op
@@ -301,11 +306,9 @@ def _op_posterior(transforms, mu, loadings, phi, psi, x):
 
 
 def posterior(model: TcaModel, x) -> PosteriorSummary:
-    """Responsibilities p(l | x) plus exact latent posteriors per op, the
-    latter computed on first read (see `PosteriorSummary`)."""
-    post = _mtca.posterior(model.as_mtca(), x)
-    return PosteriorSummary(resp=post.resp[:, 0], loglik=post.loglik,
-                            _compute=lambda: tuple(m[:, 0] for m in post._moments))
+    """Responsibilities p(l | x), shape (L,), plus exact latent posteriors
+    per op, the latter computed on first read (see `mtca.posterior`)."""
+    return _mtca.posterior(model, x)
 
 
 def solve_mstep(stats, clusters, loadings_old, tangent_cols: int):
@@ -375,23 +378,16 @@ def tangent_columns(mu, transforms: TransformationSet, directions) -> np.ndarray
     return np.stack(cols, axis=1)
 
 
-def _em_step_full(model: TcaModel, X, options: EmOptions):
-    new, total, mass, rescued = _mtca._em_step_full(model.as_mtca(), X, options)
-    return (_record(TcaModel, **{**vars(model), "mu": new.mu[0], "loadings": new.loadings[0],
-                                 "phi": new.phi[0], "rho": new.rho[:, 0], "psi": new.psi}),
-            total, mass, rescued)
-
-
 def em_step(model: TcaModel, X, options: EmOptions | None = None):
     """One EM step; the returned log-likelihood is under the input model."""
-    return _em_step_full(model, X, options or EmOptions())[:2]
+    return _mtca._em_step_full(model, X, options or EmOptions())[:2]
 
 
 def fit(model: TcaModel, X, iterations: int, options: EmOptions | None = None,
         tol: float = 1e-7, callback=None):
     """Run EM until the iteration budget or a relative improvement below
     `tol`.  Returns (model, step reports)."""
-    return _fit(_em_step_full, model, X, iterations, options, tol, callback)
+    return _fit(_mtca._em_step_full, model, X, iterations, options, tol, callback)
 
 
 def sample(model: TcaModel, seed, size: int | None = None) -> np.ndarray:

@@ -33,8 +33,8 @@ whose weights the M-step floors at 1e-12, never falls below the floor.  A
 position where some class does (only a zero or tiny transition gets there)
 is recomputed in the log domain.  Every state is shifted by its own
 position's best, so log alpha stays exact for states thousands of nats
-below their frame's best.  The frame's normaliser is a clamped
-log-sum-exp.
+below their frame's best.  The frame's normaliser is a log-sum-exp whose
+terms at or below e^`CUT` of the best are exactly 0 (`common._cutexp`).
 
 The smoothing pass recurses on gamma from the last frame back, in the
 forward-filtering, backward-smoothing form (Rauch, Tung & Striebel, 1965):
@@ -46,11 +46,12 @@ with p = l + d_m and pred the forward pass's one-step prediction.  Each term
 is at most gamma_t+1(c', p) <= 1, so a frame reads only the positions where
 some class's gamma_t+1 is above e^`_SUPPORT_CUT` = e^-800: a few of them on a
 tracked video.  Over those it takes one class step (`_class_step`: a (C, C)
-product on gamma / pred with a per-position shift, its exponentials clamped
-at `CUT` = -700, a position whose sum falls below `_LINEAR_FLOOR` = e^-600
-recomputed in the log domain) and exponentiates its (C, B, positions) move
-terms without a shift, lifted by e^`_LIFT` so that states down to e^-800
-sum in normal floats; one bincount scatters them onto their source states.
+product on gamma / pred with a per-position shift, its exponentials exactly
+0 at or below e^`CUT` = e^-700, a position whose sum falls below
+`_LINEAR_FLOOR` = e^-600 recomputed in the log domain) and exponentiates
+its (C, B, positions) move terms without a shift, lifted by e^`_LIFT` so
+that states down to e^-800 sum in normal floats; one bincount scatters them
+onto their source states.
 The same exponentials, summed per move and per target, give the expected
 move and class counts.
 `forward_backward` states how far gamma and the counts may be from the
@@ -78,7 +79,7 @@ from .transforms import TransformationSet, apply, wrap_shift_index
 from .tmg import TmgModel
 
 # a class-step position whose linear sum falls below this is recomputed in
-# the log domain; above it, the terms clamped at e^CUT are below e^-100 of
+# the log domain; above it, the terms cut to 0 at e^CUT are below e^-100 of
 # the sum, under its rounding
 _LINEAR_FLOOR = math.exp(CUT + 100.0)
 # the forward pass drops a term at or below e^_FORWARD_CUT of its shift and
@@ -394,33 +395,23 @@ class _Forward(NamedTuple):
     log_pred: np.ndarray
 
 
-def _shifted_exp(buf: np.ndarray, axis) -> np.ndarray:
-    """Exponentiate `buf` in place relative to the largest term of each line
-    along `axis`, every shifted term clamped at `CUT`; returns those largest
-    terms (keepdims), -inf for a line of -inf terms only."""
-    top = buf.max(axis=axis, keepdims=True)
-    buf -= np.where(top > -np.inf, top, 0.0)
-    np.maximum(buf, CUT, out=buf)
-    np.exp(buf, out=buf)
-    return top
-
-
-def _class_step(M: np.ndarray, log_M: np.ndarray, logs: np.ndarray, lin: np.ndarray):
+def _class_step(M: np.ndarray, log_M: np.ndarray, logs: np.ndarray):
     """log(M @ exp(logs)) for (C, C) weights M and (C, L) log terms, as a
-    product with a per-position shift: lin = exp(logs - top) clamped at
-    `CUT`, top the best term of each position.  A position whose linear sum
-    falls below `_LINEAR_FLOOR` for some row is recomputed from log_M in
-    the log domain.  Returns (result, top, those positions or None)."""
-    np.copyto(lin, logs)
-    top = _shifted_exp(lin, 0)[0]
+    product with a per-position shift: lin = exp(logs - top), top the best
+    term of each position, with every term at or below e^`CUT` of it exactly
+    0 (`_cutexp`).  A position whose linear sum falls below `_LINEAR_FLOOR`
+    for some row is recomputed from log_M in the log domain.  Returns
+    (result, lin, top, those positions or None)."""
+    top = logs.max(axis=0)
+    lin = _cutexp(logs - _finite(top))
     s = M @ lin
     with np.errstate(divide="ignore"):
         out = np.log(s) + top
     if s.min() >= _LINEAR_FLOOR:
-        return out, top, None
+        return out, lin, top, None
     low = np.flatnonzero(s.min(axis=0) < _LINEAR_FLOOR)
     out[:, low] = logsumexp(log_M[:, :, None] + logs[None, :, low], 1)
-    return out, top, low
+    return out, lin, top, low
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -444,7 +435,6 @@ def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics) -> _Forward:
     # each source position's best class, and the sentinel off-grid sources read
     best_src = np.full(L + 1, -np.inf)
     terms = np.empty(dyn.state_src.shape)
-    joint = np.empty((C, L))
     with np.errstate(divide="ignore"):  # a zero weight or sum logs to -inf
         log_At = np.log(At)
         np.log(model.pi_s, out=log_pred[0])
@@ -467,11 +457,10 @@ def _forward(model: ThmmModel, emis: np.ndarray, dyn: _Dynamics) -> _Forward:
                                       + dyn.log_into[:, :, low], 1)
                     log_pred[t][:, low] = logsumexp(log_At[:, :, None] + moved[None], 1)
             np.add(log_pred[t], emis[t], out=log_alpha[t])
-            np.copyto(joint, log_alpha[t])
-            best = _shifted_exp(joint, None)[0, 0]
+            best = log_alpha[t].max()
             if not best > -np.inf:
                 raise UnderflowError(f"zero total path probability at frame {t}")
-            steps[t] = np.log(joint.sum()) + best
+            steps[t] = np.log(_cutexp(log_alpha[t] - best).sum()) + best
             log_alpha[t] -= steps[t]
     return _Forward(float(steps.sum()), log_alpha, steps, log_pred)
 
@@ -502,8 +491,7 @@ def _backward(model: ThmmModel, dyn: _Dynamics, fwd: _Forward, counts: bool = Tr
             # log gamma / pred of each target state (-inf where both are
             # -inf), and back = log sum_c' A[c, c'] gamma[c', p] / pred[c', p]
             ratio = np.fmax(log_gamma[:, cols] - fwd.log_pred[t + 1][:, cols], -np.inf)
-            lin = np.empty(ratio.shape)
-            back, top, low = _class_step(A, log_A, ratio, lin)
+            back, lin, top, low = _class_step(A, log_A, ratio)
             # the posterior of each move into the support, at most 1: the
             # source's alpha, the move's weight and the target's back term,
             # lifted by e^_LIFT; less e^CUT, so that a term at or below it
@@ -535,7 +523,6 @@ def _backward(model: ThmmModel, dyn: _Dynamics, fwd: _Forward, counts: bool = Tr
                 handed[:, low] = 0.0
                 gap[:, low] = 0.0
             handed *= np.exp(gap)
-            lin[lin <= _EXP_CUT] = 0.0     # the class step's clamped terms
             xi_class += A * (handed @ lin.T)
     return gamma, xi_class, xi_moves
 
@@ -562,9 +549,9 @@ def forward_backward(model: ThmmModel, frames) -> SequencePosterior:
     its sources with weights that sum to 1, so it passes such a change on
     without growing it.  For T C (B + 1) L below 10^24 the bound is below 2^-1074,
     the least subnormal.  The class counts also carry the smoothing pass's
-    class step, whose exponentials are clamped at e^-700 of each position's
-    best: less than C e^-100 of each position's posterior mass per frame,
-    under rounding.
+    class step, whose exponentials at or below e^-700 of each position's
+    best are exactly 0: less than C e^-100 of each position's posterior
+    mass per frame, under rounding.
     """
     X = _frames(frames, model.n)
     return _smoothed(model, emission_table(model, X), _Dynamics(model))

@@ -6,7 +6,9 @@ transformation index and cluster are lumped into one discrete variable, so
 posteriors, likelihoods and EM are exact, with per-configuration cost linear
 in the pixel count.  A template is a component analyzer with no factors, so
 a TMG is a view of an MTCA with zero factors: each function below runs the
-`mtca` one on `as_mtca()`, which shares the model's arrays.
+`mtca` one on `as_mtca()`, which shares the model's arrays.  The EM step
+and the posterior are MTCA's own and take the TMG itself: the step returns
+a TMG, and the responsibilities are (L, C) like rho.
 """
 
 from __future__ import annotations
@@ -92,26 +94,20 @@ def posterior(model: TmgModel, x) -> PosteriorSummary:
     """Responsibilities P(l, c | x) plus latent-image posterior moments,
     computed on first read (see `PosteriorSummary`); the factor moments are
     zero-width."""
-    return _mtca.posterior(model.as_mtca(), x)
-
-
-def _em_step_full(model: TmgModel, X, options: EmOptions):
-    new, total, mass, rescued = _mtca._em_step_full(model.as_mtca(), X, options)
-    return (_record(TmgModel, **{**vars(model), "pi": new.pi, "mu": new.mu, "phi": new.phi,
-                                 "rho": new.rho, "psi": new.psi}), total, mass, rescued)
+    return _mtca.posterior(model, x)
 
 
 def em_step(model: TmgModel, X, options: EmOptions | None = None):
     """One EM step.  Returns (updated model, total log-likelihood of the
     batch under the *input* model)."""
-    return _em_step_full(model, X, options or EmOptions())[:2]
+    return _mtca._em_step_full(model, X, options or EmOptions())[:2]
 
 
 def fit(model: TmgModel, X, iterations: int, options: EmOptions | None = None,
         tol: float = 1e-7, callback=None):
     """Run EM until the iteration budget or a relative improvement below
     `tol`.  Returns (model, step reports)."""
-    return _fit(_em_step_full, model, X, iterations, options, tol, callback)
+    return _fit(_mtca._em_step_full, model, X, iterations, options, tol, callback)
 
 
 def sample(model: TmgModel, seed, size: int | None = None) -> np.ndarray:

@@ -631,3 +631,82 @@ def test_moments_are_those_of_the_call(case):
         np.testing.assert_array_equal(getattr(post, name), expected, err_msg=name)
     # the edits do move the moments of a new call
     assert not np.array_equal(family.posterior(model, x).z_mean, want[0])
+
+
+# the static EM step is MTCA's, run on the model's MTCA view; TMG has no
+# factors (no tangent column, no fast likelihood) and TCA one cluster (no rescue)
+VIEW_OPTIONS = {"default": EmOptions(), "tie_psi": EmOptions(tie_psi=True),
+                "freeze_rho": EmOptions(freeze_rho=True),
+                "tangent": EmOptions(tangent_directions=("h",)),
+                "fast": EmOptions(), "rescue": EmOptions()}
+VIEW_STEP_CASES = [(family, option) for family in (tmg, tca, mtca) for option in VIEW_OPTIONS
+                   if not (family is tmg and option in ("tangent", "fast"))
+                   and not (family is tca and option == "rescue")]
+
+
+def _view_step_case(family, option):
+    X, templates = _two_image_data()
+    if option == "rescue":
+        return _starving_model(family, templates), X
+    model = _fresh_model(family, X)
+    if option == "fast":
+        model = dataclasses.replace(model, fast_likelihood=True)
+    return model, X
+
+
+def _assert_is_the_view_reshaped(got, model, view):
+    """`got` is a model of `model`'s class whose fields are those of the
+    MTCA `view`, reshaped to the axes of `model`'s class."""
+    assert type(got) is type(model)
+    assert got.transforms is model.transforms
+    assert getattr(got, "fast_likelihood", False) == getattr(model, "fast_likelihood", False)
+    for name, axes in type(model)._AXES.items():
+        value = getattr(got, name)
+        assert value.shape == getattr(model, name).shape and value.ndim == len(axes)
+        assert np.array_equal(value, getattr(view, name).reshape(value.shape)), name
+
+
+@pytest.mark.parametrize("family, option", VIEW_STEP_CASES,
+                         ids=[f"{f.__name__.rsplit('.', 1)[-1]}-{o}" for f, o in VIEW_STEP_CASES])
+def test_static_steps_are_the_mtca_views_reshaped(family, option):
+    """Each step of `em_step` and `fit` is the MTCA view's step, reshaped.
+    (An MTCA fit of a TCA's view is not the TCA's fit: its one-cluster pi
+    drifts from 1 by rounding, where a TCA's view has pi = 1 exactly.)"""
+    model, X = _view_step_case(family, option)
+    options = VIEW_OPTIONS[option]
+    fitted, reports = family.fit(model, X, 3, options, tol=0.0)
+    assert len(reports) == 3 and all(r.rescued for r in reports) == (option == "rescue")
+    for report in reports:
+        new, total = family.em_step(model, X, options)
+        want, want_total = mtca.em_step(model.as_mtca(), X, options)
+        assert total == want_total == report.loglik
+        _assert_is_the_view_reshaped(new, model, want)
+        model = new
+    _assert_is_the_view_reshaped(fitted, model, model)
+
+
+VIEW_MOMENT_CASES = [case for case in MOMENT_CASES if case[0] is not mtca]
+
+
+@pytest.mark.parametrize("case", VIEW_MOMENT_CASES,
+                         ids=[i for c, i in zip(MOMENT_CASES, MOMENT_IDS) if c[0] is not mtca])
+def test_view_posteriors_are_the_mtca_views(case, monkeypatch):
+    """A TMG's posterior is its MTCA view's; a TCA's is too, with the
+    cluster axis dropped from `resp` and every moment.  Reading `resp` still
+    runs no moment kernel."""
+    family, _, _ = case
+    model, x = _moment_case(*case)
+    want = mtca.posterior(model.as_mtca(), x)
+    calls = []
+    kernel = tca._op_posterior
+    monkeypatch.setattr(tca, "_op_posterior", lambda *a: calls.append(a) or kernel(*a))
+    post = family.posterior(model, x)
+    drop = (lambda a: a[:, 0]) if family is tca else (lambda a: a)
+    assert post.resp.shape == model.rho.shape
+    assert np.array_equal(post.resp, drop(want.resp))
+    assert post.loglik == want.loglik
+    assert not calls
+    for name in MOMENTS:
+        got = getattr(post, name)
+        assert got.shape[:post.resp.ndim] == model.rho.shape
+        np.testing.assert_array_equal(got, drop(getattr(want, name)), err_msg=name)

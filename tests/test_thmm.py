@@ -9,6 +9,7 @@ from transmix import EmOptions, ImageShape, TransformationSet, UnderflowError
 from transmix import apply, build_translation_set, identity_set, shift_op
 from transmix import thmm as thmm_mod
 from transmix import tmg as tmg_mod
+from transmix.common import CUT
 from transmix.thmm import (MotionPrior, ThmmModel, denoise, emission_loglik,
                            emission_table, forward_backward, from_tmg, em_step,
                            fit, init_thmm, sample_sequence, score_sequence,
@@ -748,6 +749,34 @@ def test_class_step_exact_through_a_zero_class_transition(boundary):
     np.testing.assert_allclose(post.gamma.reshape(3, -1), gamma, rtol=1e-9, atol=1e-12)
     assert post.xi_class[0, 1] == 0.0
 
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "zero"])
+@pytest.mark.parametrize("switch", [1e-300, 0.0], ids=["tiny", "zero"])
+def test_class_step_cuts_terms_at_or_below_the_cut_to_zero(switch, boundary, monkeypatch):
+    """The class step's exponentials are exactly 0 at or below e^CUT of
+    their position's best term, and exp(logs - top) above it, so the class
+    counts read no clamped term."""
+    model, frames, _, _ = _class_switch_case([[1.0, switch], [0.5, 0.5]], boundary)
+    seen = []
+    step = thmm_mod._class_step
+
+    def spy(M, log_M, logs):
+        result = step(M, log_M, logs)
+        seen.append((logs.copy(), result))
+        return result
+
+    monkeypatch.setattr(thmm_mod, "_class_step", spy)
+    forward_backward(model, frames)
+    cut_finite = 0
+    for logs, (_, lin, top, _) in seen:
+        d = logs - np.where(top > -np.inf, top, 0.0)
+        below = d <= CUT
+        assert np.all(lin[below] == 0.0)
+        np.testing.assert_array_equal(lin[~below], np.exp(d[~below]))
+        cut_finite += np.count_nonzero(below & np.isfinite(logs))
+    # the fixture does put a finite term below the cut
+    assert cut_finite >= 1
 
 REFERENCE_CASES = [  # (grid, boundary, mode, per_class, threshold)
     ((5, 5), "wrap", "vector", False, 1.5),
