@@ -438,13 +438,9 @@ def _fft_rows(transforms, loadings, psi):
     set holds every wrap shift once, there are no factors, the image has at
     least `FFT_MIN_PIXELS` pixels and psi is one value (0 counts).  Every
     op then sees the same variances, only shifted, so the op-dependent sums
-    are circular correlations.  Else None, for the dense kernels.  The set
-    property is cached, so a set that is not a wrap grid costs attribute
-    reads; a small image or factors do not read it at all."""
-    if loadings.shape[-1] or transforms.shape.n < FFT_MIN_PIXELS:
-        return None
-    rows = transforms.wrap_rows
-    return None if rows is None or psi.min() != psi.max() else rows
+    are circular correlations.  Else None, for the dense kernels."""
+    fft = not loadings.shape[-1] and transforms.shape.n >= FFT_MIN_PIXELS
+    return transforms.wrap_rows if fft and psi.min() == psi.max() else None
 
 
 def _spectra(shape, *images, out=None):

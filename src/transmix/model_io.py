@@ -16,6 +16,7 @@ import os
 import re
 import struct
 import zlib
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ def save_model(model, path) -> None:
     """Write a model file; the byte stream is canonical for a given model.
     The parameter blocks follow the class's `_AXES`; a THMM's motion table
     comes last.  Blocks go to the file as they stand, under a running
-    checksum: a save copies no table."""
+    checksum: a save copies no table, and builds none of a full wrap grid."""
     family = next((f for f, cls in _CLASSES.items() if type(model) is cls), None)
     if family is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -89,15 +90,14 @@ def save_model(model, path) -> None:
         lines.append(f"motion_per_class {int(m.per_class)}")
     lines.append("END")
 
-    blocks = [("\n".join(lines) + "\n").encode("ascii"), _le(ts.source_matrix, "<i8")]
-    if param_width:
-        blocks.append(_le(ts.params, "<f8"))
-    blocks += [_le(getattr(model, name), "<f8") for name in model._AXES]
+    table = (_le(block, "<i8") for block in ts.source_blocks())
+    rest = [_le(ts.params, "<f8")] if param_width else []
+    rest += [_le(getattr(model, name), "<f8") for name in model._AXES]
     if family == "thmm":
-        blocks.append(_le(model.motion.table, "<f8"))
+        rest.append(_le(model.motion.table, "<f8"))
     crc = 0
     with open(path, "wb") as fh:
-        for block in blocks:
+        for block in chain([("\n".join(lines) + "\n").encode("ascii")], table, rest):
             fh.write(block)
             crc = zlib.crc32(block, crc)
         fh.write(struct.pack("<I", crc))
@@ -167,7 +167,7 @@ def _parse(raw: bytes, family: str | None):
     shape = ImageShape(int(fields["height"]), int(fields["width"]))
     n = shape.n
     L = int(fields["ops"])
-    # the set copies its table to int64 itself
+    # the set reads the view, and copies it only if it is not a full wrap grid
     src, body = _take(body, (L, n), "<i8", copy=False)
     grid = None if fields["grid"] == "none" else tuple(int(v) for v in fields["grid"].split())
     param_width = int(fields["param_width"])

@@ -170,7 +170,6 @@ def _em_step_full(model, X, options: EmOptions):
         raise ValueError(f"{len(options.tangent_directions)} tangent directions "
                          f"need as many factors, but the model has {view.K}")
     X = _frames(X, view.n)
-    T = X.shape[0]
     # the exact emission forms the factor posterior that the M-step reads;
     # the fast one drops psi, so the M-step forms its own
     posterior = [] if view.K and not view.fast_likelihood else None
@@ -185,7 +184,8 @@ def _em_step_full(model, X, options: EmOptions):
         for c in range(view.C):
             if c not in rescued:
                 rho[:, c] = resp[:, :, c].sum(axis=0) / mass[c]
-    phi, psi, pi = _mstep_tail(X, options, s_psi, rescued, mu, phi, mass / T, rho)
+    # normalised by its own sum, so one cluster's pi stays exactly 1
+    phi, psi, pi = _mstep_tail(X, options, s_psi, rescued, mu, phi, mass / mass.sum(), rho)
     new = {"pi": pi, "mu": mu, "loadings": loadings, "phi": phi, "rho": rho, "psi": psi}
     fields = {name: new[name].reshape(getattr(model, name).shape) for name in model._AXES}
     return (_record(type(model), **{**vars(model), **fields}), float(per_datum.sum()),

@@ -636,8 +636,9 @@ def _em_step_full(model: ThmmModel, sequences, options: EmOptions):
     xi_class = np.zeros((C, C))
     xi_motion = np.zeros_like(model.motion.table, dtype=np.float64)
     gammas = []
+    dyn = _Dynamics(model)
     for X in seqs:
-        post = forward_backward(model, X)
+        post = _smoothed(model, emission_table(model, X), dyn)
         total += post.loglik
         gamma_first += post.gamma[0]
         xi_class += post.xi_class

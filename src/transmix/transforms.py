@@ -16,20 +16,19 @@ there is none.  The model kernels read through them by plain gathers from
 arrays that end in one zero pixel (`common._padded`): index -1 reads that
 zero, so a gather yields 0 where a pixel has no counterpart, with no mask.
 
-Which tables exist when.  A set made from a table (a caller's, a `.txm`
-file's, or that of any builder but the one below) holds `source_matrix`
-and `dest_matrix` from construction, after one validation.  A full wrap
-grid from `build_translation_set` (every shift of the image once, a 1x1
-identity set included) holds only its (L,) `wrap_rows`, which is all the
-FFT kernels read; the first read of either (L, n) table builds that table
-alone, unvalidated, since such a grid is injective by construction.  At
-63x63 each table holds 120 MiB.
+Which tables exist when.  The constructor decides once, before it builds
+anything, whether a set is a full wrap grid: every wrap shift of the image
+exactly once, in any order (a 1x1 identity set included), whatever made
+the table (`build_translation_set`, a caller, a `.txm` file).  A grid
+holds only its (L,) `wrap_rows`, which is all the FFT kernels read; the
+first read of either (L, n) table builds that table alone, unvalidated,
+since a grid is injective by construction.  At 63x63 each table holds
+120 MiB.  Every other set holds both tables, after one validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,8 +40,8 @@ VOID = -1
 WRAP = "wrap"
 ZERO = "zero"
 _BOUNDARIES = (WRAP, ZERO)
-# rows of the (L, n) table compared at a time by `TransformationSet.wrap_rows`
-_COMPARE_BLOCK = 256
+# rows of an (L, n) table built or compared at a time
+_ROW_BLOCK = 256
 
 # Default shear+translate family: 7 shear slopes (quarter-pixel-per-row
 # steps) crossed with horizontal shifts {-2, 0, 2}, plus 8 small combined
@@ -82,9 +81,9 @@ class TransformationSet:
     is the output pixel that input pixel q is copied to, or ``VOID``.  Every
     op must be injective, no input pixel copied twice, which the constructor
     checks once over the whole table as it builds ``dest_matrix``.  A full
-    wrap grid from `build_translation_set` is made without its tables: it
-    holds `L` and `wrap_rows`, and the first read of either table builds
-    that one (see the module docstring).
+    wrap grid holds only `wrap_rows` instead (see the module docstring):
+    the row of `wrap_shift_index` that each op equals, read-only, which is
+    None on every other set.
 
     ``grid``, when present, is ``(M_v, M_h)`` and op ``l = i * M_h + j`` is
     the integer shift by ``(i - M_v // 2, j - M_h // 2)``.  ``params`` keeps
@@ -92,16 +91,19 @@ class TransformationSet:
     ``(shear, shift)`` pairs), which tangent-direction lookups rely on.
     """
 
-    source_matrix: np.ndarray
+    source_matrix: np.ndarray = field(repr=False)
     shape: ImageShape
     boundary: str
     grid: tuple[int, int] | None = None
     params: tuple[tuple[float, ...], ...] | None = None
     kind: str = "custom"
     dest_matrix: np.ndarray = field(init=False, repr=False)
+    L: int = field(init=False)
+    has_void: bool = field(init=False)
+    wrap_rows: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        src = np.array(self.source_matrix, dtype=np.int64)
+        src = np.asarray(self.source_matrix, dtype=np.int64)
         n = self.shape.n
         if src.ndim != 2 or src.shape[0] < 1 or src.shape[1] != n:
             raise ValueError(f"source_matrix must have shape (L >= 1, {n}), "
@@ -113,6 +115,12 @@ class TransformationSet:
             raise ValueError("grid dims inconsistent with op count")
         if self.params is not None and len(self.params) != L:
             raise ValueError("params length must match op count")
+        rows = _wrap_rows(self.shape, src) if self.boundary == WRAP else None
+        if rows is not None:
+            object.__delattr__(self, "source_matrix")
+            self.__dict__.update(L=L, has_void=False, wrap_rows=rows)
+            return
+        src = src.copy()
         if src.min() < VOID or src.max() >= n:
             raise ValueError("source indices out of range")
         # dest_matrix inverts source_matrix row by row: scatter each output
@@ -128,15 +136,14 @@ class TransformationSet:
             l = int(np.nonzero(clash)[0][0])
             raise ValueError(f"op {l} is not injective: it copies one "
                              "source pixel to several output pixels")
-        object.__setattr__(self, "source_matrix", _read_only(src))
-        object.__setattr__(self, "dest_matrix",
-                           _read_only(dest.reshape(L, n + 1)[:, 1:].copy()))
+        self.__dict__.update(source_matrix=_read_only(src),
+                             dest_matrix=_read_only(dest.reshape(L, n + 1)[:, 1:].copy()),
+                             L=L, has_void=bool((src < 0).any()), wrap_rows=None)
 
     @classmethod
     def _full_wrap_grid(cls, shape: ImageShape, di, dj, params) -> TransformationSet:
-        """The grid of every wrap shift (di[l], dj[l]) of `shape` once,
-        without its (L, n) tables: op l lands latent pixel 0 on observed
-        pixel (di mod h) w + dj mod w, its `wrap_rows` entry."""
+        """The grid of every wrap shift (di[l], dj[l]) of `shape` once, made
+        without a table: op l's `wrap_rows` entry is (di mod h) w + dj mod w."""
         ts = object.__new__(cls)
         ts.__dict__.update(
             shape=shape, boundary=WRAP, grid=(shape.height, shape.width),
@@ -146,13 +153,12 @@ class TransformationSet:
 
     def __getattr__(self, name: str):
         # reached only for an attribute the instance lacks: a table of a full
-        # wrap grid, built alone on its first read.  Op l reads pixel p - d_l,
-        # so it lands latent pixel q on q + d_l
+        # wrap grid, built alone on its first read (op l lands q on q + d_l)
         sign = {"source_matrix": 1, "dest_matrix": -1}.get(name)
-        if sign is None or "wrap_rows" not in self.__dict__:
+        rows = self.__dict__.get("wrap_rows")
+        if sign is None or rows is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        di, dj = np.divmod(self.wrap_rows, self.shape.width)
-        table = _read_only(_shift_table(self.shape, sign * di, sign * dj, WRAP))
+        table = _read_only(_wrap_table(self.shape, rows, sign))
         object.__setattr__(self, name, table)
         return table
 
@@ -165,55 +171,26 @@ class TransformationSet:
     def __iter__(self):
         return (TransformOp(self, l) for l in range(self.L))
 
-    @cached_property
-    def L(self) -> int:
-        return self.source_matrix.shape[0]
-
-    @cached_property
-    def has_void(self) -> bool:
-        return bool((self.source_matrix < 0).any())
-
-    @cached_property
-    def wrap_rows(self) -> np.ndarray | None:
-        """The row of `wrap_shift_index` that each op equals, read-only, when
-        the set holds every wrap shift exactly once, in any order; else None.
-
-        Op l is then the shift d_l, which carries latent pixel 0 to observed
-        pixel d_l, so its candidate row is ``dest_matrix[l, 0]``.  The cheap
-        tests (boundary, L == n, no VOID, one op per row) come first; the
-        whole table is compared once per set, in blocks of rows to bound the
-        temporaries.  A builder-made full wrap grid holds its rows from the
-        build.
-        """
-        n = self.shape.n
-        if self.boundary != WRAP or self.L != n or self.has_void:
-            return None
-        rows = self.dest_matrix[:, 0]
-        if not (np.bincount(rows, minlength=n) == 1).all():
-            return None
-        for lo in range(0, n, _COMPARE_BLOCK):
-            block = rows[lo:lo + _COMPARE_BLOCK]
-            want = _shift_table(self.shape, *np.divmod(block, self.shape.width), WRAP)
-            if not np.array_equal(self.source_matrix[lo:lo + _COMPARE_BLOCK], want):
-                return None
-        return _read_only(rows.copy())
+    def source_blocks(self):
+        """`source_matrix` in blocks of `_ROW_BLOCK` rows; a full wrap grid
+        builds each block from `wrap_rows` as it is read, never the table."""
+        for lo in range(0, self.L, _ROW_BLOCK):
+            yield (self.source_matrix[lo:lo + _ROW_BLOCK] if self.wrap_rows is None
+                   else _wrap_table(self.shape, self.wrap_rows[lo:lo + _ROW_BLOCK]))
 
     def same_tables(self, other: TransformationSet) -> bool:
         """Whether `other` holds the same ops in the same order: the same
-        shape, boundary and L, and equal `wrap_rows` or `source_matrix`.
-        A full wrap grid that has not built its (L, n) tables is compared by
-        its rows, so the comparison builds none; two held tables are
-        compared in blocks of rows, like `wrap_rows`."""
+        shape, boundary and L, then equal `wrap_rows` for two full wrap grids
+        or equal `source_matrix`, compared in blocks of rows, for two other
+        sets.  A grid never equals a set that is not one; nothing is built."""
         if self is other:
             return True
         if (self.shape, self.boundary, self.L) != (other.shape, other.boundary, other.L):
             return False
-        if "source_matrix" not in self.__dict__ or "source_matrix" not in other.__dict__:
-            rows, others = self.wrap_rows, other.wrap_rows
+        rows, others = self.wrap_rows, other.wrap_rows
+        if rows is not None or others is not None:
             return rows is not None and others is not None and np.array_equal(rows, others)
-        return all(np.array_equal(self.source_matrix[lo:lo + _COMPARE_BLOCK],
-                                  other.source_matrix[lo:lo + _COMPARE_BLOCK])
-                   for lo in range(0, self.L, _COMPARE_BLOCK))
+        return all(map(np.array_equal, self.source_blocks(), other.source_blocks()))
 
     def grid_offsets(self) -> np.ndarray:
         """(L, 2) signed (di, dj) shift offsets for grid-structured sets."""
@@ -315,6 +292,31 @@ def _shift_table(shape: ImageShape, di, dj, boundary: str) -> np.ndarray:
     return src.reshape(len(di), h * w)
 
 
+def _wrap_table(shape: ImageShape, rows, sign: int = 1) -> np.ndarray:
+    """(len(rows), n) source indices of the wrap shifts at `rows` of
+    `wrap_shift_index`, or with `sign` -1 their destination indices."""
+    di, dj = np.divmod(rows, shape.width)
+    return _shift_table(shape, sign * di, sign * dj, WRAP)
+
+
+def _wrap_rows(shape: ImageShape, src: np.ndarray) -> np.ndarray | None:
+    """The row of `wrap_shift_index` that each op of the (L, n) table `src`
+    equals, read-only, when the table holds every wrap shift exactly once;
+    else None.  Op l's candidate is the shift d_l whose output pixel 0 reads
+    src[l, 0] = -d_l.  The cheap tests come first, then the whole table is
+    compared in blocks of rows, to bound the temporaries."""
+    n, w = shape.n, shape.width
+    first = src[:, 0]
+    if len(src) != n or not ((first >= 0) & (first < n)).all():
+        return None
+    i, j = np.divmod(first, w)
+    rows = -i % shape.height * w + -j % w
+    whole = (np.bincount(rows) == 1).all() and all(
+        np.array_equal(src[lo:lo + _ROW_BLOCK], _wrap_table(shape, rows[lo:lo + _ROW_BLOCK]))
+        for lo in range(0, n, _ROW_BLOCK))
+    return _read_only(rows) if whole else None
+
+
 def shift_op(shape: ImageShape, di: int, dj: int, boundary: str = WRAP) -> TransformOp:
     """Integer-pixel shift moving content down by `di` rows, right by `dj`."""
     return TransformationSet(_shift_table(shape, [di], [dj], boundary),
@@ -324,7 +326,7 @@ def shift_op(shape: ImageShape, di: int, dj: int, boundary: str = WRAP) -> Trans
 def wrap_shift_index(shape: ImageShape) -> np.ndarray:
     """(H W, n) source indices of every wrap shift: row di * W + dj is
     `shift_op(shape, di, dj, WRAP).source_index`, 0 <= di < H, 0 <= dj < W."""
-    return _shift_table(shape, *np.divmod(np.arange(shape.n), shape.width), WRAP)
+    return _wrap_table(shape, np.arange(shape.n))
 
 
 def build_translation_set(shape: ImageShape, shifts_v: int, shifts_h: int,

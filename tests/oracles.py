@@ -7,6 +7,7 @@ quadrature, deliberately avoiding the library's fast paths.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.special import logsumexp
@@ -266,19 +267,57 @@ def hmm_viterbi_dense(pi_s, trans, log_emit) -> float:
     return float(v.max())
 
 
-def dense_transition(model) -> np.ndarray:
-    """(C*L, C*L) transition matrix of a THMM materialized from its
-    factorization, through the motion step's gather tables
-    (`thmm._Dynamics`).  Row/column order is the lumped index c * L + l."""
-    from transmix.thmm import _Dynamics
+def motion_kernel(model):
+    """In-range displacements, their motion-table bin and per-class weight,
+    from the binning rules with plain loops."""
+    thr = model.motion.threshold
+    r = int(math.floor(thr))
+    offs = [(di, dj) for di in range(-r, r + 1) for dj in range(-r, r + 1)
+            if math.hypot(di, dj) <= thr + 1e-9]
 
-    dyn = _Dynamics(model)
+    def bin_index(di, dj):
+        if model.motion.mode == "vector":
+            return (di + r, dj + r)
+        return (int(np.rint(math.hypot(di, dj))),)
+
+    mult = {}
+    for o in offs:
+        mult[bin_index(*o)] = mult.get(bin_index(*o), 0) + 1
+
+    def kweight(c, di, dj):
+        tab = model.motion.table[c] if model.motion.per_class else model.motion.table
+        return tab[bin_index(di, dj)] / mult[bin_index(di, dj)]
+
+    return offs, bin_index, kweight
+
+
+def motion_moves(model, c, l):
+    """(displacement, weight, target op) for every displacement that keeps
+    op l on the grid, under source class c."""
+    mv, mh = model.transforms.grid
+    offs, _, kweight = motion_kernel(model)
+    wrap = model.transforms.boundary == "wrap"
+    i, j = divmod(l, mh)
+    return [((di, dj), kweight(c, di, dj), ((i + di) % mv) * mh + (j + dj) % mh)
+            for di, dj in offs
+            if wrap or (0 <= i + di < mv and 0 <= j + dj < mh)]
+
+
+def dense_transition(model) -> np.ndarray:
+    """(C*L, C*L) transition matrix of a THMM rebuilt from the
+    factorization rules with plain loops over the motion prior and the
+    grid, independent of the library's kernel machinery.  Row/column order
+    is the lumped index c * L + l."""
     C, L = model.C, model.L
-    motion = np.zeros((C, L, L))
-    np.add.at(motion, (np.arange(C)[:, None, None], np.arange(L), dyn.dst),
-              np.exp(dyn.log_from - dyn.log_z[:, None, :]))
-    out = model.class_trans[:, None, :, None] * motion[:, :, None, :]
-    return out.reshape(C * L, C * L)
+    out = np.zeros((C * L, C * L))
+    for c in range(C):
+        for l in range(L):
+            moves = motion_moves(model, c, l)
+            z = sum(w for _, w, _ in moves)
+            for _, w, l2 in moves:
+                for c2 in range(C):
+                    out[c * L + l, c2 * L + l2] += model.class_trans[c, c2] * w / z
+    return out
 
 
 def thmm_forward_reference(pi_s, class_trans, dyn, emis):

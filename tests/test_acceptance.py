@@ -32,7 +32,7 @@ from transmix.tmg import TmgModel
 
 from oracles import (dense_transition, hmm_enumerate, mtca_loglik_dense,
                      tca_loglik_dense, tmg_loglik_dense)
-from test_thmm import make_grid_set, oracle_emissions, oracle_transition, random_motion
+from test_thmm import make_grid_set, oracle_emissions, random_motion
 
 
 def report(number: int, passed: bool, text: str) -> None:
@@ -122,7 +122,7 @@ def test_acceptance_2_dynamic_oracle_equivalence():
         frames = np.random.default_rng(seed + 900).uniform(-1, 1, (4, model.n))
         post = forward_backward(model, frames)
         loglik, gamma, _, best_path, _ = hmm_enumerate(
-            model.pi_s.reshape(-1), oracle_transition(model),
+            model.pi_s.reshape(-1), dense_transition(model),
             oracle_emissions(model, frames))
         worst = max(worst, abs(post.loglik - loglik),
                     float(np.abs(post.gamma.reshape(4, -1) - gamma).max()),

@@ -1,7 +1,9 @@
 """Dead-code guard over the package's own source: every imported name is
 used in its module, and every private module-level function, class or
-constant is referenced by some module of the package.  A deletion that
-leaves a helper or an import behind fails here."""
+constant is used where it is bound: read by its own module, imported from
+it by another, or read by another through a name bound to its module.  A
+deletion that leaves a helper or an import behind fails here, even when a
+live helper elsewhere has the same name."""
 
 import ast
 from pathlib import Path
@@ -63,12 +65,66 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {unused} but never uses them"
 
 
+def _own_reads(tree) -> set[str]:
+    """Names the module reads unqualified, and the entries of `__all__`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _bound_reads(tree) -> set[tuple[str, str]]:
+    """(module, name) for each name the module takes from a sibling module:
+    imported from it (``from .m import name``), or read as an attribute of
+    a name bound to it (``from . import m as alias``, then ``alias.name``)."""
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    reads.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def _dead(trees) -> list[str]:
+    """module.py:name of every private definition that is not used where
+    it is bound; `trees` maps each module's name to its syntax tree."""
+    bound = set().union(*(_bound_reads(tree) for tree in trees.values()))
+    return [f"{module}.py:{name}" for module, tree in trees.items()
+            for name in _private_definitions(tree)
+            if name not in _own_reads(tree) and (module, name) not in bound]
+
+
 def test_every_private_definition_is_referenced():
-    trees = {path.name: _tree(path) for path in MODULES}
-    used = set().union(*(_references(tree) for tree in trees.values()))
-    dead = [f"{name}:{d}" for name, tree in trees.items()
-            for d in _private_definitions(tree) if d not in used]
-    assert not dead, f"private definitions no module references: {dead}"
+    dead = _dead({path.stem: _tree(path) for path in MODULES})
+    assert not dead, f"private definitions no module uses: {dead}"
+
+
+def test_the_guard_binds_each_private_name_to_its_module():
+    """Two modules define `_step` and another reads a's through a's module:
+    b's is dead until a module imports it, and a's once no module reads it
+    through a, though the reader reads a `_step` of its own."""
+    trees = {"a": ast.parse("def _step():\n    return 1\n"),
+             "b": ast.parse("def _step():\n    return 2\n"
+                            "def _kept():\n    return 3\n_KEPT = _kept()\n"),
+             "c": ast.parse("from . import a as _a\nfrom .b import _KEPT\n"
+                            "def run():\n    return _a._step() + _KEPT\n")}
+    assert _dead(trees) == ["b.py:_step"]
+    trees["d"] = ast.parse("from .b import _step\n")
+    assert _dead(trees) == []
+    trees["c"] = ast.parse("from . import a as _a\nfrom .b import _KEPT\n_step = _KEPT\n"
+                           "def run():\n    return _step + _a.other\n")
+    assert _dead(trees) == ["a.py:_step"]
 
 
 def test_the_guard_sees_a_dead_helper_and_an_unused_import():

@@ -669,9 +669,7 @@ def _assert_is_the_view_reshaped(got, model, view):
 @pytest.mark.parametrize("family, option", VIEW_STEP_CASES,
                          ids=[f"{f.__name__.rsplit('.', 1)[-1]}-{o}" for f, o in VIEW_STEP_CASES])
 def test_static_steps_are_the_mtca_views_reshaped(family, option):
-    """Each step of `em_step` and `fit` is the MTCA view's step, reshaped.
-    (An MTCA fit of a TCA's view is not the TCA's fit: its one-cluster pi
-    drifts from 1 by rounding, where a TCA's view has pi = 1 exactly.)"""
+    """Each step of `em_step` and `fit` is the MTCA view's step, reshaped."""
     model, X = _view_step_case(family, option)
     options = VIEW_OPTIONS[option]
     fitted, reports = family.fit(model, X, 3, options, tol=0.0)
@@ -683,6 +681,23 @@ def test_static_steps_are_the_mtca_views_reshaped(family, option):
         _assert_is_the_view_reshaped(new, model, want)
         model = new
     _assert_is_the_view_reshaped(fitted, model, model)
+
+
+@pytest.mark.parametrize("option", [o for o in VIEW_OPTIONS if o != "rescue"])
+def test_an_mtca_fit_of_a_tca_view_is_the_tca_fit(option):
+    """A one-cluster pi stays exactly 1, so an MTCA fit of a TCA's view is
+    the TCA's own fit, step for step.  A pi of mass / T (1 - 2^-53 or
+    1 + 2^-52) parted them on the 3x3 wrap set at the third step with the
+    default options, the fifth with a tangent column and the seventh with
+    the fast likelihood."""
+    model, X = _view_step_case(tca, option)
+    options = VIEW_OPTIONS[option]
+    want, want_reports = tca.fit(model, X, 10, options, tol=0.0)
+    got, got_reports = mtca.fit(model.as_mtca(), X, 10, options, tol=0.0)
+    assert len(got_reports) == 10
+    assert [r.loglik for r in got_reports] == [r.loglik for r in want_reports]
+    assert got.pi.tolist() == [1.0]
+    _assert_is_the_view_reshaped(want, model, got)
 
 
 VIEW_MOMENT_CASES = [case for case in MOMENT_CASES if case[0] is not mtca]

@@ -278,20 +278,32 @@ def test_models_loaded_from_separate_files_share_one_emission(tmp_path, monkeypa
     assert got[:10].tolist() == list(range(10))
 
 
-def test_same_tables_builds_no_lazy_grid_table():
-    """Two full wrap grids compare by their rows, and a grid against a set
-    made from the same table by that set's rows, without building the
-    grid's (L, n) tables; a reordered or differently bounded set differs."""
+def test_same_tables_builds_no_lazy_grid_table(tmp_path):
+    """Full wrap grids compare by their rows however they were made (the
+    builder, a caller's table, a `.txm` file), and no comparison builds a
+    grid's (L, n) tables; a reordered grid, a set that is not a grid and a
+    differently bounded set differ, and two sets that are not grids compare
+    their tables."""
     shape = ImageShape(5, 7)
     grid, other = (build_translation_set(shape, 5, 7, "wrap") for _ in range(2))
-    table = TransformationSet(np.array(grid.source_matrix), shape, "wrap")
-    grid = build_translation_set(shape, 5, 7, "wrap")
-    assert grid.same_tables(other) and grid.same_tables(table) and table.same_tables(grid)
-    assert "source_matrix" not in grid.__dict__ and "source_matrix" not in other.__dict__
-    swapped = TransformationSet(np.array(table.source_matrix[::-1]), shape, "wrap")
-    assert not grid.same_tables(swapped) and not table.same_tables(swapped)
+    source = np.array(build_translation_set(shape, 5, 7, "wrap").source_matrix)
+    table = TransformationSet(source, shape, "wrap")
+    save_model(mtca.init_mtca(grid, 1, 0, np.zeros((2, shape.n)), seed=0), tmp_path / "grid.txm")
+    loaded = load_model(tmp_path / "grid.txm").transforms
+    grids = (grid, other, table, loaded)
+    assert all(a.same_tables(b) for a in grids for b in grids)
+    swapped = TransformationSet(source[::-1], shape, "wrap")
+    permuted = source.copy()
+    permuted[3, [0, 1]] = permuted[3, [1, 0]]
+    permuted = TransformationSet(permuted, shape, "wrap")
     shifted = TransformationSet(wrap_shift_index(shape)[:29], shape, "wrap")
-    assert not table.same_tables(shifted)
     zero = build_translation_set(shape, 5, 7, "zero")
-    assert not grid.same_tables(zero) and not zero.same_tables(table)
+    for a in grids:
+        assert not any(a.same_tables(b) or b.same_tables(a)
+                       for b in (swapped, permuted, shifted, zero))
+    assert not any({"source_matrix", "dest_matrix"} & set(vars(ts)) for ts in grids + (swapped,))
+    assert permuted.wrap_rows is None and permuted.same_tables(
+        TransformationSet(np.array(permuted.source_matrix), shape, "wrap"))
     assert zero.same_tables(build_translation_set(shape, 5, 7, "zero"))
+    reversed_zero = TransformationSet(np.array(zero.source_matrix[::-1]), shape, "zero")
+    assert not zero.same_tables(reversed_zero) and not permuted.same_tables(shifted)

@@ -404,14 +404,12 @@ def test_montage_layout():
     assert out[0, 0] == 0.0 and out[0, 4] == 1.0
 
 
-def test_saving_a_full_wrap_grid_builds_its_source_table_alone(tmp_path):
-    """A save reads the one table it writes: on a builder-made full wrap
-    grid that read builds `source_matrix` and nothing else, and every block
-    goes to the file through the buffer protocol.  So the traced peak is the
-    table itself plus the per-op (L, h) and (L, w) index arrays that build
-    it, 1.15 tables at 31x31; 1.25 leaves room for that and nothing more (a
-    copy of the table's bytes, as a save that joins its blocks would make,
-    takes it past 2)."""
+def test_saving_a_full_wrap_grid_builds_no_table(tmp_path):
+    """A save writes a full wrap grid's `source_matrix` in blocks of rows
+    built from its `wrap_rows`, each written as soon as it is built, and
+    every other block through the buffer protocol.  So the traced peak is
+    a block or two of rows and the index arrays that build them, 0.59
+    tables at 31x31; building the table to write it took it to 1.15."""
     side = 31
     shape = ImageShape(side, side)
     ts = build_translation_set(shape, side, side, "wrap")
@@ -425,18 +423,18 @@ def test_saving_a_full_wrap_grid_builds_its_source_table_alone(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert "source_matrix" in vars(ts) and "dest_matrix" not in vars(ts)
-    assert peak < 1.25 * table
+    assert "source_matrix" not in vars(ts) and "dest_matrix" not in vars(ts)
+    assert peak < 0.75 * table
     loaded = load_model(tmp_path / "grid.txm", family="tmg")
     assert np.array_equal(loaded.transforms.source_matrix, ts.source_matrix)
 
 
 def test_loading_a_full_wrap_grid_copies_its_file_once(tmp_path):
     """A load reads the file's bytes once and takes every block as a view of
-    them; the set's own int64 copy of the table and the scatter that builds
-    its inverse are the rest.  At 31x31 that peaks at 5.16 tables; slicing
-    the payload and the body as bytes and copying the table block before the
-    set copies it again took it to 8.17."""
+    them; the set finds a full wrap grid in the table's view, comparing it
+    in blocks of rows, and keeps only its rows.  At 31x31 that peaks at 1.61
+    tables; a set that kept the table, its int64 copy and the scatter that
+    builds its inverse peaked at 5.16."""
     side = 31
     shape = ImageShape(side, side)
     ts = build_translation_set(shape, side, side, "wrap")
@@ -451,7 +449,9 @@ def test_loading_a_full_wrap_grid_copies_its_file_once(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 6 * table
+    assert peak < 2 * table
+    assert not {"source_matrix", "dest_matrix"} & set(vars(loaded.transforms))
+    assert np.array_equal(loaded.transforms.wrap_rows, ts.wrap_rows)
     assert np.array_equal(loaded.transforms.source_matrix, ts.source_matrix)
     for name in ("mu", "phi", "psi", "rho", "pi"):
         array = getattr(loaded, name)

@@ -17,7 +17,8 @@ from transmix.thmm import (MotionPrior, ThmmModel, denoise, emission_loglik,
 
 from oracles import (dense_matrix, dense_transition, gauss_logpdf,
                      hmm_enumerate, hmm_forward_logdomain, hmm_viterbi_dense,
-                     thmm_backward_reference, thmm_forward_reference)
+                     motion_kernel, motion_moves, thmm_backward_reference,
+                     thmm_forward_reference)
 
 
 def make_grid_set(shape, mv, mh, boundary="wrap"):
@@ -60,55 +61,16 @@ def random_thmm(seed, shape=ImageShape(2, 2), grid=(2, 2), C=2,
                      motion=random_motion(rng, threshold, mode, per_class, C))
 
 
-def oracle_kernel(model):
-    """In-range displacements, their motion-table bin and per-class weight,
-    from the binning rules with plain loops."""
-    thr = model.motion.threshold
-    r = int(math.floor(thr))
-    offs = [(di, dj) for di in range(-r, r + 1) for dj in range(-r, r + 1)
-            if math.hypot(di, dj) <= thr + 1e-9]
-
-    def bin_index(di, dj):
-        if model.motion.mode == "vector":
-            return (di + r, dj + r)
-        return (int(np.rint(math.hypot(di, dj))),)
-
-    mult = {}
-    for o in offs:
-        mult[bin_index(*o)] = mult.get(bin_index(*o), 0) + 1
-
-    def kweight(c, di, dj):
-        tab = model.motion.table[c] if model.motion.per_class else model.motion.table
-        return tab[bin_index(di, dj)] / mult[bin_index(di, dj)]
-
-    return offs, bin_index, kweight
-
-
-def oracle_moves(model, c, l):
-    """(displacement, weight, target op) for every displacement that keeps
-    op l on the grid, under source class c."""
-    mv, mh = model.transforms.grid
-    offs, _, kweight = oracle_kernel(model)
-    wrap = model.transforms.boundary == "wrap"
-    i, j = divmod(l, mh)
-    return [((di, dj), kweight(c, di, dj), ((i + di) % mv) * mh + (j + dj) % mh)
-            for di, dj in offs
-            if wrap or (0 <= i + di < mv and 0 <= j + dj < mh)]
-
-
-def oracle_transition(model):
-    """Dense transition matrix rebuilt from the factorization rules with
-    plain loops, independent of the library's kernel machinery."""
+def dynamics_transition(model):
+    """(C*L, C*L) transition matrix materialized from the library's motion
+    step tables (`thmm._Dynamics`), lumped index c * L + l."""
+    dyn = thmm_mod._Dynamics(model)
     C, L = model.C, model.L
-    out = np.zeros((C * L, C * L))
-    for c in range(C):
-        for l in range(L):
-            moves = oracle_moves(model, c, l)
-            z = sum(w for _, w, _ in moves)
-            for _, w, l2 in moves:
-                for c2 in range(C):
-                    out[c * L + l, c2 * L + l2] += model.class_trans[c, c2] * w / z
-    return out
+    motion = np.zeros((C, L, L))
+    np.add.at(motion, (np.arange(C)[:, None, None], np.arange(L), dyn.dst),
+              np.exp(dyn.log_from - dyn.log_z[:, None, :]))
+    out = model.class_trans[:, None, :, None] * motion[:, :, None, :]
+    return out.reshape(C * L, C * L)
 
 
 def oracle_motion_counts(model, xi):
@@ -116,11 +78,11 @@ def oracle_motion_counts(model, xi):
     xi (S, S): each (s -> s') count is spread over the displacements that
     carry l onto l', in proportion to their weights, then pooled per bin."""
     C, L = model.C, model.L
-    _, bin_index, _ = oracle_kernel(model)
+    _, bin_index, _ = motion_kernel(model)
     out = np.zeros_like(model.motion.table)
     for c in range(C):
         for l in range(L):
-            moves = oracle_moves(model, c, l)
+            moves = motion_moves(model, c, l)
             for s2 in range(C * L):
                 l2 = s2 % L
                 into = [(d, w) for d, w, target in moves if target == l2]
@@ -208,9 +170,9 @@ def test_forward_backward_matches_enumeration(seed):
     frames = np.random.default_rng(seed + 50).uniform(-1, 1, (4, model.n))
     post = forward_backward(model, frames)
 
-    trans = oracle_transition(model)
+    trans = dense_transition(model)
     assert np.allclose(trans.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(dense_transition(model), trans, atol=1e-12)
+    assert np.allclose(dynamics_transition(model), trans, atol=1e-12)
     log_e = oracle_emissions(model, frames)
     loglik, gamma, xi, best_path, best_score = hmm_enumerate(
         model.pi_s.reshape(-1), trans, log_e)
@@ -244,7 +206,7 @@ def test_uniform_emissions_give_prior_chain():
                       motion=random_motion(rng, 1.0, "vector", False, 2))
     frames = np.full((5, 4), 0.3)
     post = forward_backward(model, frames)
-    trans = oracle_transition(model)
+    trans = dense_transition(model)
     marg = model.pi_s.reshape(-1)
     for t in range(5):
         assert np.allclose(post.gamma[t].reshape(-1), marg, atol=1e-10)
@@ -281,7 +243,7 @@ def test_viterbi_t1_and_deterministic_chain():
 
 
 def path_logprob(model, frames, lumped_path):
-    trans = oracle_transition(model)
+    trans = dense_transition(model)
     log_e = oracle_emissions(model, frames)
     lp = np.log(model.pi_s.reshape(-1)[lumped_path[0]]) + log_e[0, lumped_path[0]]
     for t in range(1, len(lumped_path)):
@@ -318,8 +280,8 @@ def test_viterbi_path_scores_the_dense_maximum(grid, threshold, boundary, mode):
                         boundary=boundary, mode=mode, threshold=threshold,
                         per_class=bool(seed % 2))
     frames = np.random.default_rng(seed).uniform(-1, 1, (5, model.n))
-    trans = oracle_transition(model)
-    assert np.allclose(dense_transition(model), trans, atol=1e-12)
+    trans = dense_transition(model)
+    assert np.allclose(dynamics_transition(model), trans, atol=1e-12)
     want = hmm_viterbi_dense(model.pi_s.reshape(-1), trans,
                              oracle_emissions(model, frames))
     path = viterbi(model, frames)
@@ -335,7 +297,7 @@ def test_xi_motion_per_bin_matches_enumeration(seed, boundary):
                         mode="vector" if seed % 2 else "magnitude",
                         per_class=seed % 4 < 2, threshold=1.0)
     frames = np.random.default_rng(seed + 95).uniform(-1, 1, (4, model.n))
-    trans = oracle_transition(model)
+    trans = dense_transition(model)
     _, _, xi, _, _ = hmm_enumerate(model.pi_s.reshape(-1), trans,
                                    oracle_emissions(model, frames))
     post = forward_backward(model, frames)
@@ -1119,6 +1081,23 @@ def test_viterbi_track_and_the_one_state_margin():
     for use_viterbi in (False, True):
         margin = track(one, frames[:4, :4], use_viterbi=use_viterbi)[:, 3]
         assert np.all(margin == np.inf)
+
+
+def test_an_em_step_builds_the_dynamics_once_for_every_sequence(monkeypatch):
+    """The dynamics depend on the model alone: a two-sequence step builds
+    them once and smooths each sequence with them, to the bits of each
+    sequence's own `forward_backward`."""
+    model = random_thmm(59, grid=(3, 3), shape=ImageShape(3, 3), C=2)
+    seqs = [sample_sequence(model, length, seed=60 + length)[0] for length in (6, 9)]
+    posts = [forward_backward(model, X) for X in seqs]
+    calls = []
+    real = thmm_mod._Dynamics
+    monkeypatch.setattr(thmm_mod, "_Dynamics", lambda *a: calls.append(a) or real(*a))
+    new, total = em_step(model, seqs)
+    assert len(calls) == 1
+    assert total == 0.0 + posts[0].loglik + posts[1].loglik
+    trans = np.zeros((2, 2)) + posts[0].xi_class + posts[1].xi_class + 1e-12
+    assert np.array_equal(new.class_trans, trans / trans.sum(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("task", ["track", "track-viterbi", "denoise-soft", "denoise-hard",

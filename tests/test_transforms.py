@@ -1,4 +1,5 @@
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from transmix import (DEFAULT_SHEAR_FAMILY, VOID, ImageShape, TransformOp,
                       build_shear_translation_set, build_translation_set,
                       identity_set, shear_translate_op, shift_op,
                       transform_diag_cov)
+from transmix.model_io import load_model, save_model
+from transmix.tmg import TmgModel
 from transmix.transforms import wrap_shift_index
 
 from oracles import dense_matrix, dest_table, shear_index, shift_index
@@ -377,6 +380,48 @@ def _one_void_pixel(shape):
 def test_wrap_rows_is_none_for_every_other_set(build):
     ts = build(ImageShape(5, 5))
     assert ts.wrap_rows is None
+    assert set(TABLES) <= set(vars(ts))
+
+
+def _on(ts):
+    """A one-cluster TMG on `ts`."""
+    n = ts.shape.n
+    return TmgModel(transforms=ts, mu=np.zeros((1, n)), phi=np.ones((1, n)), psi=np.ones(n),
+                    rho=np.full((ts.L, 1), 1.0 / ts.L), pi=np.ones(1))
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (4, 6), (7, 7)])
+def test_a_table_of_every_wrap_shift_keeps_only_its_rows(h, w, tmp_path):
+    """However a full wrap grid's table reaches the constructor (a caller's,
+    in the shifts' order or shuffled, as int32, or a `.txm` file's), the set
+    keeps only its rows, and each table read later is the given table and
+    its inverse, from per-pixel loops."""
+    shape = ImageShape(h, w)
+    rows = [shift_index(h, w, di, dj, True) for di in range(h) for dj in range(w)]
+    order = np.random.default_rng(shape.n).permutation(shape.n)
+    shuffled = [rows[l] for l in order]
+    save_model(_on(TransformationSet(np.array(shuffled), shape, "wrap")), tmp_path / "s.txm")
+    cases = {"caller": (TransformationSet(np.array(rows), shape, "wrap"), rows),
+             "shuffled": (TransformationSet(np.array(shuffled), shape, "wrap"), shuffled),
+             "int32": (TransformationSet(np.array(shuffled, dtype=np.int32), shape, "wrap"),
+                       shuffled),
+             "txm": (load_model(tmp_path / "s.txm").transforms, shuffled)}
+    for name, (ts, table) in cases.items():
+        assert not set(TABLES) & set(vars(ts)), name
+        assert (ts.L, ts.has_void) == (shape.n, False)
+        assert ts.wrap_rows.tolist() == [order[l] if name != "caller" else l
+                                         for l in range(shape.n)]
+        assert ts.source_matrix.tolist() == table
+        assert ts.dest_matrix.tolist() == dest_table(table, shape.n)
+        assert all(getattr(ts, t).dtype == np.int64 and not getattr(ts, t).flags.writeable
+                   for t in TABLES)
+    assert not any(isinstance(v, cached_property) for v in vars(TransformationSet).values())
+
+
+def test_repr_builds_no_table():
+    ts = build_translation_set(ImageShape(31, 31), 31, 31)
+    assert "source_matrix" not in repr(ts) and "TmgModel(" in repr(_on(ts))
+    assert not set(TABLES) & set(vars(ts))
 
 
 SHEAR_REFUSALS = {  # keyword arguments of build_shear_translation_set, message
